@@ -9,7 +9,13 @@ exhaustive and yields each orbit exactly once, with no post-deduplication.
 
 Monotone predicates (zero-sum free, no short zero-sum) are maintained
 incrementally as sum-reachability sets and checked before the orbit test,
-which is the expensive step (a vectorized pass over the permutation table).
+which is the expensive step.  The orbit test compares T only with the images
+that can tie its first term: every sorted image alpha(T) starts with
+min alpha(T), so if some term's orbit minimum is below T[0] the tuple is
+beaten outright, and otherwise an image can start with T[0] only when alpha
+sends some term of T to T[0].  Those automorphisms come from a point
+transversal of the permutation table (Group.images_through); every other
+image starts higher and is larger, so the filter is exact.
 
 Work is partitioned into subtrees below canonical prefixes of a fixed split
 depth; workers process whole subtrees and results are merged in prefix
@@ -273,31 +279,26 @@ class _Engine:
         self.size = grp.size
         self.add = grp.add_index_table()
         self.neg = grp.neg_index_table()
-        self.perm = np.ascontiguousarray(grp.perm_table()) if up_to_symmetry else None
+        self.orbit_min = grp.orbit_tables()[0] if up_to_symmetry else None
         self.reach = (
             _reach_table(grp, length)
             if (length is not None and self.pred.final_zero_sum)
             else None
         )
 
-    # orbit-minimality of the sorted tuple T
+    # Orbit-minimality of the sorted tuple T.  Only the images through T[0]
+    # can tie it (module docstring); each is compared with T at its first
+    # differing position, and a row equal to T yields position 0, where the
+    # test is false.
     def _is_canonical(self, T: list[int]) -> bool:
-        B = self.perm[:, T]
-        B.sort(axis=1)
-        alive = None
-        for j, tj in enumerate(T):
-            col = B[:, j]
-            if alive is None:
-                if (col < tj).any():
-                    return False
-                alive = col == tj
-            else:
-                if (alive & (col < tj)).any():
-                    return False
-                alive &= col == tj
-            if not alive.any():
-                return True
-        return True
+        t0 = T[0]
+        orbit_min = self.orbit_min
+        if any(orbit_min[x] < t0 for x in T):
+            return False
+        images = self.grp.images_through(T, t0)
+        target = np.array(T, dtype=images.dtype)
+        first = (images != target).argmax(axis=1)
+        return not (images[np.arange(len(images)), first] < target[first]).any()
 
     def _admit(self, T: list[int]) -> bool:
         return not self.canonical or self._is_canonical(T)

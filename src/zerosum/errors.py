@@ -76,3 +76,7 @@ class FiberMismatch(ZsError):
 
 class NotADivisor(ZsError):
     """Multiplier m must divide the group modulus."""
+
+
+class WitnessCheckFailed(ZsError):
+    """A computed witness failed its re-verification (an internal fault)."""

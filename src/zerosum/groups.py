@@ -82,7 +82,9 @@ class Automorphism:
 class Group:
     """The group (Z/nZ) x (Z/nZ) for a fixed modulus n >= 2."""
 
-    __slots__ = ("n", "_elements", "_orders", "_aut", "_perm", "_add_idx", "_neg_idx")
+    __slots__ = (
+        "n", "_elements", "_orders", "_aut", "_perm", "_add_idx", "_neg_idx", "_orbits",
+    )
 
     def __init__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
@@ -94,6 +96,7 @@ class Group:
         self._perm: np.ndarray | None = None
         self._add_idx: list[list[int]] | None = None
         self._neg_idx: list[int] | None = None
+        self._orbits: tuple[list[int], np.ndarray, list[list[int]]] | None = None
 
     # -- identity and comparison ------------------------------------------
 
@@ -275,6 +278,42 @@ class Group:
                     tbl[row, i] = self.index(alpha(g))
             self._perm = tbl
         return self._perm
+
+    def orbit_tables(self) -> tuple[list[int], np.ndarray, list[list[int]]]:
+        """``(orbit_min, order, bounds)``, built on first use.
+
+        ``orbit_min[x]`` is the least index in the automorphism orbit of
+        element index x.  ``order[x]`` lists the rows of :meth:`perm_table`
+        sorted by the image of x, so the point transversal
+        ``{alpha : alpha(x) = y}`` is ``order[x, bounds[x][y]:bounds[x][y + 1]]``.
+        """
+        if self._orbits is None:
+            perm = self.perm_table()
+            rows = np.int16 if len(perm) <= np.iinfo(np.int16).max else np.int32
+            order = np.empty((self.size, len(perm)), dtype=rows)
+            edges = np.arange(self.size + 1)
+            bounds = []
+            # column by column, so no |Aut| x n^2 int64 temporary is built
+            for x in range(self.size):
+                order[x] = perm[:, x].argsort()
+                bounds.append(np.searchsorted(perm[order[x], x], edges).tolist())
+            self._orbits = (perm.min(axis=0).tolist(), order, bounds)
+        return self._orbits
+
+    def images_through(self, terms: list[int], y: int) -> np.ndarray:
+        """Sorted images of the index tuple ``terms``, one row per
+        automorphism that sends some term to ``y``.
+
+        These are exactly the images that contain ``y``; each automorphism
+        appears once, since it sends only one element to ``y``.
+        """
+        _, order, bounds = self.orbit_tables()
+        rows = np.concatenate(
+            [order[x, bounds[x][y]:bounds[x][y + 1]] for x in dict.fromkeys(terms)]
+        )
+        images = self._perm.take(rows, axis=0)[:, terms]
+        images.sort(axis=1)
+        return images
 
 
 @functools.lru_cache(maxsize=None)

@@ -155,27 +155,36 @@ class Sequence:
     def canonicalize(self) -> "Sequence":
         """Least sequence in the automorphism orbit.
 
-        The order is lexicographic on the expanded, sorted term tuple.  Uses
-        the group's permutation table, so it is intended for small moduli.
+        The order is lexicographic on the expanded, sorted term tuple.  Every
+        image starts with the least image of some term, so the orbit minimum
+        starts with m, the smallest orbit minimum over the terms, and only
+        the automorphisms sending a term onto m are compared
+        (:meth:`Group.images_through`).  Uses the group's permutation table,
+        so it is intended for small moduli.
         """
         if not self._items:
             return self
         grp = self.group
-        perm = grp.perm_table()
+        orbit_min = grp.orbit_tables()[0]
         idxs = [grp.index(g) for g in self]
-        images = perm[:, idxs]
-        images.sort(axis=1)
+        images = grp.images_through(idxs, min(orbit_min[x] for x in idxs))
         best = images[np.lexsort(images.T[::-1])[0]]
         return Sequence.from_terms(grp, (grp.unindex(int(i)) for i in best))
 
     def orbit_size(self) -> int:
-        """Number of distinct sequences in the automorphism orbit."""
+        """Number of distinct sequences in the automorphism orbit.
+
+        Computed as |Aut| / |Stab|; every automorphism fixing the sequence
+        sends some term onto its first term, so the stabiliser is found
+        among :meth:`Group.images_through` for that term.
+        """
+        if not self._items:
+            return 1
         grp = self.group
-        perm = grp.perm_table()
         idxs = [grp.index(g) for g in self]
-        images = perm[:, idxs]
-        images.sort(axis=1)
-        return len({tuple(row) for row in images.tolist()})
+        images = grp.images_through(idxs, idxs[0])
+        stabiliser = int((images == idxs).all(axis=1).sum())
+        return len(grp.perm_table()) // stabiliser
 
     # -- JSON text format -------------------------------------------------------------
 

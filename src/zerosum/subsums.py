@@ -7,7 +7,7 @@ flat indices (a*n + b) internally.
 
 from __future__ import annotations
 
-from .errors import InvalidRange
+from .errors import InvalidRange, WitnessCheckFailed
 from .groups import Elem
 from .sequences import Sequence
 
@@ -78,10 +78,15 @@ class SumTable:
             picked.append(t)
             need = add[need][neg[t]]
             l -= 1
-        assert l == 0 and need == grp.index(grp.zero)
         out = Sequence.from_terms(grp, (grp.unindex(t) for t in picked))
-        assert len(out) == length and out.is_subsequence_of(self.seq)
-        assert grp.index(out.sigma()) == target
+        if not (
+            l == 0 and need == grp.index(grp.zero)
+            and len(out) == length and out.is_subsequence_of(self.seq)
+            and grp.index(out.sigma()) == target
+        ):
+            raise WitnessCheckFailed(
+                f"witness {out!r} for {g} at length {length} does not re-verify"
+            )
         return out
 
 
@@ -165,8 +170,9 @@ def is_minimal_zero_sum(seq: Sequence) -> bool:
 def find_zero_sum_subsequence(seq: Sequence, exact_length: int) -> Sequence | None:
     """A zero-sum subsequence of the given exact length, or None.
 
-    The returned witness is re-verified by assertion before being handed
-    back (divides the input, has the requested length, sums to zero).
+    The returned witness is re-verified before being handed back (divides
+    the input, has the requested length, sums to zero); a failure raises
+    WitnessCheckFailed, also under ``python -O``.
     """
     if not 1 <= exact_length <= len(seq):
         raise InvalidRange(

@@ -3,13 +3,16 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import random
 
 import pytest
 
 from zerosum import group, is_minimal_zero_sum, is_zero_sum_free, restricted_sums
+from zerosum.classification import verify_casen
 from zerosum.enumeration import (
     EnumSpec,
     ResultCache,
+    _Engine,
     davenport,
     enumerate_sequences,
     max_length_with,
@@ -17,9 +20,22 @@ from zerosum.enumeration import (
     s_leq,
 )
 from zerosum.errors import BudgetExceeded, SchemaError
+from zerosum.properties import verify_property_b, verify_property_c
 from zerosum.sequences import Sequence
 
-from oracles import naive_is_minimal_zero_sum, naive_is_zero_sum_free
+from oracles import (
+    naive_canonical,
+    naive_is_minimal_zero_sum,
+    naive_is_zero_sum_free,
+    random_sequence,
+)
+
+# Exact search sizes, pinned so that a change to the orbit test or the
+# predicates cannot alter the walk unnoticed: nodes of the zero-sum-free
+# forest behind davenport(n), and (orbits, nodes) of the property B/C scans.
+DAVENPORT_NODES = {2: 2, 3: 7, 4: 68, 5: 308, 6: 7984}
+PROPERTY_B = {2: (1, 3), 3: (1, 7), 4: (2, 62), 5: (5, 267), 6: (13, 6586)}
+PROPERTY_C = {2: (1, 3), 3: (1, 11), 4: (1, 115), 5: (2, 632)}
 
 
 def brute_force_census(n, length, keep):
@@ -86,6 +102,29 @@ def test_zero_sum_no_short_census(n, k, length):
     assert len(raw) == len(raw_expected)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_orbit_test_matches_naive_canonical(n):
+    grp = group(n)
+    engine = _Engine(grp, "all", {}, None, True)
+    orbit_min = grp.orbit_tables()[0]
+    rng = random.Random(700 + n)
+    seen = set()
+    for _ in range(20):
+        s = random_sequence(rng, grp, rng.randrange(1, 9))
+        canon = naive_canonical(s)
+        for t in (s, canon):
+            T = [grp.index(g) for g in t]
+            verdict = engine._is_canonical(T)
+            assert verdict == (t == canon), t
+            if verdict:
+                seen.add("canonical")
+            elif any(orbit_min[x] < T[0] for x in T):
+                seen.add("beaten by an orbit minimum")
+            else:
+                seen.add("beaten by an image through T[0]")
+    assert len(seen) == 3
+
+
 def test_raw_count_equals_sum_of_orbit_sizes():
     spec_raw = EnumSpec(4, 5, "zero-sum-free", up_to_symmetry=False)
     spec_can = EnumSpec(4, 5, "zero-sum-free")
@@ -102,6 +141,36 @@ def test_results_are_lex_sorted_and_deterministic_across_jobs():
     assert stats_one == stats_two
     keys = [s.terms() for s in one]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n,nodes", sorted(DAVENPORT_NODES.items()))
+def test_davenport_node_counts_are_pinned_for_any_jobs(n, nodes):
+    runs = [
+        max_length_with(group(n), "zero-sum-free", jobs=jobs, depth_cap=n * n + 1)
+        for jobs in (1, 2)
+    ]
+    assert runs[0] == runs[1]
+    longest, stats = runs[0]
+    assert (longest + 1, stats.nodes) == (2 * n - 1, nodes)
+
+
+@pytest.mark.parametrize(
+    "verify,n,orbits,details",
+    [(verify_property_b, n, o, {"nodes": d}) for n, (o, d) in PROPERTY_B.items()]
+    + [
+        (verify_property_c, n, o, {"nodes": d, "without_basis_form": 0})
+        for n, (o, d) in PROPERTY_C.items()
+    ]
+    + [
+        (verify_casen, 5, 45,
+         {"nodes": 4109, "kinds": {"item1": 44, "item2": 1, "both": 0, "unclassified": 0}}),
+    ],
+)
+def test_report_counts_are_pinned_for_any_jobs(verify, n, orbits, details):
+    one, two = (verify(n, jobs=jobs) for jobs in (1, 2))
+    assert one.to_json(timing=False) == two.to_json(timing=False)
+    assert one.passed and one.orbits_scanned == orbits
+    assert one.details == details
 
 
 def test_length_zero_and_one():

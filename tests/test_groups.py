@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from zerosum import Group, group
@@ -111,6 +112,18 @@ def test_perm_table_matches_automorphisms():
         alpha = auts[row]
         for i, g in enumerate(elems):
             assert grp.unindex(int(perm[row, i])) == alpha(g)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_orbit_tables_match_perm_table(n):
+    grp = group(n)
+    perm = grp.perm_table()
+    orbit_min, order, bounds = grp.orbit_tables()
+    for x in range(grp.size):
+        assert orbit_min[x] == min(grp.index(alpha(grp.unindex(x))) for alpha in grp.automorphisms())
+        for y in range(grp.size):
+            sending = order[x, bounds[x][y]:bounds[x][y + 1]]
+            assert sorted(sending.tolist()) == np.flatnonzero(perm[:, x] == y).tolist()
 
 
 def test_index_tables():

@@ -112,7 +112,7 @@ def test_json_parse_error():
         Sequence.from_json("{not json")
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_canonicalize_matches_brute_force_and_is_orbit_constant(n):
     rng = random.Random(100 + n)
     grp = group(n)
@@ -128,12 +128,13 @@ def test_canonicalize_matches_brute_force_and_is_orbit_constant(n):
 
 def test_orbit_size_divides_group_order():
     rng = random.Random(9)
-    grp = group(4)
-    for _ in range(10):
-        s = random_sequence(rng, grp, 5)
-        size = s.orbit_size()
-        assert size == len(naive_orbit(s))
-        assert len(grp.automorphisms()) % size == 0
+    for n in range(2, 7):
+        grp = group(n)
+        for _ in range(10):
+            s = random_sequence(rng, grp, rng.randrange(0, 7))
+            size = s.orbit_size()
+            assert size == len(naive_orbit(s))
+            assert len(grp.automorphisms()) % size == 0
 
 
 @given(

@@ -16,7 +16,8 @@ from zerosum import (
     restricted_sums,
     subsequence_sums,
 )
-from zerosum.errors import InvalidRange
+from zerosum import subsums
+from zerosum.errors import InvalidRange, WitnessCheckFailed
 
 from oracles import (
     naive_is_minimal_zero_sum,
@@ -98,6 +99,20 @@ def test_sum_table_membership_and_witness():
     assert w is not None and len(w) == 2 and w.sigma() == (1, 4)
     assert w.is_subsequence_of(s)
     assert table.witness((4, 4), 1) is None
+
+
+def test_corrupted_witness_is_rejected(monkeypatch):
+    s = seq(5, (0, 1), (0, 1), (1, 0), (1, 3))
+    table = SumTable(s, 3)
+    everything = frozenset(range(s.group.size))
+
+    def corrupted(seq, terms, lmax):
+        # every sum reachable from every prefix: the walk back picks no term
+        return [[everything] * (lmax + 1) for _ in range(len(terms) + 1)]
+
+    monkeypatch.setattr(subsums, "_forward_layers", corrupted)
+    with pytest.raises(WitnessCheckFailed):
+        table.witness((1, 4), 2)
 
 
 def test_find_zero_sum_subsequence():

@@ -21,7 +21,9 @@ import dataclasses
 from math import gcd
 
 from .enumeration import EnumSpec, ResultCache, enumerate_sequences
-from .errors import BudgetExceeded, InvalidCounts, InvalidX, PreconditionViolated
+from .errors import (
+    BudgetExceeded, InvalidCounts, InvalidX, PreconditionViolated, WitnessCheckFailed,
+)
 from .groups import Elem, group
 from .properties import has_property_a, property_a_witnesses
 from .report import Report, Stopwatch
@@ -65,10 +67,13 @@ def construct_exceptional(
             (grp.add(xe1, grp.scale(2, e2)), 1),
         ),
     )
-    assert len(seq) == (a + b + c) * n - 1
-    assert seq.is_zero_sum()
-    assert grp.zero not in restricted_sums(seq, 1, n - 1)
-    assert not has_property_a(seq)
+    if not (
+        len(seq) == (a + b + c) * n - 1
+        and seq.is_zero_sum()
+        and grp.zero not in restricted_sums(seq, 1, n - 1)
+        and not has_property_a(seq)
+    ):
+        raise WitnessCheckFailed(f"exceptional sequence {seq!r} does not re-verify")
     return seq
 
 
@@ -153,7 +158,8 @@ def _item2_witnesses(seq: Sequence, s: int) -> list[Item2Witness]:
             if grp.add(third, e2) != last:
                 continue
             witness = Item2Witness(e1, e2, x, a, b, c)
-            assert construct_exceptional(n, x, a, b, c, basis=(e1, e2)) == seq
+            if construct_exceptional(n, x, a, b, c, basis=(e1, e2)) != seq:
+                raise WitnessCheckFailed(f"{witness} does not rebuild {seq!r}")
             out.append(witness)
     return out
 

@@ -26,6 +26,7 @@ from .errors import (
     NotASubsequence,
     PatternUnavailable,
     PreconditionViolated,
+    WitnessCheckFailed,
 )
 from .groups import Elem
 from .lifting import Homomorphism
@@ -185,7 +186,8 @@ def _lift(hom: Homomorphism | None, part_image: Sequence, source: Sequence) -> S
                 chosen.append((g, take))
                 pool[g] -= take
                 need -= take
-        assert need == 0, "image part exceeds available preimage terms"
+        if need:
+            raise WitnessCheckFailed("image part exceeds available preimage terms")
     return Sequence(source.group, chosen)
 
 
@@ -218,7 +220,7 @@ def block_decompositions(
     def image_of(seq: Sequence) -> Sequence:
         return seq if hom is None else hom.image_in_coords(seq)
 
-    # the head-minimality assertion applies in the identity-hom setting
+    # the head-minimality check applies in the identity-hom setting
     # when S is zero-sum with no nonempty zero-sum part of length < n
     qualifying = (
         hom is None
@@ -229,8 +231,8 @@ def block_decompositions(
     def rec(src: Sequence, img: Sequence, blocks: list[Sequence], floor):
         if len(blocks) == s:
             if img.sigma() == (0, 0):
-                if qualifying:
-                    assert is_minimal_zero_sum(src)
+                if qualifying and not is_minimal_zero_sum(src):
+                    raise WitnessCheckFailed(f"head {src!r} is not a minimal zero-sum")
                 yield BlockDecomposition(src, tuple(blocks), hom, context)
             return
         # cheap DP existence probe before enumerating candidates

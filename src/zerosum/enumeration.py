@@ -7,8 +7,8 @@ prefixes (the k smallest images of a superset are dominated by the sorted
 images of any k-subset), so pruning non-canonical prefixes at every depth is
 exhaustive and yields each orbit exactly once, with no post-deduplication.
 
-Monotone predicates (zero-sum free, no short zero-sum) are maintained
-incrementally as sum-reachability sets and checked before the orbit test,
+Monotone predicates (zero-sum free, no short zero-sum) keep layers of sums
+(ints, bit i for element index i) and are checked before the orbit test,
 which is the expensive step.  The orbit test compares T only with the images
 that can tie its first term: every sorted image alpha(T) starts with
 min alpha(T), so if some term's orbit minimum is below T[0] the tuple is
@@ -24,6 +24,7 @@ order, so output is identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -37,6 +38,7 @@ from . import __version__
 from .errors import BudgetExceeded, SchemaError
 from .groups import Group, group
 from .sequences import Sequence
+from .subsums import forward_layers, step, translate, translations
 
 __all__ = [
     "EnumSpec",
@@ -83,25 +85,24 @@ class _All:
 
 
 class _ZeroSumFree:
-    """State is the set of all nonempty subsequence sums (as indices)."""
+    """State is the layer of all subsequence sums, the empty sum included."""
 
     final_zero_sum = False
     admits_empty = True
 
     def __init__(self, grp: Group):
-        self.add = grp.add_index_table()
         self.neg = grp.neg_index_table()
+        self.shifts = translations(grp.n)
 
     def fresh(self):
-        return frozenset()
+        return 1
 
     def can_extend(self, state, g: int, is_final: bool) -> bool:
-        # a new zero-sum would have to use g: need -g among existing sums
-        return g != 0 and self.neg[g] not in state
+        # a new zero-sum must use g: -g among the sums (the empty one if g = 0)
+        return not state >> self.neg[g] & 1
 
     def extend(self, state, g: int):
-        row = self.add[g]
-        return state | {row[r] for r in state} | {g}
+        return state | translate(state, self.shifts[g])
 
 
 class _MinimalZeroSum(_ZeroSumFree):
@@ -118,17 +119,15 @@ class _MinimalZeroSum(_ZeroSumFree):
     admits_empty = False
 
     def can_extend(self, state, g: int, is_final: bool) -> bool:
-        if is_final:
-            return True
-        return g != 0 and self.neg[g] not in state
+        return is_final or not state >> self.neg[g] & 1
 
 
 class _NoShortZeroSum:
     """No zero-sum subsequence of length <= k.
 
-    State keeps the sums of subsequences of each length 1..k-1 plus their
-    union with {0}; sums of length k itself are never needed, since a new
-    offender must end at the added term.
+    State is the list of layers 0..k-1, layer l holding the sums of length
+    at most l, the empty sum included; sums of length k are never needed,
+    since a new offender must end at the added term.
     """
 
     final_zero_sum = False
@@ -138,30 +137,17 @@ class _NoShortZeroSum:
         if k < 1:
             raise SchemaError(f"k must be >= 1, got {k}")
         self.k = k
-        self.add = grp.add_index_table()
         self.neg = grp.neg_index_table()
-        self.zero = 0
+        self.shifts = translations(grp.n)
 
     def fresh(self):
-        layers = tuple(frozenset() for _ in range(self.k - 1))
-        return (layers, frozenset([0]))
+        return [1] * self.k
 
     def can_extend(self, state, g: int, is_final: bool) -> bool:
-        return self.neg[g] not in state[1]
+        return not state[-1] >> self.neg[g] & 1
 
     def extend(self, state, g: int):
-        layers, _ = state
-        row = self.add[g]
-        new_layers = []
-        for l in range(len(layers)):
-            if l == 0:
-                new_layers.append(layers[0] | {g})
-            else:
-                new_layers.append(layers[l] | {row[r] for r in layers[l - 1]})
-        union = set([0])
-        for nl in new_layers:
-            union |= nl
-        return (tuple(new_layers), frozenset(union))
+        return step(state, self.shifts[g], self.k - 1)
 
 
 class _ZeroSumNoShort(_NoShortZeroSum):
@@ -228,32 +214,13 @@ class SearchStats:
 # ---------------------------------------------------------------------------
 # reachability cut for runs whose leaves must sum to zero
 
-_REACH_CACHE: dict[tuple[int, int], list[list[frozenset[int]]]] = {}
-
-
-def _reach_table(grp: Group, max_len: int) -> list[list[frozenset[int]]]:
-    """REACH[g][j]: sums achievable by j elements all >= g (index sets)."""
-    key = (grp.n, max_len)
-    got = _REACH_CACHE.get(key)
-    if got is not None:
-        return got
-    size = grp.size
-    add = grp.add_index_table()
-    reach: list[list[frozenset[int]]] = [
-        [frozenset() for _ in range(max_len + 1)] for _ in range(size + 1)
-    ]
-    for g in range(size + 1):
-        reach[g] = [frozenset([0])] + list(reach[g][1:])
-    for g in range(size - 1, -1, -1):
-        row = add[g]
-        out = [frozenset([0])]
-        for j in range(1, max_len + 1):
-            acc = set(reach[g + 1][j])
-            acc.update(row[r] for r in out[j - 1])
-            out.append(frozenset(acc))
-        reach[g] = out
-    _REACH_CACHE[key] = reach
-    return reach
+@functools.lru_cache(maxsize=None)
+def _reach_table(grp: Group, max_len: int) -> list[list[int]]:
+    """REACH[g][j]: layer of the sums of j elements all >= g, read off the
+    layers of max_len copies of each element appended in descending order."""
+    terms = [g for g in range(grp.size - 1, -1, -1) for _ in range(max_len)]
+    history = forward_layers(grp, terms, max_len)
+    return [history[(grp.size - g) * max_len] for g in range(grp.size + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +323,7 @@ class _Engine:
             if not pred.can_extend(state, g, False):
                 continue
             if reach is not None:
-                target = neg[add[sigma][g]]
-                if target not in reach[g][remaining]:
+                if not reach[g][remaining] >> neg[add[sigma][g]] & 1:
                     continue
             T.append(g)
             if self._admit(T):

@@ -83,7 +83,7 @@ class Group:
     """The group (Z/nZ) x (Z/nZ) for a fixed modulus n >= 2."""
 
     __slots__ = (
-        "n", "_elements", "_orders", "_aut", "_perm", "_add_idx", "_neg_idx", "_orbits",
+        "n", "_elements", "_max_order", "_aut", "_perm", "_add_idx", "_neg_idx", "_orbits",
     )
 
     def __init__(self, n: int):
@@ -91,7 +91,7 @@ class Group:
             raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
         self.n = n
         self._elements: tuple[Elem, ...] | None = None
-        self._orders: tuple[int, ...] | None = None
+        self._max_order: tuple[Elem, ...] | None = None
         self._aut: tuple[Automorphism, ...] | None = None
         self._perm: np.ndarray | None = None
         self._add_idx: list[list[int]] | None = None
@@ -153,8 +153,10 @@ class Group:
 
     def max_order_elements(self) -> tuple[Elem, ...]:
         """Elements of the maximal order n, in lexicographic order."""
-        n = self.n
-        return tuple(g for g in self.elements() if self.element_order(g) == n)
+        if self._max_order is None:
+            n = self.n
+            self._max_order = tuple(g for g in self.elements() if self.element_order(g) == n)
+        return self._max_order
 
     # -- bases and coordinates ----------------------------------------------
 
@@ -270,13 +272,11 @@ class Group:
         Row order matches :meth:`automorphisms`.
         """
         if self._perm is None:
-            elems = self.elements()
-            auts = self.automorphisms()
-            tbl = np.empty((len(auts), self.size), dtype=np.int16)
-            for row, alpha in enumerate(auts):
-                for i, g in enumerate(elems):
-                    tbl[row, i] = self.index(alpha(g))
-            self._perm = tbl
+            n = self.n
+            auts = np.array([(al.p, al.q, al.r, al.s) for al in self.automorphisms()])
+            p, q, r, s = auts.T[:, :, None]  # matrix entries, one column each
+            a, b = np.divmod(np.arange(self.size), n)
+            self._perm = ((p * a + q * b) % n * n + (r * a + s * b) % n).astype(np.int16)
         return self._perm
 
     def orbit_tables(self) -> tuple[list[int], np.ndarray, list[list[int]]]:

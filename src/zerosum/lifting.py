@@ -25,6 +25,7 @@ from .errors import (
     FiberMismatch,
     NotADivisor,
     PreconditionViolated,
+    WitnessCheckFailed,
 )
 from .groups import Elem, Group, group
 from .properties import property_a_witnesses
@@ -262,9 +263,11 @@ def _structured_lift(
         lifted = grp.add(c, offsets[c])  # coords < n, so c is its own base rep
         items.append((lifted, mult))
         total = grp.add(total, grp.scale(mult, lifted))
-    assert pattern.multiplicity(forced) == 1
+    if pattern.multiplicity(forced) != 1:
+        raise PreconditionViolated(f"forced term {forced} must occur once")
     last = grp.neg(total)
-    assert hom.image_coords(hom(last)) == forced
+    if hom.image_coords(hom(last)) != forced:
+        raise WitnessCheckFailed(f"lifted term {last} does not map to {forced}")
     items.append((last, 1))
     return Sequence(grp, items)
 

@@ -25,7 +25,9 @@ import dataclasses
 import itertools
 from multiprocessing import get_context
 
-from .errors import BudgetExceeded, PreconditionViolated, SchemaError, SumMismatch
+from .errors import (
+    BudgetExceeded, PreconditionViolated, SchemaError, SumMismatch, WitnessCheckFailed,
+)
 from .groups import Elem, Group, group
 from .properties import Eq1Witness, matches_eq1
 from .report import Report, Stopwatch
@@ -172,7 +174,8 @@ def _scan_unique(args) -> tuple[dict, list, int]:
     counterexamples: list = []
     for xs in chunk:
         base = _unique_heavy_base(grp, f1, f2, xs)
-        assert upsilon_class(base).tag == "unique"
+        if upsilon_class(base).tag != "unique":
+            raise WitnessCheckFailed(f"base {base!r} is not unique-heavy")
         moves = _moves_unique(grp, f1, f2, xs)
         _run_moves(
             grp, base, moves, False, accum, counterexamples, {"xs": list(xs)}
@@ -248,7 +251,8 @@ def verify_perturbation(
             counterexamples.sort(key=repr)
         else:
             base = _twin_heavy_base(grp, f1, f2)
-            assert upsilon_class(base).tag == "non_unique"
+            if upsilon_class(base).tag != "non_unique":
+                raise WitnessCheckFailed(f"base {base!r} is not twin-heavy")
             moves = _moves_twin(grp, f1, f2, lemma)
             _run_moves(
                 grp, base, moves, lemma == "III", accum, counterexamples, {}

@@ -1,14 +1,21 @@
-"""Length-restricted subsequence sums via dynamic programming.
+"""Length-restricted subsequence sums on bitset layers.
 
-The table tracks, for each length l up to a bound, the set of group elements
-expressible as the sum of a length-l subsequence.  Elements are handled as
-flat indices (a*n + b) internally.
+A layer is a set of group elements held in an int: bit i is set iff the
+element of flat index i = a*n + b is in it.  ``translate(X, t)`` is X + t:
+bit x of X is bit x + t of the result.  Appending a term t to a sequence
+updates its layers by ``step``, ``layers[l] |= translate(layers[l - 1], t)``
+for l descending, so that t is used at most once.  From {0} in layer 0 and
+empty layers above, layer l holds the sums of length exactly l; from {0} in
+every layer, the sums of length at most l.  With no length bound one layer
+of all sums suffices: ``sums |= translate(sums, t)``.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .errors import InvalidRange, WitnessCheckFailed
-from .groups import Elem
+from .groups import Elem, Group
 from .sequences import Sequence
 
 __all__ = [
@@ -21,11 +28,41 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def translations(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per element index t = a*n + b, the constants ``translate`` unpacks."""
+    size = n * n
+    full = (1 << size) - 1
+    out = []
+    for t in range(size):
+        a, b = divmod(t, n)
+        low = sum(((1 << (n - b)) - 1) << (row * n) for row in range(n))
+        out.append((low, full ^ low, b, n - b, a * n, size - a * n, full))
+    return tuple(out)
+
+
+def translate(layer: int, shift: tuple[int, ...]) -> int:
+    """The set ``layer + t`` for ``shift = translations(n)[t]``: each row
+    (fixed first coordinate) is rotated by b, then the rows by a."""
+    low, high, b, n_b, k, size_k, full = shift
+    x = (layer & low) << b | (layer & high) >> n_b
+    return (x << k | x >> size_k) & full
+
+
+def step(layers: list[int], shift: tuple[int, ...], top: int) -> list[int]:
+    """The layers once the term t of ``shift`` is appended to the sequence
+    behind them: ``layers[l] | (layers[l - 1] + t)`` for l = 1, ..., top."""
+    out = list(layers)
+    for l in range(top, 0, -1):
+        out[l] |= translate(out[l - 1], shift)
+    return out
+
+
 class SumTable:
     """Reachability table for subsequence sums of a fixed sequence.
 
-    ``layers[l]`` is the frozenset of element indices that occur as the sum
-    of some subsequence of length exactly l, for 0 <= l <= lmax.
+    ``layers[l]`` is the layer (an int, bit i for element index i) of the
+    sums of subsequences of length exactly l, for 0 <= l <= lmax.
     """
 
     __slots__ = ("seq", "lmax", "layers", "_terms")
@@ -36,22 +73,23 @@ class SumTable:
         self.seq = seq
         self.lmax = lmax
         self._terms = [seq.group.index(g) for g in seq]  # sorted by element
-        self.layers = _forward_layers(seq, self._terms, lmax)[-1]
+        self.layers = forward_layers(seq.group, self._terms, lmax)[-1]
 
     def contains(self, g: Elem, length: int) -> bool:
         """Is g the sum of some subsequence of exactly the given length?"""
         if not 0 <= length <= self.lmax:
             raise InvalidRange(f"length must be in [0, {self.lmax}], got {length}")
-        return self.seq.group.index(self.seq.group.element(*g)) in self.layers[length]
+        grp = self.seq.group
+        return bool(self.layers[length] >> grp.index(grp.element(*g)) & 1)
 
     def sums(self, lmin: int, lmax: int) -> frozenset[Elem]:
         if not 0 <= lmin <= lmax <= self.lmax:
             raise InvalidRange(f"need 0 <= lmin <= lmax <= {self.lmax}")
         grp = self.seq.group
-        out = set()
+        union = 0
         for l in range(lmin, lmax + 1):
-            out.update(self.layers[l])
-        return frozenset(grp.unindex(i) for i in out)
+            union |= self.layers[l]
+        return frozenset(grp.unindex(i) for i in range(grp.size) if union >> i & 1)
 
     def witness(self, g: Elem, length: int) -> Sequence | None:
         """A subsequence of the given exact length summing to g, or None.
@@ -63,9 +101,9 @@ class SumTable:
             raise InvalidRange(f"length must be in [0, {self.lmax}], got {length}")
         grp = self.seq.group
         target = grp.index(grp.element(*g))
-        if target not in self.layers[length]:
+        if not self.layers[length] >> target & 1:
             return None
-        history = _forward_layers(self.seq, self._terms, self.lmax)
+        history = forward_layers(grp, self._terms, self.lmax)
         add = grp.add_index_table()
         neg = grp.neg_index_table()
         picked: list[int] = []
@@ -73,7 +111,7 @@ class SumTable:
         for i in range(len(self._terms), 0, -1):
             t = self._terms[i - 1]
             # prefer skipping the term; deterministic because terms are sorted
-            if need in history[i - 1][l]:
+            if history[i - 1][l] >> need & 1:
                 continue
             picked.append(t)
             need = add[need][neg[t]]
@@ -90,22 +128,15 @@ class SumTable:
         return out
 
 
-def _forward_layers(
-    seq: Sequence, terms: list[int], lmax: int
-) -> list[list[frozenset[int]]]:
-    """DP layers for every prefix of ``terms``; entry [i][l] is the set of
-    sums of length-l subsequences drawn from the first i terms."""
-    grp = seq.group
-    add = grp.add_index_table()
-    zero = grp.index(grp.zero)
-    cur: list[set[int]] = [set() for _ in range(lmax + 1)]
-    cur[0].add(zero)
-    history = [ [frozenset(s) for s in cur] ]
-    for t in terms:
-        row = add[t]
-        for l in range(min(lmax, len(history)), 0, -1):
-            cur[l].update(row[r] for r in cur[l - 1])
-        history.append([frozenset(s) for s in cur])
+def forward_layers(grp: Group, terms: list[int], lmax: int) -> list[list[int]]:
+    """Layers for every prefix of the index list ``terms``; entry [i][l] is
+    the layer of sums of length-l subsequences drawn from the first i terms."""
+    shifts = translations(grp.n)
+    cur = [1] + [0] * lmax  # element index 0 is the zero
+    history = [cur]
+    for i, t in enumerate(terms, 1):
+        cur = step(cur, shifts[t], min(lmax, i))
+        history.append(cur)
     return history
 
 
@@ -128,43 +159,34 @@ def subsequence_sums(seq: Sequence) -> frozenset[Elem]:
     return restricted_sums(seq, 1, len(seq))
 
 
-def _has_zero_sum_up_to(seq: Sequence, lmax: int) -> bool:
-    """0 in the union of layers 1..lmax, with early exit."""
-    grp = seq.group
-    add = grp.add_index_table()
+def _has_zero_sum(grp: Group, terms: list[int]) -> bool:
+    """Does some nonempty subsequence of the index list sum to zero?  Exits
+    at the first term that closes one."""
     neg = grp.neg_index_table()
-    zero = grp.index(grp.zero)
-    reach: list[set[int]] = [set() for _ in range(lmax + 1)]
-    reach[0].add(zero)
-    for g in seq:
-        t = grp.index(g)
-        nt = neg[t]
-        # a new zero-sum must use this term: -t reachable at some length < lmax
-        if any(nt in reach[l] for l in range(lmax)):
+    shifts = translations(grp.n)
+    sums = 1  # the layer of all subsequence sums so far, the empty one included
+    for t in terms:
+        if sums >> neg[t] & 1:  # a new zero-sum must use t
             return True
-        row = add[t]
-        for l in range(lmax, 0, -1):
-            reach[l].update(row[r] for r in reach[l - 1])
+        sums |= translate(sums, shifts[t])
     return False
 
 
 def is_zero_sum_free(seq: Sequence) -> bool:
     """True iff no nonempty subsequence sums to zero."""
-    if len(seq) == 0:
-        return True
-    return not _has_zero_sum_up_to(seq, len(seq))
+    return not _has_zero_sum(seq.group, [seq.group.index(g) for g in seq])
 
 
 def is_minimal_zero_sum(seq: Sequence) -> bool:
     """Zero-sum with no proper nontrivial zero-sum subsequence.
 
-    The empty sequence is zero-sum but, by convention, not minimal.
+    Equivalently, a zero-sum S with S minus one term zero-sum free: of a
+    proper zero-sum part and its complement, one avoids that term.  The
+    empty sequence is zero-sum but, by convention, not minimal.
     """
     if len(seq) == 0 or not seq.is_zero_sum():
         return False
-    if len(seq) == 1:
-        return True
-    return not _has_zero_sum_up_to(seq, len(seq) - 1)
+    return not _has_zero_sum(seq.group, [seq.group.index(g) for g in seq][:-1])
 
 
 def find_zero_sum_subsequence(seq: Sequence, exact_length: int) -> Sequence | None:

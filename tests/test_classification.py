@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from zerosum import group
+from zerosum import classification, group
 from zerosum.classification import (
     classify_long_zero_sum,
     construct_exceptional,
@@ -14,6 +14,7 @@ from zerosum.errors import (
     InvalidX,
     NotABasis,
     PreconditionViolated,
+    WitnessCheckFailed,
 )
 from zerosum.sequences import Sequence
 
@@ -52,6 +53,11 @@ class TestConstructExceptional:
     def test_bad_basis_rejected(self):
         with pytest.raises(NotABasis):
             construct_exceptional(5, 2, basis=((1, 0), (2, 0)))
+
+    def test_failed_recheck_raises(self, monkeypatch):
+        monkeypatch.setattr(classification, "has_property_a", lambda seq: True)
+        with pytest.raises(WitnessCheckFailed):
+            construct_exceptional(5, 2)
 
     def test_custom_basis(self):
         s = construct_exceptional(5, 3, basis=((1, 1), (0, 1)))

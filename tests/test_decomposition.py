@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from zerosum import decomposition
+from zerosum.classification import construct_exceptional
 from zerosum.decomposition import (
     BlockDecomposition,
     SwapContext,
@@ -20,6 +22,7 @@ from zerosum.errors import (
     NotASubsequence,
     PatternUnavailable,
     PreconditionViolated,
+    WitnessCheckFailed,
 )
 from zerosum.groups import group
 from zerosum.lifting import mul_hom
@@ -284,3 +287,9 @@ def test_exhaustive_stream_is_duplicate_free():
     assert [d.parts for d in found] == [d.parts for d in again]
     for d in found:
         assert d.sequence() == S
+
+
+def test_non_minimal_head_is_rejected(monkeypatch):
+    monkeypatch.setattr(decomposition, "is_minimal_zero_sum", lambda seq: False)
+    with pytest.raises(WitnessCheckFailed):
+        next(block_decompositions(construct_exceptional(5, 2), 5, 1))

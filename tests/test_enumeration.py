@@ -13,6 +13,8 @@ from zerosum.enumeration import (
     EnumSpec,
     ResultCache,
     _Engine,
+    _compile_predicate,
+    _reach_table,
     davenport,
     enumerate_sequences,
     max_length_with,
@@ -27,6 +29,7 @@ from oracles import (
     naive_canonical,
     naive_is_minimal_zero_sum,
     naive_is_zero_sum_free,
+    naive_restricted_sums,
     random_sequence,
 )
 
@@ -123,6 +126,54 @@ def test_orbit_test_matches_naive_canonical(n):
             else:
                 seen.add("beaten by an image through T[0]")
     assert len(seen) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reach_table_matches_brute_force(n):
+    grp = group(n)
+    add = grp.add_index_table()
+    reach = _reach_table(grp, 4)
+    for g in range(grp.size + 1):
+        for j in range(5):
+            sums = set()
+            for terms in itertools.combinations_with_replacement(range(g, grp.size), j):
+                total = 0
+                for t in terms:
+                    total = add[total][t]
+                sums.add(total)
+            assert reach[g][j] == sum(1 << s for s in sums), (g, j)
+
+
+@pytest.mark.parametrize(
+    "name", ["zero-sum-free", "minimal-zero-sum", "no-short-zero-sum", "zero-sum-no-short"]
+)
+def test_predicate_states_match_oracles(name):
+    """Walk 200 seeded sorted tuples, keeping each term the predicate admits;
+    every admit/reject decision must match the brute-force oracle."""
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randrange(2, 6)
+        grp = group(n)
+        k = rng.randrange(1, n + 1)
+        params = {"k": k} if "short" in name else {}
+        pred = _compile_predicate(grp, name, params)
+        state, kept = pred.fresh(), []
+        for g in sorted(rng.randrange(grp.size) for _ in range(rng.randrange(1, 10))):
+            s = Sequence.from_terms(grp, map(grp.unindex, kept + [g]))
+            if params:
+                ok = (0, 0) not in naive_restricted_sums(s, 1, k)
+            else:
+                ok = naive_is_zero_sum_free(s)
+            assert pred.can_extend(state, g, False) == ok, (name, n, kept, g)
+            if pred.final_zero_sum and not params:
+                # closing a zero-sum free prefix is always allowed, and a
+                # zero sum then makes the whole sequence minimal
+                assert pred.can_extend(state, g, True)
+                if s.is_zero_sum():
+                    assert naive_is_minimal_zero_sum(s)
+            if ok:
+                kept.append(g)
+                state = pred.extend(state, g)
 
 
 def test_raw_count_equals_sum_of_orbit_sizes():

@@ -8,9 +8,11 @@ from zerosum.errors import (
     NotABasis,
     NotADivisor,
     PreconditionViolated,
+    WitnessCheckFailed,
 )
 from zerosum.groups import group
 from zerosum.lifting import (
+    Homomorphism,
     mul_hom,
     psi_split,
     verify_propbfix_item1,
@@ -177,6 +179,12 @@ def test_item2_budgeted_run():
         assert not rep.passed
     else:
         assert rep.status == "ok"
+
+
+def test_item2_lift_recheck_raises(monkeypatch):
+    monkeypatch.setattr(Homomorphism, "image_coords", lambda self, w: (0, 0))
+    with pytest.raises(WitnessCheckFailed):
+        verify_propbfix_item2(4, 5, structured=4, random_lifts=0)
 
 
 def test_item2_validation():

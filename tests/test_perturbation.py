@@ -1,12 +1,15 @@
+from types import SimpleNamespace
+
 import pytest
 
-from zerosum import group
+from zerosum import group, perturbation
 from zerosum.errors import (
     BudgetExceeded,
     NotASubsequence,
     PreconditionViolated,
     SchemaError,
     SumMismatch,
+    WitnessCheckFailed,
 )
 from zerosum.perturbation import perturb, upsilon_class, verify_perturbation
 from zerosum.sequences import Sequence
@@ -117,6 +120,13 @@ def test_jobs_do_not_change_the_report():
     one = verify_perturbation(5, "I", jobs=1)
     two = verify_perturbation(5, "I", jobs=2)
     assert one.to_json(timing=False) == two.to_json(timing=False)
+
+
+def test_base_outside_family_raises(monkeypatch):
+    wrong = SimpleNamespace(tag="unique")
+    monkeypatch.setattr(perturbation, "upsilon_class", lambda seq: wrong)
+    with pytest.raises(WitnessCheckFailed):
+        verify_perturbation(4, "II")
 
 
 def test_input_validation():

@@ -104,15 +104,30 @@ def test_sum_table_membership_and_witness():
 def test_corrupted_witness_is_rejected(monkeypatch):
     s = seq(5, (0, 1), (0, 1), (1, 0), (1, 3))
     table = SumTable(s, 3)
-    everything = frozenset(range(s.group.size))
+    everything = (1 << s.group.size) - 1
 
-    def corrupted(seq, terms, lmax):
+    def corrupted(grp, terms, lmax):
         # every sum reachable from every prefix: the walk back picks no term
         return [[everything] * (lmax + 1) for _ in range(len(terms) + 1)]
 
-    monkeypatch.setattr(subsums, "_forward_layers", corrupted)
+    monkeypatch.setattr(subsums, "forward_layers", corrupted)
     with pytest.raises(WitnessCheckFailed):
         table.witness((1, 4), 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_translate_matches_add_table(n):
+    grp = group(n)
+    add = grp.add_index_table()
+    shifts = subsums.translations(n)
+    rng = random.Random(n)
+    sets = [[i] for i in range(grp.size)]
+    sets += [rng.sample(range(grp.size), rng.randrange(grp.size + 1)) for _ in range(50)]
+    for members in sets:
+        layer = sum(1 << i for i in members)
+        for t in range(grp.size):
+            expected = sum(1 << add[i][t] for i in members)
+            assert subsums.translate(layer, shifts[t]) == expected, (members, t)
 
 
 def test_find_zero_sum_subsequence():

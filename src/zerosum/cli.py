@@ -2,13 +2,20 @@
 
 JSON to stdout by default (``--pretty`` indents it); every run embeds its
 full configuration in the emitted object.  Exit codes: 0 all checks
-passed, 1 counterexample found, 2 usage or parse error, 3 search budget
-exceeded.
+passed, 1 counterexample found, 2 usage, parse or output error, 3 search
+budget exceeded.
+
+Every subcommand is registered by ``@command(parent, name, *options,
+jobs=..., cache=...)`` on a body that takes its own options and returns a
+Report (exit 1 if it has counterexamples, else 0) or ``(obj, exit_code)``.
+The helper adds ``--pretty``/``--output``, plus ``--jobs`` (default: all
+cores) with ``jobs`` and ``--cache-dir``/``--no-cache`` with ``cache``, in
+which case the body gets the resolved ``cache``.  It builds ``config``,
+maps package errors to exit codes 2 and 3, writes the JSON and exits.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -17,7 +24,8 @@ import click
 
 from . import __version__
 from .classification import classify_long_zero_sum, construct_exceptional, verify_casen
-from .enumeration import EnumSpec, davenport, enumerate_sequences, resolve_cache, s_leq
+from .enumeration import PREDICATES, EnumSpec, enumerate_sequences, resolve_cache
+from .enumeration import davenport, s_leq
 from .errors import BudgetExceeded, ParseError, ZsError
 from .groups import group
 from .lifting import verify_propbfix_item1, verify_propbfix_item2
@@ -52,61 +60,72 @@ def parse_sequence_file(path: str) -> Sequence:
     return Sequence.from_json_obj(obj)
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except BudgetExceeded as exc:
-            click.echo(
-                json.dumps({"error": "BudgetExceeded", "message": str(exc)}),
-                err=True,
-            )
-            sys.exit(EXIT_BUDGET)
-        except ZsError as exc:
-            click.echo(
-                json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-                err=True,
-            )
-            sys.exit(EXIT_USAGE)
-
-    return wrapper
+def int_opt(flag: str, low: int, **attrs):
+    """An integer option with lower bound ``low``."""
+    return click.option(flag, type=click.IntRange(min=low), **attrs)
 
 
-def _emit(obj: dict, config: dict, pretty: bool, output: str | None) -> None:
-    payload = dict(obj)
-    payload["config"] = config
-    text = json.dumps(payload, indent=2 if pretty else None, sort_keys=True)
-    if output:
+n_opt = int_opt("--n", 2, required=True, help="Group modulus.")
+jobs_opt = int_opt("--jobs", 1, default=None, help="Worker processes (default: all cores).")
+cache_dir_opt = click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
+                             help="Result cache directory (default: $ZS_CACHE or ./.zs-cache).")
+no_cache_opt = click.option("--no-cache", is_flag=True, help="Disable the result cache.")
+pretty_opt = click.option("--pretty", is_flag=True, help="Indent the JSON output.")
+output_opt = click.option("--output", type=click.Path(dir_okay=False), default=None,
+                          help="Write the report to a file instead of stdout.")
+
+
+def _fail(exc: Exception, message: str, code: int) -> int:
+    click.echo(json.dumps({"error": type(exc).__name__, "message": message}), err=True)
+    return code
+
+
+def _execute(body, params: dict, config: dict, pretty: bool, output: str | None) -> int:
+    """Run one command body, emit its JSON once; returns the exit code."""
+    try:
+        result = body(**params)
+    except BudgetExceeded as exc:
+        return _fail(exc, str(exc), EXIT_BUDGET)
+    except ZsError as exc:
+        return _fail(exc, str(exc), EXIT_USAGE)
+    if isinstance(result, Report):
+        code = EXIT_COUNTEREXAMPLE if result.counterexamples else EXIT_PASS
+        result = result.to_json_obj(), code
+    obj, code = result
+    text = json.dumps({**obj, "config": config}, indent=2 if pretty else None, sort_keys=True)
+    if not output:
+        click.echo(text)
+        return code
+    try:
         with open(output, "w") as fh:
             fh.write(text + "\n")
-    else:
-        click.echo(text)
+    except OSError as exc:
+        return _fail(exc, f"{output}: {exc.strerror or exc}", EXIT_USAGE)
+    return code
 
 
-def _finish_report(rep: Report, config: dict, pretty: bool, output: str | None) -> None:
-    _emit(rep.to_json_obj(), config, pretty, output)
-    sys.exit(EXIT_COUNTEREXAMPLE if rep.counterexamples else EXIT_PASS)
+def command(parent: click.Group, name: str, *options, jobs: bool = False, cache: bool = False):
+    """Register the decorated body as subcommand ``name`` of ``parent``
+    (see the module docstring)."""
+    subcommand = name if parent is main else f"{parent.name} {name}"
+    options += ((jobs_opt,) if jobs else ()) + ((cache_dir_opt, no_cache_opt) if cache else ())
+    options += (pretty_opt, output_opt)
 
+    def register(body):
+        def run(pretty: bool, output: str | None, **params) -> None:
+            if jobs:
+                params["jobs"] = params["jobs"] or os.cpu_count() or 1
+            config = {"subcommand": subcommand, **params}
+            if cache:
+                params["cache"] = resolve_cache(
+                    params.pop("cache_dir"), enabled=not params.pop("no_cache"))
+            sys.exit(_execute(body, params, config, pretty, output))
 
-def _default_jobs(jobs: int | None) -> int:
-    return jobs if jobs else (os.cpu_count() or 1)
+        for opt in reversed(options):
+            run = opt(run)
+        return parent.command(name, help=body.__doc__)(run)
 
-
-pretty_opt = click.option("--pretty", is_flag=True, help="Indent the JSON output.")
-output_opt = click.option(
-    "--output", type=click.Path(dir_okay=False), default=None,
-    help="Write the report to a file instead of stdout.",
-)
-jobs_opt = click.option(
-    "--jobs", type=click.IntRange(min=1), default=None,
-    help="Worker processes (default: all cores).",
-)
-cache_dir_opt = click.option(
-    "--cache-dir", type=click.Path(file_okay=False), default=None,
-    help="Result cache directory (default: $ZS_CACHE or ./.zs-cache).",
-)
-no_cache_opt = click.option("--no-cache", is_flag=True, help="Disable the result cache.")
+    return register
 
 
 @click.group()
@@ -115,268 +134,136 @@ def main() -> None:
     """Zero-sum sequence toolkit for rank-two cyclic groups."""
 
 
-@main.command("davenport")
-@click.option("--n", required=True, type=click.IntRange(min=2), help="Group modulus.")
-@click.option("--bound", type=click.IntRange(min=1), default=7,
-              help="Largest modulus the search budget admits.")
-@jobs_opt
-@cache_dir_opt
-@no_cache_opt
-@pretty_opt
-@output_opt
-@_guarded
-def davenport_cmd(n, bound, jobs, cache_dir, no_cache, pretty, output):
+construct_grp = click.Group("construct", help="Builders for the named sequence families.")
+verify_grp = click.Group("verify",
+                         help="Exhaustive and sampled checks of the structure results.")
+cache_grp = click.Group("cache", help="Result cache maintenance.")
+for grp in (construct_grp, verify_grp, cache_grp):
+    main.add_command(grp)
+
+
+@command(main, "davenport", n_opt,
+         int_opt("--bound", 1, default=7, help="Largest modulus the search budget admits."),
+         jobs=True, cache=True)
+def davenport_cmd(n, bound, jobs, cache):
     """Davenport constant of (Z/NZ)^2."""
-    jobs = _default_jobs(jobs)
-    config = {"subcommand": "davenport", "n": n, "bound": bound, "jobs": jobs,
-              "cache_dir": cache_dir, "no_cache": no_cache}
-    cache = resolve_cache(cache_dir, enabled=not no_cache)
     value = davenport(group(n), bound=bound, jobs=jobs, cache=cache)
-    _emit({"check": "davenport", "n": n, "value": value}, config, pretty, output)
-    sys.exit(EXIT_PASS)
+    return {"check": "davenport", "n": n, "value": value}, EXIT_PASS
 
 
-@main.command("sleq")
-@click.option("--n", required=True, type=click.IntRange(min=2), help="Group modulus.")
-@click.option("--k", required=True, type=click.IntRange(min=1),
-              help="Zero-sum length threshold.")
-@click.option("--bound", type=click.IntRange(min=1), default=5,
-              help="Largest modulus the search budget admits.")
-@jobs_opt
-@cache_dir_opt
-@no_cache_opt
-@pretty_opt
-@output_opt
-@_guarded
-def sleq_cmd(n, k, bound, jobs, cache_dir, no_cache, pretty, output):
+@command(main, "sleq", n_opt,
+         int_opt("--k", 1, required=True, help="Zero-sum length threshold."),
+         int_opt("--bound", 1, default=5, help="Largest modulus the search budget admits."),
+         jobs=True, cache=True)
+def sleq_cmd(n, k, bound, jobs, cache):
     """Least length forcing a nonempty zero-sum subsequence of length <= k."""
-    jobs = _default_jobs(jobs)
-    config = {"subcommand": "sleq", "n": n, "k": k, "bound": bound, "jobs": jobs,
-              "cache_dir": cache_dir, "no_cache": no_cache}
-    cache = resolve_cache(cache_dir, enabled=not no_cache)
     value = s_leq(group(n), k, bound=bound, jobs=jobs, cache=cache)
-    _emit({"check": "sleq", "n": n, "k": k, "value": value}, config, pretty, output)
-    sys.exit(EXIT_PASS)
+    return {"check": "sleq", "n": n, "k": k, "value": value}, EXIT_PASS
 
 
-@main.command("enumerate")
-@click.option("--n", required=True, type=click.IntRange(min=2), help="Group modulus.")
-@click.option("--length", required=True, type=click.IntRange(min=0),
-              help="Sequence length.")
-@click.option("--predicate", default="all",
-              type=click.Choice(["all", "zero-sum-free", "minimal-zero-sum",
-                                 "no-short-zero-sum", "zero-sum-no-short"]))
-@click.option("--k", type=click.IntRange(min=1), default=None,
-              help="Length threshold for the predicates that take one.")
-@click.option("--raw", is_flag=True, help="List all sequences, not one per orbit.")
-@click.option("--limit", type=click.IntRange(min=0), default=100,
-              help="Cap on listed sequences (0 = no cap); the count is always exact.")
-@jobs_opt
-@cache_dir_opt
-@no_cache_opt
-@pretty_opt
-@output_opt
-@_guarded
-def enumerate_cmd(n, length, predicate, k, raw, limit, jobs, cache_dir, no_cache,
-                  pretty, output):
+@command(main, "enumerate", n_opt,
+         int_opt("--length", 0, required=True, help="Sequence length."),
+         click.option("--predicate", default="all", type=click.Choice(list(PREDICATES))),
+         int_opt("--k", 1, default=None,
+                 help="Length threshold for the predicates that take one."),
+         click.option("--raw", is_flag=True, help="List all sequences, not one per orbit."),
+         int_opt("--limit", 0, default=100,
+                 help="Cap on listed sequences (0 = no cap); the count is always exact."),
+         jobs=True, cache=True)
+def enumerate_cmd(n, length, predicate, k, raw, limit, jobs, cache):
     """List sequences with a given property, up to symmetry by default."""
-    jobs = _default_jobs(jobs)
-    config = {"subcommand": "enumerate", "n": n, "length": length,
-              "predicate": predicate, "k": k, "raw": raw, "limit": limit,
-              "jobs": jobs, "cache_dir": cache_dir, "no_cache": no_cache}
-    cache = resolve_cache(cache_dir, enabled=not no_cache)
     params = {"k": k} if k is not None else {}
     spec = EnumSpec(n, length, predicate, params, up_to_symmetry=not raw)
     seqs, stats = enumerate_sequences(spec, jobs=jobs, cache=cache)
     listed = seqs if limit == 0 else seqs[:limit]
-    _emit(
-        {
-            "check": "enumerate",
-            "count": len(seqs),
+    return {"check": "enumerate", "count": len(seqs), "nodes": stats.nodes,
             "sequences": [s.to_json_obj() for s in listed],
-            "truncated": len(listed) < len(seqs),
-            "nodes": stats.nodes,
-        },
-        config, pretty, output,
-    )
-    sys.exit(EXIT_PASS)
+            "truncated": len(listed) < len(seqs)}, EXIT_PASS
 
 
-@main.command("classify")
-@click.option("--file", "path", required=True,
-              type=click.Path(exists=False, dir_okay=False),
-              help="Sequence JSON file.")
-@click.option("--n", type=click.IntRange(min=2), default=None,
-              help="Expected modulus; must match the file when given.")
-@pretty_opt
-@output_opt
-@_guarded
-def classify_cmd(path, n, pretty, output):
+@command(main, "classify",
+         click.option("--file", required=True, type=click.Path(dir_okay=False),
+                      help="Sequence JSON file."),
+         int_opt("--n", 2, default=None,
+                 help="Expected modulus; must match the file when given."))
+def classify_cmd(file, n):
     """Sort a long zero-sum sequence into the two structural families."""
-    config = {"subcommand": "classify", "file": path, "n": n}
-    seq = parse_sequence_file(path)
+    seq = parse_sequence_file(file)
     if n is not None and seq.group.n != n:
         raise ParseError(f"file has modulus {seq.group.n}, expected {n}")
     outcome = classify_long_zero_sum(seq)
-    _emit(outcome.to_json_obj(), config, pretty, output)
-    sys.exit(EXIT_PASS if outcome.classified else EXIT_COUNTEREXAMPLE)
+    return outcome.to_json_obj(), EXIT_PASS if outcome.classified else EXIT_COUNTEREXAMPLE
 
 
-@main.group("construct")
-def construct_grp() -> None:
-    """Builders for the named sequence families."""
-
-
-@construct_grp.command("exceptional")
-@click.option("--n", required=True, type=click.IntRange(min=2), help="Group modulus.")
-@click.option("--x", required=True, type=int, help="Coset parameter.")
-@click.option("--a", type=click.IntRange(min=1), default=1)
-@click.option("--b", type=click.IntRange(min=1), default=1)
-@click.option("--c", type=click.IntRange(min=1), default=1)
-@pretty_opt
-@output_opt
-@_guarded
-def construct_exceptional_cmd(n, x, a, b, c, pretty, output):
+@command(construct_grp, "exceptional", n_opt,
+         click.option("--x", required=True, type=int, help="Coset parameter."),
+         int_opt("--a", 1, default=1), int_opt("--b", 1, default=1),
+         int_opt("--c", 1, default=1))
+def construct_exceptional_cmd(n, x, a, b, c):
     """The four-element family outside the one-coset classification."""
-    config = {"subcommand": "construct exceptional", "n": n, "x": x,
-              "a": a, "b": b, "c": c}
     seq = construct_exceptional(n, x, a, b, c)
-    _emit({"check": "construct-exceptional", "sequence": seq.to_json_obj()},
-          config, pretty, output)
-    sys.exit(EXIT_PASS)
+    return {"check": "construct-exceptional", "sequence": seq.to_json_obj()}, EXIT_PASS
 
 
-@main.group("verify")
-def verify_grp() -> None:
-    """Exhaustive and sampled checks of the structure results."""
-
-
-@verify_grp.command("property-b")
-@click.option("--n", required=True, type=click.IntRange(min=2), help="Group modulus.")
-@click.option("--bound", type=click.IntRange(min=1), default=6)
-@jobs_opt
-@cache_dir_opt
-@no_cache_opt
-@pretty_opt
-@output_opt
-@_guarded
-def property_b_cmd(n, bound, jobs, cache_dir, no_cache, pretty, output):
+@command(verify_grp, "property-b", n_opt, int_opt("--bound", 1, default=6),
+         jobs=True, cache=True)
+def property_b_cmd(n, bound, jobs, cache):
     """Every maximal-length minimal zero-sum has the one-coset form."""
-    jobs = _default_jobs(jobs)
-    config = {"subcommand": "verify property-b", "n": n, "bound": bound,
-              "jobs": jobs, "cache_dir": cache_dir, "no_cache": no_cache}
-    cache = resolve_cache(cache_dir, enabled=not no_cache)
-    rep = verify_property_b(n, bound=bound, jobs=jobs, cache=cache)
-    _finish_report(rep, config, pretty, output)
+    return verify_property_b(n, bound=bound, jobs=jobs, cache=cache)
 
 
-@verify_grp.command("property-c")
-@click.option("--n", required=True, type=click.IntRange(min=2), help="Group modulus.")
-@click.option("--bound", type=click.IntRange(min=1), default=5)
-@jobs_opt
-@cache_dir_opt
-@no_cache_opt
-@pretty_opt
-@output_opt
-@_guarded
-def property_c_cmd(n, bound, jobs, cache_dir, no_cache, pretty, output):
+@command(verify_grp, "property-c", n_opt, int_opt("--bound", 1, default=5),
+         jobs=True, cache=True)
+def property_c_cmd(n, bound, jobs, cache):
     """Three-heavy-element profile at length 3(n-1) without short zero-sums."""
-    jobs = _default_jobs(jobs)
-    config = {"subcommand": "verify property-c", "n": n, "bound": bound,
-              "jobs": jobs, "cache_dir": cache_dir, "no_cache": no_cache}
-    cache = resolve_cache(cache_dir, enabled=not no_cache)
-    rep = verify_property_c(n, bound=bound, jobs=jobs, cache=cache)
-    _finish_report(rep, config, pretty, output)
+    return verify_property_c(n, bound=bound, jobs=jobs, cache=cache)
 
 
-@verify_grp.command("casen")
-@click.option("--n", required=True, type=click.IntRange(min=2), help="Group modulus.")
-@click.option("--s", type=click.IntRange(min=1), default=1,
-              help="Length excess in multiples of n.")
-@click.option("--force", is_flag=True, help="Ignore the built-in budget guard.")
-@jobs_opt
-@cache_dir_opt
-@no_cache_opt
-@pretty_opt
-@output_opt
-@_guarded
-def casen_cmd(n, s, force, jobs, cache_dir, no_cache, pretty, output):
+@command(verify_grp, "casen", n_opt,
+         int_opt("--s", 1, default=1, help="Length excess in multiples of n."),
+         click.option("--force", is_flag=True, help="Ignore the built-in budget guard."),
+         jobs=True, cache=True)
+def casen_cmd(n, s, force, jobs, cache):
     """Classify every qualifying zero-sum of length (2+s)n-1."""
-    jobs = _default_jobs(jobs)
-    config = {"subcommand": "verify casen", "n": n, "s": s, "force": force,
-              "jobs": jobs, "cache_dir": cache_dir, "no_cache": no_cache}
-    cache = resolve_cache(cache_dir, enabled=not no_cache)
-    rep = verify_casen(n, s, force=force, jobs=jobs, cache=cache)
-    _finish_report(rep, config, pretty, output)
+    return verify_casen(n, s, force=force, jobs=jobs, cache=cache)
 
 
-@verify_grp.command("perturbation")
-@click.option("--m", required=True, type=click.IntRange(min=2), help="Group modulus.")
-@click.option("--lemma", required=True, type=click.Choice(["I", "II", "III"]))
-@click.option("--bound", type=click.IntRange(min=1), default=6)
-@jobs_opt
-@pretty_opt
-@output_opt
-@_guarded
-def perturbation_cmd(m, lemma, bound, jobs, pretty, output):
+@command(verify_grp, "perturbation",
+         int_opt("--m", 2, required=True, help="Group modulus."),
+         click.option("--lemma", required=True, type=click.Choice(["I", "II", "III"])),
+         int_opt("--bound", 1, default=6), jobs=True)
+def perturbation_cmd(m, lemma, bound, jobs):
     """Pairwise-move offsets around the maximal-length family."""
-    jobs = _default_jobs(jobs)
-    config = {"subcommand": "verify perturbation", "m": m, "lemma": lemma,
-              "bound": bound, "jobs": jobs}
-    rep = verify_perturbation(m, lemma, bound=bound, jobs=jobs)
-    _finish_report(rep, config, pretty, output)
+    return verify_perturbation(m, lemma, bound=bound, jobs=jobs)
 
 
-@verify_grp.command("propbfix")
-@click.option("--item", required=True, type=click.Choice(["1", "2"]))
-@click.option("--m", required=True, type=click.IntRange(min=2))
-@click.option("--n", required=True, type=click.IntRange(min=2))
-@click.option("--samples", type=click.IntRange(min=1), default=10_000,
-              help="Sample count for item 1.")
-@click.option("--seed", type=int, default=2026)
-@click.option("--exhaustive", is_flag=True, help="Item 1: enumerate instead of sampling.")
-@click.option("--structured", type=click.IntRange(min=1), default=256,
-              help="Item 2: fiberwise-constant lift budget.")
-@click.option("--random-lifts", type=click.IntRange(min=0), default=64,
-              help="Item 2: fully random lift budget.")
-@jobs_opt
-@pretty_opt
-@output_opt
-@_guarded
-def propbfix_cmd(item, m, n, samples, seed, exhaustive, structured, random_lifts,
-                 jobs, pretty, output):
+@command(verify_grp, "propbfix",
+         click.option("--item", required=True, type=click.Choice(["1", "2"]),
+                      callback=lambda ctx, param, value: int(value)),
+         int_opt("--m", 2, required=True), int_opt("--n", 2, required=True),
+         int_opt("--samples", 1, default=10_000, help="Sample count for item 1."),
+         click.option("--seed", type=int, default=2026),
+         click.option("--exhaustive", is_flag=True,
+                      help="Item 1: enumerate instead of sampling."),
+         int_opt("--structured", 1, default=256,
+                 help="Item 2: fiberwise-constant lift budget."),
+         int_opt("--random-lifts", 0, default=64, help="Item 2: fully random lift budget."),
+         jobs=True)
+def propbfix_cmd(item, m, n, samples, seed, exhaustive, structured, random_lifts, jobs):
     """Image behavior of maximal-length minimal zero-sums under mult-by-m."""
-    jobs = _default_jobs(jobs)
-    config = {"subcommand": "verify propbfix", "item": int(item), "m": m, "n": n,
-              "samples": samples, "seed": seed, "exhaustive": exhaustive,
-              "structured": structured, "random_lifts": random_lifts, "jobs": jobs}
-    if item == "1":
-        rep = verify_propbfix_item1(m, n, samples=samples, seed=seed,
-                                    exhaustive=exhaustive, jobs=jobs)
-    else:
-        rep = verify_propbfix_item2(m, n, structured=structured,
-                                    random_lifts=random_lifts, seed=seed)
-    _finish_report(rep, config, pretty, output)
+    if item == 1:
+        return verify_propbfix_item1(m, n, samples=samples, seed=seed,
+                                     exhaustive=exhaustive, jobs=jobs)
+    return verify_propbfix_item2(m, n, structured=structured,
+                                 random_lifts=random_lifts, seed=seed)
 
 
-@main.group("cache")
-def cache_grp() -> None:
-    """Result cache maintenance."""
-
-
-@cache_grp.command("purge")
-@cache_dir_opt
-@pretty_opt
-@output_opt
-@_guarded
-def cache_purge_cmd(cache_dir, pretty, output):
+@command(cache_grp, "purge", cache_dir_opt)
+def cache_purge_cmd(cache_dir):
     """Remove all cached search results."""
-    config = {"subcommand": "cache purge", "cache_dir": cache_dir}
     cache = resolve_cache(cache_dir)
     removed = cache.purge()
-    _emit({"check": "cache-purge", "removed": removed, "directory": cache.directory},
-          config, pretty, output)
-    sys.exit(EXIT_PASS)
+    return {"check": "cache-purge", "removed": removed, "directory": cache.directory}, EXIT_PASS
 
 
 if __name__ == "__main__":

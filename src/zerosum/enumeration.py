@@ -156,7 +156,7 @@ class _ZeroSumNoShort(_NoShortZeroSum):
     final_zero_sum = True
 
 
-_PREDICATES = {
+PREDICATES = {
     "all": (_All, ()),
     "zero-sum-free": (_ZeroSumFree, ()),
     "minimal-zero-sum": (_MinimalZeroSum, ()),
@@ -166,9 +166,9 @@ _PREDICATES = {
 
 
 def _compile_predicate(grp: Group, name: str, params: dict):
-    if name not in _PREDICATES:
-        raise SchemaError(f"unknown predicate {name!r}; know {sorted(_PREDICATES)}")
-    cls, wanted = _PREDICATES[name]
+    if name not in PREDICATES:
+        raise SchemaError(f"unknown predicate {name!r}; know {sorted(PREDICATES)}")
+    cls, wanted = PREDICATES[name]
     extra = set(params) - set(wanted)
     missing = set(wanted) - set(params)
     if extra or missing:
@@ -589,6 +589,36 @@ def max_length_with(
     return stats.max_depth, stats
 
 
+def _cached_max_length_plus_one(
+    grp: Group,
+    op: str,
+    params: dict,
+    predicate: str,
+    *,
+    bound: int,
+    jobs: int,
+    cache: ResultCache | None,
+    depth_cap: int,
+) -> int:
+    """1 + the longest length satisfying ``predicate`` with ``params``,
+    cached under ``{"op": op, "n": n, **params}``; moduli above ``bound``
+    raise BudgetExceeded."""
+    if grp.n > bound:
+        raise BudgetExceeded(
+            f"{op} search for n={grp.n} exceeds the exhaustive bound {bound}"
+        )
+    key = {"op": op, "n": grp.n, **params}
+    if cache is not None:
+        entry = cache.load(key)
+        if entry is not None:
+            return entry["value"]
+    longest, stats = max_length_with(grp, predicate, params, jobs=jobs, depth_cap=depth_cap)
+    value = longest + 1
+    if cache is not None:
+        cache.store(key, {"count": 1, "value": value, "stats": stats.__dict__})
+    return value
+
+
 def davenport(
     grp: Group,
     *,
@@ -601,22 +631,10 @@ def davenport(
     Computed by exhausting the zero-sum-free search forest; no closed
     formula is consulted.  Moduli above ``bound`` raise BudgetExceeded.
     """
-    if grp.n > bound:
-        raise BudgetExceeded(
-            f"davenport search for n={grp.n} exceeds the exhaustive bound {bound}"
-        )
-    key = {"op": "davenport", "n": grp.n}
-    if cache is not None:
-        entry = cache.load(key)
-        if entry is not None:
-            return entry["value"]
-    longest, stats = max_length_with(
-        grp, "zero-sum-free", jobs=jobs, depth_cap=grp.size + 1
+    return _cached_max_length_plus_one(
+        grp, "davenport", {}, "zero-sum-free",
+        bound=bound, jobs=jobs, cache=cache, depth_cap=grp.size + 1,
     )
-    value = longest + 1
-    if cache is not None:
-        cache.store(key, {"count": 1, "value": value, "stats": stats.__dict__})
-    return value
 
 
 def s_leq(
@@ -637,20 +655,7 @@ def s_leq(
     """
     if k < 1:
         raise SchemaError(f"k must be >= 1, got {k}")
-    if grp.n > bound:
-        raise BudgetExceeded(
-            f"s_leq search for n={grp.n} exceeds the exhaustive bound {bound}"
-        )
-    key = {"op": "s_leq", "n": grp.n, "k": k}
-    if cache is not None:
-        entry = cache.load(key)
-        if entry is not None:
-            return entry["value"]
-    cap = depth_cap if depth_cap is not None else 4 * grp.n
-    longest, stats = max_length_with(
-        grp, "no-short-zero-sum", {"k": k}, jobs=jobs, depth_cap=cap
+    return _cached_max_length_plus_one(
+        grp, "s_leq", {"k": k}, "no-short-zero-sum", bound=bound, jobs=jobs, cache=cache,
+        depth_cap=depth_cap if depth_cap is not None else 4 * grp.n,
     )
-    value = longest + 1
-    if cache is not None:
-        cache.store(key, {"count": 1, "value": value, "stats": stats.__dict__})
-    return value

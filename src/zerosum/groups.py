@@ -273,9 +273,11 @@ class Group:
         """
         if self._perm is None:
             n = self.n
-            auts = np.array([(al.p, al.q, al.r, al.s) for al in self.automorphisms()])
+            # int32 is exact: every intermediate is below 2n^2
+            auts = np.array([(al.p, al.q, al.r, al.s) for al in self.automorphisms()],
+                            dtype=np.int32)
             p, q, r, s = auts.T[:, :, None]  # matrix entries, one column each
-            a, b = np.divmod(np.arange(self.size), n)
+            a, b = np.divmod(np.arange(self.size, dtype=np.int32), n)
             self._perm = ((p * a + q * b) % n * n + (r * a + s * b) % n).astype(np.int16)
         return self._perm
 

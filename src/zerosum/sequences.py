@@ -28,7 +28,7 @@ __all__ = ["Sequence", "canonicalize"]
 class Sequence:
     """Immutable multiset of elements of a fixed Group."""
 
-    __slots__ = ("group", "_items", "_len", "_hash")
+    __slots__ = ("group", "_items", "_len", "_hash", "_counts")
 
     def __init__(self, grp: Group, items: Iterable[tuple[Elem, int]]):
         merged: dict[Elem, int] = {}
@@ -43,6 +43,7 @@ class Sequence:
         self._items: tuple[tuple[Elem, int], ...] = tuple(sorted(merged.items()))
         self._len = sum(m for _, m in self._items)
         self._hash: int | None = None
+        self._counts: dict[Elem, int] | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -96,11 +97,9 @@ class Sequence:
         return tuple(self)
 
     def multiplicity(self, g: Elem) -> int:
-        g = self.group.element(*g)
-        for h, m in self._items:
-            if h == g:
-                return m
-        return 0
+        if self._counts is None:
+            self._counts = dict(self._items)
+        return self._counts.get(self.group.element(*g), 0)
 
     def support(self) -> tuple[Elem, ...]:
         return tuple(g for g, _ in self._items)

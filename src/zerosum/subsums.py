@@ -62,10 +62,11 @@ class SumTable:
     """Reachability table for subsequence sums of a fixed sequence.
 
     ``layers[l]`` is the layer (an int, bit i for element index i) of the
-    sums of subsequences of length exactly l, for 0 <= l <= lmax.
+    sums of subsequences of length exactly l, for 0 <= l <= lmax.  The
+    layers of every prefix are kept for the witness walk.
     """
 
-    __slots__ = ("seq", "lmax", "layers", "_terms")
+    __slots__ = ("seq", "lmax", "layers", "_terms", "_history")
 
     def __init__(self, seq: Sequence, lmax: int):
         if not 0 <= lmax <= len(seq):
@@ -73,7 +74,8 @@ class SumTable:
         self.seq = seq
         self.lmax = lmax
         self._terms = [seq.group.index(g) for g in seq]  # sorted by element
-        self.layers = forward_layers(seq.group, self._terms, lmax)[-1]
+        self._history = forward_layers(seq.group, self._terms, lmax)
+        self.layers = self._history[-1]
 
     def contains(self, g: Elem, length: int) -> bool:
         """Is g the sum of some subsequence of exactly the given length?"""
@@ -94,8 +96,7 @@ class SumTable:
     def witness(self, g: Elem, length: int) -> Sequence | None:
         """A subsequence of the given exact length summing to g, or None.
 
-        Layers are recomputed prefix by prefix and walked backwards; no
-        parent pointers are kept in the table itself.
+        The prefix layers are walked backwards; no parent pointers are kept.
         """
         if not 0 <= length <= self.lmax:
             raise InvalidRange(f"length must be in [0, {self.lmax}], got {length}")
@@ -103,7 +104,7 @@ class SumTable:
         target = grp.index(grp.element(*g))
         if not self.layers[length] >> target & 1:
             return None
-        history = forward_layers(grp, self._terms, self.lmax)
+        history = self._history
         add = grp.add_index_table()
         neg = grp.neg_index_table()
         picked: list[int] = []

@@ -1,12 +1,21 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import zerosum.cli
 from zerosum.cli import main, parse_sequence_file
 from zerosum.errors import ParseError, SchemaError
 from zerosum.groups import group
+from zerosum.report import Report
 from zerosum.sequences import Sequence
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -219,3 +228,124 @@ def test_help_lists_subcommands(runner):
     for name in ("davenport", "sleq", "enumerate", "classify", "construct",
                  "verify", "cache"):
         assert name in res.output
+
+
+ITEM1_SEQUENCE = {"n": 3, "terms": [[0, 1, 2], [1, 0, 5], [1, 1, 1]]}
+NO_CACHE = {"cache_dir": None, "no_cache": True}
+
+# Every subcommand's emitted config and exit code; "{tmp}" stands for the
+# test's temporary directory, which holds ITEM1_SEQUENCE as seq.json.
+CONFIG_CASES = [
+    (["davenport", "--n", "3", "--jobs", "1", "--no-cache"], 0,
+     {"subcommand": "davenport", "n": 3, "bound": 7, "jobs": 1, **NO_CACHE}),
+    (["davenport", "--n", "3", "--no-cache"], 0,
+     {"subcommand": "davenport", "n": 3, "bound": 7, "jobs": os.cpu_count() or 1,
+      **NO_CACHE}),
+    (["sleq", "--n", "3", "--k", "3", "--jobs", "1", "--no-cache"], 0,
+     {"subcommand": "sleq", "n": 3, "k": 3, "bound": 5, "jobs": 1, **NO_CACHE}),
+    (["enumerate", "--n", "2", "--length", "2", "--jobs", "1", "--no-cache"], 0,
+     {"subcommand": "enumerate", "n": 2, "length": 2, "predicate": "all", "k": None,
+      "raw": False, "limit": 100, "jobs": 1, **NO_CACHE}),
+    (["enumerate", "--n", "2", "--length", "3", "--predicate", "no-short-zero-sum",
+      "--k", "2", "--raw", "--limit", "0", "--jobs", "2", "--cache-dir", "{tmp}/c"], 0,
+     {"subcommand": "enumerate", "n": 2, "length": 3, "predicate": "no-short-zero-sum",
+      "k": 2, "raw": True, "limit": 0, "jobs": 2, "cache_dir": "{tmp}/c",
+      "no_cache": False}),
+    (["classify", "--file", "{tmp}/seq.json"], 0,
+     {"subcommand": "classify", "file": "{tmp}/seq.json", "n": None}),
+    (["classify", "--file", "{tmp}/seq.json", "--n", "3"], 0,
+     {"subcommand": "classify", "file": "{tmp}/seq.json", "n": 3}),
+    (["construct", "exceptional", "--n", "5", "--x", "2"], 0,
+     {"subcommand": "construct exceptional", "n": 5, "x": 2, "a": 1, "b": 1, "c": 1}),
+    (["verify", "property-b", "--n", "2", "--jobs", "1", "--no-cache"], 0,
+     {"subcommand": "verify property-b", "n": 2, "bound": 6, "jobs": 1, **NO_CACHE}),
+    (["verify", "property-c", "--n", "2", "--jobs", "1", "--no-cache"], 0,
+     {"subcommand": "verify property-c", "n": 2, "bound": 5, "jobs": 1, **NO_CACHE}),
+    (["verify", "casen", "--n", "2", "--jobs", "1", "--no-cache"], 0,
+     {"subcommand": "verify casen", "n": 2, "s": 1, "force": False, "jobs": 1,
+      **NO_CACHE}),
+    (["verify", "casen", "--n", "2", "--force", "--jobs", "1", "--no-cache"], 0,
+     {"subcommand": "verify casen", "n": 2, "s": 1, "force": True, "jobs": 1,
+      **NO_CACHE}),
+    (["verify", "perturbation", "--m", "4", "--lemma", "III", "--jobs", "1"], 0,
+     {"subcommand": "verify perturbation", "m": 4, "lemma": "III", "bound": 6,
+      "jobs": 1}),
+    (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--samples", "5",
+      "--jobs", "1"], 0,
+     {"subcommand": "verify propbfix", "item": 1, "m": 4, "n": 2, "samples": 5,
+      "seed": 2026, "exhaustive": False, "structured": 256, "random_lifts": 64,
+      "jobs": 1}),
+    (["verify", "propbfix", "--item", "2", "--m", "4", "--n", "5", "--structured", "2",
+      "--random-lifts", "0", "--seed", "7", "--jobs", "1"], 0,
+     {"subcommand": "verify propbfix", "item": 2, "m": 4, "n": 5, "samples": 10_000,
+      "seed": 7, "exhaustive": False, "structured": 2, "random_lifts": 0, "jobs": 1}),
+    (["cache", "purge", "--cache-dir", "{tmp}/c"], 0,
+     {"subcommand": "cache purge", "cache_dir": "{tmp}/c"}),
+]
+
+
+def _fill(value, tmp):
+    if isinstance(value, str):
+        return value.replace("{tmp}", tmp)
+    if isinstance(value, dict):
+        return {k: _fill(v, tmp) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("args,code,config", CONFIG_CASES,
+                         ids=[" ".join(c[0][:3]) for c in CONFIG_CASES])
+def test_config_and_exit_code_of_every_subcommand(runner, tmp_path, args, code, config):
+    (tmp_path / "seq.json").write_text(json.dumps(ITEM1_SEQUENCE))
+    res = invoke(runner, *[_fill(a, str(tmp_path)) for a in args])
+    assert res.exit_code == code
+    assert out_json(res)["config"] == _fill(config, str(tmp_path))
+
+
+def test_counterexample_exits_one(runner, monkeypatch):
+    def failing(n, **kwargs):
+        return Report("property-b", {"n": n}, orbits_scanned=1,
+                      counterexamples=[{"n": n, "terms": []}])
+
+    monkeypatch.setattr(zerosum.cli, "verify_property_b", failing)
+    res = invoke(runner, "verify", "property-b", "--n", "2", "--no-cache")
+    assert res.exit_code == 1
+    obj = out_json(res)
+    assert obj["passed"] is False
+    assert obj["counterexamples"] == [{"n": 2, "terms": []}]
+
+
+def _run_module(*args):
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "zerosum.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_exit_codes():
+    res = _run_module("--version")
+    assert res.returncode == 0
+    assert zerosum.__version__ in res.stdout
+    res = _run_module("davenport", "--n", "9", "--no-cache")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": "BudgetExceeded",
+        "message": "davenport search for n=9 exceeds the exhaustive bound 7",
+    }
+
+
+def test_unwritable_output_exits_two(tmp_path):
+    path = tmp_path / "no" / "such" / "x.json"
+    res = _run_module("construct", "exceptional", "--n", "5", "--x", "2",
+                      "--output", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": "FileNotFoundError",
+        "message": f"{path}: No such file or directory",
+    }
+
+
+def test_script_target_imports():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, _, attr = re.search(r'^zs = "(.+)"$', text, re.M).group(1).partition(":")
+    assert getattr(__import__(module, fromlist=[attr]), attr) is main

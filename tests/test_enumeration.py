@@ -285,6 +285,11 @@ def test_cache_roundtrip(tmp_path):
     assert davenport(group(3), cache=cache) == 5
     assert davenport(group(3), cache=cache) == 5
     assert s_leq(group(3), 3, cache=cache) == 7
+    assert s_leq(group(3), 4, cache=cache) == 6
+    assert s_leq(group(3), 3, cache=cache) == 7
+    # the keys and payloads that earlier versions stored stay readable
+    assert cache.load({"op": "davenport", "n": 3})["value"] == 5
+    assert cache.load({"op": "s_leq", "n": 3, "k": 4})["value"] == 6
 
 
 def test_cache_detects_count_mismatch(tmp_path):

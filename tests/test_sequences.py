@@ -24,6 +24,7 @@ def test_construction_merges_and_sorts():
     assert s.height() == 4
     assert s.support() == ((0, 1), (1, 0))
     assert s.multiplicity((1, 0)) == 4
+    assert s.multiplicity((6, -5)) == 4
     assert s.multiplicity((2, 2)) == 0
 
 

@@ -103,7 +103,6 @@ def test_sum_table_membership_and_witness():
 
 def test_corrupted_witness_is_rejected(monkeypatch):
     s = seq(5, (0, 1), (0, 1), (1, 0), (1, 3))
-    table = SumTable(s, 3)
     everything = (1 << s.group.size) - 1
 
     def corrupted(grp, terms, lmax):
@@ -111,6 +110,7 @@ def test_corrupted_witness_is_rejected(monkeypatch):
         return [[everything] * (lmax + 1) for _ in range(len(terms) + 1)]
 
     monkeypatch.setattr(subsums, "forward_layers", corrupted)
+    table = SumTable(s, 3)
     with pytest.raises(WitnessCheckFailed):
         table.witness((1, 4), 2)
 

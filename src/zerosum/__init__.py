@@ -57,6 +57,7 @@ from .sequences import Sequence, canonicalize
 from .subsums import (
     SumTable,
     find_zero_sum_subsequence,
+    has_short_zero_sum,
     is_minimal_zero_sum,
     is_zero_sum_free,
     restricted_sums,
@@ -76,6 +77,7 @@ __all__ = [
     "subsequence_sums",
     "is_zero_sum_free",
     "is_minimal_zero_sum",
+    "has_short_zero_sum",
     "find_zero_sum_subsequence",
     "EnumSpec",
     "enumerate_sequences",

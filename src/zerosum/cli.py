@@ -2,8 +2,8 @@
 
 JSON to stdout by default (``--pretty`` indents it); every run embeds its
 full configuration in the emitted object.  Exit codes: 0 all checks
-passed, 1 counterexample found, 2 usage, parse or output error, 3 search
-budget exceeded.
+passed, 1 counterexample found, 2 usage, parse, output or cache error, 3
+search budget exceeded.
 
 Every subcommand is registered by ``@command(parent, name, *options,
 jobs=..., cache=...)`` on a body that takes its own options and returns a

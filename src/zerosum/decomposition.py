@@ -31,7 +31,7 @@ from .errors import (
 from .groups import Elem
 from .lifting import Homomorphism
 from .sequences import Sequence
-from .subsums import find_zero_sum_subsequence, is_minimal_zero_sum, restricted_sums
+from .subsums import find_zero_sum_subsequence, has_short_zero_sum, is_minimal_zero_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,7 +225,7 @@ def block_decompositions(
     qualifying = (
         hom is None
         and S.is_zero_sum()
-        and (n < 2 or (0, 0) not in restricted_sums(S, 1, n - 1))
+        and not has_short_zero_sum(S, n - 1)
     )
 
     def rec(src: Sequence, img: Sequence, blocks: list[Sequence], floor):

@@ -7,9 +7,11 @@ prefixes (the k smallest images of a superset are dominated by the sorted
 images of any k-subset), so pruning non-canonical prefixes at every depth is
 exhaustive and yields each orbit exactly once, with no post-deduplication.
 
-Monotone predicates (zero-sum free, no short zero-sum) keep layers of sums
-(ints, bit i for element index i) and are checked before the orbit test,
-which is the expensive step.  The orbit test compares T only with the images
+A predicate is a ZeroSumGuard (no zero-sum of length <= k) plus a flag for
+sequences that must sum to zero.  The guard state holds negated sums, so the
+candidates of a node are one mask, the terms >= the last one minus
+``blocked(state)``, taken in ascending order before the orbit test, which
+is the expensive step.  The orbit test compares T only with the images
 that can tie its first term: every sorted image alpha(T) starts with
 min alpha(T), so if some term's orbit minimum is below T[0] the tuple is
 beaten outright, and otherwise an image can start with T[0] only when alpha
@@ -35,10 +37,10 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceeded, SchemaError
+from .errors import BudgetExceeded, CacheUnwritable, SchemaError
 from .groups import Group, group
 from .sequences import Sequence
-from .subsums import forward_layers, step, translate, translations
+from .subsums import ZeroSumGuard, forward_layers
 
 __all__ = [
     "EnumSpec",
@@ -64,118 +66,29 @@ _CACHE_MAX_SEQUENCES = 100_000
 # ---------------------------------------------------------------------------
 # monotone predicates
 
-
-class _All:
-    """No constraint; used for raw census runs."""
-
-    final_zero_sum = False
-    admits_empty = True
-
-    def __init__(self, grp: Group):
-        pass
-
-    def fresh(self):
-        return None
-
-    def can_extend(self, state, g: int, is_final: bool) -> bool:
-        return True
-
-    def extend(self, state, g: int):
-        return None
-
-
-class _ZeroSumFree:
-    """State is the layer of all subsequence sums, the empty sum included."""
-
-    final_zero_sum = False
-    admits_empty = True
-
-    def __init__(self, grp: Group):
-        self.neg = grp.neg_index_table()
-        self.shifts = translations(grp.n)
-
-    def fresh(self):
-        return 1
-
-    def can_extend(self, state, g: int, is_final: bool) -> bool:
-        # a new zero-sum must use g: -g among the sums (the empty one if g = 0)
-        return not state >> self.neg[g] & 1
-
-    def extend(self, state, g: int):
-        return state | translate(state, self.shifts[g])
-
-
-class _MinimalZeroSum(_ZeroSumFree):
-    """Prefixes must be zero-sum free; the last term closes the sum.
-
-    A sorted sequence with zero sum whose length-(l-1) prefix is zero-sum
-    free is minimal: any proper zero-sum subsequence could be chosen to
-    avoid one copy of the largest term, hence would live in the prefix.
-
-    The empty sequence is excluded by convention.
-    """
-
-    final_zero_sum = True
-    admits_empty = False
-
-    def can_extend(self, state, g: int, is_final: bool) -> bool:
-        return is_final or not state >> self.neg[g] & 1
-
-
-class _NoShortZeroSum:
-    """No zero-sum subsequence of length <= k.
-
-    State is the list of layers 0..k-1, layer l holding the sums of length
-    at most l, the empty sum included; sums of length k are never needed,
-    since a new offender must end at the added term.
-    """
-
-    final_zero_sum = False
-    admits_empty = True
-
-    def __init__(self, grp: Group, k: int):
-        if k < 1:
-            raise SchemaError(f"k must be >= 1, got {k}")
-        self.k = k
-        self.neg = grp.neg_index_table()
-        self.shifts = translations(grp.n)
-
-    def fresh(self):
-        return [1] * self.k
-
-    def can_extend(self, state, g: int, is_final: bool) -> bool:
-        return not state[-1] >> self.neg[g] & 1
-
-    def extend(self, state, g: int):
-        return step(state, self.shifts[g], self.k - 1)
-
-
-class _ZeroSumNoShort(_NoShortZeroSum):
-    """No zero-sum of length <= k, and the full sequence sums to zero."""
-
-    final_zero_sum = True
-
-
+# name -> (k of the ZeroSumGuard, "k" when it is the parameter; whether the
+# full sequence must sum to zero)
 PREDICATES = {
-    "all": (_All, ()),
-    "zero-sum-free": (_ZeroSumFree, ()),
-    "minimal-zero-sum": (_MinimalZeroSum, ()),
-    "no-short-zero-sum": (_NoShortZeroSum, ("k",)),
-    "zero-sum-no-short": (_ZeroSumNoShort, ("k",)),
+    "all": (0, False),
+    "zero-sum-free": (None, False),
+    "minimal-zero-sum": (None, True),
+    "no-short-zero-sum": ("k", False),
+    "zero-sum-no-short": ("k", True),
 }
 
 
-def _compile_predicate(grp: Group, name: str, params: dict):
+def _compile_predicate(grp: Group, name: str, params: dict) -> tuple[ZeroSumGuard, bool]:
     if name not in PREDICATES:
         raise SchemaError(f"unknown predicate {name!r}; know {sorted(PREDICATES)}")
-    cls, wanted = PREDICATES[name]
-    extra = set(params) - set(wanted)
-    missing = set(wanted) - set(params)
-    if extra or missing:
+    k, closes = PREDICATES[name]
+    wanted = ("k",) if k == "k" else ()
+    if set(params) != set(wanted):
         raise SchemaError(
             f"predicate {name!r} takes params {wanted}, got {sorted(params)}"
         )
-    return cls(grp, **params)
+    if wanted and params["k"] < 1:
+        raise SchemaError(f"k must be >= 1, got {params['k']}")
+    return ZeroSumGuard(grp, params.get("k", k)), closes
 
 
 @dataclass(frozen=True)
@@ -238,18 +151,19 @@ class _Engine:
         depth_cap: int | None = None,
     ):
         self.grp = grp
-        self.pred = _compile_predicate(grp, predicate_name, params)
+        self.guard, self.closes = _compile_predicate(grp, predicate_name, params)
         self.length = length
         self.canonical = up_to_symmetry
         self.depth_cap = depth_cap
         self.gathering = False
-        self.size = grp.size
+        full = (1 << grp.size) - 1
+        self.above = [full >> g << g for g in range(grp.size)]  # bits g, g+1, ...
         self.add = grp.add_index_table()
         self.neg = grp.neg_index_table()
         self.orbit_min = grp.orbit_tables()[0] if up_to_symmetry else None
         self.reach = (
             _reach_table(grp, length)
-            if (length is not None and self.pred.final_zero_sum)
+            if (length is not None and self.closes)
             else None
         )
 
@@ -278,10 +192,10 @@ class _Engine:
         The prefix itself is not re-counted in stats; callers account for it
         while generating work units.
         """
-        state = self.pred.fresh()
+        state = self.guard.fresh()
         sigma = 0
         for g in prefix:
-            state = self.pred.extend(state, g)
+            state = self.guard.extend(state, g)
             sigma = self.add[sigma][g]
         leaves: list[tuple[int, ...]] = []
         stats = SearchStats()
@@ -302,13 +216,18 @@ class _Engine:
                 f"search depth cap {self.depth_cap} reached; the maximum may "
                 f"be unbounded for this predicate"
             )
-        pred, add, neg = self.pred, self.add, self.neg
+        guard, add, neg = self.guard, self.add, self.neg
+        blocked = guard.blocked(state)
         if self.length is not None:
             remaining = self.length - depth - 1
-            if pred.final_zero_sum and not self.gathering and remaining == 0:
-                # the last term is forced by the zero-sum requirement
+            if self.closes and not self.gathering and remaining == 0:
+                # The last term is forced by the zero-sum requirement.  With
+                # no length bound it is always blocked and never tested: a
+                # sorted zero-sum with a zero-sum free prefix is minimal, as
+                # a proper zero-sum part can avoid one copy of the largest
+                # term and then lies in the prefix.
                 g = neg[sigma]
-                if g >= last and pred.can_extend(state, g, True):
+                if g >= last and (guard.k is None or not blocked >> g & 1):
                     T.append(g)
                     if self._admit(T):
                         stats.nodes += 1
@@ -319,17 +238,18 @@ class _Engine:
         else:
             remaining = None
             reach = None
-        for g in range(last, self.size):
-            if not pred.can_extend(state, g, False):
+        candidates = self.above[last] & ~blocked
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            g = low.bit_length() - 1
+            if reach is not None and not reach[g][remaining] >> neg[add[sigma][g]] & 1:
                 continue
-            if reach is not None:
-                if not reach[g][remaining] >> neg[add[sigma][g]] & 1:
-                    continue
             T.append(g)
             if self._admit(T):
                 stats.nodes += 1
                 self._dfs(
-                    T, pred.extend(state, g), add[sigma][g], g, stats, leaves, collect
+                    T, guard.extend(state, g), add[sigma][g], g, stats, leaves, collect
                 )
             T.pop()
 
@@ -354,29 +274,13 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # parallel fan-out
 
-_WORKER_ENGINES: dict[tuple, _Engine] = {}
+# The engine of the search being fanned out, set before the pool forks so
+# that every worker inherits it.
+_FORKED_ENGINE: _Engine | None = None
 
 
-def _unit_payload(spec_key: dict, prefix: tuple[int, ...], collect: bool) -> dict:
-    return {"spec": spec_key, "prefix": prefix, "collect": collect}
-
-
-def _run_unit(payload: dict):
-    spec = payload["spec"]
-    ekey = json.dumps(spec, sort_keys=True)
-    engine = _WORKER_ENGINES.get(ekey)
-    if engine is None:
-        engine = _Engine(
-            group(spec["n"]),
-            spec["predicate"],
-            spec["params"],
-            spec["length"],
-            spec["up_to_symmetry"],
-            spec.get("depth_cap"),
-        )
-        _WORKER_ENGINES[ekey] = engine
-    leaves, stats = engine.run_subtree(tuple(payload["prefix"]), payload["collect"])
-    return leaves, stats
+def _run_forked(prefix: tuple[int, ...], collect: bool):
+    return _FORKED_ENGINE.run_subtree(prefix, collect)
 
 
 def _search(
@@ -393,33 +297,30 @@ def _search(
     engine = _Engine(grp, predicate, params, length, up_to_symmetry, depth_cap)
     if length is None:
         split = _SPLIT_DEPTH
-    elif engine.pred.final_zero_sum:
+    elif engine.closes:
         # keep the forced final step inside the subtree walks
         split = min(_SPLIT_DEPTH, max(length - 1, 0))
     else:
         split = min(_SPLIT_DEPTH, length)
     prefixes, stats = engine.gather_prefixes(split)
-    spec_key = {
-        "n": grp.n,
-        "predicate": predicate,
-        "params": params,
-        "length": length,
-        "up_to_symmetry": up_to_symmetry,
-        "depth_cap": depth_cap,
-    }
     leaves: list[tuple[int, ...]] = []
     if length is not None and split == length:
         # prefixes are already full leaves
         stats.nodes += len(prefixes)
         stats.leaves = len(prefixes)
         return (prefixes if collect else []), stats
-    payloads = [_unit_payload(spec_key, p, collect) for p in prefixes]
-    if jobs <= 1 or len(payloads) <= 1:
-        results = map(_run_unit, payloads)
+    if jobs <= 1 or len(prefixes) <= 1:
+        results = (engine.run_subtree(p, collect) for p in prefixes)
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            results = pool.map(_run_unit, payloads, chunksize=1)
+        global _FORKED_ENGINE
+        _FORKED_ENGINE = engine
+        try:
+            with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
+                results = pool.starmap(
+                    _run_forked, [(p, collect) for p in prefixes], chunksize=1
+                )
+        finally:
+            _FORKED_ENGINE = None
     for prefix, (unit_leaves, unit_stats) in zip(prefixes, results):
         stats.nodes += unit_stats.nodes + 1  # count the prefix node itself
         stats.leaves += unit_stats.leaves
@@ -478,19 +379,22 @@ class ResultCache:
         return entry
 
     def store(self, key: dict, payload: dict) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        path = self._path(key)
-        entry = {"schema": CACHE_SCHEMA, "key": key, **payload}
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)
-        manifest = self._read_manifest()
-        manifest[os.path.basename(path)] = entry.get("count")
-        tmp = self._manifest_path() + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=0)
-        os.replace(tmp, self._manifest_path())
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            path = self._path(key)
+            entry = {"schema": CACHE_SCHEMA, "key": key, **payload}
+            tmp = path + ".tmp"
+            with open(tmp, "w") as fh:
+                json.dump(entry, fh, sort_keys=True)
+            os.replace(tmp, path)
+            manifest = self._read_manifest()
+            manifest[os.path.basename(path)] = entry.get("count")
+            tmp = self._manifest_path() + ".tmp"
+            with open(tmp, "w") as fh:
+                json.dump(manifest, fh, sort_keys=True, indent=0)
+            os.replace(tmp, self._manifest_path())
+        except OSError as exc:
+            raise CacheUnwritable(f"{self.directory}: {exc.strerror or exc}") from exc
 
     def purge(self) -> int:
         """Remove all cache entries; returns the number of files removed."""
@@ -537,8 +441,9 @@ def enumerate_sequences(
         raise SchemaError(f"length must be >= 0, got {spec.length}")
     grp = group(spec.n)
     if spec.length == 0:
-        pred = _compile_predicate(grp, spec.predicate, spec.params)
-        seqs = [Sequence.empty(grp)] if pred.admits_empty else []
+        _compile_predicate(grp, spec.predicate, spec.params)  # validates the spec
+        # the empty sequence is zero-sum but, by convention, not minimal
+        seqs = [] if spec.predicate == "minimal-zero-sum" else [Sequence.empty(grp)]
         return seqs, SearchStats(leaves=len(seqs))
     key = spec.key()
     if cache is not None:

@@ -78,5 +78,9 @@ class NotADivisor(ZsError):
     """Multiplier m must divide the group modulus."""
 
 
+class CacheUnwritable(ZsError):
+    """The result cache directory cannot be created or written."""
+
+
 class WitnessCheckFailed(ZsError):
     """A computed witness failed its re-verification (an internal fault)."""

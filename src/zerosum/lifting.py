@@ -31,7 +31,7 @@ from .groups import Elem, Group, group
 from .properties import property_a_witnesses
 from .report import Report, Stopwatch
 from .sequences import Sequence
-from .subsums import is_minimal_zero_sum, restricted_sums
+from .subsums import has_short_zero_sum, is_minimal_zero_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -222,7 +222,7 @@ def verify_propbfix_item1(
             image = hom.image_in_coords(seq)
             if not image.is_zero_sum():
                 bad.append({"sequence": seq.to_json_obj(), "reason": "image not zero-sum"})
-            elif n > 1 and (0, 0) in restricted_sums(image, 1, n - 1):
+            elif has_short_zero_sum(image, n - 1):
                 bad.append(
                     {
                         "sequence": seq.to_json_obj(),

@@ -8,6 +8,14 @@ for l descending, so that t is used at most once.  From {0} in layer 0 and
 empty layers above, layer l holds the sums of length exactly l; from {0} in
 every layer, the sums of length at most l.  With no length bound one layer
 of all sums suffices: ``sums |= translate(sums, t)``.
+
+``ZeroSumGuard(grp, k)`` is the one implementation of "no nonempty zero-sum
+subsequence of length <= k" (k = None: any length; k = 0: no constraint),
+shared by the orderly search and the checks here.  Its state holds the
+negated sums of length <= k - 1, the empty sum included, so that appending
+t is ``N | translate(N, -t)`` and the terms that would close an offender
+are the one int ``blocked(state)``: a new zero-sum must end at the added
+term t, which closes one iff -t is a sum of the others, i.e. t is in N.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ __all__ = [
     "is_zero_sum_free",
     "is_minimal_zero_sum",
     "find_zero_sum_subsequence",
+    "has_short_zero_sum",
+    "ZeroSumGuard",
 ]
 
 
@@ -56,6 +66,35 @@ def step(layers: list[int], shift: tuple[int, ...], top: int) -> list[int]:
     for l in range(top, 0, -1):
         out[l] |= translate(out[l - 1], shift)
     return out
+
+
+class ZeroSumGuard:
+    """No nonempty zero-sum subsequence of length <= k (see the module
+    docstring).  A state is an int for k = None, else a list of k layers,
+    layer l holding the negated sums of length <= l."""
+
+    __slots__ = ("k", "neg", "shifts")
+
+    def __init__(self, grp: Group, k: int | None = None):
+        self.k = k
+        self.neg = grp.neg_index_table()
+        self.shifts = translations(grp.n)
+
+    def fresh(self):
+        return 1 if self.k is None else [1] * self.k
+
+    def extend(self, state, t: int):
+        """The state once the term of index t is appended."""
+        shift = self.shifts[self.neg[t]]
+        if self.k is None:
+            return state | translate(state, shift)
+        return step(state, shift, self.k - 1)
+
+    def blocked(self, state) -> int:
+        """The terms whose append would close a zero-sum of length <= k."""
+        if self.k is None:
+            return state
+        return state[-1] if self.k else 0
 
 
 class SumTable:
@@ -160,22 +199,28 @@ def subsequence_sums(seq: Sequence) -> frozenset[Elem]:
     return restricted_sums(seq, 1, len(seq))
 
 
-def _has_zero_sum(grp: Group, terms: list[int]) -> bool:
-    """Does some nonempty subsequence of the index list sum to zero?  Exits
-    at the first term that closes one."""
-    neg = grp.neg_index_table()
-    shifts = translations(grp.n)
-    sums = 1  # the layer of all subsequence sums so far, the empty one included
+def _has_zero_sum(grp: Group, terms: list[int], k: int | None = None) -> bool:
+    """Does some nonempty subsequence of the index list, of length <= k
+    (any length for k = None), sum to zero?  Exits at the first term that
+    closes one."""
+    guard = ZeroSumGuard(grp, k)
+    state = guard.fresh()
     for t in terms:
-        if sums >> neg[t] & 1:  # a new zero-sum must use t
+        if guard.blocked(state) >> t & 1:
             return True
-        sums |= translate(sums, shifts[t])
+        state = guard.extend(state, t)
     return False
+
+
+def has_short_zero_sum(seq: Sequence, k: int | None) -> bool:
+    """True iff some nonempty subsequence of length at most k (any length
+    for k = None) sums to zero; k = 0 admits none."""
+    return _has_zero_sum(seq.group, [seq.group.index(g) for g in seq], k)
 
 
 def is_zero_sum_free(seq: Sequence) -> bool:
     """True iff no nonempty subsequence sums to zero."""
-    return not _has_zero_sum(seq.group, [seq.group.index(g) for g in seq])
+    return not has_short_zero_sum(seq, None)
 
 
 def is_minimal_zero_sum(seq: Sequence) -> bool:

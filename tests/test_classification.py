@@ -98,9 +98,12 @@ class TestClassify:
             classify_long_zero_sum(s)
 
     def test_short_zero_sum_rejected(self):
-        s = Sequence(group(3), (((0, 0), 2), ((1, 0), 3), ((0, 1), 3)))
-        with pytest.raises(PreconditionViolated):
-            classify_long_zero_sum(s)
+        g3 = group(3)
+        # a zero term; a zero-sum of length exactly n - 1 and none shorter
+        for s in (Sequence(g3, (((0, 0), 2), ((1, 0), 3), ((0, 1), 3))),
+                  Sequence(g3, (((1, 0), 1), ((2, 0), 1), ((0, 1), 3), ((0, 2), 3)))):
+            with pytest.raises(PreconditionViolated):
+                classify_long_zero_sum(s)
 
 
 class TestVerifyCasen:

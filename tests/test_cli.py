@@ -345,6 +345,19 @@ def test_unwritable_output_exits_two(tmp_path):
     }
 
 
+def test_unwritable_cache_dir_exits_two(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = blocker / "cache"
+    res = _run_module("davenport", "--n", "2", "--jobs", "1", "--cache-dir", str(cache_dir))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": "CacheUnwritable",
+        "message": f"{cache_dir}: Not a directory",
+    }
+
+
 def test_script_target_imports():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     module, _, attr = re.search(r'^zs = "(.+)"$', text, re.M).group(1).partition(":")

@@ -145,35 +145,39 @@ def test_reach_table_matches_brute_force(n):
 
 
 @pytest.mark.parametrize(
-    "name", ["zero-sum-free", "minimal-zero-sum", "no-short-zero-sum", "zero-sum-no-short"]
+    "name", ["all", "zero-sum-free", "minimal-zero-sum", "no-short-zero-sum", "zero-sum-no-short"]
 )
 def test_predicate_states_match_oracles(name):
     """Walk 200 seeded sorted tuples, keeping each term the predicate admits;
-    every admit/reject decision must match the brute-force oracle."""
+    every admit/reject decision (a bit of ``blocked``) must match the
+    brute-force oracle."""
     rng = random.Random(2024)
     for _ in range(200):
         n = rng.randrange(2, 6)
         grp = group(n)
         k = rng.randrange(1, n + 1)
         params = {"k": k} if "short" in name else {}
-        pred = _compile_predicate(grp, name, params)
-        state, kept = pred.fresh(), []
+        guard, closes = _compile_predicate(grp, name, params)
+        state, kept = guard.fresh(), []
         for g in sorted(rng.randrange(grp.size) for _ in range(rng.randrange(1, 10))):
             s = Sequence.from_terms(grp, map(grp.unindex, kept + [g]))
-            if params:
+            if name == "all":
+                ok = True
+            elif params:
                 ok = (0, 0) not in naive_restricted_sums(s, 1, k)
             else:
                 ok = naive_is_zero_sum_free(s)
-            assert pred.can_extend(state, g, False) == ok, (name, n, kept, g)
-            if pred.final_zero_sum and not params:
-                # closing a zero-sum free prefix is always allowed, and a
-                # zero sum then makes the whole sequence minimal
-                assert pred.can_extend(state, g, True)
+            blocked = guard.blocked(state)
+            assert (not blocked >> g & 1) == ok, (name, n, kept, g)
+            if closes and not params:
+                # the engine does not test a closing term against the guard:
+                # a zero sum closing a zero-sum free prefix is always minimal
                 if s.is_zero_sum():
+                    assert blocked >> g & 1
                     assert naive_is_minimal_zero_sum(s)
             if ok:
                 kept.append(g)
-                state = pred.extend(state, g)
+                state = guard.extend(state, g)
 
 
 def test_raw_count_equals_sum_of_orbit_sizes():
@@ -224,13 +228,25 @@ def test_report_counts_are_pinned_for_any_jobs(verify, n, orbits, details):
     assert one.details == details
 
 
-def test_length_zero_and_one():
-    empty, _ = enumerate_sequences(EnumSpec(3, 0, "zero-sum-free"))
-    assert empty == [Sequence.empty(group(3))]
-    none, _ = enumerate_sequences(EnumSpec(3, 0, "minimal-zero-sum"))
-    assert none == []
-    single, _ = enumerate_sequences(EnumSpec(3, 1, "minimal-zero-sum"))
-    assert single == [Sequence.from_terms(group(3), [(0, 0)])]
+@pytest.mark.parametrize(
+    "name", ["all", "zero-sum-free", "minimal-zero-sum", "no-short-zero-sum", "zero-sum-no-short"]
+)
+def test_length_zero_and_one(name):
+    grp = group(3)
+    params = {"k": 2} if "short" in name else {}
+    empty, _ = enumerate_sequences(EnumSpec(3, 0, name, params))
+    # every predicate admits the empty sequence but minimal-zero-sum
+    assert empty == ([] if name == "minimal-zero-sum" else [Sequence.empty(grp)])
+    single, _ = enumerate_sequences(EnumSpec(3, 1, name, params))
+    zero, nonzero = (Sequence.from_terms(grp, [g]) for g in [(0, 0), (0, 1)])
+    expected = {
+        "all": [zero, nonzero],
+        "zero-sum-free": [nonzero],
+        "minimal-zero-sum": [zero],
+        "no-short-zero-sum": [nonzero],
+        "zero-sum-no-short": [],
+    }[name]
+    assert single == expected
 
 
 def test_unknown_predicate_rejected():

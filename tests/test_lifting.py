@@ -181,6 +181,17 @@ def test_item2_budgeted_run():
         assert rep.status == "ok"
 
 
+def test_item1_reports_an_image_with_a_zero_sum_shorter_than_n(monkeypatch):
+    # zero-sum, with a zero-sum part of length n - 1 = 4 and none shorter
+    image = Sequence(group(5), (((1, 0), 3), ((2, 0), 1)))
+    monkeypatch.setattr(Homomorphism, "image_in_coords", lambda self, seq: image)
+    rep = verify_propbfix_item1(4, 5, samples=3)
+    assert not rep.passed
+    assert [c["reason"] for c in rep.counterexamples] == [
+        "image has a zero-sum part shorter than n"
+    ] * 3
+
+
 def test_item2_lift_recheck_raises(monkeypatch):
     monkeypatch.setattr(Homomorphism, "image_coords", lambda self, w: (0, 0))
     with pytest.raises(WitnessCheckFailed):

@@ -11,6 +11,7 @@ from zerosum import (
     SumTable,
     find_zero_sum_subsequence,
     group,
+    has_short_zero_sum,
     is_minimal_zero_sum,
     is_zero_sum_free,
     restricted_sums,
@@ -155,6 +156,18 @@ def test_dp_matches_powerset_oracle(n):
                 ), (s, lmin, lmax)
         assert is_zero_sum_free(s) == naive_is_zero_sum_free(s)
         assert is_minimal_zero_sum(s) == naive_is_minimal_zero_sum(s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_has_short_zero_sum_matches_oracles(n):
+    rng = random.Random(90 + n)
+    grp = group(n)
+    for _ in range(25):
+        s = random_sequence(rng, grp, rng.randrange(0, 9))
+        for k in range(len(s) + 1):
+            expected = (0, 0) in naive_restricted_sums(s, 1, k)
+            assert has_short_zero_sum(s, k) == expected, (s, k)
+        assert has_short_zero_sum(s, None) == (not naive_is_zero_sum_free(s))
 
 
 def test_witness_found_whenever_oracle_says_so():

@@ -10,14 +10,47 @@ exhaustive and yields each orbit exactly once, with no post-deduplication.
 A predicate is a ZeroSumGuard (no zero-sum of length <= k) plus a flag for
 sequences that must sum to zero.  The guard state holds negated sums, so the
 candidates of a node are one mask, the terms >= the last one minus
-``blocked(state)``, taken in ascending order before the orbit test, which
-is the expensive step.  The orbit test compares T only with the images
-that can tie its first term: every sorted image alpha(T) starts with
-min alpha(T), so if some term's orbit minimum is below T[0] the tuple is
-beaten outright, and otherwise an image can start with T[0] only when alpha
-sends some term of T to T[0].  Those automorphisms come from a point
-transversal of the permutation table (Group.images_through); every other
-image starts higher and is larger, so the filter is exact.
+``blocked(state)``, taken in ascending order and cut by reachability; the
+orbit test, the expensive step, then decides all of them at once.
+
+The sibling test.  Let P be a canonical node, t0 = P[0], and g >= P[-1] a
+candidate, so the child is T = P + [g].  A sorted image alpha(T) starts with
+min alpha(T), at least the least orbit minimum of the terms; those of P are
+>= t0 (P is canonical), so T is beaten outright when orbit_min[g] < t0.
+Otherwise only an automorphism sending a term of T to t0 yields an image
+that starts with t0; every other image starts higher.  These are the rows
+R_P of the point transversal that send a term of P to t0
+(Group.rows_through) and, for g not in P, the rows sending g to t0.
+
+Fact: for sorted tuples A, B of equal length, A < B exactly when A has more
+copies of c, the least value whose multiplicities differ.  Proof: values
+below c occur equally often in both, so A and B agree up to the position p
+where those values end; from p on each holds its copies of c and then only
+larger values, so at position p + min(copies) the one with fewer copies
+shows a value above c while the other still shows c.  With no such c, A = B.
+
+For alpha in R_P, alpha(T) is I = sorted alpha(P) with v = alpha(g) added,
+and T is P with g added, so their multiplicities differ by (I - P) + [v] -
+[g], where I >= P since P is canonical.
+- If I = P, the difference is [v] - [g]: alpha(T) < T iff v < g.
+- Otherwise let j be the first index with I[j] != P[j] and x = P[j]
+  (I[j] > x).  Below x, I and P agree; at x, P has d more copies, d the
+  copies of x in P[j:]; and g >= x.  If v < x, v is the least difference,
+  with the extra copy in alpha(T): reject.  If v > x, the least difference
+  is x, with d or d + 1 more copies in T: accept.  If v = x, the difference
+  at x is 1 - d - [g = x], which leaves a tie only when d = 1 and g != x.
+  Then x enters alpha(T) at position j, where T holds x too, so alpha(T) <
+  T iff I[j:] < P[j+1:] + [g].
+- So v = g never rejects: both sides gain the same copy.
+For a row sending g (not in P) to t0, alpha(T) is t0 followed by sorted
+alpha(P), all of whose terms lie above t0.  If t0 occurs twice or more in
+P, T is smaller at position 1; otherwise sorted alpha(P) is compared with
+P[1:] + [g].
+
+Per node the images I are sorted once, for all candidates; a candidate
+costs its column alpha(g) over R_P, compared with each row's bound (g for a
+row fixing P, else x), plus its tie pairs (a list comparison each) and,
+when t0 is single in P, the rows sending g to t0.
 
 Work is partitioned into subtrees below canonical prefixes of a fixed split
 depth; workers process whole subtrees and results are merged in prefix
@@ -140,6 +173,12 @@ def _reach_table(grp: Group, max_len: int) -> list[list[int]]:
 # the DFS engine
 
 
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise lexicographic a < b for 2-d arrays of equal shape."""
+    d = a - b
+    return d[np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
+
+
 class _Engine:
     def __init__(
         self,
@@ -161,28 +200,55 @@ class _Engine:
         self.add = grp.add_index_table()
         self.neg = grp.neg_index_table()
         self.orbit_min = grp.orbit_tables()[0] if up_to_symmetry else None
+        self.perm = grp.perm_table() if up_to_symmetry else None
         self.reach = (
             _reach_table(grp, length)
             if (length is not None and self.closes)
             else None
         )
 
-    # Orbit-minimality of the sorted tuple T.  Only the images through T[0]
-    # can tie it (module docstring); each is compared with T at its first
-    # differing position, and a row equal to T yields position 0, where the
-    # test is false.
-    def _is_canonical(self, T: list[int]) -> bool:
-        t0 = T[0]
+    def _admitted(self, P: list[int], cands: list[int]) -> list[int]:
+        """The candidates g (ascending, all >= P[-1]) for which P + [g] is
+        canonical, given that P is: the sibling test of the module
+        docstring, one array pass for all of them."""
         orbit_min = self.orbit_min
-        if any(orbit_min[x] < t0 for x in T):
-            return False
-        images = self.grp.images_through(T, t0)
-        target = np.array(T, dtype=images.dtype)
-        first = (images != target).argmax(axis=1)
-        return not (images[np.arange(len(images)), first] < target[first]).any()
-
-    def _admit(self, T: list[int]) -> bool:
-        return not self.canonical or self._is_canonical(T)
+        if not P:
+            return [g for g in cands if orbit_min[g] == g]
+        t0 = P[0]
+        cands = [g for g in cands if orbit_min[g] >= t0]
+        if not cands:
+            return cands
+        k, grp = len(P), self.grp
+        cols = np.array(P + cands, dtype=np.int16)
+        sub = self.perm.take(grp.rows_through(P, t0), axis=0)[:, cols]
+        images, V = sub[:, :k], sub[:, k:]
+        images.sort(axis=1)
+        # A row's bound is x = P[j] at the first difference j of its image
+        # with P.  A row fixing P has j = 0 (every image starts with t0),
+        # where the group size stands in, so that np.minimum makes it g.
+        first = (images != cols[:k]).argmax(axis=1)
+        bound = np.array([grp.size] + P[1:], dtype=np.int16).take(first)[:, None]
+        beaten = (V < np.minimum(bound, cols[k:])).any(axis=0).tolist()
+        r, c = (V == bound).nonzero()
+        for row, j, i in zip(images[r].tolist(), first[r].tolist(), c.tolist()):
+            if not beaten[i] and (j + 1 == k or P[j + 1] != P[j]):
+                beaten[i] = row[j:] < P[j + 1:] + [cands[i]]
+        if k == 1 or P[1] != t0:
+            # rows sending g to t0 and no term of P there: the image is
+            # t0 + sorted alpha(P), to be compared with P[1:] + [g]
+            fresh = [
+                i for i, g in enumerate(cands)
+                if not beaten[i] and orbit_min[g] == t0 and g != P[-1]
+            ]
+            if fresh:
+                gs = [cands[i] for i in fresh]
+                images = self.perm.take(grp.rows_through(gs, t0), axis=0)[:, P]
+                images.sort(axis=1)
+                target = np.array([P[1:] + [g] for g in gs], dtype=np.int16)
+                less = _lex_less(images, target.repeat(len(images) // len(gs), axis=0))
+                for i, lost in zip(fresh, less.reshape(len(gs), -1).any(axis=1).tolist()):
+                    beaten[i] = lost
+        return [g for g, lost in zip(cands, beaten) if not lost]
 
     def run_subtree(
         self, prefix: tuple[int, ...], collect: bool
@@ -218,39 +284,32 @@ class _Engine:
             )
         guard, add, neg = self.guard, self.add, self.neg
         blocked = guard.blocked(state)
-        if self.length is not None:
-            remaining = self.length - depth - 1
-            if self.closes and not self.gathering and remaining == 0:
-                # The last term is forced by the zero-sum requirement.  With
-                # no length bound it is always blocked and never tested: a
-                # sorted zero-sum with a zero-sum free prefix is minimal, as
-                # a proper zero-sum part can avoid one copy of the largest
-                # term and then lies in the prefix.
-                g = neg[sigma]
-                if g >= last and (guard.k is None or not blocked >> g & 1):
-                    T.append(g)
-                    if self._admit(T):
-                        stats.nodes += 1
-                        self._dfs(T, None, 0, g, stats, leaves, collect)
-                    T.pop()
-                return
-            reach = self.reach if not self.gathering else None
+        cands = []
+        if self.closes and not self.gathering and depth + 1 == self.length:
+            # The last term is forced by the zero-sum requirement.  With no
+            # length bound it is always blocked and never tested: a sorted
+            # zero-sum with a zero-sum free prefix is minimal, as a proper
+            # zero-sum part can avoid one copy of the largest term and then
+            # lies in the prefix.
+            g = neg[sigma]
+            if g >= last and (guard.k is None or not blocked >> g & 1):
+                cands.append(g)
         else:
-            remaining = None
-            reach = None
-        candidates = self.above[last] & ~blocked
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            g = low.bit_length() - 1
-            if reach is not None and not reach[g][remaining] >> neg[add[sigma][g]] & 1:
-                continue
+            reach = None if self.gathering else self.reach
+            remaining = None if self.length is None else self.length - depth - 1
+            candidates = self.above[last] & ~blocked
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                g = low.bit_length() - 1
+                if reach is None or reach[g][remaining] >> neg[add[sigma][g]] & 1:
+                    cands.append(g)
+        if self.canonical:
+            cands = self._admitted(T, cands)
+        for g in cands:
             T.append(g)
-            if self._admit(T):
-                stats.nodes += 1
-                self._dfs(
-                    T, guard.extend(state, g), add[sigma][g], g, stats, leaves, collect
-                )
+            stats.nodes += 1
+            self._dfs(T, guard.extend(state, g), add[sigma][g], g, stats, leaves, collect)
             T.pop()
 
     def gather_prefixes(self, depth: int) -> tuple[list[tuple[int, ...]], SearchStats]:
@@ -321,10 +380,9 @@ def _search(
                 )
         finally:
             _FORKED_ENGINE = None
-    for prefix, (unit_leaves, unit_stats) in zip(prefixes, results):
-        stats.nodes += unit_stats.nodes + 1  # count the prefix node itself
-        stats.leaves += unit_stats.leaves
-        stats.max_depth = max(stats.max_depth, unit_stats.max_depth)
+    for unit_leaves, unit_stats in results:
+        stats.merge(unit_stats)
+        stats.nodes += 1  # the prefix node itself
         leaves.extend(unit_leaves)
     return leaves, stats
 
@@ -377,6 +435,17 @@ class ResultCache:
         if seqs is not None and len(seqs) != entry["count"]:
             return None
         return entry
+
+    def ensure_writable(self) -> None:
+        """Create the directory and a probe file in it, so that a search
+        whose result could not be stored fails before it runs."""
+        probe = os.path.join(self.directory, f".probe-{os.getpid()}")
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_TRUNC))
+            os.remove(probe)
+        except OSError as exc:
+            raise CacheUnwritable(f"{self.directory}: {exc.strerror or exc}") from exc
 
     def store(self, key: dict, payload: dict) -> None:
         try:
@@ -452,6 +521,7 @@ def enumerate_sequences(
             stats = SearchStats(**entry["stats"])
             seqs = [Sequence.from_json_obj(obj) for obj in entry["sequences"]]
             return seqs, stats
+        cache.ensure_writable()
     leaves, stats = _search(
         grp, spec.predicate, spec.params, spec.length, spec.up_to_symmetry, jobs=jobs
     )
@@ -517,6 +587,7 @@ def _cached_max_length_plus_one(
         entry = cache.load(key)
         if entry is not None:
             return entry["value"]
+        cache.ensure_writable()
     longest, stats = max_length_with(grp, predicate, params, jobs=jobs, depth_cap=depth_cap)
     value = longest + 1
     if cache is not None:

@@ -302,18 +302,21 @@ class Group:
             self._orbits = (perm.min(axis=0).tolist(), order, bounds)
         return self._orbits
 
-    def images_through(self, terms: list[int], y: int) -> np.ndarray:
-        """Sorted images of the index tuple ``terms``, one row per
-        automorphism that sends some term to ``y``.
-
-        These are exactly the images that contain ``y``; each automorphism
-        appears once, since it sends only one element to ``y``.
-        """
+    def rows_through(self, terms: list[int], y: int) -> np.ndarray:
+        """Rows of :meth:`perm_table` that send some term of the index tuple
+        ``terms`` to ``y``, each automorphism once (it sends only one
+        element to ``y``)."""
         _, order, bounds = self.orbit_tables()
-        rows = np.concatenate(
+        return np.concatenate(
             [order[x, bounds[x][y]:bounds[x][y + 1]] for x in dict.fromkeys(terms)]
         )
-        images = self._perm.take(rows, axis=0)[:, terms]
+
+    def images_through(self, terms: list[int], y: int) -> np.ndarray:
+        """Sorted images of the index tuple ``terms``, one row per
+        automorphism of :meth:`rows_through`: exactly the images that
+        contain ``y``.
+        """
+        images = self._perm.take(self.rows_through(terms, y), axis=0)[:, terms]
         images.sort(axis=1)
         return images
 

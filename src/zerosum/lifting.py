@@ -112,10 +112,6 @@ class Homomorphism:
         """phi(S) rewritten over (Z/nZ)^2."""
         return seq.apply_hom(lambda g: self.image_coords(self(g)), self.image_group)
 
-    def kernel_in_coords(self, seq: Sequence) -> Sequence:
-        """A sequence of kernel elements rewritten over (Z/mZ)^2."""
-        return seq.apply_hom(self.kernel_coords, self.kernel_group)
-
 
 def mul_hom(N: int, m: int) -> Homomorphism:
     if m < 2 or N % m != 0 or N // m < 2:

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import zerosum.cli
+import zerosum.enumeration
 from zerosum.cli import main, parse_sequence_file
 from zerosum.errors import ParseError, SchemaError
 from zerosum.groups import group
@@ -351,6 +352,27 @@ def test_unwritable_cache_dir_exits_two(tmp_path):
     cache_dir = blocker / "cache"
     res = _run_module("davenport", "--n", "2", "--jobs", "1", "--cache-dir", str(cache_dir))
     assert res.returncode == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": "CacheUnwritable",
+        "message": f"{cache_dir}: Not a directory",
+    }
+
+
+@pytest.mark.parametrize("args", [
+    ("davenport", "--n", "2", "--jobs", "1"),
+    ("enumerate", "--n", "2", "--length", "2", "--predicate", "all"),
+])
+def test_unwritable_cache_dir_fails_before_the_search(runner, monkeypatch, tmp_path, args):
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("the search ran before the cache directory was checked")
+
+    monkeypatch.setattr(zerosum.enumeration, "_search", no_search)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = blocker / "cache"
+    res = invoke(runner, *args, "--cache-dir", str(cache_dir))
+    assert res.exit_code == 2
     assert res.stdout == ""
     assert json.loads(res.stderr) == {
         "error": "CacheUnwritable",

@@ -36,7 +36,7 @@ from oracles import (
 # Exact search sizes, pinned so that a change to the orbit test or the
 # predicates cannot alter the walk unnoticed: nodes of the zero-sum-free
 # forest behind davenport(n), and (orbits, nodes) of the property B/C scans.
-DAVENPORT_NODES = {2: 2, 3: 7, 4: 68, 5: 308, 6: 7984}
+DAVENPORT_NODES = {2: 2, 3: 7, 4: 68, 5: 308, 6: 7984, 7: 28211}
 PROPERTY_B = {2: (1, 3), 3: (1, 7), 4: (2, 62), 5: (5, 267), 6: (13, 6586)}
 PROPERTY_C = {2: (1, 3), 3: (1, 11), 4: (1, 115), 5: (2, 632)}
 
@@ -105,27 +105,86 @@ def test_zero_sum_no_short_census(n, k, length):
     assert len(raw) == len(raw_expected)
 
 
+def _sibling_rules(grp, P, g):
+    """The rules of the sibling test that some automorphism triggers for the
+    child P + [g] of a canonical P, recomputed one automorphism at a time
+    from their statement in the enumeration docstring."""
+    t0 = P[0]
+    if grp.orbit_tables()[0][g] < t0:
+        return {"orbit-minimum cut"}
+    child = P + [g]
+    rules = set()
+    for alpha in grp.perm_table().tolist():
+        image, v = sorted(alpha[x] for x in P), alpha[g]
+        if image[0] == t0:  # alpha sends a term of P to t0
+            j = next((i for i, (a, b) in enumerate(zip(image, P)) if a != b), None)
+            x = g if j is None else P[j]
+            if v < x:
+                rules.add("counting-rule reject")
+            elif j is not None and v == x != g and P[j:].count(x) == 1:
+                lost = sorted(image + [v]) < child
+                rules.add("tie rejected" if lost else "tie accepted")
+        elif v == t0:
+            if P.count(t0) > 1:
+                rules.add("multiplicity >= 2 accept")
+            elif [t0] + image < child:
+                rules.add("alpha(g) = t0 reject")
+    return rules
+
+
+def _check_siblings(grp, engine, P, rules):
+    """_admitted(P, every g >= P[-1]) against naive_canonical(P + [g]);
+    returns the admitted g."""
+    cands = list(range(P[-1] if P else 0, grp.size))
+    expected = []
+    for g in cands:
+        child = Sequence.from_terms(grp, map(grp.unindex, P + [g]))
+        if naive_canonical(child) == child:
+            expected.append(g)
+        if P:
+            rules |= _sibling_rules(grp, P, g)
+    assert engine._admitted(P, cands) == expected, P
+    return expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sibling_test_matches_naive_canonical_exhaustively(n):
+    """Every canonical P of length <= 3 and every g >= P[-1]; each g alone
+    as well, as for a forced closing term."""
+    grp = group(n)
+    engine = _Engine(grp, "all", {}, None, True)
+    rules = set()
+    for length in range(4):
+        for P in itertools.combinations_with_replacement(range(grp.size), length):
+            seq = Sequence.from_terms(grp, map(grp.unindex, P))
+            if naive_canonical(seq) != seq:
+                continue
+            P = list(P)
+            admitted = _check_siblings(grp, engine, P, rules)
+            singly = [g for g in range(P[-1] if P else 0, grp.size) if engine._admitted(P, [g])]
+            assert singly == admitted, P
+    if n == 4:
+        assert rules == {
+            "orbit-minimum cut", "counting-rule reject", "tie accepted", "tie rejected",
+            "alpha(g) = t0 reject", "multiplicity >= 2 accept",
+        }
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_orbit_test_matches_naive_canonical(n):
     grp = group(n)
     engine = _Engine(grp, "all", {}, None, True)
-    orbit_min = grp.orbit_tables()[0]
     rng = random.Random(700 + n)
-    seen = set()
-    for _ in range(20):
-        s = random_sequence(rng, grp, rng.randrange(1, 9))
-        canon = naive_canonical(s)
-        for t in (s, canon):
-            T = [grp.index(g) for g in t]
-            verdict = engine._is_canonical(T)
-            assert verdict == (t == canon), t
-            if verdict:
-                seen.add("canonical")
-            elif any(orbit_min[x] < T[0] for x in T):
-                seen.add("beaten by an orbit minimum")
-            else:
-                seen.add("beaten by an image through T[0]")
-    assert len(seen) == 3
+    rules = set()
+    for _ in range(6 if n < 7 else 2):
+        s = naive_canonical(random_sequence(rng, grp, rng.randrange(1, 9)))
+        _check_siblings(grp, engine, [grp.index(g) for g in s], rules)
+    if n >= 4:
+        # the cut needs t0 > 1, which random canonical P rarely have; the
+        # exhaustive test covers it
+        assert {
+            "counting-rule reject", "tie accepted", "tie rejected", "alpha(g) = t0 reject",
+        } <= rules
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -226,6 +285,13 @@ def test_report_counts_are_pinned_for_any_jobs(verify, n, orbits, details):
     assert one.to_json(timing=False) == two.to_json(timing=False)
     assert one.passed and one.orbits_scanned == orbits
     assert one.details == details
+
+
+def test_property_b_at_7_is_pinned_for_any_jobs():
+    one, two = (verify_property_b(7, bound=7, jobs=jobs) for jobs in (1, 2))
+    assert one.to_json(timing=False) == two.to_json(timing=False)
+    assert one.passed and one.orbits_scanned == 35
+    assert one.details == {"nodes": 22385}
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,8 @@ Subpackage map:
 - properties: coset-support witnesses and the two closed sequence shapes
 - classification: long zero-sum classification and the exceptional family
 - perturbation: two-term exchange lemmas
-- decomposition: block decompositions and swaps
-- lifting: multiplication-by-m homomorphisms and lifted verification
+- decomposition: block decompositions into a head and zero-sum blocks
+- lifting: multiplication-by-m homomorphisms and the image-transfer checks
 - cli: the ``zs`` command line front end
 """
 
@@ -19,14 +19,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .classification import classify_long_zero_sum, construct_exceptional, verify_casen
-from .decomposition import (
-    BlockDecomposition,
-    SwapContext,
-    apply_swap,
-    associated_sequence,
-    block_decompositions,
-    named_swap,
-)
+from .decomposition import BlockDecomposition, block_decompositions
 from .enumeration import (
     EnumSpec,
     davenport,
@@ -36,13 +29,7 @@ from .enumeration import (
     s_leq,
 )
 from .groups import Automorphism, Elem, Group, group
-from .lifting import (
-    Homomorphism,
-    mul_hom,
-    psi_split,
-    verify_propbfix_item1,
-    verify_propbfix_item2,
-)
+from .lifting import Homomorphism, mul_hom, verify_propbfix_item1, verify_propbfix_item2
 from .perturbation import perturb, upsilon_class, verify_perturbation
 from .properties import (
     has_property_a,
@@ -53,7 +40,7 @@ from .properties import (
     verify_property_c,
 )
 from .report import Report
-from .sequences import Sequence, canonicalize
+from .sequences import Sequence
 from .subsums import (
     SumTable,
     find_zero_sum_subsequence,
@@ -71,7 +58,6 @@ __all__ = [
     "Group",
     "group",
     "Sequence",
-    "canonicalize",
     "SumTable",
     "restricted_sums",
     "subsequence_sums",
@@ -100,13 +86,8 @@ __all__ = [
     "verify_perturbation",
     "Homomorphism",
     "mul_hom",
-    "psi_split",
     "verify_propbfix_item1",
     "verify_propbfix_item2",
     "BlockDecomposition",
-    "SwapContext",
     "block_decompositions",
-    "apply_swap",
-    "named_swap",
-    "associated_sequence",
 ]

@@ -62,14 +62,6 @@ class LengthMismatch(ZsError):
     """Sequence length is incompatible with the requested decomposition."""
 
 
-class HomSumMismatch(ZsError):
-    """Swapped parts have different sums under the homomorphism."""
-
-
-class PatternUnavailable(ZsError):
-    """A named swap pattern cannot be realised in the given decomposition."""
-
-
 class FiberMismatch(ZsError):
     """Two elements expected to share a fiber of the homomorphism do not."""
 

@@ -2,8 +2,8 @@
 
 For m dividing N, the map g -> m*g has kernel nG (n = N/m, a copy of
 (Z/mZ)^2) and image mG (a copy of (Z/nZ)^2).  The Homomorphism object
-carries both coordinate charts: kernel elements n*(a,b) <-> (a,b) mod m,
-image elements m*(u,v) <-> (u,v) mod n.
+lists the kernel and the fibers, and carries the image coordinate chart
+m*(u,v) <-> (u,v) mod n.
 
 The two verify_* functions check, at statement level, the transfer result
 for minimal zero-sums of maximal length 2N-1: their image has no nonempty
@@ -36,7 +36,7 @@ from .subsums import has_short_zero_sum, is_minimal_zero_sum
 
 @dataclasses.dataclass(frozen=True)
 class Homomorphism:
-    """g -> m*g on (Z/NZ)^2, with kernel and image coordinate charts."""
+    """g -> m*g on (Z/NZ)^2, with its kernel, fibers and image chart."""
 
     N: int
     m: int
@@ -52,30 +52,13 @@ class Homomorphism:
     def __call__(self, g: Elem) -> Elem:
         return ((self.m * g[0]) % self.N, (self.m * g[1]) % self.N)
 
-    # -- kernel chart: n*(a,b) <-> (a,b) in (Z/mZ)^2 --------------------------
-
-    @property
-    def kernel_group(self) -> Group:
-        return group(self.m)
-
     def kernel_elements(self) -> tuple[Elem, ...]:
+        """The kernel n*G, sorted."""
         n = self.n
         return tuple(
             sorted((n * a % self.N, n * b % self.N)
                    for a in range(self.m) for b in range(self.m))
         )
-
-    def in_kernel(self, g: Elem) -> bool:
-        return self(g) == (0, 0)
-
-    def kernel_coords(self, g: Elem) -> Elem:
-        if not self.in_kernel(g):
-            raise FiberMismatch(f"{g} is not in the kernel of mult-by-{self.m}")
-        return (g[0] // self.n % self.m, g[1] // self.n % self.m)
-
-    def kernel_uncoords(self, c: Elem) -> Elem:
-        n = self.n
-        return (n * c[0] % self.N, n * c[1] % self.N)
 
     # -- image chart: m*(u,v) <-> (u,v) in (Z/nZ)^2 ---------------------------
 
@@ -119,37 +102,6 @@ def mul_hom(N: int, m: int) -> Homomorphism:
             f"need m >= 2 and m | N with N/m >= 2, got N={N}, m={m}"
         )
     return Homomorphism(N, m)
-
-
-@dataclasses.dataclass(frozen=True)
-class PsiSplit:
-    """Offset of a fiber element from its representative, split over a
-    kernel basis: psi = g - rep = psi1 + psi2."""
-
-    psi: Elem
-    psi1: Elem
-    psi2: Elem
-    coords: tuple[int, int]
-
-
-def psi_split(
-    g: Elem,
-    rep: Elem,
-    hom: Homomorphism,
-    kernel_basis: tuple[Elem, Elem] | None = None,
-) -> PsiSplit:
-    grp = hom.source
-    if hom(g) != hom(rep):
-        raise FiberMismatch(f"{g} and {rep} lie in different fibers")
-    if kernel_basis is None:
-        kernel_basis = (hom.kernel_uncoords((1, 0)), hom.kernel_uncoords((0, 1)))
-    f1, f2 = kernel_basis
-    kgrp = hom.kernel_group
-    c1, c2 = hom.kernel_coords(f1), hom.kernel_coords(f2)
-    kgrp.require_basis(c1, c2)
-    psi = grp.sub(g, rep)
-    y, z = kgrp.coords_in_basis(hom.kernel_coords(psi), c1, c2)
-    return PsiSplit(psi, grp.scale(y, f1), grp.scale(z, f2), (y, z))
 
 
 def _coset_form_sample(grp: Group, rng: random.Random) -> Sequence:

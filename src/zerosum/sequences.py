@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NotASubsequence, SchemaError
 from .groups import Elem, Group, group
 
-__all__ = ["Sequence", "canonicalize"]
+__all__ = ["Sequence"]
 
 
 class Sequence:
@@ -237,8 +237,3 @@ class Sequence:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
         return cls.from_json_obj(obj)
-
-
-def canonicalize(seq: Sequence) -> Sequence:
-    """Module-level alias for :meth:`Sequence.canonicalize`."""
-    return seq.canonicalize()

@@ -1,11 +1,8 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zerosum.errors import (
     BudgetExceeded,
     FiberMismatch,
-    NotABasis,
     NotADivisor,
     PreconditionViolated,
     WitnessCheckFailed,
@@ -14,7 +11,6 @@ from zerosum.groups import group
 from zerosum.lifting import (
     Homomorphism,
     mul_hom,
-    psi_split,
     verify_propbfix_item1,
     verify_propbfix_item2,
 )
@@ -59,16 +55,6 @@ def test_fiber_partition():
         h.fiber((1, 0))
 
 
-def test_kernel_coords_roundtrip():
-    h = mul_hom(6, 3)
-    for k in h.kernel_elements():
-        c = h.kernel_coords(k)
-        assert h.kernel_group.contains(c)
-        assert h.kernel_uncoords(c) == k
-    with pytest.raises(FiberMismatch):
-        h.kernel_coords((1, 0))
-
-
 def test_image_coords_roundtrip():
     h = mul_hom(6, 2)
     for w in h.image_elements():
@@ -77,55 +63,6 @@ def test_image_coords_roundtrip():
         assert h.image_uncoords(c) == w
     with pytest.raises(FiberMismatch):
         h.image_coords((1, 1))
-
-
-def test_psi_split_worked_example():
-    h = mul_hom(8, 4)
-    g = group(8).add((1, 0), (2, 4))
-    ps = psi_split(g, (1, 0), h, kernel_basis=((2, 0), (0, 2)))
-    assert ps.psi == (2, 4)
-    assert ps.psi1 == (2, 0)
-    assert ps.psi2 == (0, 4)
-    assert ps.coords == (1, 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_psi_split_identity(data):
-    N, m = data.draw(st.sampled_from([(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)]))
-    h = mul_hom(N, m)
-    grp = group(N)
-    w = data.draw(st.sampled_from(h.image_elements()))
-    fib = h.fiber(w)
-    g = data.draw(st.sampled_from(fib))
-    rep = data.draw(st.sampled_from(fib))
-    ps = psi_split(g, rep, h)
-    assert h(ps.psi) == (0, 0)
-    assert grp.add(rep, ps.psi) == g
-    assert grp.add(ps.psi1, ps.psi2) == ps.psi
-
-
-def test_psi_split_kernel_shift():
-    h = mul_hom(8, 4)
-    grp = group(8)
-    g, rep = (3, 5), (7, 1)
-    assert h(g) == h(rep)
-    base = psi_split(g, rep, h).psi
-    for k in h.kernel_elements():
-        shifted = psi_split(grp.add(g, k), rep, h).psi
-        assert shifted == grp.add(base, k)
-
-
-def test_psi_split_rejects_cross_fiber():
-    h = mul_hom(8, 4)
-    with pytest.raises(FiberMismatch):
-        psi_split((1, 0), (0, 1), h)
-
-
-def test_psi_split_rejects_degenerate_kernel_basis():
-    h = mul_hom(8, 4)
-    with pytest.raises(NotABasis):
-        psi_split((3, 0), (1, 0), h, kernel_basis=((2, 0), (4, 0)))
 
 
 def test_item1_sampled_run_is_clean():

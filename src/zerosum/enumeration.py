@@ -52,9 +52,11 @@ costs its column alpha(g) over R_P, compared with each row's bound (g for a
 row fixing P, else x), plus its tie pairs (a list comparison each) and,
 when t0 is single in P, the rows sending g to t0.
 
-Work is partitioned into subtrees below canonical prefixes of a fixed split
-depth; workers process whole subtrees and results are merged in prefix
-order, so output is identical for any worker count.
+A search with jobs = 1 is one walk.  With jobs > 1 the same walk stops at a
+fixed split depth, and the admitted nodes there become work units whose
+subtrees the workers complete; each unit is counted once, by its parent, and
+results are merged in unit order, so output and node counts are those of the
+one walk for any split depth and worker count.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ __all__ = [
 DEFAULT_CACHE_DIR = ".zs-cache"
 CACHE_ENV_VAR = "ZS_CACHE"
 # bump when search semantics or the storage layout change
-CACHE_SCHEMA = f"{__version__}/1"
+CACHE_SCHEMA = f"{__version__}/2"
 
 _SPLIT_DEPTH = 2
 _CACHE_MAX_SEQUENCES = 100_000
@@ -194,7 +196,6 @@ class _Engine:
         self.length = length
         self.canonical = up_to_symmetry
         self.depth_cap = depth_cap
-        self.gathering = False
         full = (1 << grp.size) - 1
         self.above = [full >> g << g for g in range(grp.size)]  # bits g, g+1, ...
         self.add = grp.add_index_table()
@@ -251,31 +252,32 @@ class _Engine:
         return [g for g, lost in zip(cands, beaten) if not lost]
 
     def run_subtree(
-        self, prefix: tuple[int, ...], collect: bool
+        self, prefix: tuple[int, ...], collect: bool, stop: int | None = None
     ) -> tuple[list[tuple[int, ...]], SearchStats]:
-        """Complete the DFS below an admitted prefix.
-
-        The prefix itself is not re-counted in stats; callers account for it
-        while generating work units.
-        """
+        """Complete the DFS below an admitted prefix, counting the nodes
+        below it.  With ``stop`` the walk also ends at nodes of that depth
+        (below ``length``) and returns them, in DFS order, as work units."""
         state = self.guard.fresh()
         sigma = 0
         for g in prefix:
             state = self.guard.extend(state, g)
             sigma = self.add[sigma][g]
-        leaves: list[tuple[int, ...]] = []
+        out: list[tuple[int, ...]] = []
         stats = SearchStats()
         T = list(prefix)
-        self._dfs(T, state, sigma, prefix[-1] if prefix else 0, stats, leaves, collect)
-        return leaves, stats
+        self._dfs(T, state, sigma, prefix[-1] if prefix else 0, stats, out, collect, stop)
+        return out, stats
 
-    def _dfs(self, T, state, sigma, last, stats, leaves, collect) -> None:
+    def _dfs(self, T, state, sigma, last, stats, out, collect, stop) -> None:
         depth = len(T)
         stats.max_depth = max(stats.max_depth, depth)
-        if self.length is not None and depth == self.length:
+        if depth == self.length:
             stats.leaves += 1
             if collect:
-                leaves.append(tuple(T))
+                out.append(tuple(T))
+            return
+        if depth == stop:
+            out.append(tuple(T))
             return
         if self.depth_cap is not None and depth >= self.depth_cap:
             raise BudgetExceeded(
@@ -285,7 +287,7 @@ class _Engine:
         guard, add, neg = self.guard, self.add, self.neg
         blocked = guard.blocked(state)
         cands = []
-        if self.closes and not self.gathering and depth + 1 == self.length:
+        if self.closes and depth + 1 == self.length:
             # The last term is forced by the zero-sum requirement.  With no
             # length bound it is always blocked and never tested: a sorted
             # zero-sum with a zero-sum free prefix is minimal, as a proper
@@ -295,7 +297,7 @@ class _Engine:
             if g >= last and (guard.k is None or not blocked >> g & 1):
                 cands.append(g)
         else:
-            reach = None if self.gathering else self.reach
+            reach = self.reach
             remaining = None if self.length is None else self.length - depth - 1
             candidates = self.above[last] & ~blocked
             while candidates:
@@ -309,25 +311,8 @@ class _Engine:
         for g in cands:
             T.append(g)
             stats.nodes += 1
-            self._dfs(T, guard.extend(state, g), add[sigma][g], g, stats, leaves, collect)
+            self._dfs(T, guard.extend(state, g), add[sigma][g], g, stats, out, collect, stop)
             T.pop()
-
-    def gather_prefixes(self, depth: int) -> tuple[list[tuple[int, ...]], SearchStats]:
-        """All admitted predicate-satisfying prefixes of exactly the given
-        depth, in DFS (lex) order, plus stats for the shallower nodes."""
-        if depth == 0:
-            return [()], SearchStats()
-        saved, self.length = self.length, depth
-        self.gathering = True
-        prefixes, stats = self.run_subtree((), collect=True)
-        self.length = saved
-        self.gathering = False
-        # prefix nodes at depth == split are re-entered by run_subtree later,
-        # so drop them from the shallow count; max_depth stays (it covers
-        # forests whose deepest node is above the split)
-        stats.nodes -= stats.leaves
-        stats.leaves = 0
-        return prefixes, stats
 
 
 # ---------------------------------------------------------------------------
@@ -352,37 +337,27 @@ def _search(
     collect: bool = True,
     depth_cap: int | None = None,
 ) -> tuple[list[tuple[int, ...]], SearchStats]:
-    """Fan out over canonical prefixes; deterministic for any job count."""
+    """One DFS.  With jobs > 1 it stops at the split depth and the subtrees
+    below the units there run in worker processes, merged in unit order."""
     engine = _Engine(grp, predicate, params, length, up_to_symmetry, depth_cap)
-    if length is None:
-        split = _SPLIT_DEPTH
-    elif engine.closes:
-        # keep the forced final step inside the subtree walks
-        split = min(_SPLIT_DEPTH, max(length - 1, 0))
-    else:
-        split = min(_SPLIT_DEPTH, length)
-    prefixes, stats = engine.gather_prefixes(split)
-    leaves: list[tuple[int, ...]] = []
-    if length is not None and split == length:
-        # prefixes are already full leaves
-        stats.nodes += len(prefixes)
-        stats.leaves = len(prefixes)
-        return (prefixes if collect else []), stats
-    if jobs <= 1 or len(prefixes) <= 1:
-        results = (engine.run_subtree(p, collect) for p in prefixes)
+    if jobs <= 1 or (length is not None and length <= _SPLIT_DEPTH):
+        return engine.run_subtree((), collect)
+    units, stats = engine.run_subtree((), collect, stop=_SPLIT_DEPTH)
+    if len(units) <= 1:
+        results = (engine.run_subtree(u, collect) for u in units)
     else:
         global _FORKED_ENGINE
         _FORKED_ENGINE = engine
         try:
             with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
                 results = pool.starmap(
-                    _run_forked, [(p, collect) for p in prefixes], chunksize=1
+                    _run_forked, [(u, collect) for u in units], chunksize=1
                 )
         finally:
             _FORKED_ENGINE = None
+    leaves: list[tuple[int, ...]] = []
     for unit_leaves, unit_stats in results:
         stats.merge(unit_stats)
-        stats.nodes += 1  # the prefix node itself
         leaves.extend(unit_leaves)
     return leaves, stats
 
@@ -620,18 +595,17 @@ def s_leq(
     bound: int = 5,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    depth_cap: int | None = None,
 ) -> int:
     """Least l such that every length-l sequence has a zero-sum subsequence
     of length at most k.
 
     Equals 1 + the longest length admitting no such subsequence.  For k
     below the modulus that maximum can be infinite, so the search carries a
-    depth cap (default 4n) and raises BudgetExceeded on hitting it.
+    depth cap of 4n and raises BudgetExceeded on hitting it.
     """
     if k < 1:
         raise SchemaError(f"k must be >= 1, got {k}")
     return _cached_max_length_plus_one(
         grp, "s_leq", {"k": k}, "no-short-zero-sum", bound=bound, jobs=jobs, cache=cache,
-        depth_cap=depth_cap if depth_cap is not None else 4 * grp.n,
+        depth_cap=4 * grp.n,
     )

@@ -2,8 +2,8 @@
 
 For m dividing N, the map g -> m*g has kernel nG (n = N/m, a copy of
 (Z/mZ)^2) and image mG (a copy of (Z/nZ)^2).  The Homomorphism object
-lists the kernel and the fibers, and carries the image coordinate chart
-m*(u,v) <-> (u,v) mod n.
+lists the kernel and carries the image coordinate chart m*(u,v) <-> (u,v)
+mod n.
 
 The two verify_* functions check, at statement level, the transfer result
 for minimal zero-sums of maximal length 2N-1: their image has no nonempty
@@ -36,7 +36,7 @@ from .subsums import has_short_zero_sum, is_minimal_zero_sum
 
 @dataclasses.dataclass(frozen=True)
 class Homomorphism:
-    """g -> m*g on (Z/NZ)^2, with its kernel, fibers and image chart."""
+    """g -> m*g on (Z/NZ)^2, with its kernel and image chart."""
 
     N: int
     m: int
@@ -66,30 +66,10 @@ class Homomorphism:
     def image_group(self) -> Group:
         return group(self.n)
 
-    def image_elements(self) -> tuple[Elem, ...]:
-        m = self.m
-        return tuple(
-            sorted((m * u % self.N, m * v % self.N)
-                   for u in range(self.n) for v in range(self.n))
-        )
-
     def image_coords(self, w: Elem) -> Elem:
         if w[0] % self.m or w[1] % self.m:
             raise FiberMismatch(f"{w} is not in the image of mult-by-{self.m}")
         return (w[0] // self.m % self.n, w[1] // self.m % self.n)
-
-    def image_uncoords(self, c: Elem) -> Elem:
-        m = self.m
-        return (m * c[0] % self.N, m * c[1] % self.N)
-
-    def fiber(self, w: Elem) -> tuple[Elem, ...]:
-        """All preimages of an image element, sorted."""
-        u, v = self.image_coords(w)
-        n = self.n
-        return tuple(
-            sorted(((u + n * i) % self.N, (v + n * j) % self.N)
-                   for i in range(self.m) for j in range(self.m))
-        )
 
     def image_in_coords(self, seq: Sequence) -> Sequence:
         """phi(S) rewritten over (Z/nZ)^2."""
@@ -193,31 +173,27 @@ def verify_propbfix_item1(
     )
 
 
-def _structured_lift(
+def _lift(
     hom: Homomorphism,
     pattern: Sequence,
-    offsets: dict[Elem, Elem],
+    offsets: list[Elem],
     forced: Elem,
 ) -> Sequence:
-    """Lift an image-coordinate pattern to the source group, shifting every
-    copy of an image term by that term's kernel offset; the designated
-    term absorbs whatever offset makes the lift zero-sum."""
-    grp = hom.source
-    items = []
-    total = grp.zero
-    for c, mult in pattern.items():
-        if c == forced:
-            continue
-        lifted = grp.add(c, offsets[c])  # coords < n, so c is its own base rep
-        items.append((lifted, mult))
-        total = grp.add(total, grp.scale(mult, lifted))
+    """Lift an image-coordinate pattern to the source group, shifting each
+    copy of a term other than ``forced`` by its kernel offset, in term
+    order; the forced term becomes whatever makes the lift zero-sum."""
     if pattern.multiplicity(forced) != 1:
         raise PreconditionViolated(f"forced term {forced} must occur once")
+    grp = hom.source
+    # coords < n, so each image coordinate c is its own base preimage
+    terms = [grp.add(c, k) for c, k in zip((c for c in pattern if c != forced), offsets)]
+    total = grp.zero
+    for t in terms:
+        total = grp.add(total, t)
     last = grp.neg(total)
     if hom.image_coords(hom(last)) != forced:
         raise WitnessCheckFailed(f"lifted term {last} does not map to {forced}")
-    items.append((last, 1))
-    return Sequence(grp, items)
+    return Sequence.from_terms(grp, terms + [last])
 
 
 def verify_propbfix_item2(
@@ -234,13 +210,12 @@ def verify_propbfix_item2(
 
     The search lifts each exceptional image pattern fiberwise: constant
     kernel offsets per image term (the forced term absorbing the zero-sum
-    constraint), plus some fully random lifts.  Budgets cap the candidate
-    count; zero hits is reported as a status, not a pass.
+    constraint), plus some lifts with a random offset per copy.  Budgets
+    cap the candidate count; zero hits is reported as a status, not a pass.
     """
     if m < 4 or n < 5:
         raise PreconditionViolated(f"need m >= 4 and n >= 5, got m={m}, n={n}")
     N = m * n
-    grp = group(N)
     hom = mul_hom(N, m)
     rng = random.Random(seed)
     kernel = hom.kernel_elements()
@@ -260,25 +235,15 @@ def verify_propbfix_item2(
             forced = (x, 2 % n)  # the unique multiplicity-1 image term
             support = pattern.support()
             per_pattern = max(1, structured // len(patterns))
+            copies = [g for g in pattern if g != forced]
+            lifts = []
             for _ in range(per_pattern):
-                offsets = {g: rng.choice(kernel) for g in support}
-                cand = _structured_lift(hom, pattern, offsets, forced)
-                candidates += 1
-                if is_minimal_zero_sum(cand):
-                    hits.append(cand)
+                chosen = {g: rng.choice(kernel) for g in support}
+                lifts.append([chosen[g] for g in copies])
             for _ in range(max(0, random_lifts // len(patterns))):
-                terms = [
-                    rng.choice(hom.fiber(hom.image_uncoords(g)))
-                    for g in pattern
-                    if g != forced
-                ]
-                total = grp.zero
-                for t in terms:
-                    total = grp.add(total, t)
-                last = grp.neg(total)
-                if hom.image_coords(hom(last)) != forced:
-                    continue
-                cand = Sequence.from_terms(grp, terms + [last])
+                lifts.append([rng.choice(kernel) for _ in copies])
+            for offsets in lifts:
+                cand = _lift(hom, pattern, offsets, forced)
                 candidates += 1
                 if is_minimal_zero_sum(cand):
                     hits.append(cand)

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from zerosum import group, is_minimal_zero_sum, is_zero_sum_free, restricted_sums
+import zerosum
+from zerosum import enumeration, group, is_minimal_zero_sum, is_zero_sum_free, restricted_sums
 from zerosum.classification import verify_casen
 from zerosum.enumeration import (
     EnumSpec,
@@ -287,6 +288,26 @@ def test_report_counts_are_pinned_for_any_jobs(verify, n, orbits, details):
     assert one.details == details
 
 
+@pytest.mark.parametrize("split", [1, 2, 3, 4])
+def test_node_counts_do_not_depend_on_the_split_depth(monkeypatch, split):
+    """The fan-out cuts the one walk at the split depth, so every pinned
+    count holds for any split depth, with and without worker processes."""
+    monkeypatch.setattr(enumeration, "_SPLIT_DEPTH", split)
+    for jobs in (1, 2):
+        for n, (orbits, nodes) in PROPERTY_B.items():
+            if n >= 3:
+                report = verify_property_b(n, jobs=jobs)
+                assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
+        for n, (orbits, nodes) in PROPERTY_C.items():
+            report = verify_property_c(n, jobs=jobs)
+            assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
+        for n, nodes in [(5, 4109), (4, 622)]:
+            assert verify_casen(n, jobs=jobs).details["nodes"] == nodes
+        for n, nodes in DAVENPORT_NODES.items():
+            _, stats = max_length_with(group(n), "zero-sum-free", jobs=jobs)
+            assert stats.nodes == nodes, (split, jobs, n)
+
+
 def test_property_b_at_7_is_pinned_for_any_jobs():
     one, two = (verify_property_b(7, bound=7, jobs=jobs) for jobs in (1, 2))
     assert one.to_json(timing=False) == two.to_json(timing=False)
@@ -303,7 +324,7 @@ def test_length_zero_and_one(name):
     empty, _ = enumerate_sequences(EnumSpec(3, 0, name, params))
     # every predicate admits the empty sequence but minimal-zero-sum
     assert empty == ([] if name == "minimal-zero-sum" else [Sequence.empty(grp)])
-    single, _ = enumerate_sequences(EnumSpec(3, 1, name, params))
+    single, stats = enumerate_sequences(EnumSpec(3, 1, name, params))
     zero, nonzero = (Sequence.from_terms(grp, [g]) for g in [(0, 0), (0, 1)])
     expected = {
         "all": [zero, nonzero],
@@ -313,6 +334,8 @@ def test_length_zero_and_one(name):
         "zero-sum-no-short": [],
     }[name]
     assert single == expected
+    # a length-1 search counts the nodes it visits, and no root
+    assert (stats.nodes, stats.leaves) == (len(expected), len(expected))
 
 
 def test_unknown_predicate_rejected():
@@ -389,6 +412,17 @@ def test_cache_detects_count_mismatch(tmp_path):
     # and a purge leaves nothing behind
     removed = cache.purge()
     assert removed >= 1
+    assert cache.load(spec.key()) is None
+
+
+def test_cache_entry_of_an_older_schema_is_a_miss(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path / "c"))
+    spec = EnumSpec(3, 5, "minimal-zero-sum")
+    # schema 1 stored node counts of the walk that re-visited the top levels
+    monkeypatch.setattr(enumeration, "CACHE_SCHEMA", f"{zerosum.__version__}/1")
+    enumerate_sequences(spec, cache=cache)
+    assert cache.load(spec.key()) is not None
+    monkeypatch.undo()
     assert cache.load(spec.key()) is None
 
 

@@ -91,8 +91,19 @@ __all__ = [
 
 DEFAULT_CACHE_DIR = ".zs-cache"
 CACHE_ENV_VAR = "ZS_CACHE"
-# bump when search semantics or the storage layout change
-CACHE_SCHEMA = f"{__version__}/2"
+
+
+def _source_digest() -> str:
+    """sha256 of the modules whose code decides what a search returns."""
+    h = hashlib.sha256()
+    for name in ("enumeration.py", "subsums.py", "groups.py", "sequences.py"):
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+# any edit to the search source makes every stored entry a miss
+CACHE_SCHEMA = f"{__version__}/{_source_digest()[:16]}"
 
 _SPLIT_DEPTH = 2
 _CACHE_MAX_SEQUENCES = 100_000
@@ -369,8 +380,10 @@ def _search(
 class ResultCache:
     """Directory of completed search results, keyed by a canonical JSON key.
 
-    Each entry is one JSON file; a manifest records entry counts and is used
-    as a checksum on read.  Mismatches are treated as misses.
+    Each entry is one file: the sha256 hex digest of its body, a newline,
+    then the body, the JSON of the schema, the key and the payload.  An
+    entry whose digest, JSON, key or schema does not match is a miss, and is
+    recomputed.
     """
 
     def __init__(self, directory: str):
@@ -382,32 +395,19 @@ class ResultCache:
         ).hexdigest()[:24]
         return os.path.join(self.directory, f"{digest}.json")
 
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, "manifest.json")
-
-    def _read_manifest(self) -> dict:
-        try:
-            with open(self._manifest_path()) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return {}
-        return data if isinstance(data, dict) else {}
-
     def load(self, key: dict) -> dict | None:
-        path = self._path(key)
         try:
-            with open(path) as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            with open(self._path(key), "rb") as fh:
+                digest, _, body = fh.read().partition(b"\n")
+        except OSError:
+            return None
+        if digest != hashlib.sha256(body).hexdigest().encode():
+            return None
+        try:
+            entry = json.loads(body)
+        except ValueError:
             return None
         if entry.get("key") != key or entry.get("schema") != CACHE_SCHEMA:
-            return None
-        manifest = self._read_manifest()
-        recorded = manifest.get(os.path.basename(path))
-        if recorded != entry.get("count"):
-            return None
-        seqs = entry.get("sequences")
-        if seqs is not None and len(seqs) != entry["count"]:
             return None
         return entry
 
@@ -423,20 +423,15 @@ class ResultCache:
             raise CacheUnwritable(f"{self.directory}: {exc.strerror or exc}") from exc
 
     def store(self, key: dict, payload: dict) -> None:
+        entry = {"schema": CACHE_SCHEMA, "key": key, **payload}
+        body = json.dumps(entry, sort_keys=True).encode()
         try:
             os.makedirs(self.directory, exist_ok=True)
             path = self._path(key)
-            entry = {"schema": CACHE_SCHEMA, "key": key, **payload}
             tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(entry, fh, sort_keys=True)
+            with open(tmp, "wb") as fh:
+                fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
             os.replace(tmp, path)
-            manifest = self._read_manifest()
-            manifest[os.path.basename(path)] = entry.get("count")
-            tmp = self._manifest_path() + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(manifest, fh, sort_keys=True, indent=0)
-            os.replace(tmp, self._manifest_path())
         except OSError as exc:
             raise CacheUnwritable(f"{self.directory}: {exc.strerror or exc}") from exc
 
@@ -492,25 +487,15 @@ def enumerate_sequences(
     key = spec.key()
     if cache is not None:
         entry = cache.load(key)
-        if entry is not None and entry.get("sequences") is not None:
-            stats = SearchStats(**entry["stats"])
-            seqs = [Sequence.from_json_obj(obj) for obj in entry["sequences"]]
-            return seqs, stats
+        if entry is not None:
+            return _to_sequences(grp, entry["leaves"]), SearchStats(**entry["stats"])
         cache.ensure_writable()
     leaves, stats = _search(
         grp, spec.predicate, spec.params, spec.length, spec.up_to_symmetry, jobs=jobs
     )
-    seqs = _to_sequences(grp, leaves)
-    if cache is not None and len(seqs) <= _CACHE_MAX_SEQUENCES:
-        cache.store(
-            key,
-            {
-                "count": len(seqs),
-                "stats": stats.__dict__,
-                "sequences": [s.to_json_obj() for s in seqs],
-            },
-        )
-    return seqs, stats
+    if cache is not None and len(leaves) <= _CACHE_MAX_SEQUENCES:
+        cache.store(key, {"leaves": leaves, "stats": stats.__dict__})
+    return _to_sequences(grp, leaves), stats
 
 
 def max_length_with(
@@ -566,7 +551,7 @@ def _cached_max_length_plus_one(
     longest, stats = max_length_with(grp, predicate, params, jobs=jobs, depth_cap=depth_cap)
     value = longest + 1
     if cache is not None:
-        cache.store(key, {"count": 1, "value": value, "stats": stats.__dict__})
+        cache.store(key, {"value": value, "stats": stats.__dict__})
     return value
 
 

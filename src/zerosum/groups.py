@@ -22,21 +22,6 @@ Elem = tuple[int, int]
 __all__ = ["Elem", "Group", "Automorphism"]
 
 
-@functools.lru_cache(maxsize=None)
-def _prime_divisors(n: int) -> tuple[int, ...]:
-    out = []
-    d, m = 2, n
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
-
-
 @dataclass(frozen=True, order=True)
 class Automorphism:
     """An invertible linear map on (Z/nZ)^2.
@@ -58,25 +43,6 @@ class Automorphism:
     @property
     def det(self) -> int:
         return (self.p * self.s - self.q * self.r) % self.n
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """Matrix product self @ other, i.e. apply ``other`` first."""
-        n = self.n
-        return Automorphism(
-            n,
-            (self.p * other.p + self.q * other.r) % n,
-            (self.p * other.q + self.q * other.s) % n,
-            (self.r * other.p + self.s * other.r) % n,
-            (self.r * other.q + self.s * other.s) % n,
-        )
-
-    def inverse(self) -> "Automorphism":
-        n = self.n
-        dinv = pow(self.det, -1, n)
-        return Automorphism(
-            n, (self.s * dinv) % n, (-self.q * dinv) % n,
-            (-self.r * dinv) % n, (self.p * dinv) % n,
-        )
 
 
 class Group:
@@ -221,13 +187,6 @@ class Group:
                                 auts.append(Automorphism(n, p, q, r, s))
             self._aut = tuple(auts)
         return self._aut
-
-    def automorphism_count(self) -> int:
-        """|GL(2, Z/nZ)| = n^4 * prod over primes p | n of (1-1/p)(1-1/p^2)."""
-        count = self.n ** 4
-        for p in _prime_divisors(self.n):
-            count = count // (p * p * p) * (p * p * p - p * p - p + 1)
-        return count
 
     def random_automorphism(self, rng: random.Random) -> Automorphism:
         """Uniform over GL(2, Z/nZ) by rejection; does not build the full list."""

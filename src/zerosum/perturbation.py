@@ -167,7 +167,7 @@ def _new_accum() -> dict:
     }
 
 
-def _scan_unique(args) -> tuple[dict, list, int]:
+def _scan_unique(args) -> tuple[dict, list]:
     m, f1, f2, chunk = args
     grp = group(m)
     accum = _new_accum()
@@ -180,7 +180,7 @@ def _scan_unique(args) -> tuple[dict, list, int]:
         _run_moves(
             grp, base, moves, False, accum, counterexamples, {"xs": list(xs)}
         )
-    return accum, counterexamples, len(chunk)
+    return accum, counterexamples
 
 
 def _unique_grid(m: int) -> list[tuple[int, ...]]:
@@ -236,13 +236,13 @@ def verify_perturbation(
             grid = _unique_grid(m)
             scanned = len(grid)
             if jobs <= 1:
-                part, bad, _ = _scan_unique((m, f1, f2, tuple(grid)))
+                part, bad = _scan_unique((m, f1, f2, tuple(grid)))
                 _merge_accum(accum, part)
                 counterexamples.extend(bad)
             else:
                 chunks = [tuple(grid[i::jobs]) for i in range(jobs)]
                 with get_context("fork").Pool(jobs) as pool:
-                    for part, bad, _ in pool.map(
+                    for part, bad in pool.map(
                         _scan_unique, [(m, f1, f2, c) for c in chunks if c]
                     ):
                         _merge_accum(accum, part)

@@ -104,10 +104,6 @@ class Sequence:
     def support(self) -> tuple[Elem, ...]:
         return tuple(g for g, _ in self._items)
 
-    def height(self) -> int:
-        """Largest multiplicity, 0 for the empty sequence."""
-        return max((m for _, m in self._items), default=0)
-
     def sigma(self) -> Elem:
         """Sum of all terms."""
         n = self.group.n

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -380,34 +381,87 @@ def test_max_length_with_reports_stats():
     assert stats.leaves == 0 and stats.nodes > 0
 
 
-def test_cache_roundtrip(tmp_path):
+CACHED_SPECS = [
+    EnumSpec(3, 4, name, params, up_to_symmetry)
+    for name, params in [
+        ("all", {}),
+        ("zero-sum-free", {}),
+        ("minimal-zero-sum", {}),
+        ("no-short-zero-sum", {"k": 2}),
+        ("zero-sum-no-short", {"k": 3}),
+    ]
+    for up_to_symmetry in (True, False)
+]
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a cache hit must not search")
+
+
+def test_cache_roundtrip(tmp_path, monkeypatch):
     cache = ResultCache(str(tmp_path / "c"))
-    spec = EnumSpec(3, 5, "minimal-zero-sum")
-    first, stats_first = enumerate_sequences(spec, cache=cache)
-    assert cache.load(spec.key()) is not None
-    second, stats_second = enumerate_sequences(spec, cache=cache)
-    assert first == second and stats_first == stats_second
-    assert davenport(group(3), cache=cache) == 5
+    fresh = [enumerate_sequences(spec) for spec in CACHED_SPECS]
+    for spec in CACHED_SPECS:
+        enumerate_sequences(spec, cache=cache)
+        assert cache.load(spec.key()) is not None
     assert davenport(group(3), cache=cache) == 5
     assert s_leq(group(3), 3, cache=cache) == 7
     assert s_leq(group(3), 4, cache=cache) == 6
+    monkeypatch.setattr(enumeration, "_search", _no_search)
+    assert [enumerate_sequences(spec, cache=cache) for spec in CACHED_SPECS] == fresh
+    assert davenport(group(3), cache=cache) == 5
     assert s_leq(group(3), 3, cache=cache) == 7
-    # the keys and payloads that earlier versions stored stay readable
     assert cache.load({"op": "davenport", "n": 3})["value"] == 5
     assert cache.load({"op": "s_leq", "n": 3, "k": 4})["value"] == 6
+    assert len(os.listdir(cache.directory)) == len(CACHED_SPECS) + 3
 
 
-def test_cache_detects_count_mismatch(tmp_path):
+def test_cache_entry_with_an_edited_value_is_a_miss(tmp_path):
+    cache = ResultCache(str(tmp_path / "c"))
+    key = {"op": "davenport", "n": 3}
+    assert davenport(group(3), cache=cache) == 5
+    path = cache._path(key)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data.count(b'"value": 5') == 1
+    with open(path, "wb") as fh:
+        fh.write(data.replace(b'"value": 5', b'"value": 4'))
+    assert cache.load(key) is None
+    assert davenport(group(3), cache=cache) == 5
+    with open(path, "rb") as fh:
+        assert fh.read() == data
+
+
+def test_cache_entry_with_an_edited_leaf_is_a_miss(tmp_path):
+    cache = ResultCache(str(tmp_path / "c"))
+    spec = EnumSpec(3, 5, "minimal-zero-sum")
+    fresh = enumerate_sequences(spec)
+    enumerate_sequences(spec, cache=cache)
+    # swap one leaf for (0,0)^5, keeping the digest line as it was
+    path = cache._path(spec.key())
+    with open(path, "rb") as fh:
+        digest, _, body = fh.read().partition(b"\n")
+    entry = json.loads(body)
+    entry["leaves"][0] = [group(3).index((0, 0))] * 5
+    with open(path, "wb") as fh:
+        fh.write(digest + b"\n" + json.dumps(entry, sort_keys=True).encode())
+    assert cache.load(spec.key()) is None
+    assert enumerate_sequences(spec, cache=cache) == fresh
+
+
+def test_cache_entry_with_a_flipped_byte_is_a_miss(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
     spec = EnumSpec(3, 5, "minimal-zero-sum")
     enumerate_sequences(spec, cache=cache)
-    # corrupt the manifest count; the entry must be treated as a miss
-    manifest_path = os.path.join(cache.directory, "manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    manifest = {k: v + 1 for k, v in manifest.items()}
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh)
+    path = cache._path(spec.key())
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    # a digit of the first leaf; the body stays valid JSON
+    at = data.index(b'"leaves": [[') + len(b'"leaves": [[')
+    data[at] ^= 1
+    with open(path, "wb") as fh:
+        fh.write(data)
+    json.loads(data.partition(b"\n")[2])
     assert cache.load(spec.key()) is None
     # and a purge leaves nothing behind
     removed = cache.purge()
@@ -415,10 +469,34 @@ def test_cache_detects_count_mismatch(tmp_path):
     assert cache.load(spec.key()) is None
 
 
+def test_cache_entry_stands_alone(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path / "c"))
+    spec = EnumSpec(3, 5, "minimal-zero-sum")
+    fresh = enumerate_sequences(spec, cache=cache)
+    davenport(group(3), cache=cache)
+    entry = os.path.basename(cache._path(spec.key()))
+    others = [name for name in os.listdir(cache.directory) if name != entry]
+    assert others
+    for name in others:
+        os.remove(os.path.join(cache.directory, name))
+    assert cache.load(spec.key()) is not None
+    monkeypatch.setattr(enumeration, "_search", _no_search)
+    assert enumerate_sequences(spec, cache=cache) == fresh
+
+
+def test_cache_schema_follows_the_search_source():
+    h = hashlib.sha256()
+    for name in ("enumeration.py", "subsums.py", "groups.py", "sequences.py"):
+        with open(os.path.join(os.path.dirname(enumeration.__file__), name), "rb") as fh:
+            h.update(fh.read())
+    assert enumeration.CACHE_SCHEMA.endswith(h.hexdigest()[:16])
+    assert enumeration.CACHE_SCHEMA.startswith(zerosum.__version__)
+
+
 def test_cache_entry_of_an_older_schema_is_a_miss(tmp_path, monkeypatch):
     cache = ResultCache(str(tmp_path / "c"))
     spec = EnumSpec(3, 5, "minimal-zero-sum")
-    # schema 1 stored node counts of the walk that re-visited the top levels
+    # an entry written by another version or another search source
     monkeypatch.setattr(enumeration, "CACHE_SCHEMA", f"{zerosum.__version__}/1")
     enumerate_sequences(spec, cache=cache)
     assert cache.load(spec.key()) is not None

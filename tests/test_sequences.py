@@ -21,7 +21,6 @@ def test_construction_merges_and_sorts():
     s = Sequence(group(5), [((1, 0), 2), ((0, 1), 1), ((1, 0), 1), ((6, -5), 1)])
     assert s.items() == (((0, 1), 1), ((1, 0), 4))
     assert len(s) == 5
-    assert s.height() == 4
     assert s.support() == ((0, 1), (1, 0))
     assert s.multiplicity((1, 0)) == 4
     assert s.multiplicity((6, -5)) == 4

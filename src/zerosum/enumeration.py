@@ -52,11 +52,11 @@ costs its column alpha(g) over R_P, compared with each row's bound (g for a
 row fixing P, else x), plus its tie pairs (a list comparison each) and,
 when t0 is single in P, the rows sending g to t0.
 
-A search with jobs = 1 is one walk.  With jobs > 1 the same walk stops at a
-fixed split depth, and the admitted nodes there become work units whose
-subtrees the workers complete; each unit is counted once, by its parent, and
-results are merged in unit order, so output and node counts are those of the
-one walk for any split depth and worker count.
+A search is one walk.  With jobs > 1 it stops at the first depth with
+_UNITS_PER_JOB units per job, and ``fan_out`` completes the subtrees of the
+admitted nodes there; each unit is counted once, by its parent, and results
+are merged in unit order, so output and node counts are those of the one
+walk for any split depth and worker count.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _source_digest() -> str:
 # any edit to the search source makes every stored entry a miss
 CACHE_SCHEMA = f"{__version__}/{_source_digest()[:16]}"
 
-_SPLIT_DEPTH = 2
+_UNITS_PER_JOB = 4
 _CACHE_MAX_SEQUENCES = 100_000
 
 
@@ -263,7 +263,7 @@ class _Engine:
         return [g for g, lost in zip(cands, beaten) if not lost]
 
     def run_subtree(
-        self, prefix: tuple[int, ...], collect: bool, stop: int | None = None
+        self, prefix: tuple[int, ...], stop: int | None = None
     ) -> tuple[list[tuple[int, ...]], SearchStats]:
         """Complete the DFS below an admitted prefix, counting the nodes
         below it.  With ``stop`` the walk also ends at nodes of that depth
@@ -276,16 +276,15 @@ class _Engine:
         out: list[tuple[int, ...]] = []
         stats = SearchStats()
         T = list(prefix)
-        self._dfs(T, state, sigma, prefix[-1] if prefix else 0, stats, out, collect, stop)
+        self._dfs(T, state, sigma, prefix[-1] if prefix else 0, stats, out, stop)
         return out, stats
 
-    def _dfs(self, T, state, sigma, last, stats, out, collect, stop) -> None:
+    def _dfs(self, T, state, sigma, last, stats, out, stop) -> None:
         depth = len(T)
         stats.max_depth = max(stats.max_depth, depth)
         if depth == self.length:
             stats.leaves += 1
-            if collect:
-                out.append(tuple(T))
+            out.append(tuple(T))
             return
         if depth == stop:
             out.append(tuple(T))
@@ -322,20 +321,34 @@ class _Engine:
         for g in cands:
             T.append(g)
             stats.nodes += 1
-            self._dfs(T, guard.extend(state, g), add[sigma][g], g, stats, out, collect, stop)
+            self._dfs(T, guard.extend(state, g), add[sigma][g], g, stats, out, stop)
             T.pop()
 
 
 # ---------------------------------------------------------------------------
 # parallel fan-out
 
-# The engine of the search being fanned out, set before the pool forks so
-# that every worker inherits it.
-_FORKED_ENGINE: _Engine | None = None
+# The work of the map being fanned out, set before the pool forks so that
+# every worker inherits it; a closure or bound method needs no pickling.
+_FORKED_WORK = None
 
 
-def _run_forked(prefix: tuple[int, ...], collect: bool):
-    return _FORKED_ENGINE.run_subtree(prefix, collect)
+def _run_forked(unit):
+    return _FORKED_WORK(unit)
+
+
+def fan_out(work, units: list, jobs: int) -> list:
+    """``[work(u) for u in units]``, in unit order.  With jobs > 1 and two
+    or more units, the units run in min(jobs, len(units)) forked workers."""
+    if jobs <= 1 or len(units) < 2:
+        return [work(u) for u in units]
+    global _FORKED_WORK
+    _FORKED_WORK = work
+    try:
+        with multiprocessing.get_context("fork").Pool(min(jobs, len(units))) as pool:
+            return pool.map(_run_forked, units, chunksize=1)
+    finally:
+        _FORKED_WORK = None
 
 
 def _search(
@@ -345,29 +358,18 @@ def _search(
     length: int | None,
     up_to_symmetry: bool,
     jobs: int = 1,
-    collect: bool = True,
     depth_cap: int | None = None,
 ) -> tuple[list[tuple[int, ...]], SearchStats]:
-    """One DFS.  With jobs > 1 it stops at the split depth and the subtrees
-    below the units there run in worker processes, merged in unit order."""
+    """One DFS, cut at the first depth d >= 1 holding _UNITS_PER_JOB * jobs
+    units (or at d = length - 1, or where the walk ends) when jobs > 1; the
+    root is the one unit otherwise."""
     engine = _Engine(grp, predicate, params, length, up_to_symmetry, depth_cap)
-    if jobs <= 1 or (length is not None and length <= _SPLIT_DEPTH):
-        return engine.run_subtree((), collect)
-    units, stats = engine.run_subtree((), collect, stop=_SPLIT_DEPTH)
-    if len(units) <= 1:
-        results = (engine.run_subtree(u, collect) for u in units)
-    else:
-        global _FORKED_ENGINE
-        _FORKED_ENGINE = engine
-        try:
-            with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-                results = pool.starmap(
-                    _run_forked, [(u, collect) for u in units], chunksize=1
-                )
-        finally:
-            _FORKED_ENGINE = None
+    stop, units, stats = 0, [()], SearchStats()
+    while jobs > 1 and units and len(units) < _UNITS_PER_JOB * jobs and stop + 1 != length:
+        stop += 1
+        units, stats = engine.run_subtree((), stop=stop)
     leaves: list[tuple[int, ...]] = []
-    for unit_leaves, unit_stats in results:
+    for unit_leaves, unit_stats in fan_out(engine.run_subtree, units, jobs):
         stats.merge(unit_stats)
         leaves.extend(unit_leaves)
     return leaves, stats
@@ -428,7 +430,7 @@ class ResultCache:
         try:
             os.makedirs(self.directory, exist_ok=True)
             path = self._path(key)
-            tmp = path + ".tmp"
+            tmp = f"{path}.{os.getpid()}.tmp"
             with open(tmp, "wb") as fh:
                 fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
             os.replace(tmp, path)
@@ -436,12 +438,13 @@ class ResultCache:
             raise CacheUnwritable(f"{self.directory}: {exc.strerror or exc}") from exc
 
     def purge(self) -> int:
-        """Remove all cache entries; returns the number of files removed."""
+        """Remove all cache entries, and the tmp files of stores that were
+        killed; returns the number of files removed."""
         removed = 0
         if not os.path.isdir(self.directory):
             return 0
         for name in sorted(os.listdir(self.directory)):
-            if name.endswith(".json"):
+            if name.endswith((".json", ".tmp")):
                 os.remove(os.path.join(self.directory, name))
                 removed += 1
         return removed
@@ -518,7 +521,6 @@ def max_length_with(
         None,
         True,
         jobs=jobs,
-        collect=False,
         depth_cap=depth_cap,
     )
     return stats.max_depth, stats

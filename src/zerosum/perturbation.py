@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from multiprocessing import get_context
 
+from .enumeration import fan_out
 from .errors import (
     BudgetExceeded, PreconditionViolated, SchemaError, SumMismatch, WitnessCheckFailed,
 )
@@ -167,19 +167,17 @@ def _new_accum() -> dict:
     }
 
 
-def _scan_unique(args) -> tuple[dict, list]:
-    m, f1, f2, chunk = args
-    grp = group(m)
+def _scan_unique(grp: Group, f1: Elem, f2: Elem, xs: tuple[int, ...]) -> tuple[dict, list]:
+    """Every unique-heavy move on the family member of one residue multiset."""
+    base = _unique_heavy_base(grp, f1, f2, xs)
+    if upsilon_class(base).tag != "unique":
+        raise WitnessCheckFailed(f"base {base!r} is not unique-heavy")
     accum = _new_accum()
     counterexamples: list = []
-    for xs in chunk:
-        base = _unique_heavy_base(grp, f1, f2, xs)
-        if upsilon_class(base).tag != "unique":
-            raise WitnessCheckFailed(f"base {base!r} is not unique-heavy")
-        moves = _moves_unique(grp, f1, f2, xs)
-        _run_moves(
-            grp, base, moves, False, accum, counterexamples, {"xs": list(xs)}
-        )
+    _run_moves(
+        grp, base, _moves_unique(grp, f1, f2, xs), False, accum, counterexamples,
+        {"xs": list(xs)},
+    )
     return accum, counterexamples
 
 
@@ -235,18 +233,9 @@ def verify_perturbation(
         if lemma == "I":
             grid = _unique_grid(m)
             scanned = len(grid)
-            if jobs <= 1:
-                part, bad = _scan_unique((m, f1, f2, tuple(grid)))
+            for part, bad in fan_out(lambda xs: _scan_unique(grp, f1, f2, xs), grid, jobs):
                 _merge_accum(accum, part)
                 counterexamples.extend(bad)
-            else:
-                chunks = [tuple(grid[i::jobs]) for i in range(jobs)]
-                with get_context("fork").Pool(jobs) as pool:
-                    for part, bad in pool.map(
-                        _scan_unique, [(m, f1, f2, c) for c in chunks if c]
-                    ):
-                        _merge_accum(accum, part)
-                        counterexamples.extend(bad)
             # order must not depend on the worker split
             counterexamples.sort(key=repr)
         else:

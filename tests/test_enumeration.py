@@ -292,8 +292,18 @@ def test_report_counts_are_pinned_for_any_jobs(verify, n, orbits, details):
 @pytest.mark.parametrize("split", [1, 2, 3, 4])
 def test_node_counts_do_not_depend_on_the_split_depth(monkeypatch, split):
     """The fan-out cuts the one walk at the split depth, so every pinned
-    count holds for any split depth, with and without worker processes."""
-    monkeypatch.setattr(enumeration, "_SPLIT_DEPTH", split)
+    count holds for any split depth, with and without worker processes.
+    2 ** (split - 1) units per job makes some of these searches split at
+    depth ``split``."""
+    monkeypatch.setattr(enumeration, "_UNITS_PER_JOB", 2 ** (split - 1))
+    depths = set()
+    fan_out = enumeration.fan_out
+
+    def recorded(work, units, jobs):
+        depths.update(len(unit) for unit in units[:1])
+        return fan_out(work, units, jobs)
+
+    monkeypatch.setattr(enumeration, "fan_out", recorded)
     for jobs in (1, 2):
         for n, (orbits, nodes) in PROPERTY_B.items():
             if n >= 3:
@@ -307,6 +317,54 @@ def test_node_counts_do_not_depend_on_the_split_depth(monkeypatch, split):
         for n, nodes in DAVENPORT_NODES.items():
             _, stats = max_length_with(group(n), "zero-sum-free", jobs=jobs)
             assert stats.nodes == nodes, (split, jobs, n)
+    assert split in depths
+
+
+def _no_fork(*args, **kwargs):
+    raise AssertionError("fan_out forked")
+
+
+def test_fan_out_keeps_unit_order():
+    units = list(range(7))
+    offset = 3  # a closure, which the workers inherit rather than unpickle
+    for jobs in (1, 2, 3):
+        assert enumeration.fan_out(lambda u: u * u + offset, units, jobs) == [
+            u * u + offset for u in units
+        ]
+
+
+def test_fan_out_forks_nothing_for_fewer_than_two_units(monkeypatch):
+    monkeypatch.setattr(enumeration.multiprocessing, "get_context", _no_fork)
+    assert enumeration.fan_out(str, [], 4) == []
+    assert enumeration.fan_out(str, [5], 4) == ["5"]
+    assert enumeration.fan_out(str, [5, 6], 1) == ["5", "6"]
+
+
+def test_fan_out_forks_at_most_one_worker_per_unit(monkeypatch):
+    get_context = enumeration.multiprocessing.get_context
+    sizes = []
+
+    class Recorded:
+        def __init__(self, method):
+            self.context = get_context(method)
+
+        def Pool(self, processes):
+            sizes.append(processes)
+            return self.context.Pool(processes)
+
+    monkeypatch.setattr(enumeration.multiprocessing, "get_context", Recorded)
+    assert enumeration.fan_out(abs, [-1, -2, -3], 8) == [1, 2, 3]
+    assert sizes == [3]
+
+
+def test_tiny_searches_stay_in_process(monkeypatch):
+    pinned = verify_property_b(3, jobs=1).to_json(timing=False)
+    monkeypatch.setattr(enumeration.multiprocessing, "get_context", _no_fork)
+    report = verify_property_b(3, jobs=2)
+    assert report.to_json(timing=False) == pinned
+    assert (report.orbits_scanned, report.details["nodes"]) == PROPERTY_B[3]
+    longest, stats = max_length_with(group(2), "zero-sum-free", jobs=2)
+    assert (longest + 1, stats.nodes) == (3, DAVENPORT_NODES[2])
 
 
 def test_property_b_at_7_is_pinned_for_any_jobs():
@@ -467,6 +525,36 @@ def test_cache_entry_with_a_flipped_byte_is_a_miss(tmp_path):
     removed = cache.purge()
     assert removed >= 1
     assert cache.load(spec.key()) is None
+
+
+def test_concurrent_stores_of_one_key_do_not_collide(tmp_path, monkeypatch):
+    """A store by another process of the same key, landing between this
+    store's write and its rename, leaves this store's tmp file alone."""
+    cache = ResultCache(str(tmp_path / "c"))
+    key = {"op": "davenport", "n": 3}
+    replace, pid = os.replace, os.getpid()
+
+    def interleaved(src, dst):
+        monkeypatch.setattr(os, "replace", replace)
+        with monkeypatch.context() as other:
+            other.setattr(os, "getpid", lambda: pid + 1)
+            cache.store(key, {"value": 5})
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interleaved)
+    cache.store(key, {"value": 5})
+    assert cache.load(key)["value"] == 5
+    assert os.listdir(cache.directory) == [os.path.basename(cache._path(key))]
+
+
+def test_purge_removes_the_tmp_files_of_killed_stores(tmp_path):
+    cache = ResultCache(str(tmp_path / "c"))
+    davenport(group(3), cache=cache)
+    path = cache._path({"op": "davenport", "n": 3})
+    with open(f"{path}.4242.tmp", "wb") as fh:
+        fh.write(b"half an entry")
+    assert cache.purge() == 2
+    assert os.listdir(cache.directory) == []
 
 
 def test_cache_entry_stands_alone(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ import click
 
 from . import __version__
 from .classification import classify_long_zero_sum, construct_exceptional, verify_casen
-from .enumeration import PREDICATES, EnumSpec, enumerate_sequences, resolve_cache
+from .enumeration import PREDICATES, EnumSpec, decode_leaves, enumerate_leaves, resolve_cache
 from .enumeration import davenport, s_leq
 from .errors import BudgetExceeded, ParseError, ZsError
 from .groups import group
@@ -174,11 +174,11 @@ def enumerate_cmd(n, length, predicate, k, raw, limit, jobs, cache):
     """List sequences with a given property, up to symmetry by default."""
     params = {"k": k} if k is not None else {}
     spec = EnumSpec(n, length, predicate, params, up_to_symmetry=not raw)
-    seqs, stats = enumerate_sequences(spec, jobs=jobs, cache=cache)
-    listed = seqs if limit == 0 else seqs[:limit]
-    return {"check": "enumerate", "count": len(seqs), "nodes": stats.nodes,
-            "sequences": [s.to_json_obj() for s in listed],
-            "truncated": len(listed) < len(seqs)}, EXIT_PASS
+    leaves, stats = enumerate_leaves(spec, jobs=jobs, cache=cache)
+    listed = leaves if limit == 0 else leaves[:limit]
+    return {"check": "enumerate", "count": len(leaves), "nodes": stats.nodes,
+            "sequences": [s.to_json_obj() for s in decode_leaves(n, listed)],
+            "truncated": len(listed) < len(leaves)}, EXIT_PASS
 
 
 @command(main, "classify",

@@ -64,22 +64,24 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from . import __version__
+from . import __version__, groups
 from .errors import BudgetExceeded, CacheUnwritable, SchemaError
 from .groups import Group, group
 from .sequences import Sequence
 from .subsums import ZeroSumGuard, forward_layers
 
+if TYPE_CHECKING:
+    import numpy as np  # at run time groups.np, bound by the first table build
+
 __all__ = [
     "EnumSpec",
     "SearchStats",
+    "enumerate_leaves",
+    "decode_leaves",
     "enumerate_sequences",
     "davenport",
     "s_leq",
@@ -189,7 +191,7 @@ def _reach_table(grp: Group, max_len: int) -> list[list[int]]:
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise lexicographic a < b for 2-d arrays of equal shape."""
     d = a - b
-    return d[np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
+    return d[groups.np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
 
 
 class _Engine:
@@ -230,7 +232,7 @@ class _Engine:
         cands = [g for g in cands if orbit_min[g] >= t0]
         if not cands:
             return cands
-        k, grp = len(P), self.grp
+        k, grp, np = len(P), self.grp, groups.np
         cols = np.array(P + cands, dtype=np.int16)
         sub = self.perm.take(grp.rows_through(P, t0), axis=0)[:, cols]
         images, V = sub[:, :k], sub[:, k:]
@@ -342,6 +344,8 @@ def fan_out(work, units: list, jobs: int) -> list:
     or more units, the units run in min(jobs, len(units)) forked workers."""
     if jobs <= 1 or len(units) < 2:
         return [work(u) for u in units]
+    import multiprocessing
+
     global _FORKED_WORK
     _FORKED_WORK = work
     try:
@@ -462,10 +466,42 @@ def resolve_cache(cache_dir: str | None = None, enabled: bool = True) -> ResultC
 # public operations
 
 
-def _to_sequences(grp: Group, leaves: Iterable[tuple[int, ...]]) -> list[Sequence]:
-    return [
-        Sequence.from_terms(grp, (grp.unindex(i) for i in leaf)) for leaf in leaves
-    ]
+def enumerate_leaves(
+    spec: EnumSpec,
+    *,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+) -> tuple[list[tuple[int, ...]], SearchStats]:
+    """The sequences matching the spec as sorted element-index tuples,
+    lex-ordered, plus search statistics: read from ``cache`` when it holds
+    them, else searched (and stored).  :func:`decode_leaves` turns any
+    slice of them into Sequences."""
+    if spec.length < 0:
+        raise SchemaError(f"length must be >= 0, got {spec.length}")
+    grp = group(spec.n)
+    if spec.length == 0:
+        _compile_predicate(grp, spec.predicate, spec.params)  # validates the spec
+        # the empty sequence is zero-sum but, by convention, not minimal
+        leaves = [] if spec.predicate == "minimal-zero-sum" else [()]
+        return leaves, SearchStats(leaves=len(leaves))
+    key = spec.key()
+    if cache is not None:
+        entry = cache.load(key)
+        if entry is not None:
+            return entry["leaves"], SearchStats(**entry["stats"])
+        cache.ensure_writable()
+    leaves, stats = _search(
+        grp, spec.predicate, spec.params, spec.length, spec.up_to_symmetry, jobs=jobs
+    )
+    if cache is not None and len(leaves) <= _CACHE_MAX_SEQUENCES:
+        cache.store(key, {"leaves": leaves, "stats": stats.__dict__})
+    return leaves, stats
+
+
+def decode_leaves(n: int, leaves: Iterable[Iterable[int]]) -> list[Sequence]:
+    """Sequences over (Z/nZ)^2 from element-index tuples."""
+    grp = group(n)
+    return [Sequence.from_terms(grp, (grp.unindex(i) for i in leaf)) for leaf in leaves]
 
 
 def enumerate_sequences(
@@ -479,26 +515,8 @@ def enumerate_sequences(
     With ``up_to_symmetry`` each orbit appears exactly once, as its least
     member.  Results (and node counts) are identical for every ``jobs``.
     """
-    if spec.length < 0:
-        raise SchemaError(f"length must be >= 0, got {spec.length}")
-    grp = group(spec.n)
-    if spec.length == 0:
-        _compile_predicate(grp, spec.predicate, spec.params)  # validates the spec
-        # the empty sequence is zero-sum but, by convention, not minimal
-        seqs = [] if spec.predicate == "minimal-zero-sum" else [Sequence.empty(grp)]
-        return seqs, SearchStats(leaves=len(seqs))
-    key = spec.key()
-    if cache is not None:
-        entry = cache.load(key)
-        if entry is not None:
-            return _to_sequences(grp, entry["leaves"]), SearchStats(**entry["stats"])
-        cache.ensure_writable()
-    leaves, stats = _search(
-        grp, spec.predicate, spec.params, spec.length, spec.up_to_symmetry, jobs=jobs
-    )
-    if cache is not None and len(leaves) <= _CACHE_MAX_SEQUENCES:
-        cache.store(key, {"leaves": leaves, "stats": stats.__dict__})
-    return _to_sequences(grp, leaves), stats
+    leaves, stats = enumerate_leaves(spec, jobs=jobs, cache=cache)
+    return decode_leaves(spec.n, leaves), stats
 
 
 def max_length_with(

@@ -4,6 +4,10 @@ Elements are plain ``(a, b)`` tuples reduced mod n.  A :class:`Group` carries
 the modulus together with lazily built lookup tables (index arithmetic,
 automorphism permutation matrix) that the search code leans on.  Tables are
 sized for desk-scale moduli; nothing here is meant for n beyond a few dozen.
+
+numpy is imported by the first permutation table build and bound to the
+module global ``np``, where ``sequences`` and ``enumeration`` find it once a
+table exists; a run that builds no table, such as a cache hit, never loads it.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .errors import NotABasis
 
 Elem = tuple[int, int]
 
 __all__ = ["Elem", "Group", "Automorphism"]
+
+np = None  # numpy, bound by the first perm_table build
 
 
 @dataclass(frozen=True, order=True)
@@ -231,6 +235,9 @@ class Group:
         Row order matches :meth:`automorphisms`.
         """
         if self._perm is None:
+            global np
+            if np is None:
+                import numpy as np
             n = self.n
             # int32 is exact: every intermediate is below 2n^2
             auts = np.array([(al.p, al.q, al.r, al.s) for al in self.automorphisms()],
@@ -275,7 +282,8 @@ class Group:
         automorphism of :meth:`rows_through`: exactly the images that
         contain ``y``.
         """
-        images = self._perm.take(self.rows_through(terms, y), axis=0)[:, terms]
+        rows = self.rows_through(terms, y)  # builds the tables on first use
+        images = self._perm.take(rows, axis=0)[:, terms]
         images.sort(axis=1)
         return images
 

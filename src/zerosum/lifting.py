@@ -196,6 +196,12 @@ def _lift(
     return Sequence.from_terms(grp, terms + [last])
 
 
+_ITEM2_NO_HITS = (
+    "the image of a one-coset sequence is again one-coset, with heavy "
+    "multiplicity congruent to -1 mod n, so it never has the item-2 shape"
+)
+
+
 def verify_propbfix_item2(
     m: int,
     n: int,
@@ -211,7 +217,10 @@ def verify_propbfix_item2(
     The search lifts each exceptional image pattern fiberwise: constant
     kernel offsets per image term (the forced term absorbing the zero-sum
     constraint), plus some lifts with a random offset per copy.  Budgets
-    cap the candidate count; zero hits is reported as a status, not a pass.
+    cap the candidate count; zero hits is reported as a status, not a pass,
+    with ``details["reason"]``: by property B at N = mn every candidate S is
+    e1^[mn-1] prod(x_i e1 + e2), whose image is f1^[mn-1] prod(x_i f1 + f2),
+    one-coset again, so no S has an image of the exceptional shape.
     """
     if m < 4 or n < 5:
         raise PreconditionViolated(f"need m >= 4 and n >= 5, got m={m}, n={n}")
@@ -256,6 +265,9 @@ def verify_propbfix_item2(
                     }
                 )
     status = "ok" if hits else "no qualifying S found"
+    details = {"hits": [h.to_json_obj() for h in hits[:20]], "hit_count": len(hits)}
+    if not hits:
+        details["reason"] = _ITEM2_NO_HITS
     return Report(
         check="propbfix-item2",
         params={
@@ -269,5 +281,5 @@ def verify_propbfix_item2(
         counterexamples=bad,
         elapsed_ms=sw.elapsed_ms,
         status=status,
-        details={"hits": [h.to_json_obj() for h in hits[:20]], "hit_count": len(hits)},
+        details=details,
     )

@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
+from . import groups
 from .errors import NotASubsequence, SchemaError
 from .groups import Elem, Group, group
 
@@ -163,7 +162,7 @@ class Sequence:
         orbit_min = grp.orbit_tables()[0]
         idxs = [grp.index(g) for g in self]
         images = grp.images_through(idxs, min(orbit_min[x] for x in idxs))
-        best = images[np.lexsort(images.T[::-1])[0]]
+        best = images[groups.np.lexsort(images.T[::-1])[0]]
         return Sequence.from_terms(grp, (grp.unindex(int(i)) for i in best))
 
     def orbit_size(self) -> int:

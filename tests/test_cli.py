@@ -66,6 +66,54 @@ def test_enumerate_count_and_limit(runner):
     assert obj["truncated"]
 
 
+def _no_search(*_args, **_kwargs):
+    raise AssertionError("a cache hit must not search")
+
+
+# enumerate arguments whose cold and warm listings are compared; n=4 has 119
+# orbits of length 4, so the default --limit 100 truncates
+LISTINGS = {
+    "limit 0": ["--n", "4", "--length", "4", "--limit", "0"],
+    "limit 1": ["--n", "4", "--length", "4", "--limit", "1"],
+    "default": ["--n", "4", "--length", "4"],
+    "raw": ["--n", "3", "--length", "4", "--raw"],
+    "length 0": ["--n", "3", "--length", "0"],
+    "length 0 minimal": ["--n", "3", "--length", "0", "--predicate", "minimal-zero-sum"],
+}
+
+
+@pytest.mark.parametrize("args", LISTINGS.values(), ids=LISTINGS.keys())
+def test_enumerate_listing_is_the_same_cold_warm_and_uncached(runner, monkeypatch, tmp_path,
+                                                              args):
+    cached = ["enumerate", *args, "--jobs", "1", "--cache-dir", str(tmp_path)]
+    cold = invoke(runner, *cached)
+    assert cold.exit_code == 0
+    decoded = []
+    from_terms = Sequence.from_terms.__func__
+    monkeypatch.setattr(Sequence, "from_terms", classmethod(
+        lambda cls, grp, terms: decoded.append(grp) or from_terms(cls, grp, terms)))
+    monkeypatch.setattr(zerosum.enumeration, "_search", _no_search)
+    warm = invoke(runner, *cached)
+    monkeypatch.undo()
+    assert warm.exit_code == 0
+    assert warm.output == cold.output
+    obj = out_json(warm)
+    # a warm run decodes only the sequences it lists
+    assert len(decoded) == len(obj["sequences"])
+    uncached = out_json(invoke(runner, "enumerate", *args, "--jobs", "1", "--no-cache"))
+    assert {**uncached, "config": None} == {**obj, "config": None}
+    # the listing is the prefix of the full decoded enumeration
+    n, length = int(args[1]), int(args[3])
+    predicate = args[args.index("--predicate") + 1] if "--predicate" in args else "all"
+    spec = zerosum.enumeration.EnumSpec(n, length, predicate, up_to_symmetry="--raw" not in args)
+    seqs, stats = zerosum.enumeration.enumerate_sequences(spec)
+    leaves, cached_stats = zerosum.enumeration.enumerate_leaves(
+        spec, cache=zerosum.enumeration.ResultCache(str(tmp_path)))
+    assert obj["count"] == len(seqs) == len(leaves) == stats.leaves == cached_stats.leaves
+    assert obj["sequences"] == [s.to_json_obj() for s in seqs[:len(obj["sequences"])]]
+    assert obj["truncated"] == (len(obj["sequences"]) < len(seqs))
+
+
 def test_enumerate_budget_exit(runner):
     res = invoke(runner, "davenport", "--n", "9", "--no-cache")
     assert res.exit_code == 3
@@ -148,8 +196,11 @@ def test_verify_propbfix_item2_zero_hits_exit_zero(runner):
     res = invoke(runner, "verify", "propbfix", "--item", "2", "--m", "4",
                  "--n", "5", "--structured", "42", "--random-lifts", "0")
     obj = out_json(res)
-    if obj["details"]["hit_count"] == 0:
-        assert obj["status"] == "no qualifying S found"
+    assert obj["details"]["hit_count"] == 0
+    assert obj["status"] == "no qualifying S found"
+    assert obj["details"]["reason"] == (
+        "the image of a one-coset sequence is again one-coset, with heavy multiplicity "
+        "congruent to -1 mod n, so it never has the item-2 shape")
     assert res.exit_code == 0
     assert obj["counterexamples"] == []
 

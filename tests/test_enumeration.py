@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import random
 
@@ -334,14 +335,14 @@ def test_fan_out_keeps_unit_order():
 
 
 def test_fan_out_forks_nothing_for_fewer_than_two_units(monkeypatch):
-    monkeypatch.setattr(enumeration.multiprocessing, "get_context", _no_fork)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
     assert enumeration.fan_out(str, [], 4) == []
     assert enumeration.fan_out(str, [5], 4) == ["5"]
     assert enumeration.fan_out(str, [5, 6], 1) == ["5", "6"]
 
 
 def test_fan_out_forks_at_most_one_worker_per_unit(monkeypatch):
-    get_context = enumeration.multiprocessing.get_context
+    get_context = multiprocessing.get_context
     sizes = []
 
     class Recorded:
@@ -352,14 +353,14 @@ def test_fan_out_forks_at_most_one_worker_per_unit(monkeypatch):
             sizes.append(processes)
             return self.context.Pool(processes)
 
-    monkeypatch.setattr(enumeration.multiprocessing, "get_context", Recorded)
+    monkeypatch.setattr(multiprocessing, "get_context", Recorded)
     assert enumeration.fan_out(abs, [-1, -2, -3], 8) == [1, 2, 3]
     assert sizes == [3]
 
 
 def test_tiny_searches_stay_in_process(monkeypatch):
     pinned = verify_property_b(3, jobs=1).to_json(timing=False)
-    monkeypatch.setattr(enumeration.multiprocessing, "get_context", _no_fork)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
     report = verify_property_b(3, jobs=2)
     assert report.to_json(timing=False) == pinned
     assert (report.orbits_scanned, report.details["nodes"]) == PROPERTY_B[3]

@@ -111,6 +111,7 @@ def test_item2_budgeted_run():
     if rep.details["hit_count"] == 0:
         assert rep.status == "no qualifying S found"
         assert not rep.passed
+        assert "again one-coset" in rep.details["reason"]
     else:
         assert rep.status == "ok"
 

@@ -1,0 +1,101 @@
+"""numpy and multiprocessing load on first use, in a fresh interpreter.
+
+A command that builds no group table (``--version``, a cache hit) must not
+import numpy, and every numpy entry point must work when it is the first
+call of a new process, i.e. when it is the one that binds numpy.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh(script: str) -> dict:
+    """Run ``script`` in a new interpreter with the sources on the path;
+    it prints one JSON object as its last line."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def _zs(args: list[str]) -> dict:
+    """Run ``zs ARGS`` through ``zerosum.cli.main`` in a new interpreter;
+    its exit code, stdout and the heavy modules it loaded."""
+    return _fresh(f"""
+import contextlib, io, json, sys
+import zerosum.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        zerosum.cli.main(args={args!r}, prog_name="zs")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({{"code": code, "stdout": out.getvalue(),
+                  "loaded": [m for m in ("numpy", "multiprocessing") if m in sys.modules]}}))
+""")
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_multiprocessing():
+    got = _fresh("""
+import json, sys
+import zerosum.cli
+print(json.dumps([m for m in ("numpy", "multiprocessing") if m in sys.modules]))
+""")
+    assert got == []
+
+
+def test_version_loads_no_numpy():
+    got = _zs(["--version"])
+    assert got["code"] == 0
+    assert "version" in got["stdout"]
+    assert got["loaded"] == []
+
+
+def test_warm_davenport_hit_loads_no_numpy(tmp_path):
+    args = ["davenport", "--n", "3", "--jobs", "1", "--cache-dir", str(tmp_path)]
+    cold = _zs(args)
+    assert cold["code"] == 0 and json.loads(cold["stdout"])["value"] == 5
+    assert "numpy" in cold["loaded"]  # the cold run searched
+    warm = _zs(args)
+    assert warm["code"] == 0
+    assert warm["stdout"] == cold["stdout"]
+    assert warm["loaded"] == []
+
+
+SEQ = "Sequence.from_terms(group(5), [(1, 2), (3, 4), (2, 2), (0, 3), (3, 4)])"
+IMPORTS = """
+import json, sys
+from zerosum import Sequence, group
+from zerosum.properties import verify_property_b
+"""
+
+# each the first numpy user of its process, and its value as JSON
+FIRST_CALLS = {
+    "canonicalize": f"{SEQ}.canonicalize().to_json_obj()",
+    "orbit_size": f"{SEQ}.orbit_size()",
+    "images_through": "group(4).images_through([1, 5, 5, 6], 1).tolist()",
+    "search": "json.loads(verify_property_b(3).to_json(timing=False))",
+}
+
+
+@pytest.mark.parametrize("expr", FIRST_CALLS.values(), ids=FIRST_CALLS.keys())
+def test_numpy_entry_point_works_as_the_first_call(expr):
+    namespace: dict = {}
+    exec(IMPORTS, namespace)
+    expected = eval(expr, namespace)  # in this process, where numpy is loaded
+    got = _fresh(f"""{IMPORTS}
+assert "numpy" not in sys.modules
+value = {expr}
+print(json.dumps({{"value": value, "numpy": "numpy" in sys.modules}}))
+""")
+    assert got == {"value": expected, "numpy": True}

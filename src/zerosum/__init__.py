@@ -42,7 +42,6 @@ from .properties import (
 from .report import Report
 from .sequences import Sequence
 from .subsums import (
-    SumTable,
     find_zero_sum_subsequence,
     has_short_zero_sum,
     is_minimal_zero_sum,
@@ -58,7 +57,6 @@ __all__ = [
     "Group",
     "group",
     "Sequence",
-    "SumTable",
     "restricted_sums",
     "subsequence_sums",
     "is_zero_sum_free",

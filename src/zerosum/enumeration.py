@@ -65,6 +65,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -106,6 +107,10 @@ def _source_digest() -> str:
 
 # any edit to the search source makes every stored entry a miss
 CACHE_SCHEMA = f"{__version__}/{_source_digest()[:16]}"
+
+# the files a ResultCache writes: entries, the tmp files of their stores and
+# the probe of ensure_writable; purge removes these and nothing else
+_CACHE_FILE = re.compile(r"[0-9a-f]{24}\.json(\.[0-9]+\.tmp)?|\.probe-[0-9]+")
 
 _UNITS_PER_JOB = 4
 _CACHE_MAX_SEQUENCES = 100_000
@@ -387,9 +392,9 @@ class ResultCache:
     """Directory of completed search results, keyed by a canonical JSON key.
 
     Each entry is one file: the sha256 hex digest of its body, a newline,
-    then the body, the JSON of the schema, the key and the payload.  An
-    entry whose digest, JSON, key or schema does not match is a miss, and is
-    recomputed.
+    then the body, the JSON object of the schema, the key and the payload.
+    An entry whose digest, JSON, key or schema does not match is a miss, and
+    is recomputed.
     """
 
     def __init__(self, directory: str):
@@ -412,6 +417,8 @@ class ResultCache:
         try:
             entry = json.loads(body)
         except ValueError:
+            return None
+        if not isinstance(entry, dict):
             return None
         if entry.get("key") != key or entry.get("schema") != CACHE_SCHEMA:
             return None
@@ -442,13 +449,14 @@ class ResultCache:
             raise CacheUnwritable(f"{self.directory}: {exc.strerror or exc}") from exc
 
     def purge(self) -> int:
-        """Remove all cache entries, and the tmp files of stores that were
-        killed; returns the number of files removed."""
+        """Remove all cache entries, and the tmp and probe files that killed
+        processes left behind; returns the number of files removed.  Other
+        files in the directory are left alone."""
         removed = 0
         if not os.path.isdir(self.directory):
             return 0
         for name in sorted(os.listdir(self.directory)):
-            if name.endswith((".json", ".tmp")):
+            if _CACHE_FILE.fullmatch(name):
                 os.remove(os.path.join(self.directory, name))
                 removed += 1
         return removed

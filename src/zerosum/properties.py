@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 
 from .enumeration import EnumSpec, ResultCache, enumerate_sequences
-from .errors import BudgetExceeded, EmptySequence
+from .errors import BudgetExceeded, EmptySequence, PreconditionViolated
 from .groups import Elem, Group
 from .report import Report, Stopwatch
 from .sequences import Sequence
@@ -154,6 +154,8 @@ def verify_property_b(
     One representative per automorphism orbit suffices: applying an
     automorphism to a witness basis transports the reading.
     """
+    if n < 2:
+        raise PreconditionViolated(f"property B needs n >= 2, got {n}")
     if n > bound:
         raise BudgetExceeded(f"property B search for n={n} exceeds bound {bound}")
     with Stopwatch() as sw:
@@ -185,10 +187,10 @@ def verify_property_c(
     e1^[n-1] e2^[n-1] (x e1 + e2)^[n-1] are counted separately in
     details["without_basis_form"]; they are not counterexamples.
     """
+    if n < 2:
+        raise PreconditionViolated(f"property C needs n >= 2, got {n}")
     if n > bound:
         raise BudgetExceeded(f"property C search for n={n} exceeds bound {bound}")
-    if n < 2:
-        raise BudgetExceeded("property C needs n >= 2")
     with Stopwatch() as sw:
         spec = EnumSpec(n, 3 * (n - 1), "no-short-zero-sum", {"k": n})
         reps, stats = enumerate_sequences(spec, jobs=jobs, cache=cache)

@@ -27,7 +27,6 @@ from .groups import Elem, Group
 from .sequences import Sequence
 
 __all__ = [
-    "SumTable",
     "restricted_sums",
     "subsequence_sums",
     "is_zero_sum_free",
@@ -97,77 +96,6 @@ class ZeroSumGuard:
         return state[-1] if self.k else 0
 
 
-class SumTable:
-    """Reachability table for subsequence sums of a fixed sequence.
-
-    ``layers[l]`` is the layer (an int, bit i for element index i) of the
-    sums of subsequences of length exactly l, for 0 <= l <= lmax.  The
-    layers of every prefix are kept for the witness walk.
-    """
-
-    __slots__ = ("seq", "lmax", "layers", "_terms", "_history")
-
-    def __init__(self, seq: Sequence, lmax: int):
-        if not 0 <= lmax <= len(seq):
-            raise InvalidRange(f"lmax must be in [0, {len(seq)}], got {lmax}")
-        self.seq = seq
-        self.lmax = lmax
-        self._terms = [seq.group.index(g) for g in seq]  # sorted by element
-        self._history = forward_layers(seq.group, self._terms, lmax)
-        self.layers = self._history[-1]
-
-    def contains(self, g: Elem, length: int) -> bool:
-        """Is g the sum of some subsequence of exactly the given length?"""
-        if not 0 <= length <= self.lmax:
-            raise InvalidRange(f"length must be in [0, {self.lmax}], got {length}")
-        grp = self.seq.group
-        return bool(self.layers[length] >> grp.index(grp.element(*g)) & 1)
-
-    def sums(self, lmin: int, lmax: int) -> frozenset[Elem]:
-        if not 0 <= lmin <= lmax <= self.lmax:
-            raise InvalidRange(f"need 0 <= lmin <= lmax <= {self.lmax}")
-        grp = self.seq.group
-        union = 0
-        for l in range(lmin, lmax + 1):
-            union |= self.layers[l]
-        return frozenset(grp.unindex(i) for i in range(grp.size) if union >> i & 1)
-
-    def witness(self, g: Elem, length: int) -> Sequence | None:
-        """A subsequence of the given exact length summing to g, or None.
-
-        The prefix layers are walked backwards; no parent pointers are kept.
-        """
-        if not 0 <= length <= self.lmax:
-            raise InvalidRange(f"length must be in [0, {self.lmax}], got {length}")
-        grp = self.seq.group
-        target = grp.index(grp.element(*g))
-        if not self.layers[length] >> target & 1:
-            return None
-        history = self._history
-        add = grp.add_index_table()
-        neg = grp.neg_index_table()
-        picked: list[int] = []
-        need, l = target, length
-        for i in range(len(self._terms), 0, -1):
-            t = self._terms[i - 1]
-            # prefer skipping the term; deterministic because terms are sorted
-            if history[i - 1][l] >> need & 1:
-                continue
-            picked.append(t)
-            need = add[need][neg[t]]
-            l -= 1
-        out = Sequence.from_terms(grp, (grp.unindex(t) for t in picked))
-        if not (
-            l == 0 and need == grp.index(grp.zero)
-            and len(out) == length and out.is_subsequence_of(self.seq)
-            and grp.index(out.sigma()) == target
-        ):
-            raise WitnessCheckFailed(
-                f"witness {out!r} for {g} at length {length} does not re-verify"
-            )
-        return out
-
-
 def forward_layers(grp: Group, terms: list[int], lmax: int) -> list[list[int]]:
     """Layers for every prefix of the index list ``terms``; entry [i][l] is
     the layer of sums of length-l subsequences drawn from the first i terms."""
@@ -189,7 +117,11 @@ def restricted_sums(seq: Sequence, lmin: int, lmax: int) -> frozenset[Elem]:
         raise InvalidRange(
             f"need 0 <= lmin <= lmax <= |S| = {len(seq)}, got [{lmin}, {lmax}]"
         )
-    return SumTable(seq, lmax).sums(lmin, lmax)
+    grp = seq.group
+    union = 0
+    for layer in forward_layers(grp, [grp.index(g) for g in seq], lmax)[-1][lmin:]:
+        union |= layer
+    return frozenset(grp.unindex(i) for i in range(grp.size) if union >> i & 1)
 
 
 def subsequence_sums(seq: Sequence) -> frozenset[Elem]:
@@ -246,5 +178,31 @@ def find_zero_sum_subsequence(seq: Sequence, exact_length: int) -> Sequence | No
         raise InvalidRange(
             f"exact_length must be in [1, {len(seq)}], got {exact_length}"
         )
-    table = SumTable(seq, exact_length)
-    return table.witness(seq.group.zero, exact_length)
+    grp = seq.group
+    zero = grp.index(grp.zero)
+    terms = [grp.index(g) for g in seq]  # sorted by element
+    history = forward_layers(grp, terms, exact_length)
+    if not history[-1][exact_length] >> zero & 1:
+        return None
+    add = grp.add_index_table()
+    neg = grp.neg_index_table()
+    # walk the prefix layers back; no parent pointers are kept
+    picked: list[int] = []
+    need, l = zero, exact_length
+    for i in range(len(terms), 0, -1):
+        t = terms[i - 1]
+        # prefer skipping the term; deterministic because terms are sorted
+        if history[i - 1][l] >> need & 1:
+            continue
+        picked.append(t)
+        need = add[need][neg[t]]
+        l -= 1
+    out = Sequence.from_terms(grp, (grp.unindex(t) for t in picked))
+    if not (
+        l == 0 and need == zero and len(out) == exact_length
+        and out.is_subsequence_of(seq) and out.is_zero_sum()
+    ):
+        raise WitnessCheckFailed(
+            f"witness {out!r} of length {exact_length} does not re-verify"
+        )
+    return out

@@ -17,7 +17,7 @@ from zerosum.lifting import verify_propbfix_item1
 from zerosum.perturbation import verify_perturbation
 from zerosum.properties import property_a_witnesses, verify_property_b, verify_property_c
 from zerosum.sequences import Sequence
-from zerosum.subsums import SumTable, restricted_sums
+from zerosum.subsums import forward_layers, has_short_zero_sum, restricted_sums
 
 
 def report_line(idx, text):
@@ -126,21 +126,29 @@ def test_criterion_08_oracle_equivalence():
                 a = sum(c * g[0] for (g, _), c in zip(items, counts)) % n
                 b = sum(c * g[1] for (g, _), c in zip(items, counts)) % n
                 by_len[size].add((a, b))
-            table = SumTable(seq, length)
+            # the layers the verifiers' DP builds, at every exact length
+            layers = forward_layers(grp, [grp.index(g) for g in seq], length)[-1]
+            for size in range(length + 1):
+                got = {grp.unindex(i) for i in range(grp.size) if layers[size] >> i & 1}
+                assert got == by_len[size]
             for lmin in range(length + 1):
                 expect = set()
                 for lmax in range(lmin, length + 1):
                     expect |= by_len[lmax]
-                    assert table.sums(lmin, lmax) == expect
-            # the one-shot helper agrees with the table on sample windows
+                    assert restricted_sums(seq, lmin, lmax) == expect
+            for k in range(length + 1):
+                short = any((0, 0) in by_len[size] for size in range(1, k + 1))
+                assert has_short_zero_sum(seq, k) == short
+            assert has_short_zero_sum(seq, None) == short
+            # three (lo, hi) window draws per sequence: part of the seeded
+            # stream that fixes these 800 sequences
             for _ in range(3):
-                lo = rng.randrange(length + 1)
-                hi = rng.randrange(lo, length + 1)
-                assert restricted_sums(seq, lo, hi) == table.sums(lo, hi)
+                rng.randrange(rng.randrange(length + 1), length + 1)
             checked += 1
     assert checked == 800
-    report_line(8, "DP sums == power-set oracle on 800 seeded sequences, "
-                   "every (lmin, lmax) window")
+    report_line(8, "forward_layers == power-set oracle at every exact length, "
+                   "restricted_sums at every (lmin, lmax) window and "
+                   "has_short_zero_sum at every k, on 800 seeded sequences")
 
 
 def test_criterion_09_image_transfer_item1():

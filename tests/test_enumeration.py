@@ -528,6 +528,23 @@ def test_cache_entry_with_a_flipped_byte_is_a_miss(tmp_path):
     assert cache.load(spec.key()) is None
 
 
+@pytest.mark.parametrize("body", [b"[1, 2]", b"null"])
+def test_cache_entry_that_is_not_an_object_is_a_miss(tmp_path, body):
+    cache = ResultCache(str(tmp_path / "c"))
+    key = {"op": "davenport", "n": 3}
+    assert davenport(group(3), cache=cache) == 5
+    path = cache._path(key)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # a well-formed digest line over a body that is JSON but not an entry
+    with open(path, "wb") as fh:
+        fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    assert cache.load(key) is None
+    assert davenport(group(3), cache=cache) == 5
+    with open(path, "rb") as fh:
+        assert fh.read() == data
+
+
 def test_concurrent_stores_of_one_key_do_not_collide(tmp_path, monkeypatch):
     """A store by another process of the same key, landing between this
     store's write and its rename, leaves this store's tmp file alone."""
@@ -556,6 +573,20 @@ def test_purge_removes_the_tmp_files_of_killed_stores(tmp_path):
         fh.write(b"half an entry")
     assert cache.purge() == 2
     assert os.listdir(cache.directory) == []
+
+
+def test_purge_leaves_files_it_did_not_write(tmp_path):
+    cache = ResultCache(str(tmp_path / "c"))
+    davenport(group(3), cache=cache)
+    entry = os.path.basename(cache._path({"op": "davenport", "n": 3}))
+    own = [f"{entry}.4242.tmp", ".probe-4242"]
+    foreign = ["notes.json", "draft.tmp", "0123.json", f"{entry}.bak", ".probe-x",
+               f"{entry}.x.tmp"]
+    for name in own + foreign:
+        with open(os.path.join(cache.directory, name), "wb") as fh:
+            fh.write(b"{}")
+    assert cache.purge() == 1 + len(own)
+    assert sorted(os.listdir(cache.directory)) == sorted(foreign)
 
 
 def test_cache_entry_stands_alone(tmp_path, monkeypatch):

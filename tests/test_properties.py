@@ -3,7 +3,7 @@ import random
 import pytest
 
 from zerosum import group
-from zerosum.errors import BudgetExceeded, EmptySequence
+from zerosum.errors import BudgetExceeded, EmptySequence, PreconditionViolated
 from zerosum.properties import (
     has_property_a,
     matches_eq1,
@@ -122,6 +122,13 @@ def test_verifier_bounds_enforced():
         verify_property_b(7)
     with pytest.raises(BudgetExceeded):
         verify_property_c(6)
+
+
+@pytest.mark.parametrize("verify", [verify_property_b, verify_property_c])
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_verifiers_reject_moduli_below_two(verify, n):
+    with pytest.raises(PreconditionViolated):
+        verify(n)
 
 
 def coset_family_member(grp, rng, shift=0):

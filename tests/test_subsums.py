@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from zerosum import (
     Sequence,
-    SumTable,
     find_zero_sum_subsequence,
     group,
     has_short_zero_sum,
@@ -44,6 +43,11 @@ def test_restricted_sums_small_hand_case():
     assert restricted_sums(s, 2, 2) == {(2, 0), (1, 1)}
     assert restricted_sums(s, 1, 3) == {(1, 0), (0, 1), (2, 0), (1, 1), (2, 1)}
     assert restricted_sums(s, 0, 0) == {(0, 0)}
+    s = seq(5, (0, 1), (0, 1), (1, 0), (1, 3))
+    assert (0, 2) in restricted_sums(s, 2, 2)
+    assert (1, 4) in restricted_sums(s, 2, 2)
+    assert (0, 2) not in restricted_sums(s, 1, 1)
+    assert (4, 4) not in restricted_sums(s, 1, 1)
 
 
 def test_restricted_sums_range_validation():
@@ -91,17 +95,6 @@ def test_minimality_equivalent_to_single_removals_zero_sum_free():
         assert is_minimal_zero_sum(s) == via_removals
 
 
-def test_sum_table_membership_and_witness():
-    s = seq(5, (0, 1), (0, 1), (1, 0), (1, 3))
-    table = SumTable(s, 3)
-    assert table.contains((0, 2), 2)
-    assert not table.contains((0, 2), 1)
-    w = table.witness((1, 4), 2)
-    assert w is not None and len(w) == 2 and w.sigma() == (1, 4)
-    assert w.is_subsequence_of(s)
-    assert table.witness((4, 4), 1) is None
-
-
 def test_corrupted_witness_is_rejected(monkeypatch):
     s = seq(5, (0, 1), (0, 1), (1, 0), (1, 3))
     everything = (1 << s.group.size) - 1
@@ -111,9 +104,8 @@ def test_corrupted_witness_is_rejected(monkeypatch):
         return [[everything] * (lmax + 1) for _ in range(len(terms) + 1)]
 
     monkeypatch.setattr(subsums, "forward_layers", corrupted)
-    table = SumTable(s, 3)
     with pytest.raises(WitnessCheckFailed):
-        table.witness((1, 4), 2)
+        find_zero_sum_subsequence(s, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -135,6 +127,8 @@ def test_find_zero_sum_subsequence():
     s = seq(3, (1, 0), (2, 0), (1, 1), (2, 2), (0, 1))
     t = find_zero_sum_subsequence(s, 2)
     assert t is not None and len(t) == 2 and t.sigma() == (0, 0)
+    assert t.is_subsequence_of(s)
+    assert find_zero_sum_subsequence(s, 1) is None
     assert find_zero_sum_subsequence(seq(3, (1, 0), (1, 0)), 2) is None
     with pytest.raises(InvalidRange):
         find_zero_sum_subsequence(s, 0)
@@ -170,9 +164,10 @@ def test_has_short_zero_sum_matches_oracles(n):
         assert has_short_zero_sum(s, None) == (not naive_is_zero_sum_free(s))
 
 
-def test_witness_found_whenever_oracle_says_so():
-    rng = random.Random(77)
-    grp = group(3)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_witness_found_whenever_oracle_says_so(n):
+    rng = random.Random(74 + n)
+    grp = group(n)
     for _ in range(40):
         s = random_sequence(rng, grp, rng.randrange(1, 8))
         for length in range(1, len(s) + 1):

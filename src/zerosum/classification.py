@@ -204,6 +204,8 @@ def verify_casen(
     Counterexamples are the sequences matching neither shape.  The scan is
     limited to n <= 5 for s = 1 and n <= 3 for s = 2 unless forced.
     """
+    if n < 2:
+        raise PreconditionViolated(f"casen needs n >= 2, got {n}")
     if s < 1:
         raise PreconditionViolated(f"s must be >= 1, got {s}")
     within = (s == 1 and n <= 5) or (s == 2 and n <= 3)

@@ -54,12 +54,12 @@ def upsilon_class(seq: Sequence) -> UpsilonClass:
 
 def perturb(seq: Sequence, removed: Sequence, added: Sequence) -> Sequence:
     """S - removed + added; the two replacement parts must carry equal sums
-    so that sigma is conserved."""
+    so that sigma is conserved, and ``removed`` must divide S."""
     if removed.sigma() != added.sigma():
         raise SumMismatch(
             f"replacement changes the sum: {removed.sigma()} != {added.sigma()}"
         )
-    return seq.remove(removed).concat(added)
+    return seq.replace(removed, added)
 
 
 @dataclasses.dataclass(frozen=True)

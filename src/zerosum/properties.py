@@ -84,24 +84,29 @@ def matches_eq1(seq: Sequence) -> list[Eq1Witness]:
     avoid <e1>, and forces |S| = 2n - 1.  The residue-sum condition is
     invariant under shifting e2 inside its coset (the sum moves by a
     multiple of n), so normalizing e2 as in property_a_witnesses is safe.
+    Candidates e1 are the terms of multiplicity n - 1 and order n, in
+    element order.
     """
     grp = seq.group
     n = grp.n
     if len(seq) != 2 * n - 1:
         return []
+    items = seq.items()
     out = []
-    for e1 in grp.max_order_elements():
-        if seq.multiplicity(e1) != n - 1:
+    for e1, mult in items:
+        if mult != n - 1 or grp.element_order(e1) != n:
             continue
-        rest = seq.remove(Sequence.repeated(grp, e1, n - 1))
-        g0 = rest.terms()[0]
+        rest = [(g, k) for g, k in items if g != e1]
+        g0 = rest[0][0]
         if not grp.is_basis(e1, g0):
             continue
         coset = _coset(grp, g0, e1)
-        if not all(g in coset for g in rest.support()):
+        if not all(g in coset for g, _ in rest):
             continue
         e2 = min(coset)
-        xs = sorted(grp.discrete_log(e1, grp.sub(g, e2)) for g in rest)
+        xs = sorted(
+            x for g, k in rest for x in [grp.discrete_log(e1, grp.sub(g, e2))] * k
+        )
         if sum(xs) % n == 1:
             out.append(Eq1Witness(e1, e2, tuple(xs)))
     return out

@@ -30,14 +30,16 @@ class Sequence:
     __slots__ = ("group", "_items", "_len", "_hash", "_counts")
 
     def __init__(self, grp: Group, items: Iterable[tuple[Elem, int]]):
+        n = grp.n
         merged: dict[Elem, int] = {}
-        for g, mult in items:
+        get = merged.get
+        for (a, b), mult in items:
             if not isinstance(mult, int) or mult < 0:
                 raise ValueError(f"multiplicity must be a nonnegative int, got {mult!r}")
             if mult == 0:
                 continue
-            g = grp.element(*g)
-            merged[g] = merged.get(g, 0) + mult
+            g = (a % n, b % n)
+            merged[g] = get(g, 0) + mult
         self.group = grp
         self._items: tuple[tuple[Elem, int], ...] = tuple(sorted(merged.items()))
         self._len = sum(m for _, m in self._items)
@@ -53,11 +55,6 @@ class Sequence:
     @classmethod
     def empty(cls, grp: Group) -> "Sequence":
         return cls(grp, ())
-
-    @classmethod
-    def repeated(cls, grp: Group, g: Elem, k: int) -> "Sequence":
-        """The sequence g^[k]."""
-        return cls(grp, ((g, k),))
 
     # -- basic protocol --------------------------------------------------------
 
@@ -125,8 +122,8 @@ class Sequence:
             return False
         return all(other.multiplicity(g) >= m for g, m in self._items)
 
-    def remove(self, sub: "Sequence") -> "Sequence":
-        """Multiset difference self - sub; raises NotASubsequence if sub does
+    def _difference(self, sub: "Sequence") -> dict[Elem, int]:
+        """Multiplicities of self - sub; raises NotASubsequence if sub does
         not divide self."""
         if sub.group != self.group:
             raise NotASubsequence("sequences live over different groups")
@@ -136,7 +133,20 @@ class Sequence:
             if have < m:
                 raise NotASubsequence(f"term {g} has multiplicity {have} < {m}")
             counts[g] = have - m
-        return Sequence(self.group, counts.items())
+        return counts
+
+    def remove(self, sub: "Sequence") -> "Sequence":
+        """Multiset difference self - sub; raises NotASubsequence if sub does
+        not divide self."""
+        return Sequence(self.group, self._difference(sub).items())
+
+    def replace(self, removed: "Sequence", added: "Sequence") -> "Sequence":
+        """self - removed + added, built as one Sequence; raises
+        NotASubsequence if removed does not divide self."""
+        counts = self._difference(removed)
+        if added.group != self.group:
+            raise ValueError("cannot concatenate sequences over different groups")
+        return Sequence(self.group, [*counts.items(), *added._items])
 
     def apply_hom(self, f: Callable[[Elem], Elem], target: Group | None = None) -> "Sequence":
         """Termwise image under f.  The result lives in ``target`` (defaults

@@ -146,8 +146,16 @@ def _has_zero_sum(grp: Group, terms: list[int], k: int | None = None) -> bool:
 
 def has_short_zero_sum(seq: Sequence, k: int | None) -> bool:
     """True iff some nonempty subsequence of length at most k (any length
-    for k = None) sums to zero; k = 0 admits none."""
-    return _has_zero_sum(seq.group, [seq.group.index(g) for g in seq], k)
+    for k = None) sums to zero; k = 0 admits none.
+
+    For bounded k each element is fed at most min(multiplicity, k) times:
+    a zero-sum subsequence of length <= k uses at most k copies of any
+    term, so the answer is unchanged.
+    """
+    grp = seq.group
+    cap = len(seq) if k is None else k
+    terms = [t for g, m in seq.items() for t in [grp.index(g)] * min(m, cap)]
+    return _has_zero_sum(grp, terms, k)
 
 
 def is_zero_sum_free(seq: Sequence) -> bool:

@@ -82,3 +82,29 @@ def random_sequence(rng, grp: Group, length: int) -> Sequence:
     return Sequence.from_terms(
         grp, (tuple(rng.randrange(grp.n) for _ in range(2)) for _ in range(length))
     )
+
+
+def naive_eq1_readings(seq: Sequence) -> list:
+    """Every reading of seq as e1^[n-1] * prod_{i=1..n} (x_i e1 + e2) with
+    sum x_i = 1 (mod n), as (e1, e2, sorted xs) triples.
+
+    Tries every pair (e1, e2) in lexicographic order, keeps the bases (by
+    closure, not by determinant) whose e2 is the least member of e2 + <e1>,
+    and reads each x_i off by scanning the coset.
+    """
+    grp = seq.group
+    n = grp.n
+    out = []
+    for e1 in grp.elements():
+        line = [grp.scale(t, e1) for t in range(n)]
+        for e2 in grp.elements():
+            coset = [grp.add(e2, h) for h in line]
+            if e2 != min(coset) or len(subgroup_generated_by(grp, e1, e2)) != n * n:
+                continue
+            for xs in itertools.combinations_with_replacement(range(n), n):
+                if sum(xs) % n != 1:
+                    continue
+                shape = Sequence.from_terms(grp, [e1] * (n - 1) + [coset[x] for x in xs])
+                if shape == seq:
+                    out.append((e1, e2, xs))
+    return out

@@ -88,12 +88,12 @@ class TestClassify:
             assert classify_long_zero_sum(t).kind == "item2"
 
     def test_not_zero_sum_rejected(self):
-        s = Sequence.repeated(group(3), (1, 0), 8)
+        s = Sequence(group(3), [((1, 0), 8)])
         with pytest.raises(PreconditionViolated):
             classify_long_zero_sum(s)
 
     def test_wrong_length_rejected(self):
-        s = Sequence.repeated(group(3), (1, 0), 6)
+        s = Sequence(group(3), [((1, 0), 6)])
         with pytest.raises(PreconditionViolated):
             classify_long_zero_sum(s)
 

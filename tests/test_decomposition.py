@@ -61,13 +61,13 @@ def test_mod2_blocks_are_repeated_nonzero():
 def test_heads_are_not_checked_when_s_has_a_short_zero_sum():
     # 0^8 has zero-sums of every length, so its non-minimal head 0^5 is fine
     g3 = group(3)
-    d = next(block_decompositions(Sequence.repeated(g3, (0, 0), 8), 3, 1))
-    assert d.W0 == Sequence.repeated(g3, (0, 0), 5)
+    d = next(block_decompositions(Sequence(g3, [((0, 0), 8)]), 3, 1))
+    assert d.W0 == Sequence(g3, [((0, 0), 5)])
 
 
 def test_wrong_length_rejected():
     g3 = group(3)
-    S = Sequence.repeated(g3, (1, 0), 7)
+    S = Sequence(g3, [((1, 0), 7)])
     with pytest.raises(LengthMismatch):
         next(iter(block_decompositions(S, 3, 1)))
 

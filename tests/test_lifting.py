@@ -83,7 +83,7 @@ def test_item1_accepts_supplied_sequence():
 
 def test_item1_rejects_bad_supplied_sequence():
     grp = group(8)
-    junk = Sequence.repeated(grp, (1, 0), 15)  # right length, not zero-sum
+    junk = Sequence(grp, [((1, 0), 15)])  # right length, not zero-sum
     rep = verify_propbfix_item1(4, 2, sequences=[junk])
     assert rep.orbits_scanned == 0
     assert len(rep.details["rejected_inputs"]) == 1

@@ -46,7 +46,7 @@ class TestPerturb:
 
     def test_shape_change(self):
         s = seq(4, (((1, 0), 3), ((0, 1), 3), ((1, 1), 1)))
-        removed = Sequence.repeated(group(4), (1, 0), 2)
+        removed = Sequence(group(4), [((1, 0), 2)])
         added = Sequence.from_terms(group(4), [(1, 1), (1, 3)])
         out = perturb(s, removed, added)
         assert len(out) == 7
@@ -54,14 +54,14 @@ class TestPerturb:
 
     def test_not_a_subsequence(self):
         s = seq(4, (((1, 0), 1), ((0, 1), 3)))
-        removed = Sequence.repeated(group(4), (1, 0), 2)
+        removed = Sequence(group(4), [((1, 0), 2)])
         added = Sequence.from_terms(group(4), [(2, 0), (0, 0)])
         with pytest.raises(NotASubsequence):
             perturb(s, removed, added)
 
     def test_sum_mismatch(self):
         s = seq(4, (((1, 0), 3), ((0, 1), 3), ((1, 1), 1)))
-        removed = Sequence.repeated(group(4), (1, 0), 2)
+        removed = Sequence(group(4), [((1, 0), 2)])
         added = Sequence.from_terms(group(4), [(1, 0), (0, 1)])
         with pytest.raises(SumMismatch):
             perturb(s, removed, added)

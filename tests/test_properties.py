@@ -3,6 +3,7 @@ import random
 import pytest
 
 from zerosum import group
+from zerosum.classification import verify_casen
 from zerosum.errors import BudgetExceeded, EmptySequence, PreconditionViolated
 from zerosum.properties import (
     has_property_a,
@@ -13,6 +14,8 @@ from zerosum.properties import (
     verify_property_c,
 )
 from zerosum.sequences import Sequence
+
+from oracles import naive_eq1_readings
 
 
 def seq(n, terms):
@@ -80,6 +83,33 @@ class TestEq1:
             assert matches_eq1(s.apply_hom(grp.random_automorphism(rng)))
 
 
+def _eq1_cases(n, rng):
+    """Family members, the twin-heavy shape, a heavy term of non-maximal
+    order and wrong-residue-sum near-misses, each also moved by a random
+    automorphism."""
+    grp = group(n)
+    f1, f2 = (1, 0), (0, 1)
+    cases = [Sequence(grp, [(f1, n - 1), (f2, n - 1), ((1, 1), 1)])]
+    for target in (1, 1, 0, 2):  # 1: family member, else: wrong residue sum
+        xs = [rng.randrange(n) for _ in range(n - 1)]
+        xs.append((target - sum(xs)) % n)
+        cases.append(Sequence(grp, [(f1, n - 1)] + [((x, 1), 1) for x in xs]))
+    if n == 4:
+        cases.append(seq(4, [(2, 0)] * 3 + [(0, 1), (1, 1), (2, 1), (1, 3)]))
+        cases.append(seq(4, [(2, 0)] * 3 + [(1, 0)] * 3 + [(2, 0)]))
+    return cases + [s.apply_hom(grp.random_automorphism(rng)) for s in cases]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_matches_eq1_agrees_with_oracle(n):
+    """Equal readings in equal order (element order of e1) to the oracle
+    that tries every basis and every normalised e2."""
+    rng = random.Random(40 + n)
+    for s in _eq1_cases(n, rng):
+        got = [(w.e1, w.e2, w.xs) for w in matches_eq1(s)]
+        assert got == naive_eq1_readings(s), s
+
+
 class TestEq2:
     def test_all_role_assignments_found(self):
         s = seq(4, [(1, 0)] * 3 + [(0, 1)] * 3 + [(3, 1)] * 3)
@@ -124,7 +154,7 @@ def test_verifier_bounds_enforced():
         verify_property_c(6)
 
 
-@pytest.mark.parametrize("verify", [verify_property_b, verify_property_c])
+@pytest.mark.parametrize("verify", [verify_property_b, verify_property_c, verify_casen])
 @pytest.mark.parametrize("n", [1, 0, -3])
 def test_verifiers_reject_moduli_below_two(verify, n):
     with pytest.raises(PreconditionViolated):

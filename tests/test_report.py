@@ -1,5 +1,10 @@
+import hashlib
 import json
 
+import pytest
+
+from zerosum.lifting import verify_propbfix_item1
+from zerosum.perturbation import verify_perturbation
 from zerosum.report import Report, Stopwatch
 
 
@@ -29,3 +34,33 @@ def test_stopwatch_measures_something():
     with Stopwatch() as sw:
         sum(range(1000))
     assert sw.elapsed_ms >= 0
+
+
+# sha256 of to_json(timing=False), taken from a run of commit c8b2c3b, the
+# parent of the speed-ups to matches_eq1, the Sequence constructor, perturb
+# and has_short_zero_sum; a speed-up must leave these reports byte-identical
+PINNED_DIGESTS = {
+    ("perturbation", 4, "I"): "29f206d6f5f2c8854ab841aeb079994a408bbfe320e8e56e755d22684bc10491",
+    ("perturbation", 4, "II"): "cd4ad80c138659a7da8f7f73390e13eae9db1b6640af04b23e51417597687fe0",
+    ("perturbation", 4, "III"): "f58c71bb5aa2b582d5b126ab9295c5b831b31b3d1cd5cab8f56aa701563d63dd",
+    ("perturbation", 5, "I"): "bc1bd5b95e08591555d02e1b6cc20a8e210e46de7f23e87d53401ab65748ba62",
+    ("perturbation", 5, "II"): "c46efdaa139403e5ebc49eb7c7214128ba0bb392abcc34bd8d660272430c2285",
+    ("perturbation", 5, "III"): "0205789fb654600042f72925bca3566b0977a752fa00c0eb3d09aa8dd327f61a",
+    ("perturbation", 6, "I"): "e3ecf48e1f5ebbbd648e59d924952c6bf9d3188b281c63a99699d97b2c891427",
+    ("perturbation", 6, "II"): "5f388bd8c3dc8d8171a833e4c6748a8a8a84faad9fb369aa311d940cae801035",
+    ("perturbation", 6, "III"): "d5d9ade82d7e28ead7aa1d1f99c271cfc5e58783840458334e49178e028bfa10",
+    ("propbfix-item1", 4, 2): "303ed5cfa3ed2da81f985baddb00c5c57b29493fc16b285f3dc1c35b207a44e6",
+    ("propbfix-item1", 4, 5): "af90bf7fde5b004fa0f546cf0dd647b26884a81c7a566120c185f1f71ddfc8da",
+}
+
+
+def _pinned_report(check, a, b):
+    if check == "perturbation":
+        return verify_perturbation(a, b)
+    return verify_propbfix_item1(a, b, samples=2000, seed=11)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr))
+def test_report_matches_pinned_digest(key):
+    text = _pinned_report(*key).to_json(timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[key]

@@ -32,7 +32,7 @@ def seq(n, *terms):
 
 
 def test_sums_of_repeated_generator():
-    s = Sequence.repeated(group(5), (0, 1), 4)
+    s = Sequence(group(5), [((0, 1), 4)])
     assert subsequence_sums(s) == {(0, 1), (0, 2), (0, 3), (0, 4)}
     assert is_zero_sum_free(s)
 
@@ -89,7 +89,7 @@ def test_minimality_equivalent_to_single_removals_zero_sum_free():
         if not s.is_zero_sum():
             continue
         via_removals = all(
-            is_zero_sum_free(s.remove(Sequence.repeated(grp, g, 1)))
+            is_zero_sum_free(s.remove(Sequence(grp, [(g, 1)])))
             for g in s.support()
         )
         assert is_minimal_zero_sum(s) == via_removals
@@ -164,6 +164,28 @@ def test_has_short_zero_sum_matches_oracles(n):
         assert has_short_zero_sum(s, None) == (not naive_is_zero_sum_free(s))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_has_short_zero_sum_with_heavy_multiplicities(n):
+    """Each term is fed at most min(multiplicity, k) times; g^[k] for g of
+    order k is the case where a cap of k - 1 would miss the zero-sum."""
+    rng = random.Random(130 + n)
+    grp = group(n)
+    cases = [
+        Sequence(grp, [(g, grp.element_order(g) + extra)])
+        for g in grp.elements() if g != grp.zero for extra in (0, 1)
+    ]
+    for _ in range(12):
+        support = rng.sample(grp.elements(), rng.randrange(1, 4))
+        cases.append(Sequence(grp, [(g, rng.randrange(1, 2 * n + 1)) for g in support]))
+    for s in cases:
+        for k in [*range(len(s) + 2), None]:
+            if k is None:
+                expected = not naive_is_zero_sum_free(s)
+            else:
+                expected = (0, 0) in naive_restricted_sums(s, 1, min(k, len(s)))
+            assert has_short_zero_sum(s, k) == expected, (s, k)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_witness_found_whenever_oracle_says_so(n):
     rng = random.Random(74 + n)
@@ -189,6 +211,6 @@ def test_zero_sum_freeness_is_hereditary(n, terms):
     s = Sequence.from_terms(grp, terms)
     if is_zero_sum_free(s):
         for g in s.support():
-            assert is_zero_sum_free(s.remove(Sequence.repeated(grp, g, 1)))
+            assert is_zero_sum_free(s.remove(Sequence(grp, [(g, 1)])))
     else:
         assert not is_zero_sum_free(s.concat(s))

@@ -30,7 +30,7 @@ from .enumeration import (
 )
 from .groups import Automorphism, Elem, Group, group
 from .lifting import Homomorphism, mul_hom, verify_propbfix_item1, verify_propbfix_item2
-from .perturbation import perturb, upsilon_class, verify_perturbation
+from .perturbation import upsilon_class, verify_perturbation
 from .properties import (
     has_property_a,
     matches_eq1,
@@ -80,7 +80,6 @@ __all__ = [
     "construct_exceptional",
     "verify_casen",
     "upsilon_class",
-    "perturb",
     "verify_perturbation",
     "Homomorphism",
     "mul_hom",

@@ -10,8 +10,11 @@ jobs=..., cache=...)`` on a body that takes its own options and returns a
 Report (exit 1 if it has counterexamples, else 0) or ``(obj, exit_code)``.
 The helper adds ``--pretty``/``--output``, plus ``--jobs`` (default: all
 cores) with ``jobs`` and ``--cache-dir``/``--no-cache`` with ``cache``, in
-which case the body gets the resolved ``cache``.  It builds ``config``,
-maps package errors to exit codes 2 and 3, writes the JSON and exits.
+which case the body gets the resolved ``cache``.  ``jobs`` may instead be
+a predicate on the parsed options: where it is false, the body gets no
+``jobs``, ``config`` records none, and an explicit ``--jobs`` exits 2.  It
+builds ``config``, maps package errors to exit codes 2 and 3, writes the
+JSON and exits.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from typing import Callable
 
 import click
 
@@ -104,7 +108,8 @@ def _execute(body, params: dict, config: dict, pretty: bool, output: str | None)
     return code
 
 
-def command(parent: click.Group, name: str, *options, jobs: bool = False, cache: bool = False):
+def command(parent: click.Group, name: str, *options,
+            jobs: bool | Callable[[dict], bool] = False, cache: bool = False):
     """Register the decorated body as subcommand ``name`` of ``parent``
     (see the module docstring)."""
     subcommand = name if parent is main else f"{parent.name} {name}"
@@ -113,7 +118,11 @@ def command(parent: click.Group, name: str, *options, jobs: bool = False, cache:
 
     def register(body):
         def run(pretty: bool, output: str | None, **params) -> None:
-            if jobs:
+            if callable(jobs) and not jobs(params):
+                if params.pop("jobs") is not None:
+                    raise click.UsageError(
+                        f"--jobs has no effect on {subcommand} with these options")
+            elif jobs:
                 params["jobs"] = params["jobs"] or os.cpu_count() or 1
             config = {"subcommand": subcommand, **params}
             if cache:
@@ -248,8 +257,8 @@ def perturbation_cmd(m, lemma, bound, jobs):
          int_opt("--structured", 1, default=256,
                  help="Item 2: fiberwise-constant lift budget."),
          int_opt("--random-lifts", 0, default=64, help="Item 2: fully random lift budget."),
-         jobs=True)
-def propbfix_cmd(item, m, n, samples, seed, exhaustive, structured, random_lifts, jobs):
+         jobs=lambda params: params["item"] == 1)
+def propbfix_cmd(item, m, n, samples, seed, exhaustive, structured, random_lifts, jobs=None):
     """Image behavior of maximal-length minimal zero-sums under mult-by-m."""
     if item == 1:
         return verify_propbfix_item1(m, n, samples=samples, seed=seed,

@@ -72,8 +72,17 @@ class Homomorphism:
         return (w[0] // self.m % self.n, w[1] // self.m % self.n)
 
     def image_in_coords(self, seq: Sequence) -> Sequence:
-        """phi(S) rewritten over (Z/nZ)^2."""
-        return seq.apply_hom(lambda g: self.image_coords(self(g)), self.image_group)
+        """phi(S) rewritten over (Z/nZ)^2: image_coords(self(g)) for each
+        term, inlined into one chart function."""
+        N, m, n = self.N, self.m, self.n
+
+        def chart(g: Elem) -> Elem:
+            a, b = m * g[0] % N, m * g[1] % N
+            if a % m or b % m:
+                raise FiberMismatch(f"{(a, b)} is not in the image of mult-by-{m}")
+            return (a // m % n, b // m % n)
+
+        return seq.apply_hom(chart, self.image_group)
 
 
 def mul_hom(N: int, m: int) -> Homomorphism:
@@ -90,11 +99,12 @@ def _coset_form_sample(grp: Group, rng: random.Random) -> Sequence:
     N = grp.n
     xs = [rng.randrange(N) for _ in range(N - 1)]
     xs.append((1 - sum(xs)) % N)
-    seq = Sequence(
-        grp,
-        [((1, 0), N - 1)] + [((x % N, 1), 1) for x in xs],
-    )
-    return seq.apply_hom(grp.random_automorphism(rng))
+    # the automorphism is drawn after the xs: the pinned sample stream
+    # depends on this order
+    alpha = grp.random_automorphism(rng)
+    # alpha((x, 1)) = (p*x + q, r*x + s), reduced mod N by the constructor
+    p, q, r, s = alpha.p, alpha.q, alpha.r, alpha.s
+    return Sequence(grp, [((p, r), N - 1)] + [((p * x + q, r * x + s), 1) for x in xs])
 
 
 def verify_propbfix_item1(
@@ -144,9 +154,12 @@ def verify_propbfix_item1(
             provenance = "exhaustive orbit enumeration"
         else:
             rng = random.Random(seed)
-            population = [_coset_form_sample(grp, rng) for _ in range(samples)]
+            # drawn one at a time: no sample outlives its own check
+            population = (_coset_form_sample(grp, rng) for _ in range(samples))
             provenance = "seeded maximal-length family sample"
+        scanned = 0
         for seq in population:
+            scanned += 1
             image = hom.image_in_coords(seq)
             if not image.is_zero_sum():
                 bad.append({"sequence": seq.to_json_obj(), "reason": "image not zero-sum"})
@@ -166,7 +179,7 @@ def verify_propbfix_item1(
             "seed": seed,
             "exhaustive": exhaustive,
         },
-        orbits_scanned=len(population),
+        orbits_scanned=scanned,
         counterexamples=bad,
         elapsed_ms=sw.elapsed_ms,
         details={"population": provenance, "rejected_inputs": rejected},

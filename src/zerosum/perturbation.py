@@ -52,16 +52,6 @@ def upsilon_class(seq: Sequence) -> UpsilonClass:
     return UpsilonClass("unique" if heavy == 1 else "non_unique", readings[0])
 
 
-def perturb(seq: Sequence, removed: Sequence, added: Sequence) -> Sequence:
-    """S - removed + added; the two replacement parts must carry equal sums
-    so that sigma is conserved, and ``removed`` must divide S."""
-    if removed.sigma() != added.sigma():
-        raise SumMismatch(
-            f"replacement changes the sum: {removed.sigma()} != {added.sigma()}"
-        )
-    return seq.replace(removed, added)
-
-
 @dataclasses.dataclass(frozen=True)
 class _Move:
     """One admissible replacement: remove the two pivots, add their
@@ -127,18 +117,26 @@ def _moves_twin(grp: Group, f1: Elem, f2: Elem, lemma: str) -> list[_Move]:
 
 def _run_moves(grp, base, moves, target_nu, accum, counterexamples, extra):
     """Apply every move to the base sequence for every g, recording the
-    achieved offsets and any conclusion violations."""
+    achieved offsets and any conclusion violations.
+
+    The landing S - t1 - t2 + (t1 + g) + (t2 - g) is built as one Sequence
+    from the remainder S - t1 - t2, which is formed once per move (raising
+    NotASubsequence if the pivots do not divide S); a landing whose sum is
+    not sigma(S) raises SumMismatch."""
+    total = base.sigma()
     for move in moves:
         slot = accum[move.item]
         slot["stated"] |= move.stated
-        removed = Sequence.from_terms(grp, move.pivots)
         t1, t2 = move.pivots
+        rest = base.remove(Sequence.from_terms(grp, move.pivots)).items()
         for g in grp.elements():
             slot["cases"] += 1
-            added = Sequence.from_terms(
-                grp, (grp.add(t1, g), grp.sub(t2, g))
-            )
-            landed = perturb(base, removed, added)
+            landed = Sequence(grp, [*rest, (grp.add(t1, g), 1), (grp.sub(t2, g), 1)])
+            if landed.sigma() != total:
+                raise SumMismatch(
+                    f"move {move.item} at g={g} changes the sum: "
+                    f"{landed.sigma()} != {total}"
+                )
             cls = upsilon_class(landed)
             if cls.tag == "not_in_upsilon" or (target_nu and cls.tag != "non_unique"):
                 continue

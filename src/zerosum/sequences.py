@@ -122,8 +122,8 @@ class Sequence:
             return False
         return all(other.multiplicity(g) >= m for g, m in self._items)
 
-    def _difference(self, sub: "Sequence") -> dict[Elem, int]:
-        """Multiplicities of self - sub; raises NotASubsequence if sub does
+    def remove(self, sub: "Sequence") -> "Sequence":
+        """Multiset difference self - sub; raises NotASubsequence if sub does
         not divide self."""
         if sub.group != self.group:
             raise NotASubsequence("sequences live over different groups")
@@ -133,20 +133,7 @@ class Sequence:
             if have < m:
                 raise NotASubsequence(f"term {g} has multiplicity {have} < {m}")
             counts[g] = have - m
-        return counts
-
-    def remove(self, sub: "Sequence") -> "Sequence":
-        """Multiset difference self - sub; raises NotASubsequence if sub does
-        not divide self."""
-        return Sequence(self.group, self._difference(sub).items())
-
-    def replace(self, removed: "Sequence", added: "Sequence") -> "Sequence":
-        """self - removed + added, built as one Sequence; raises
-        NotASubsequence if removed does not divide self."""
-        counts = self._difference(removed)
-        if added.group != self.group:
-            raise ValueError("cannot concatenate sequences over different groups")
-        return Sequence(self.group, [*counts.items(), *added._items])
+        return Sequence(self.group, counts.items())
 
     def apply_hom(self, f: Callable[[Elem], Elem], target: Group | None = None) -> "Sequence":
         """Termwise image under f.  The result lives in ``target`` (defaults

@@ -205,6 +205,14 @@ def test_verify_propbfix_item2_zero_hits_exit_zero(runner):
     assert obj["counterexamples"] == []
 
 
+def test_verify_propbfix_item2_rejects_jobs(runner):
+    res = invoke(runner, "verify", "propbfix", "--item", "2", "--m", "4",
+                 "--n", "5", "--structured", "2", "--random-lifts", "0", "--jobs", "1")
+    assert res.exit_code == 2
+    assert "--jobs" in res.output
+    assert "{" not in res.output
+
+
 def test_report_replay_determinism(runner):
     args = ("verify", "property-b", "--n", "3", "--jobs", "1", "--no-cache")
     a = out_json(invoke(runner, *args))
@@ -327,10 +335,11 @@ CONFIG_CASES = [
      {"subcommand": "verify propbfix", "item": 1, "m": 4, "n": 2, "samples": 5,
       "seed": 2026, "exhaustive": False, "structured": 256, "random_lifts": 64,
       "jobs": 1}),
+    # item 2 takes no jobs, so its config records none
     (["verify", "propbfix", "--item", "2", "--m", "4", "--n", "5", "--structured", "2",
-      "--random-lifts", "0", "--seed", "7", "--jobs", "1"], 0,
+      "--random-lifts", "0", "--seed", "7"], 0,
      {"subcommand": "verify propbfix", "item": 2, "m": 4, "n": 5, "samples": 10_000,
-      "seed": 7, "exhaustive": False, "structured": 2, "random_lifts": 0, "jobs": 1}),
+      "seed": 7, "exhaustive": False, "structured": 2, "random_lifts": 0}),
     (["cache", "purge", "--cache-dir", "{tmp}/c"], 0,
      {"subcommand": "cache purge", "cache_dir": "{tmp}/c"}),
 ]

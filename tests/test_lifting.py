@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from zerosum.errors import (
@@ -68,6 +70,24 @@ def test_item1_sampled_run_is_clean():
     assert rep.orbits_scanned == 300
     assert rep.counterexamples == []
     assert "sample" in rep.details["population"]
+
+
+@pytest.mark.parametrize("samples", [1, 3, 2000])
+def test_item1_counts_every_sample(samples):
+    assert verify_propbfix_item1(4, 2, samples=samples, seed=11).orbits_scanned == samples
+
+
+def test_item1_streams_its_samples():
+    verify_propbfix_item1(4, 5, samples=3, seed=11)  # group tables built outside the trace
+    tracemalloc.start()
+    try:
+        rep = verify_propbfix_item1(4, 5, samples=5000, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.orbits_scanned == 5000
+    # holding all 5000 samples at once peaked at 8.5 MiB
+    assert peak < 2**20
 
 
 def test_item1_accepts_supplied_sequence():
@@ -147,3 +167,15 @@ def test_image_in_coords_matches_hom():
     assert image.group is h.image_group
     assert image.sigma() == h.image_coords(h(seq.sigma()))
     assert len(image) == len(seq)
+
+
+@pytest.mark.parametrize("N, m", [(8, 4), (20, 4), (6, 2)])
+def test_image_in_coords_agrees_with_image_coords_termwise(N, m):
+    h = mul_hom(N, m)
+    grp = group(N)
+    for g in grp.elements():
+        image = h.image_in_coords(Sequence.from_terms(grp, [g]))
+        assert image == Sequence.from_terms(h.image_group, [h.image_coords(h(g))])
+    whole = h.image_in_coords(Sequence.from_terms(grp, grp.elements()))
+    want = Sequence.from_terms(h.image_group, [h.image_coords(h(g)) for g in grp.elements()])
+    assert whole == want

@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ from zerosum.errors import (
     SumMismatch,
     WitnessCheckFailed,
 )
-from zerosum.perturbation import perturb, upsilon_class, verify_perturbation
+from zerosum.perturbation import upsilon_class, verify_perturbation
 from zerosum.sequences import Sequence
 
 
@@ -38,33 +39,58 @@ class TestUpsilonClass:
         assert cls.witness is None
 
 
-class TestPerturb:
-    def test_identity_replacement(self):
-        s = seq(4, (((1, 0), 3), ((0, 1), 3), ((1, 1), 1)))
-        part = Sequence.from_terms(group(4), [(1, 0), (0, 1)])
-        assert perturb(s, part, part) == s
+def _landings(monkeypatch, base, pivots):
+    """Every landing _run_moves builds for one move, in the order of g over
+    group.elements(), read off the upsilon_class calls."""
+    seen = []
 
-    def test_shape_change(self):
-        s = seq(4, (((1, 0), 3), ((0, 1), 3), ((1, 1), 1)))
-        removed = Sequence(group(4), [((1, 0), 2)])
-        added = Sequence.from_terms(group(4), [(1, 1), (1, 3)])
-        out = perturb(s, removed, added)
-        assert len(out) == 7
-        assert out.sigma() == (0, 0)
+    def record(landed):
+        seen.append(landed)
+        return upsilon_class(landed)
 
-    def test_not_a_subsequence(self):
+    monkeypatch.setattr(perturbation, "upsilon_class", record)
+    move = perturbation._Move(1, (), pivots, frozenset(), False)
+    perturbation._run_moves(
+        base.group, base, [move], False, perturbation._new_accum(), [], {}
+    )
+    return seen
+
+
+TWIN4 = (((1, 0), 3), ((0, 1), 3), ((1, 1), 1))
+
+
+class TestRunMoves:
+    def test_identity_replacement(self, monkeypatch):
+        s = seq(4, TWIN4)
+        landed = _landings(monkeypatch, s, ((1, 0), (0, 1)))
+        assert landed[group(4).elements().index((0, 0))] == s
+
+    def test_shape_change(self, monkeypatch):
+        grp = group(4)
+        s = seq(4, TWIN4)
+        t1, t2 = (1, 0), (1, 0)
+        landed = _landings(monkeypatch, s, (t1, t2))
+        assert len(landed) == 16
+        for g, out in zip(grp.elements(), landed):
+            want = Counter(s)
+            want.subtract([t1, t2])
+            want.update([grp.add(t1, g), grp.sub(t2, g)])
+            assert Counter(out) == +want
+            assert len(out) == 7
+            assert out.sigma() == (0, 0)
+
+    def test_not_a_subsequence(self, monkeypatch):
         s = seq(4, (((1, 0), 1), ((0, 1), 3)))
-        removed = Sequence(group(4), [((1, 0), 2)])
-        added = Sequence.from_terms(group(4), [(2, 0), (0, 0)])
         with pytest.raises(NotASubsequence):
-            perturb(s, removed, added)
+            _landings(monkeypatch, s, ((1, 0), (1, 0)))
 
-    def test_sum_mismatch(self):
-        s = seq(4, (((1, 0), 3), ((0, 1), 3), ((1, 1), 1)))
-        removed = Sequence(group(4), [((1, 0), 2)])
-        added = Sequence.from_terms(group(4), [(1, 0), (0, 1)])
+    def test_sum_mismatch(self, monkeypatch):
+        # a remainder that still holds both pivots lands off sigma(S) by t1 + t2
+        monkeypatch.setattr(Sequence, "remove", lambda self, sub: self)
         with pytest.raises(SumMismatch):
-            perturb(s, removed, added)
+            _landings(monkeypatch, seq(4, TWIN4), ((1, 0), (1, 0)))
+        with pytest.raises(SumMismatch):
+            verify_perturbation(4, "I")
 
 
 # (lemma, m) -> (bases scanned, per-item achieved-set sizes)

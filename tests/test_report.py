@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from zerosum.lifting import verify_propbfix_item1
+from zerosum.groups import group
+from zerosum.lifting import _coset_form_sample, verify_propbfix_item1
 from zerosum.perturbation import verify_perturbation
 from zerosum.report import Report, Stopwatch
 
@@ -64,3 +66,23 @@ def _pinned_report(check, a, b):
 def test_report_matches_pinned_digest(key):
     text = _pinned_report(*key).to_json(timing=False)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[key]
+
+
+# a passing item-1 report lists no samples, so the digests above cannot see
+# a changed sample stream; these pin it: sha256 of the JSON list of
+# to_json_obj() of the first 500 _coset_form_sample draws, taken from a run
+# of commit 5963332, before the samples were built in one step
+PINNED_STREAM_DIGESTS = {
+    (8, 11): "e23919f629696f51c69f1b4f8bb0178ee2f4c9846f614ec2740211409006c1ad",
+    (8, 2026): "26b300b7f94ef5d699fa4408d6dcc9557c3770e47bb926fe5e14005baec02801",
+    (20, 11): "0abbe7766640fe9a2cae01a5e39bb2e183fbe009fff4310d21dcd9e00f4ae43d",
+    (20, 2026): "e47ce173f9c2ca04a37cd64c8e04aa7e487a4f9aa8e68907776ba8db42e56a4b",
+}
+
+
+@pytest.mark.parametrize("N,seed", sorted(PINNED_STREAM_DIGESTS))
+def test_item1_sample_stream_matches_pinned_digest(N, seed):
+    grp, rng = group(N), random.Random(seed)
+    objs = [_coset_form_sample(grp, rng).to_json_obj() for _ in range(500)]
+    text = json.dumps(objs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STREAM_DIGESTS[(N, seed)]

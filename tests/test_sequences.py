@@ -54,19 +54,6 @@ def test_concat_remove_roundtrip():
         a.remove(seq(4, (3, 3)))
 
 
-def test_replace_is_remove_then_concat():
-    a = seq(4, (1, 0), (1, 0), (2, 3))
-    removed, added = seq(4, (1, 0), (2, 3)), seq(4, (1, 0), (3, 3), (3, 3))
-    assert a.replace(removed, added) == a.remove(removed).concat(added)
-    assert a.replace(removed, Sequence.empty(group(4))) == a.remove(removed)
-    with pytest.raises(NotASubsequence):
-        a.replace(seq(4, (2, 3), (2, 3)), added)
-    with pytest.raises(NotASubsequence):
-        a.replace(seq(5, (1, 0)), added)
-    with pytest.raises(ValueError):
-        a.replace(removed, seq(5, (1, 0)))
-
-
 def test_subsequence_relation():
     a = seq(4, (1, 0), (1, 0), (2, 3))
     assert seq(4, (1, 0)).is_subsequence_of(a)

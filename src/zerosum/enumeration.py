@@ -20,7 +20,7 @@ min alpha(T), at least the least orbit minimum of the terms; those of P are
 Otherwise only an automorphism sending a term of T to t0 yields an image
 that starts with t0; every other image starts higher.  These are the rows
 R_P of the point transversal that send a term of P to t0
-(Group.rows_through) and, for g not in P, the rows sending g to t0.
+(Group.transversal) and, for g not in P, the rows sending g to t0.
 
 Fact: for sorted tuples A, B of equal length, A < B exactly when A has more
 copies of c, the least value whose multiplicities differ.  Proof: values
@@ -40,30 +40,53 @@ and T is P with g added, so their multiplicities differ by (I - P) + [v] -
   is x, with d or d + 1 more copies in T: accept.  If v = x, the difference
   at x is 1 - d - [g = x], which leaves a tie only when d = 1 and g != x.
   Then x enters alpha(T) at position j, where T holds x too, so alpha(T) <
-  T iff I[j:] < P[j+1:] + [g].
+  T iff I[j:] < P[j+1:] + [g]: I[j:k-1] against P[j+1:k] decides, and on a
+  draw I[k-1] < g.  Each row has one such g, alpha^-1(x).
 - So v = g never rejects: both sides gain the same copy.
 For a row sending g (not in P) to t0, alpha(T) is t0 followed by sorted
 alpha(P), all of whose terms lie above t0.  If t0 occurs twice or more in
 P, T is smaller at position 1; otherwise sorted alpha(P) is compared with
 P[1:] + [g].
 
-Per node the images I are sorted once, for all candidates; a candidate
-costs its column alpha(g) over R_P, compared with each row's bound (g for a
-row fixing P, else x), plus its tie pairs (a list comparison each) and,
-when t0 is single in P, the rows sending g to t0.
+The multiplicity cut.  A row through e (alpha(e) = t0) maps cnt(e) copies
+to t0, and every other term above t0; as P is canonical, cnt(e) <= cnt(t0).
+If cnt(e) < cnt(t0), then I has fewer copies of t0 than P: j = cnt(e), x =
+t0 and d = cnt(t0) - cnt(e).  No candidate has v < t0 (orbit_min[g] >= t0),
+so such a row rejects only by a tie, which needs d = 1 and v = t0, that is
+g = alpha^-1(t0) = e, a term of P and a candidate, so e = P[-1].  Such a
+row maps fewer copies to t0 than T holds, and never beats T otherwise.  So
+only the rows through the e with cnt(e) = cnt(t0) are tested, and through
+e = P[-1] when cnt(e) = cnt(t0) - 1 and P[-1] is a candidate.  At
+davenport(7) this cuts the rows of a tested node from 208 to 92 on average.
 
-A search is one walk.  With jobs > 1 it stops at the first depth with
-_UNITS_PER_JOB units per job, and ``fan_out`` completes the subtrees of the
-admitted nodes there; each unit is counted once, by its parent, and results
-are merged in unit order, so output and node counts are those of the one
-walk for any split depth and worker count.
+The test is batched.  The nodes of one depth are cut into chunks of about
+_CHUNK_ROWS rows, and one set of array calls decides every candidate of
+every node of a chunk.  The rows come from the transversal table in one
+gather; each row's images of P are sorted once, which gives its j and x.
+A row then marks, over all elements g, those it beats: alpha(g) < x (or
+alpha(g) < g for a row fixing P), and its tie candidate alpha^-1(x) when
+the tie goes against T.  The marks are packed to bits and OR-ed per node,
+one int per node of the candidates it loses.  The rows sending a
+candidate g to t0, for the candidates left, are batched the same way.
+
+A search is one walk.  The children of a chunk, lex-sorted as its nodes
+are, are walked to the end before the next chunk of their parents' depth,
+so leaves and units come out in lex order; the pending children of a depth
+are kept as their parents' admitted masks and built a chunk at a time.
+With jobs > 1 the walk stops at the first depth with _UNITS_PER_JOB units
+per job, and ``fan_out`` completes the subtrees of the admitted nodes
+there; each unit is counted once, by its parent, and results are merged in
+unit order, so output and node counts are those of the one walk for any
+split depth, chunk size and worker count.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
+import operator
 import os
 import re
 from dataclasses import dataclass, field
@@ -189,14 +212,44 @@ def _reach_table(grp: Group, max_len: int) -> list[list[int]]:
     return [history[(grp.size - g) * max_len] for g in range(grp.size + 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _reach_masks(grp: Group, max_len: int) -> list[list[int]]:
+    """MASKS[j][s]: the terms g with which a sequence of sum s can still
+    close to a zero-sum by j more terms, all >= g: -(s + g) in REACH[g][j]."""
+    reach, add, neg = _reach_table(grp, max_len), grp.add_index_table(), grp.neg_index_table()
+    return [
+        [sum(1 << g for g in range(grp.size) if reach[g][j] >> neg[add[s][g]] & 1)
+         for s in range(grp.size)]
+        for j in range(max_len)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# the DFS engine
+# the batched walk
+
+# A chunk takes nodes of one depth until it holds this many rows of the
+# sibling test (nodes, in a search without the test), one node at least.
+_CHUNK_ROWS = 768
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise lexicographic a < b for 2-d arrays of equal shape."""
     d = a - b
     return d[groups.np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
+
+
+class _Chunk:
+    """Nodes of one depth, each (terms, guard state, sum), with their
+    candidate masks and, for the sibling test, the segments of the
+    transversal table that hold their rows and the row count of each.  For
+    the rows sending a candidate g to t0, the entries are the pairs (index
+    of the node in its chunk, g) instead."""
+
+    __slots__ = ("depth", "nodes", "cands", "segments", "counts", "rows")
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.nodes, self.cands, self.segments, self.counts, self.rows = [], [], [], [], 0
 
 
 class _Engine:
@@ -214,122 +267,259 @@ class _Engine:
         self.length = length
         self.canonical = up_to_symmetry
         self.depth_cap = depth_cap
-        full = (1 << grp.size) - 1
-        self.above = [full >> g << g for g in range(grp.size)]  # bits g, g+1, ...
+        size = grp.size
+        full = (1 << size) - 1
+        self.above = [full >> g << g for g in range(size)]  # bits g, g+1, ...
         self.add = grp.add_index_table()
         self.neg = grp.neg_index_table()
-        self.orbit_min = grp.orbit_tables()[0] if up_to_symmetry else None
-        self.perm = grp.perm_table() if up_to_symmetry else None
         self.reach = (
-            _reach_table(grp, length)
+            _reach_masks(grp, length)
             if (length is not None and self.closes)
             else None
         )
-
-    def _admitted(self, P: list[int], cands: list[int]) -> list[int]:
-        """The candidates g (ascending, all >= P[-1]) for which P + [g] is
-        canonical, given that P is: the sibling test of the module
-        docstring, one array pass for all of them."""
-        orbit_min = self.orbit_min
-        if not P:
-            return [g for g in cands if orbit_min[g] == g]
-        t0 = P[0]
-        cands = [g for g in cands if orbit_min[g] >= t0]
-        if not cands:
-            return cands
-        k, grp, np = len(P), self.grp, groups.np
-        cols = np.array(P + cands, dtype=np.int16)
-        sub = self.perm.take(grp.rows_through(P, t0), axis=0)[:, cols]
-        images, V = sub[:, :k], sub[:, k:]
-        images.sort(axis=1)
-        # A row's bound is x = P[j] at the first difference j of its image
-        # with P.  A row fixing P has j = 0 (every image starts with t0),
-        # where the group size stands in, so that np.minimum makes it g.
-        first = (images != cols[:k]).argmax(axis=1)
-        bound = np.array([grp.size] + P[1:], dtype=np.int16).take(first)[:, None]
-        beaten = (V < np.minimum(bound, cols[k:])).any(axis=0).tolist()
-        r, c = (V == bound).nonzero()
-        for row, j, i in zip(images[r].tolist(), first[r].tolist(), c.tolist()):
-            if not beaten[i] and (j + 1 == k or P[j + 1] != P[j]):
-                beaten[i] = row[j:] < P[j + 1:] + [cands[i]]
-        if k == 1 or P[1] != t0:
-            # rows sending g to t0 and no term of P there: the image is
-            # t0 + sorted alpha(P), to be compared with P[1:] + [g]
-            fresh = [
-                i for i, g in enumerate(cands)
-                if not beaten[i] and orbit_min[g] == t0 and g != P[-1]
+        if up_to_symmetry:
+            # built here, before fan_out forks, so that the workers share them
+            self.orbit_min, order, _ = grp.orbit_tables()
+            self.perm, self.order = grp.perm_table(), order.ravel()
+            self.orbit = [0] * size  # bits of the orbit of an orbit minimum
+            for g, t in enumerate(self.orbit_min):
+                self.orbit[t] |= 1 << g
+            # rows_to[t][e]: the rows alpha with alpha(e) = t, t an orbit minimum
+            self.rows_to = [
+                [grp.transversal(e, t) for e in range(size)] if self.orbit[t] else None
+                for t in range(size)
             ]
-            if fresh:
-                gs = [cands[i] for i in fresh]
-                images = self.perm.take(grp.rows_through(gs, t0), axis=0)[:, P]
-                images.sort(axis=1)
-                target = np.array([P[1:] + [g] for g in gs], dtype=np.int16)
-                less = _lex_less(images, target.repeat(len(images) // len(gs), axis=0))
-                for i, lost in zip(fresh, less.reshape(len(gs), -1).any(axis=1).tolist()):
-                    beaten[i] = lost
-        return [g for g, lost in zip(cands, beaten) if not lost]
+            self.minima = sum(1 << t for t in range(size) if self.orbit[t])
+            # bits of the g with orbit_min[g] >= t
+            self.not_below = list(itertools.accumulate(reversed(self.orbit), operator.or_))[::-1]
 
     def run_subtree(
         self, prefix: tuple[int, ...], stop: int | None = None
     ) -> tuple[list[tuple[int, ...]], SearchStats]:
-        """Complete the DFS below an admitted prefix, counting the nodes
+        """Complete the walk below an admitted prefix, counting the nodes
         below it.  With ``stop`` the walk also ends at nodes of that depth
-        (below ``length``) and returns them, in DFS order, as work units."""
-        state = self.guard.fresh()
-        sigma = 0
+        (below ``length``) and returns them, in lex order, as work units.
+
+        The nodes of one depth are tested a chunk at a time; the children of
+        a chunk, lex-sorted, are walked to the end before the next chunk, so
+        leaves and units come out in lex order.  A depth's pending children
+        are kept as their parents' admitted masks, and are built a chunk at
+        a time."""
+        state, sigma = self.guard.fresh(), 0
         for g in prefix:
             state = self.guard.extend(state, g)
             sigma = self.add[sigma][g]
+        prefix = tuple(prefix)
+        stats = SearchStats(max_depth=len(prefix))
+        if len(prefix) in (self.length, stop):
+            stats.leaves = int(len(prefix) == self.length)
+            return [prefix], stats
+        self._check_depth(len(prefix))
         out: list[tuple[int, ...]] = []
-        stats = SearchStats()
-        T = list(prefix)
-        self._dfs(T, state, sigma, prefix[-1] if prefix else 0, stats, out, stop)
-        return out, stats
+        chunk = _Chunk(len(prefix))
+        root = (prefix, state, sigma)
+        self._join(chunk, root, self._candidates(root))
+        pending = []  # [parents, admitted masks, next parent] per depth
+        while True:
+            masks = self._admitted(chunk)
+            count = sum(m.bit_count() for m in masks)
+            depth = chunk.depth + 1
+            if count:
+                stats.nodes += count
+                stats.max_depth = max(stats.max_depth, depth)
+                if depth in (self.length, stop):
+                    if depth == self.length:
+                        stats.leaves += count
+                    for (T, _, _), mask in zip(chunk.nodes, masks):
+                        out.extend(T + (g,) for g in _bits(mask))
+                else:
+                    self._check_depth(depth)
+                    parents = [node for node, mask in zip(chunk.nodes, masks) if mask]
+                    pending.append([parents, [mask for mask in masks if mask], 0])
+            while pending and pending[-1][2] == len(pending[-1][0]):
+                pending.pop()
+            if not pending:
+                return out, stats
+            chunk = self._take(pending[-1], len(prefix) + len(pending))
 
-    def _dfs(self, T, state, sigma, last, stats, out, stop) -> None:
-        depth = len(T)
-        stats.max_depth = max(stats.max_depth, depth)
-        if depth == self.length:
-            stats.leaves += 1
-            out.append(tuple(T))
-            return
-        if depth == stop:
-            out.append(tuple(T))
-            return
+    def _check_depth(self, depth: int) -> None:
+        """Nodes of this depth are about to be expanded: raise
+        BudgetExceeded at the depth cap."""
         if self.depth_cap is not None and depth >= self.depth_cap:
             raise BudgetExceeded(
                 f"search depth cap {self.depth_cap} reached; the maximum may "
                 f"be unbounded for this predicate"
             )
-        guard, add, neg = self.guard, self.add, self.neg
+
+    def _take(self, entry: list, depth: int) -> _Chunk:
+        """The next chunk of the children that ``entry`` holds, built and
+        taken from its masks."""
+        parents, masks, i = entry
+        guard, add = self.guard, self.add
+        chunk = _Chunk(depth)
+        while i < len(parents) and chunk.rows < _CHUNK_ROWS:
+            mask = masks[i]
+            low = mask & -mask
+            masks[i] = mask ^ low
+            g = low.bit_length() - 1
+            T, state, sigma = parents[i]
+            child = (T + (g,), guard.extend(state, g), add[sigma][g])
+            self._join(chunk, child, self._candidates(child))
+            if mask == low:
+                i += 1
+        entry[2] = i
+        return chunk
+
+    def _candidates(self, node: tuple) -> int:
+        """The mask of the terms g >= P[-1] that the predicate lets extend
+        the node (terms, guard state, sum)."""
+        T, state, sigma = node
+        guard, neg = self.guard, self.neg
         blocked = guard.blocked(state)
-        cands = []
-        if self.closes and depth + 1 == self.length:
+        last = T[-1] if T else 0
+        if self.closes and len(T) + 1 == self.length:
             # The last term is forced by the zero-sum requirement.  With no
             # length bound it is always blocked and never tested: a sorted
             # zero-sum with a zero-sum free prefix is minimal, as a proper
             # zero-sum part can avoid one copy of the largest term and then
             # lies in the prefix.
             g = neg[sigma]
-            if g >= last and (guard.k is None or not blocked >> g & 1):
-                cands.append(g)
+            ok = g >= last and (guard.k is None or not blocked >> g & 1)
+            return 1 << g if ok else 0
+        mask = self.above[last] & ~blocked
+        if self.reach is not None:
+            mask &= self.reach[self.length - len(T) - 1][sigma]
+        return mask
+
+    def _join(self, chunk: _Chunk, node: tuple, mask: int) -> None:
+        """Add the node with the candidates of ``mask`` to the chunk, with
+        its rows of the sibling test; a node left with no candidate once
+        the orbit minima are cut is dropped."""
+        T = node[0]
+        if not self.canonical:
+            chunk.rows += 1
+        elif not T:
+            mask &= self.minima
+            chunk.rows += 1
         else:
-            reach = self.reach
-            remaining = None if self.length is None else self.length - depth - 1
-            candidates = self.above[last] & ~blocked
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                g = low.bit_length() - 1
-                if reach is None or reach[g][remaining] >> neg[add[sigma][g]] & 1:
-                    cands.append(g)
-        if self.canonical:
-            cands = self._admitted(T, cands)
-        for g in cands:
-            T.append(g)
-            stats.nodes += 1
-            self._dfs(T, guard.extend(state, g), add[sigma][g], g, stats, out, stop)
-            T.pop()
+            t0, last = T[0], T[-1]
+            mask &= self.not_below[t0]
+            if mask:
+                # R_P, cut to the rows through a term e as frequent as t0,
+                # or one copy short when e = P[-1] is a candidate
+                copies, rows = T.count(t0), 0
+                for e in dict.fromkeys(T):
+                    if self.orbit_min[e] == t0:
+                        short = copies - T.count(e)
+                        if short == 0 or (short == 1 and e == last and mask >> e & 1):
+                            rows += self._segment(chunk, e, t0)
+                chunk.counts.append(rows)
+        if mask:
+            chunk.nodes.append(node)
+            chunk.cands.append(mask)
+
+    def _segment(self, chunk: _Chunk, e: int, t: int) -> int:
+        """Add the rows alpha with alpha(e) = t to the chunk; returns their
+        number."""
+        rows = self.rows_to[t][e]
+        chunk.segments.append(rows)
+        chunk.rows += rows.stop - rows.start
+        return rows.stop - rows.start
+
+    def _images(self, chunk: _Chunk, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The chunk's rows, as int32, and the sorted images alpha(P[i])
+        for each row alpha and the term row P[i] beside it."""
+        np = groups.np
+        rows = np.concatenate([self.order[s] for s in chunk.segments]).astype(np.int32)
+        images = self.perm.ravel()[(rows * self.grp.size)[:, None] + P]
+        images.sort(axis=1)
+        return rows, images
+
+    def _admitted(self, chunk: _Chunk) -> list[int]:
+        """The masks of the admitted candidates of the chunk's nodes: the
+        sibling test of the module docstring, one set of array calls for
+        all of them."""
+        if not (self.canonical and chunk.depth and chunk.nodes):
+            return chunk.cands
+        np, size, k = groups.np, self.grp.size, chunk.depth
+        # the terms of each node, then a sentinel
+        P = np.array([T + (size,) for T, _, _ in chunk.nodes], dtype=np.int16)
+        terms = P.repeat(chunk.counts, axis=0)  # the terms of each row's node
+        rows, images = self._images(chunk, terms[:, :k])
+        # the first difference j of each image with P, 0 for a row fixing P
+        # (every image starts with t0), and the row's bound x = P[j]
+        first = (images != terms[:, :k]).argmax(axis=1)
+        r = np.arange(len(rows))
+        x = terms[r, first]
+        # the g each row beats, from the least candidate lo of the chunk on:
+        # alpha(g) < x, or alpha(g) < g for a row fixing P; OR-ed per node
+        lo = min((mask & -mask).bit_length() - 1 for mask in chunk.cands)
+        offsets = list(itertools.accumulate(chunk.counts[:-1], initial=0))
+        lost = self.perm[rows, lo:] < x[:, None]
+        fixing = (first == 0).nonzero()[0]
+        lost[fixing] = self.perm[rows[fixing], lo:] < np.arange(lo, size, dtype=np.int16)
+        lost = np.logical_or.reduceat(lost, offsets, axis=0)
+        # A row's one tie: g = alpha^-1(x), a candidate other than x, with x
+        # single in P[j:] and j > 0.  Then alpha(T) < T iff I[j:] < P[j+1:] +
+        # [g]: I[j:k-1] against P[j+1:k] decides, and on a draw I[k-1] < g.
+        t = ((first != 0) & (terms[r, first + 1] != x)).nonzero()[0]
+        V = self.perm[rows[t], lo:]
+        at = (V == x[t, None]).argmax(axis=1)
+        g = at + lo
+        tie = (V[np.arange(len(t)), at] == x[t]) & (g != x[t]) & (g >= terms[t, k - 1])
+        t, at, g = t[tie], at[tie], g[tie]
+        if len(t):
+            I = images[t]
+            d = I[:, :k - 1] - terms[t, 1:k]
+            d[np.arange(k - 1) < first[t, None]] = 0
+            c = d[np.arange(len(t)), (d != 0).argmax(axis=1)]
+            won = (c < 0) | ((c == 0) & (I[:, k - 1] < g))
+            lost[np.searchsorted(offsets, t[won], side="right") - 1, at[won]] = True
+        lost = np.packbits(lost, axis=1, bitorder="little")
+        width, flat = lost.shape[1], lost.tobytes()
+        out = [
+            mask & ~(int.from_bytes(flat[i * width:(i + 1) * width], "little") << lo)
+            for i, mask in enumerate(chunk.cands)
+        ]
+        # rows sending a g not in P to t0, when t0 is single in P, for the
+        # candidates left, batched as pairs (node, g) in chunks of their own
+        fresh = _Chunk(k)
+        for i, (T, _, _) in enumerate(chunk.nodes):
+            t0 = T[0]
+            if k == 1 or T[1] != t0:
+                for g in _bits(out[i] & self.orbit[t0] & ~(1 << T[-1])):
+                    fresh.nodes.append(i)
+                    fresh.cands.append(g)
+                    fresh.counts.append(self._segment(fresh, g, t0))
+                    if fresh.rows >= _CHUNK_ROWS:
+                        self._fresh(P, fresh, out)
+                        fresh = _Chunk(k)
+        if fresh.rows:
+            self._fresh(P, fresh, out)
+        return out
+
+    def _fresh(self, P: np.ndarray, fresh: _Chunk, out: list[int]) -> None:
+        """Clear from ``out`` each pair (node i, candidate g) of ``fresh``
+        that a row sending g to t0 beats: its image t0 + sorted alpha(P)
+        is less than P + [g] when sorted alpha(P) < P[1:] + [g]."""
+        np, k = groups.np, fresh.depth
+        PF = P[np.array(fresh.nodes).repeat(fresh.counts)]
+        _, images = self._images(fresh, PF[:, :k])
+        after = PF[:, 1:]
+        after[:, -1] = np.array(fresh.cands).repeat(fresh.counts)
+        offsets = list(itertools.accumulate(fresh.counts[:-1], initial=0))
+        lost = np.logical_or.reduceat(_lex_less(images, after), offsets)
+        for i, g, beaten in zip(fresh.nodes, fresh.cands, lost.tolist()):
+            if beaten:
+                out[i] &= ~(1 << g)
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """The set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

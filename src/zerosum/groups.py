@@ -268,14 +268,19 @@ class Group:
             self._orbits = (perm.min(axis=0).tolist(), order, bounds)
         return self._orbits
 
+    def transversal(self, x: int, y: int) -> slice:
+        """The point transversal ``{alpha : alpha(x) = y}``, as a slice of the
+        flattened ``order`` table of :meth:`orbit_tables`."""
+        _, order, bounds = self.orbit_tables()
+        base = x * order.shape[1]
+        return slice(base + bounds[x][y], base + bounds[x][y + 1])
+
     def rows_through(self, terms: list[int], y: int) -> np.ndarray:
         """Rows of :meth:`perm_table` that send some term of the index tuple
         ``terms`` to ``y``, each automorphism once (it sends only one
         element to ``y``)."""
-        _, order, bounds = self.orbit_tables()
-        return np.concatenate(
-            [order[x, bounds[x][y]:bounds[x][y + 1]] for x in dict.fromkeys(terms)]
-        )
+        order = self.orbit_tables()[1].ravel()
+        return np.concatenate([order[self.transversal(x, y)] for x in dict.fromkeys(terms)])
 
     def images_through(self, terms: list[int], y: int) -> np.ndarray:
         """Sorted images of the index tuple ``terms``, one row per

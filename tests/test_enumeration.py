@@ -135,9 +135,23 @@ def _sibling_rules(grp, P, g):
     return rules
 
 
+def _admit(engine, batch):
+    """The batched sibling test on one chunk: the admitted candidates of
+    each (P, candidates) of ``batch``, all P of one length."""
+    chunk = enumeration._Chunk(len(batch[0][0]))
+    for i, (P, cands) in enumerate(batch):
+        # the test reads only a node's terms; the slot of the guard state
+        # carries the node's place in the batch
+        engine._join(chunk, (tuple(P), i, None), sum(1 << g for g in cands))
+    admitted = [[] for _ in batch]
+    for (_, i, _), mask in zip(chunk.nodes, engine._admitted(chunk)):
+        admitted[i] = [g for g in batch[i][1] if mask >> g & 1]
+    return admitted
+
+
 def _check_siblings(grp, engine, P, rules):
-    """_admitted(P, every g >= P[-1]) against naive_canonical(P + [g]);
-    returns the admitted g."""
+    """The sibling test of P with every g >= P[-1] as candidates, against
+    naive_canonical(P + [g]); returns the admitted g."""
     cands = list(range(P[-1] if P else 0, grp.size))
     expected = []
     for g in cands:
@@ -146,26 +160,32 @@ def _check_siblings(grp, engine, P, rules):
             expected.append(g)
         if P:
             rules |= _sibling_rules(grp, P, g)
-    assert engine._admitted(P, cands) == expected, P
+    assert _admit(engine, [(P, cands)]) == [expected], P
     return expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sibling_test_matches_naive_canonical_exhaustively(n):
     """Every canonical P of length <= 3 and every g >= P[-1]; each g alone
-    as well, as for a forced closing term."""
+    as well, as for a forced closing term, and all P of one length in one
+    batch."""
     grp = group(n)
     engine = _Engine(grp, "all", {}, None, True)
     rules = set()
     for length in range(4):
+        batch, admitted = [], []
         for P in itertools.combinations_with_replacement(range(grp.size), length):
             seq = Sequence.from_terms(grp, map(grp.unindex, P))
             if naive_canonical(seq) != seq:
                 continue
             P = list(P)
-            admitted = _check_siblings(grp, engine, P, rules)
-            singly = [g for g in range(P[-1] if P else 0, grp.size) if engine._admitted(P, [g])]
-            assert singly == admitted, P
+            admitted.append(_check_siblings(grp, engine, P, rules))
+            batch.append((P, list(range(P[-1] if P else 0, grp.size))))
+            singly = [
+                g for g in range(P[-1] if P else 0, grp.size) if _admit(engine, [(P, [g])])[0]
+            ]
+            assert singly == admitted[-1], P
+        assert _admit(engine, batch) == admitted
     if n == 4:
         assert rules == {
             "orbit-minimum cut", "counting-rule reject", "tie accepted", "tie rejected",
@@ -188,6 +208,50 @@ def test_orbit_test_matches_naive_canonical(n):
         assert {
             "counting-rule reject", "tie accepted", "tie rejected", "alpha(g) = t0 reject",
         } <= rules
+
+
+def _canonical_prefix(rng, grp, length):
+    """A random canonical index tuple of the given length whose terms lie
+    in a random subgroup d*G, so that batches mix their first terms t0."""
+    n = grp.n
+    d = rng.choice([d for d in range(1, n) if n % d == 0] or [1])
+    terms = [grp.element(d * rng.randrange(n), d * rng.randrange(n)) for _ in range(length)]
+    if all(t == grp.zero for t in terms):
+        terms[0] = grp.element(0, d)
+    return [grp.index(g) for g in Sequence.from_terms(grp, terms).canonicalize()]
+
+
+@pytest.mark.parametrize("n,naive", [(3, 40), (5, 30), (6, 20), (8, 10), (9, 3)])
+def test_batched_sibling_test_matches_single_nodes(n, naive):
+    """Random batches of twelve canonical P of one length, with random
+    candidate sets (one candidate, as for a forced closing term, up to all
+    g >= P[-1]) and mixed first terms t0: each batch decides every node as
+    a batch of that node alone does, and ``naive`` random (P, g) of each
+    batch as naive_canonical(P + [g]).  n = 8 has 64 elements and n = 9
+    has 81, so that candidate masks are as wide as and wider than 64 bits."""
+    grp = group(n)
+    engine = _Engine(grp, "all", {}, None, True)
+    rng = random.Random(900 + n)
+    rules, firsts = set(), set()
+    for length in range(1, 8):
+        batch = []
+        for _ in range(12):
+            P = _canonical_prefix(rng, grp, length)
+            above = list(range(P[-1], grp.size))
+            count = min(len(above), rng.choice([1, 2, 5, len(above)]))
+            batch.append((P, sorted(rng.sample(above, count))))
+            firsts.add(P[0])
+        admitted = _admit(engine, batch)
+        assert admitted == [_admit(engine, [node])[0] for node in batch]
+        pairs = [(P, g, kept) for (P, cands), kept in zip(batch, admitted) for g in cands]
+        for P, g, kept in rng.sample(pairs, min(naive, len(pairs))):
+            child = Sequence.from_terms(grp, map(grp.unindex, P + [g]))
+            assert (g in kept) == (naive_canonical(child) == child), (P, g)
+            rules |= _sibling_rules(grp, P, g)
+    assert len(firsts) > 1
+    assert {
+        "counting-rule reject", "tie accepted", "tie rejected", "alpha(g) = t0 reject",
+    } <= rules
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -319,6 +383,55 @@ def test_node_counts_do_not_depend_on_the_split_depth(monkeypatch, split):
             _, stats = max_length_with(group(n), "zero-sum-free", jobs=jobs)
             assert stats.nodes == nodes, (split, jobs, n)
     assert split in depths
+
+
+# leaves of a few searches as (count, nodes, sha256 of their JSON list),
+# so that leaf order is pinned as well as the counts
+PINNED_LEAVES = [
+    (EnumSpec(5, 9, "minimal-zero-sum"), 5, 267, "da2d5ff4b09d6349"),
+    (EnumSpec(4, 6, "zero-sum-free"), 6, 68, "0c9046c5b5a9a01b"),
+    (EnumSpec(3, 6, "all"), 103, 197, "a7e0bbde67ab0808"),
+    (EnumSpec(4, 7, "zero-sum-no-short", {"k": 3}), 2, 114, "da0fe9b8ccf01ce2"),
+    (EnumSpec(3, 5, "no-short-zero-sum", {"k": 2}, up_to_symmetry=False), 360, 680,
+     "439820a0ac9ee4ae"),
+]
+
+
+@pytest.mark.parametrize("budget", [1, enumeration._CHUNK_ROWS])
+def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, budget):
+    """A budget of one row makes every chunk one node; the walk, its node
+    and orbit counts and its leaves in order are those of the default
+    budget, at jobs 1 and 2, and the depth cap still raises."""
+    monkeypatch.setattr(enumeration, "_CHUNK_ROWS", budget)
+    for jobs in (1, 2):
+        for n, nodes in DAVENPORT_NODES.items():
+            if n < 7 or budget > 1:  # 28,211 one-node chunks would take seconds
+                _, stats = max_length_with(group(n), "zero-sum-free", jobs=jobs)
+                assert stats.nodes == nodes, (budget, jobs, n)
+        for n, (orbits, nodes) in PROPERTY_B.items():
+            report = verify_property_b(n, jobs=jobs)
+            assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
+        for n, (orbits, nodes) in PROPERTY_C.items():
+            report = verify_property_c(n, jobs=jobs)
+            assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
+        for n, orbits, nodes in [(4, 11, 622), (5, 45, 4109)]:
+            report = verify_casen(n, jobs=jobs)
+            assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
+        for spec, count, nodes, digest in PINNED_LEAVES:
+            leaves, stats = enumeration.enumerate_leaves(spec, jobs=jobs)
+            assert (len(leaves), stats.nodes) == (count, nodes), spec
+            assert hashlib.sha256(json.dumps(leaves).encode()).hexdigest()[:16] == digest
+        with pytest.raises(BudgetExceeded):
+            s_leq(group(4), 2, jobs=jobs)
+
+
+def test_casen_6_1_is_pinned():
+    """The first frontier step past the default casen bound."""
+    report = verify_casen(6, jobs=1, force=True)
+    assert report.passed and report.orbits_scanned == 183
+    assert report.details == {
+        "nodes": 88331, "kinds": {"item1": 183, "item2": 0, "both": 0, "unclassified": 0},
+    }
 
 
 def _no_fork(*args, **kwargs):

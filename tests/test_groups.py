@@ -117,6 +117,7 @@ def test_orbit_tables_match_perm_table(n):
         for y in range(grp.size):
             sending = order[x, bounds[x][y]:bounds[x][y + 1]]
             assert sorted(sending.tolist()) == np.flatnonzero(perm[:, x] == y).tolist()
+            assert order.ravel()[grp.transversal(x, y)].tolist() == sending.tolist()
 
 
 def test_index_tables():

@@ -58,16 +58,26 @@ row maps fewer copies to t0 than T holds, and never beats T otherwise.  So
 only the rows through the e with cnt(e) = cnt(t0) are tested, and through
 e = P[-1] when cnt(e) = cnt(t0) - 1 and P[-1] is a candidate.  At
 davenport(7) this cuts the rows of a tested node from 208 to 92 on average.
+A node carries cnt(t0), the copies of its last term (P is sorted, so they
+are one run at its end) and the terms of t0's orbit with cnt(e) = cnt(t0);
+a child's follow from its parent's and the term it adds, with no rescan.
 
 The test is batched.  The nodes of one depth are cut into chunks of about
 _CHUNK_ROWS rows, and one set of array calls decides every candidate of
-every node of a chunk.  The rows come from the transversal table in one
-gather; each row's images of P are sorted once, which gives its j and x.
-A row then marks, over all elements g, those it beats: alpha(g) < x (or
-alpha(g) < g for a row fixing P), and its tie candidate alpha^-1(x) when
-the tie goes against T.  The marks are packed to bits and OR-ed per node,
-one int per node of the candidates it loses.  The rows sending a
-candidate g to t0, for the candidates left, are batched the same way.
+every node of a chunk.  The rows come from the transversal table; their
+images of P are gathered a term at a time and sorted once per row, which
+gives each row's j and x.  Over the elements g from the chunk's least
+candidate lo on, a row beats g where alpha(g) - x < 0 (alpha(g) - g for a
+row fixing P); the least of these over a node's rows marks the candidates
+it loses.  A row's tie candidate alpha^-1(x) is read off the row of
+alpha^-1 (Group.inverse_rows) and marked when the tie goes against T.  The
+marks are packed to bits, one int per node of the candidates it loses.
+The rows sending a candidate g to t0, for the candidates left, are batched
+the same way, once the arrays of the rows of R_P are freed.  A chunk's
+memory is its rows times about 2 (n^2 - lo) bytes for the counting rule
+and 6 bytes per term of P for the images, about 160 bytes a row at n = 7,
+so the row budget bounds it; the budget is the largest of the
+BENCH_17.json sweep that keeps the search benchmark's peak RSS flat.
 
 A search is one walk.  The children of a chunk, lex-sorted as its nodes
 are, are walked to the end before the next chunk of their parents' depth,
@@ -229,7 +239,10 @@ def _reach_masks(grp: Group, max_len: int) -> list[list[int]]:
 
 # A chunk takes nodes of one depth until it holds this many rows of the
 # sibling test (nodes, in a search without the test), one node at least.
-_CHUNK_ROWS = 768
+# The rows bound a chunk's memory (module docstring); 4096 is the largest
+# budget of the BENCH_17.json sweep (768 to 8192 rows) that leaves the
+# search workload's peak RSS where 768-row chunks have it.
+_CHUNK_ROWS = 4096
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,7 +252,8 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Chunk:
-    """Nodes of one depth, each (terms, guard state, sum), with their
+    """Nodes of one depth, each a tuple (terms, guard state, sum, cnt(t0),
+    cnt(P[-1]), heavy) as ``_Engine._child`` builds it, with their
     candidate masks and, for the sibling test, the segments of the
     transversal table that hold their rows and the row count of each.  For
     the rows sending a candidate g to t0, the entries are the pairs (index
@@ -281,6 +295,7 @@ class _Engine:
             # built here, before fan_out forks, so that the workers share them
             self.orbit_min, order, _ = grp.orbit_tables()
             self.perm, self.order = grp.perm_table(), order.ravel()
+            self.inverse = grp.inverse_rows()
             self.orbit = [0] * size  # bits of the orbit of an orbit minimum
             for g, t in enumerate(self.orbit_min):
                 self.orbit[t] |= 1 << g
@@ -290,8 +305,14 @@ class _Engine:
                 for t in range(size)
             ]
             self.minima = sum(1 << t for t in range(size) if self.orbit[t])
+            # |Stab(t)|, the size of every rows_to[t][e]
+            self.stabilizer = [
+                r[t].stop - r[t].start if r else 0 for t, r in enumerate(self.rows_to)
+            ]
             # bits of the g with orbit_min[g] >= t
             self.not_below = list(itertools.accumulate(reversed(self.orbit), operator.or_))[::-1]
+        else:
+            self.orbit_min = range(size)  # the orbits of the trivial group
 
     def run_subtree(
         self, prefix: tuple[int, ...], stop: int | None = None
@@ -305,10 +326,6 @@ class _Engine:
         leaves and units come out in lex order.  A depth's pending children
         are kept as their parents' admitted masks, and are built a chunk at
         a time."""
-        state, sigma = self.guard.fresh(), 0
-        for g in prefix:
-            state = self.guard.extend(state, g)
-            sigma = self.add[sigma][g]
         prefix = tuple(prefix)
         stats = SearchStats(max_depth=len(prefix))
         if len(prefix) in (self.length, stop):
@@ -317,7 +334,7 @@ class _Engine:
         self._check_depth(len(prefix))
         out: list[tuple[int, ...]] = []
         chunk = _Chunk(len(prefix))
-        root = (prefix, state, sigma)
+        root = self._node(prefix)
         self._join(chunk, root, self._candidates(root))
         pending = []  # [parents, admitted masks, next parent] per depth
         while True:
@@ -330,8 +347,8 @@ class _Engine:
                 if depth in (self.length, stop):
                     if depth == self.length:
                         stats.leaves += count
-                    for (T, _, _), mask in zip(chunk.nodes, masks):
-                        out.extend(T + (g,) for g in _bits(mask))
+                    for node, mask in zip(chunk.nodes, masks):
+                        out.extend(node[0] + (g,) for g in _bits(mask))
                 else:
                     self._check_depth(depth)
                     parents = [node for node, mask in zip(chunk.nodes, masks) if mask]
@@ -355,25 +372,50 @@ class _Engine:
         """The next chunk of the children that ``entry`` holds, built and
         taken from its masks."""
         parents, masks, i = entry
-        guard, add = self.guard, self.add
         chunk = _Chunk(depth)
         while i < len(parents) and chunk.rows < _CHUNK_ROWS:
             mask = masks[i]
             low = mask & -mask
             masks[i] = mask ^ low
-            g = low.bit_length() - 1
-            T, state, sigma = parents[i]
-            child = (T + (g,), guard.extend(state, g), add[sigma][g])
+            child = self._child(parents[i], low.bit_length() - 1)
             self._join(chunk, child, self._candidates(child))
             if mask == low:
                 i += 1
         entry[2] = i
         return chunk
 
+    def _node(self, prefix: tuple[int, ...]) -> tuple:
+        """The node of an admitted prefix, built a term at a time."""
+        node = ((), self.guard.fresh(), 0, 0, 0, ())
+        for g in prefix:
+            node = self._child(node, g)
+        return node
+
+    def _child(self, node: tuple, g: int) -> tuple:
+        """The child T + (g,) of a node T, g >= T[-1], with its counts:
+        cnt(t0), the copies of its last term and heavy, the terms of t0's
+        orbit as frequent as t0, ascending.  They follow from T's counts and
+        g alone; the child is canonical, so no term of t0's orbit outnumbers
+        t0 in it."""
+        T, state, sigma, copies, run, heavy = node
+        if not T:
+            copies, run, heavy = 1, 1, (g,) if self.orbit_min[g] == g else ()
+        elif g != T[-1]:
+            run = 1
+            if copies == 1 and self.orbit_min[g] == T[0]:
+                heavy += (g,)
+        else:
+            run += 1
+            if g == T[0]:
+                copies += 1
+            elif run == copies and self.orbit_min[g] == T[0]:
+                heavy += (g,)
+        return (T + (g,), self.guard.extend(state, g), self.add[sigma][g], copies, run, heavy)
+
     def _candidates(self, node: tuple) -> int:
-        """The mask of the terms g >= P[-1] that the predicate lets extend
-        the node (terms, guard state, sum)."""
-        T, state, sigma = node
+        """The mask of the terms g >= T[-1] that the predicate lets extend
+        the node."""
+        T, state, sigma = node[:3]
         guard, neg = self.guard, self.neg
         blocked = guard.blocked(state)
         last = T[-1] if T else 0
@@ -402,18 +444,21 @@ class _Engine:
             mask &= self.minima
             chunk.rows += 1
         else:
+            _, _, _, copies, run, heavy = node
             t0, last = T[0], T[-1]
             mask &= self.not_below[t0]
             if mask:
                 # R_P, cut to the rows through a term e as frequent as t0,
                 # or one copy short when e = P[-1] is a candidate
-                copies, rows = T.count(t0), 0
-                for e in dict.fromkeys(T):
-                    if self.orbit_min[e] == t0:
-                        short = copies - T.count(e)
-                        if short == 0 or (short == 1 and e == last and mask >> e & 1):
-                            rows += self._segment(chunk, e, t0)
-                chunk.counts.append(rows)
+                rows_to = self.rows_to[t0]
+                chunk.segments.extend([rows_to[e] for e in heavy])
+                count = len(heavy)
+                if run == copies - 1 and mask >> last & 1 and self.orbit_min[last] == t0:
+                    chunk.segments.append(rows_to[last])
+                    count += 1
+                count *= self.stabilizer[t0]
+                chunk.rows += count
+                chunk.counts.append(count)
         if mask:
             chunk.nodes.append(node)
             chunk.cands.append(mask)
@@ -427,11 +472,16 @@ class _Engine:
         return rows.stop - rows.start
 
     def _images(self, chunk: _Chunk, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The chunk's rows, as int32, and the sorted images alpha(P[i])
-        for each row alpha and the term row P[i] beside it."""
+        """The chunk's rows and the sorted images alpha(P[i]) for each row
+        alpha and the term row P[i] beside it, gathered a term at a time so
+        that no index array of the images' shape is built."""
         np = groups.np
-        rows = np.concatenate([self.order[s] for s in chunk.segments]).astype(np.int32)
-        images = self.perm.ravel()[(rows * self.grp.size)[:, None] + P]
+        rows = np.concatenate([self.order[s] for s in chunk.segments])
+        base, flat = rows.astype(np.intp), self.perm.ravel()
+        base *= self.grp.size
+        images = np.empty(P.shape, dtype=np.int16)
+        for i in range(P.shape[1]):
+            images[:, i] = flat[base + P[:, i]]
         images.sort(axis=1)
         return rows, images
 
@@ -441,50 +491,15 @@ class _Engine:
         all of them."""
         if not (self.canonical and chunk.depth and chunk.nodes):
             return chunk.cands
-        np, size, k = groups.np, self.grp.size, chunk.depth
+        np, k = groups.np, chunk.depth
         # the terms of each node, then a sentinel
-        P = np.array([T + (size,) for T, _, _ in chunk.nodes], dtype=np.int16)
-        terms = P.repeat(chunk.counts, axis=0)  # the terms of each row's node
-        rows, images = self._images(chunk, terms[:, :k])
-        # the first difference j of each image with P, 0 for a row fixing P
-        # (every image starts with t0), and the row's bound x = P[j]
-        first = (images != terms[:, :k]).argmax(axis=1)
-        r = np.arange(len(rows))
-        x = terms[r, first]
-        # the g each row beats, from the least candidate lo of the chunk on:
-        # alpha(g) < x, or alpha(g) < g for a row fixing P; OR-ed per node
-        lo = min((mask & -mask).bit_length() - 1 for mask in chunk.cands)
-        offsets = list(itertools.accumulate(chunk.counts[:-1], initial=0))
-        lost = self.perm[rows, lo:] < x[:, None]
-        fixing = (first == 0).nonzero()[0]
-        lost[fixing] = self.perm[rows[fixing], lo:] < np.arange(lo, size, dtype=np.int16)
-        lost = np.logical_or.reduceat(lost, offsets, axis=0)
-        # A row's one tie: g = alpha^-1(x), a candidate other than x, with x
-        # single in P[j:] and j > 0.  Then alpha(T) < T iff I[j:] < P[j+1:] +
-        # [g]: I[j:k-1] against P[j+1:k] decides, and on a draw I[k-1] < g.
-        t = ((first != 0) & (terms[r, first + 1] != x)).nonzero()[0]
-        V = self.perm[rows[t], lo:]
-        at = (V == x[t, None]).argmax(axis=1)
-        g = at + lo
-        tie = (V[np.arange(len(t)), at] == x[t]) & (g != x[t]) & (g >= terms[t, k - 1])
-        t, at, g = t[tie], at[tie], g[tie]
-        if len(t):
-            I = images[t]
-            d = I[:, :k - 1] - terms[t, 1:k]
-            d[np.arange(k - 1) < first[t, None]] = 0
-            c = d[np.arange(len(t)), (d != 0).argmax(axis=1)]
-            won = (c < 0) | ((c == 0) & (I[:, k - 1] < g))
-            lost[np.searchsorted(offsets, t[won], side="right") - 1, at[won]] = True
-        lost = np.packbits(lost, axis=1, bitorder="little")
-        width, flat = lost.shape[1], lost.tobytes()
-        out = [
-            mask & ~(int.from_bytes(flat[i * width:(i + 1) * width], "little") << lo)
-            for i, mask in enumerate(chunk.cands)
-        ]
+        P = np.array([node[0] + (self.grp.size,) for node in chunk.nodes], dtype=np.int16)
+        out = self._test_r_p(chunk, P)
         # rows sending a g not in P to t0, when t0 is single in P, for the
         # candidates left, batched as pairs (node, g) in chunks of their own
         fresh = _Chunk(k)
-        for i, (T, _, _) in enumerate(chunk.nodes):
+        for i, node in enumerate(chunk.nodes):
+            T = node[0]
             t0 = T[0]
             if k == 1 or T[1] != t0:
                 for g in _bits(out[i] & self.orbit[t0] & ~(1 << T[-1])):
@@ -497,6 +512,51 @@ class _Engine:
         if fresh.rows:
             self._fresh(P, fresh, out)
         return out
+
+    def _test_r_p(self, chunk: _Chunk, P: np.ndarray) -> list[int]:
+        """The candidate masks of the chunk's nodes, less the candidates
+        that a row of R_P beats; its arrays are freed before the rows
+        sending a candidate to t0 are tested."""
+        np, size, k = groups.np, self.grp.size, chunk.depth
+        terms = P.repeat(chunk.counts, axis=0)  # the terms of each row's node
+        rows, images = self._images(chunk, terms[:, :k])
+        # the first difference j of each image with P, 0 for a row fixing P
+        # (every image starts with t0), and the row's bound x = P[j]
+        first = (images != terms[:, :k]).argmax(axis=1)[:, None]
+        x = np.take_along_axis(terms, first, axis=1)
+        # the g each row beats, from the least candidate lo of the chunk on:
+        # alpha(g) - x < 0, or alpha(g) - g < 0 for a row fixing P (x = t0
+        # there); the least over each node's rows
+        lo = min((mask & -mask).bit_length() - 1 for mask in chunk.cands)
+        offsets = list(itertools.accumulate(chunk.counts[:-1], initial=0))
+        beats = self.perm[rows, lo:]
+        beats -= x
+        fixing = (first[:, 0] == 0).nonzero()[0]
+        beats[fixing] += x[fixing] - np.arange(lo, size, dtype=np.int16)
+        lost = np.minimum.reduceat(beats, offsets, axis=0) < 0
+        del beats  # the chunk's largest array, freed before the tie's are made
+        # A row's one tie: g = alpha^-1(x), a candidate other than x, with x
+        # single in P[j:] and j > 0.  Then alpha(T) < T iff I[j:] < P[j+1:] +
+        # [g]: I[j:k-1] against P[j+1:k] decides, and on a draw I[k-1] < g.
+        single = (first != 0) & (np.take_along_axis(terms, first + 1, axis=1) != x)
+        t = single[:, 0].nonzero()[0]
+        x = x[t, 0]
+        g = self.perm[self.inverse[rows[t]], x]
+        tie = (g >= lo) & (g != x) & (g >= terms[t, k - 1])
+        t, g = t[tie], g[tie]
+        if len(t):
+            I = images[t]
+            d = I[:, :k - 1] - terms[t, 1:k]
+            d[np.arange(k - 1) < first[t]] = 0
+            c = d[np.arange(len(t)), (d != 0).argmax(axis=1)]
+            won = (c < 0) | ((c == 0) & (I[:, k - 1] < g))
+            lost[np.searchsorted(offsets, t[won], side="right") - 1, g[won] - lo] = True
+        lost = np.packbits(lost, axis=1, bitorder="little")
+        width, flat = lost.shape[1], lost.tobytes()
+        return [
+            mask & ~(int.from_bytes(flat[i * width:(i + 1) * width], "little") << lo)
+            for i, mask in enumerate(chunk.cands)
+        ]
 
     def _fresh(self, P: np.ndarray, fresh: _Chunk, out: list[int]) -> None:
         """Clear from ``out`` each pair (node i, candidate g) of ``fresh``

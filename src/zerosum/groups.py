@@ -54,6 +54,7 @@ class Group:
 
     __slots__ = (
         "n", "_elements", "_max_order", "_aut", "_perm", "_add_idx", "_neg_idx", "_orbits",
+        "_inverse",
     )
 
     def __init__(self, n: int):
@@ -67,6 +68,7 @@ class Group:
         self._add_idx: list[list[int]] | None = None
         self._neg_idx: list[int] | None = None
         self._orbits: tuple[list[int], np.ndarray, list[list[int]]] | None = None
+        self._inverse: np.ndarray | None = None
 
     # -- identity and comparison ------------------------------------------
 
@@ -267,6 +269,19 @@ class Group:
                 bounds.append(np.searchsorted(perm[order[x], x], edges).tolist())
             self._orbits = (perm.min(axis=0).tolist(), order, bounds)
         return self._orbits
+
+    def inverse_rows(self) -> np.ndarray:
+        """``inverse_rows()[a]`` is the row of :meth:`perm_table` that holds
+        the inverse of the automorphism in row a; same dtype as ``order``."""
+        if self._inverse is None:
+            n, auts = self.n, self.automorphisms()
+            row = {(al.p, al.q, al.r, al.s): i for i, al in enumerate(auts)}
+            inverse = []
+            for al in auts:
+                d = pow(al.det, -1, n)
+                inverse.append(row[(al.s * d % n, -al.q * d % n, -al.r * d % n, al.p * d % n)])
+            self._inverse = np.array(inverse, dtype=self.orbit_tables()[1].dtype)
+        return self._inverse
 
     def transversal(self, x: int, y: int) -> slice:
         """The point transversal ``{alpha : alpha(x) = y}``, as a slice of the

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -140,11 +141,12 @@ def _admit(engine, batch):
     each (P, candidates) of ``batch``, all P of one length."""
     chunk = enumeration._Chunk(len(batch[0][0]))
     for i, (P, cands) in enumerate(batch):
-        # the test reads only a node's terms; the slot of the guard state
-        # carries the node's place in the batch
-        engine._join(chunk, (tuple(P), i, None), sum(1 << g for g in cands))
+        # the test reads no guard state; its slot carries the node's place
+        # in the batch
+        node = engine._node(tuple(P))
+        engine._join(chunk, (node[0], i) + node[2:], sum(1 << g for g in cands))
     admitted = [[] for _ in batch]
-    for (_, i, _), mask in zip(chunk.nodes, engine._admitted(chunk)):
+    for (_, i, *_), mask in zip(chunk.nodes, engine._admitted(chunk)):
         admitted[i] = [g for g in batch[i][1] if mask >> g & 1]
     return admitted
 
@@ -219,6 +221,54 @@ def _canonical_prefix(rng, grp, length):
     if all(t == grp.zero for t in terms):
         terms[0] = grp.element(0, d)
     return [grp.index(g) for g in Sequence.from_terms(grp, terms).canonicalize()]
+
+
+def _rescanned_segments(engine, P, mask):
+    """The segments of R_P after the multiplicity cut, read off P by
+    counting each distinct term (none when no candidate is left): the
+    reference for the counts a node carries."""
+    t0, copies, segments = P[0], P.count(P[0]), []
+    if not mask:
+        return segments
+    for e in dict.fromkeys(P):
+        if engine.orbit_min[e] == t0:
+            short = copies - P.count(e)
+            if short == 0 or (short == 1 and e == P[-1] and mask >> e & 1):
+                segments.append(engine.rows_to[t0][e])
+    return segments
+
+
+def test_carried_counts_match_a_rescan():
+    """Every prefix of random canonical P at n = 3..8, built a term at a
+    time from its parent's counts, joins a chunk with the segments a rescan
+    of its terms gives, with P[-1] a candidate and without.  The prefixes
+    take in a last term repeated away from t0, terms of t0's orbit as
+    frequent as t0, and the P[-1] one copy short of t0."""
+    seen = set()
+    for n in range(3, 9):
+        grp = group(n)
+        engine = _Engine(grp, "all", {}, None, True)
+        rng = random.Random(1100 + n)
+        for _ in range(60):
+            P = _canonical_prefix(rng, grp, rng.randrange(1, 10))
+            node = engine._node(())
+            for k, g in enumerate(P, 1):
+                node = engine._child(node, g)
+                T = node[0]
+                assert T == tuple(P[:k])
+                t0, last = T[0], T[-1]
+                if k > 1 and last == T[-2] != t0:
+                    seen.add("repeated last term")
+                if len(node[5]) > 1:
+                    seen.add("heavy orbit term")
+                if engine.orbit_min[last] == t0 and T.count(last) == T.count(t0) - 1:
+                    seen.add("one copy short")
+                for mask in (engine.above[last], engine.above[last] & ~(1 << last)):
+                    chunk = enumeration._Chunk(k)
+                    engine._join(chunk, node, mask)
+                    expected = _rescanned_segments(engine, T, mask & engine.not_below[t0])
+                    assert chunk.segments == expected, (n, T, mask >> last & 1)
+    assert seen == {"repeated last term", "heavy orbit term", "one copy short"}
 
 
 @pytest.mark.parametrize("n,naive", [(3, 40), (5, 30), (6, 20), (8, 10), (9, 3)])
@@ -397,11 +447,13 @@ PINNED_LEAVES = [
 ]
 
 
-@pytest.mark.parametrize("budget", [1, enumeration._CHUNK_ROWS])
+@pytest.mark.parametrize("budget", [1, enumeration._CHUNK_ROWS, 10**9])
 def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, budget):
-    """A budget of one row makes every chunk one node; the walk, its node
-    and orbit counts and its leaves in order are those of the default
-    budget, at jobs 1 and 2, and the depth cap still raises."""
+    """A budget of one row makes every chunk one node, and a budget above
+    any chunk these searches form takes all pending children of a depth
+    into one chunk; the walk, its node and orbit counts and its leaves in
+    order are those of the default budget, at jobs 1 and 2, and the depth
+    cap still raises."""
     monkeypatch.setattr(enumeration, "_CHUNK_ROWS", budget)
     for jobs in (1, 2):
         for n, nodes in DAVENPORT_NODES.items():
@@ -423,6 +475,24 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, budget):
             assert hashlib.sha256(json.dumps(leaves).encode()).hexdigest()[:16] == digest
         with pytest.raises(BudgetExceeded):
             s_leq(group(4), 2, jobs=jobs)
+
+
+def test_walk_working_set_is_bounded():
+    """The tracemalloc peak of davenport(7), whose group tables are built
+    beforehand, stays under 1.1 MB: 0.86 MB measured with 4096-row chunks
+    (for the first search in the process; 0.70 MB for a second) plus a
+    margin of about 30%.  numpy reports its buffers to tracemalloc, so a
+    larger chunk budget, or a chunk array more per row, fails here before
+    it shows in the benchmark's peak RSS (6144-row chunks read 1.2 MB)."""
+    grp = group(7)
+    grp.perm_table(), grp.orbit_tables(), grp.inverse_rows()
+    tracemalloc.start()
+    try:
+        assert davenport(grp, jobs=1) == 13
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_100_000, peak
 
 
 def test_casen_6_1_is_pinned():

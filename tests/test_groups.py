@@ -120,6 +120,13 @@ def test_orbit_tables_match_perm_table(n):
             assert order.ravel()[grp.transversal(x, y)].tolist() == sending.tolist()
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_inverse_rows_undo_their_rows(n):
+    grp = group(n)
+    perm, inverse = grp.perm_table(), grp.inverse_rows()
+    assert (perm[inverse[:, None], perm] == np.arange(grp.size)).all()
+
+
 def test_index_tables():
     grp = group(4)
     add = grp.add_index_table()

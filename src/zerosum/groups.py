@@ -160,15 +160,6 @@ class Group:
         y = (dinv * (-e1[1] * g[0] + e1[0] * g[1])) % n
         return (x, y)
 
-    def discrete_log(self, g: Elem, h: Elem) -> int | None:
-        """Least x >= 0 with x*g == h, or None if h is outside <g>."""
-        acc = self.zero
-        for x in range(self.element_order(g)):
-            if acc == h:
-                return x
-            acc = self.add(acc, g)
-        return None
-
     def cyclic_subgroup(self, g: Elem) -> tuple[Elem, ...]:
         out = []
         acc = self.zero

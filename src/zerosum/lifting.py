@@ -3,13 +3,15 @@
 For m dividing N, the map g -> m*g has kernel nG (n = N/m, a copy of
 (Z/mZ)^2) and image mG (a copy of (Z/nZ)^2).  The Homomorphism object
 lists the kernel and carries the image coordinate chart m*(u,v) <-> (u,v)
-mod n.
+mod n, which maps a multiset given by (element, multiplicity) pairs
+straight to its image over (Z/nZ)^2.
 
 The two verify_* functions check, at statement level, the transfer result
 for minimal zero-sums of maximal length 2N-1: their image has no nonempty
 zero-sum part of length below n, and when the image lands in the
 exceptional four-element shape, the original sequence keeps the
-one-basis-coset support property.
+one-basis-coset support property.  Item 1 checks each sample on its image
+alone; the sample itself becomes a Sequence only when it is reported.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from math import gcd
+from typing import Iterable
 
 from .classification import construct_exceptional
 from .enumeration import EnumSpec, enumerate_sequences
@@ -72,17 +75,21 @@ class Homomorphism:
         return (w[0] // self.m % self.n, w[1] // self.m % self.n)
 
     def image_in_coords(self, seq: Sequence) -> Sequence:
-        """phi(S) rewritten over (Z/nZ)^2: image_coords(self(g)) for each
-        term, inlined into one chart function."""
-        N, m, n = self.N, self.m, self.n
+        """phi(S) rewritten over (Z/nZ)^2."""
+        return self.image_of_items(seq.items())
 
-        def chart(g: Elem) -> Elem:
-            a, b = m * g[0] % N, m * g[1] % N
+    def image_of_items(self, items: Iterable[tuple[Elem, int]]) -> Sequence:
+        """The image over (Z/nZ)^2 of the multiset given by (element,
+        multiplicity) pairs: image_coords(self(g)) for each term, inlined
+        into one loop."""
+        N, m, n = self.N, self.m, self.n
+        image = []
+        for (a, b), k in items:
+            a, b = m * a % N, m * b % N
             if a % m or b % m:
                 raise FiberMismatch(f"{(a, b)} is not in the image of mult-by-{m}")
-            return (a // m % n, b // m % n)
-
-        return seq.apply_hom(chart, self.image_group)
+            image.append(((a // m % n, b // m % n), k))
+        return Sequence(self.image_group, image)
 
 
 def mul_hom(N: int, m: int) -> Homomorphism:
@@ -93,18 +100,19 @@ def mul_hom(N: int, m: int) -> Homomorphism:
     return Homomorphism(N, m)
 
 
-def _coset_form_sample(grp: Group, rng: random.Random) -> Sequence:
+def _coset_form_sample(grp: Group, rng: random.Random) -> list[tuple[Elem, int]]:
     """A random member of the maximal-length minimal zero-sum family,
-    transported by a random automorphism."""
+    transported by a random automorphism, as (element, multiplicity) pairs
+    whose coordinates are not yet reduced mod N."""
     N = grp.n
     xs = [rng.randrange(N) for _ in range(N - 1)]
     xs.append((1 - sum(xs)) % N)
     # the automorphism is drawn after the xs: the pinned sample stream
     # depends on this order
     alpha = grp.random_automorphism(rng)
-    # alpha((x, 1)) = (p*x + q, r*x + s), reduced mod N by the constructor
+    # alpha((x, 1)) = (p*x + q, r*x + s)
     p, q, r, s = alpha.p, alpha.q, alpha.r, alpha.s
-    return Sequence(grp, [((p, r), N - 1)] + [((p * x + q, r * x + s), 1) for x in xs])
+    return [((p, r), N - 1)] + [((p * x + q, r * x + s), 1) for x in xs]
 
 
 def verify_propbfix_item1(
@@ -121,11 +129,15 @@ def verify_propbfix_item1(
     length below n, for minimal zero-sums S of length 2mn-1.
 
     Three populations: caller-supplied sequences (each checked against the
-    precondition first; rejects are recorded, not counted as violations);
+    precondition first, over (Z/mnZ)^2; rejects are recorded, not counted
+    as violations);
     exhaustive orbit enumeration (mn <= 8 only; conclusions are constant
     on orbits since mult-by-m commutes with every automorphism); or, by
     default, seeded random members of the maximal-length family, which by
     the separately verified one-coset structure is the whole search space.
+    Each population yields (element, multiplicity) pairs, checked through
+    one image routine (Homomorphism.image_of_items); a sample is built as
+    a Sequence only for a counterexample's JSON.
     """
     if m < 4 or n < 2:
         raise PreconditionViolated(f"need m >= 4 and n >= 2, got m={m}, n={n}")
@@ -138,19 +150,20 @@ def verify_propbfix_item1(
         if sequences is not None:
             population = []
             for seq in sequences:
-                if len(seq) != 2 * N - 1 or not is_minimal_zero_sum(seq):
+                if seq.group != grp or len(seq) != 2 * N - 1 or not is_minimal_zero_sum(seq):
                     rejected.append(seq.to_json_obj())
                 else:
-                    population.append(seq)
+                    population.append(seq.items())
             provenance = "caller-supplied"
         elif exhaustive:
             if N > 8:
                 raise BudgetExceeded(
                     f"exhaustive check needs mn <= 8, got mn={N}"
                 )
-            population, _ = enumerate_sequences(
+            reps, _ = enumerate_sequences(
                 EnumSpec(N, 2 * N - 1, "minimal-zero-sum"), jobs=jobs
             )
+            population = [seq.items() for seq in reps]
             provenance = "exhaustive orbit enumeration"
         else:
             rng = random.Random(seed)
@@ -158,18 +171,16 @@ def verify_propbfix_item1(
             population = (_coset_form_sample(grp, rng) for _ in range(samples))
             provenance = "seeded maximal-length family sample"
         scanned = 0
-        for seq in population:
+        for items in population:
             scanned += 1
-            image = hom.image_in_coords(seq)
+            image = hom.image_of_items(items)
             if not image.is_zero_sum():
-                bad.append({"sequence": seq.to_json_obj(), "reason": "image not zero-sum"})
+                reason = "image not zero-sum"
             elif has_short_zero_sum(image, n - 1):
-                bad.append(
-                    {
-                        "sequence": seq.to_json_obj(),
-                        "reason": "image has a zero-sum part shorter than n",
-                    }
-                )
+                reason = "image has a zero-sum part shorter than n"
+            else:
+                continue
+            bad.append({"sequence": Sequence(grp, items).to_json_obj(), "reason": reason})
     return Report(
         check="propbfix-item1",
         params={

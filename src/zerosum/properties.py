@@ -98,16 +98,27 @@ def matches_eq1(seq: Sequence) -> list[Eq1Witness]:
             continue
         rest = [(g, k) for g, k in items if g != e1]
         g0 = rest[0][0]
-        if not grp.is_basis(e1, g0):
+        det = grp.det(e1, g0)
+        if not grp.is_unit(det):
             continue
-        coset = _coset(grp, g0, e1)
-        if not all(g in coset for g, _ in rest):
-            continue
-        e2 = min(coset)
-        xs = sorted(
-            x for g, k in rest for x in [grp.discrete_log(e1, grp.sub(g, e2))] * k
-        )
-        if sum(xs) % n == 1:
+        # g = x*e1 + y*g0 in the basis (e1, g0); g lies in g0 + <e1> iff y = 1
+        d = pow(det, -1, n)
+        coords = []
+        for g, k in rest:
+            if d * (e1[0] * g[1] - e1[1] * g[0]) % n != 1:
+                break
+            coords.append((d * (g0[1] * g[0] - g0[0] * g[1]), k))
+        else:
+            # the residues are x - c for the c found below, and n of them
+            # sum to sum(x) mod n: test the sum before finding c
+            if sum(x * k for x, k in coords) % n != 1:
+                continue
+            # e2 = g0 + c*e1 is the least member of the coset, so x - c is
+            # the residue of g
+            line = [((g0[0] + t * e1[0]) % n, (g0[1] + t * e1[1]) % n) for t in range(n)]
+            e2 = min(line)
+            c = line.index(e2)
+            xs = sorted(r for x, k in coords for r in [(x - c) % n] * k)
             out.append(Eq1Witness(e1, e2, tuple(xs)))
     return out
 

@@ -42,7 +42,7 @@ class Sequence:
             merged[g] = get(g, 0) + mult
         self.group = grp
         self._items: tuple[tuple[Elem, int], ...] = tuple(sorted(merged.items()))
-        self._len = sum(m for _, m in self._items)
+        self._len = sum(merged.values())
         self._hash: int | None = None
         self._counts: dict[Elem, int] | None = None
 
@@ -102,10 +102,12 @@ class Sequence:
 
     def sigma(self) -> Elem:
         """Sum of all terms."""
+        a = b = 0
+        for (x, y), m in self._items:
+            a += x * m
+            b += y * m
         n = self.group.n
-        a = sum(g[0] * m for g, m in self._items) % n
-        b = sum(g[1] * m for g, m in self._items) % n
-        return (a, b)
+        return (a % n, b % n)
 
     def is_zero_sum(self) -> bool:
         return self.sigma() == self.group.zero

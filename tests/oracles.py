@@ -7,9 +7,10 @@ sub-multiset, symmetry by applying every automorphism one at a time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from zerosum import Group, Sequence
+from zerosum import Group, Sequence, group
 
 
 def iter_submultisets(seq: Sequence):
@@ -86,15 +87,23 @@ def random_sequence(rng, grp: Group, length: int) -> Sequence:
 
 def naive_eq1_readings(seq: Sequence) -> list:
     """Every reading of seq as e1^[n-1] * prod_{i=1..n} (x_i e1 + e2) with
-    sum x_i = 1 (mod n), as (e1, e2, sorted xs) triples.
+    sum x_i = 1 (mod n), as (e1, e2, sorted xs) triples, looked up in
+    :func:`naive_eq1_table`."""
+    return list(naive_eq1_table(seq.group.n).get(seq, ()))
+
+
+@functools.lru_cache(maxsize=None)
+def naive_eq1_table(n: int) -> dict:
+    """Every sequence of the shape e1^[n-1] * prod_{i=1..n} (x_i e1 + e2)
+    over (Z/nZ)^2, sum x_i = 1 (mod n), mapped to its readings.
 
     Tries every pair (e1, e2) in lexicographic order, keeps the bases (by
     closure, not by determinant) whose e2 is the least member of e2 + <e1>,
-    and reads each x_i off by scanning the coset.
+    and builds the shape of every residue multiset by scanning the coset;
+    each sequence's readings are in that order.
     """
-    grp = seq.group
-    n = grp.n
-    out = []
+    grp = group(n)
+    table: dict = {}
     for e1 in grp.elements():
         line = [grp.scale(t, e1) for t in range(n)]
         for e2 in grp.elements():
@@ -105,6 +114,5 @@ def naive_eq1_readings(seq: Sequence) -> list:
                 if sum(xs) % n != 1:
                     continue
                 shape = Sequence.from_terms(grp, [e1] * (n - 1) + [coset[x] for x in xs])
-                if shape == seq:
-                    out.append((e1, e2, xs))
-    return out
+                table.setdefault(shape, []).append((e1, e2, xs))
+    return table

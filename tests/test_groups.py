@@ -89,14 +89,6 @@ def test_coords_in_basis_roundtrip(n):
             assert grp.add(grp.scale(x, e1), grp.scale(y, e2)) == g
 
 
-def test_discrete_log():
-    grp = group(6)
-    g = (2, 3)
-    for x in range(grp.element_order(g)):
-        assert grp.discrete_log(g, grp.scale(x, g)) == x
-    assert grp.discrete_log((2, 0), (1, 0)) is None
-
-
 def test_perm_table_matches_automorphisms():
     for n in range(2, 9):
         grp = group(n)

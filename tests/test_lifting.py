@@ -1,3 +1,5 @@
+import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -12,6 +14,7 @@ from zerosum.errors import (
 from zerosum.groups import group
 from zerosum.lifting import (
     Homomorphism,
+    _coset_form_sample,
     mul_hom,
     verify_propbfix_item1,
     verify_propbfix_item2,
@@ -110,6 +113,16 @@ def test_item1_rejects_bad_supplied_sequence():
     assert rep.counterexamples == []
 
 
+def test_item1_rejects_supplied_sequence_over_another_group():
+    # a minimal zero-sum of length 2*8 - 1 over (Z/16Z)^2: mult-by-4 on
+    # (Z/8Z)^2 is no map of its group, so its "image" is no evidence
+    seq = Sequence(group(16), [((1, 0), 14), ((2, 0), 1)])
+    assert is_minimal_zero_sum(seq)
+    rep = verify_propbfix_item1(4, 2, sequences=[seq])
+    assert rep.orbits_scanned == 0 and rep.counterexamples == []
+    assert rep.details["rejected_inputs"] == [seq.to_json_obj()]
+
+
 def test_item1_validation():
     with pytest.raises(PreconditionViolated):
         verify_propbfix_item1(3, 2)
@@ -139,7 +152,7 @@ def test_item2_budgeted_run():
 def test_item1_reports_an_image_with_a_zero_sum_shorter_than_n(monkeypatch):
     # zero-sum, with a zero-sum part of length n - 1 = 4 and none shorter
     image = Sequence(group(5), (((1, 0), 3), ((2, 0), 1)))
-    monkeypatch.setattr(Homomorphism, "image_in_coords", lambda self, seq: image)
+    monkeypatch.setattr(Homomorphism, "image_of_items", lambda self, items: image)
     rep = verify_propbfix_item1(4, 5, samples=3)
     assert not rep.passed
     assert [c["reason"] for c in rep.counterexamples] == [
@@ -179,3 +192,60 @@ def test_image_in_coords_agrees_with_image_coords_termwise(N, m):
     whole = h.image_in_coords(Sequence.from_terms(grp, grp.elements()))
     want = Sequence.from_terms(h.image_group, [h.image_coords(h(g)) for g in grp.elements()])
     assert whole == want
+
+
+@pytest.mark.parametrize("N, seed", [(8, 11), (8, 2026), (20, 11), (20, 2026)])
+def test_item1_image_of_drawn_pairs_is_the_image_of_the_sample(N, seed):
+    grp, rng, h = group(N), random.Random(seed), mul_hom(N, 4)
+    for _ in range(500):
+        pairs = _coset_form_sample(grp, rng)
+        assert h.image_of_items(pairs) == h.image_in_coords(Sequence(grp, pairs))
+
+
+# sha256 of to_json(timing=False), taken from a run of commit 3a60ee0, where
+# every sample was a Sequence and its image came from image_in_coords; a bad
+# image was injected there through Homomorphism.image_in_coords
+_ITEM1_GOOD = Sequence(group(8), [((1, 0), 7)] + [((x, 1), 1) for x in [0, 0, 0, 0, 0, 3, 3, 3]])
+_ITEM1_MOVED = Sequence(
+    group(8), [((3, 1), 7)] + [((3 * x + 2, x + 1), 1) for x in [1, 2, 2, 5, 6, 7, 7, 3]]
+)
+_ITEM1_JUNK = Sequence(group(8), [((1, 0), 15)])
+PINNED_ITEM1_DIGESTS = {
+    "exhaustive": "69c22057f576682a8647a19fa27f488d91f406ec262de826bcc73c5fc7d9bf89",
+    "supplied": "e2615d82a8c422948fa4677b22207eed5e6bc0d45ef2bb6dc0342498336d58ec",
+    "supplied, short zero-sum image": (
+        "173fe9c2c175e8418632d99b9cb9433f99d6aa6669a2dfc371d01dfb000d13dc"),
+    "sampled, image not zero-sum": (
+        "2299151c1f0cd2c7ad0e3c37406fb52b383670afd2dcf6d456e7d89a4c2b9245"),
+}
+
+
+def _item1_digest(rep):
+    return hashlib.sha256(rep.to_json(timing=False).encode()).hexdigest()
+
+
+def test_item1_exhaustive_report_matches_pinned_digest():
+    rep = verify_propbfix_item1(4, 2, exhaustive=True, jobs=2)
+    assert rep.passed and rep.orbits_scanned == 100
+    assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["exhaustive"]
+
+
+def test_item1_supplied_reports_match_pinned_digests(monkeypatch):
+    supplied = [_ITEM1_GOOD, _ITEM1_JUNK, _ITEM1_MOVED]
+    rep = verify_propbfix_item1(4, 2, sequences=supplied)
+    assert rep.passed and rep.orbits_scanned == 2
+    assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["supplied"]
+    # zero-sum, with the zero element as a zero-sum part of length 1 < n
+    image = Sequence(group(2), (((0, 0), 1), ((1, 0), 2)))
+    monkeypatch.setattr(Homomorphism, "image_of_items", lambda self, items: image)
+    rep = verify_propbfix_item1(4, 2, sequences=supplied)
+    assert len(rep.counterexamples) == 2
+    assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["supplied, short zero-sum image"]
+
+
+def test_item1_sampled_counterexamples_match_pinned_digest(monkeypatch):
+    image = Sequence(group(2), (((1, 0), 1),))
+    monkeypatch.setattr(Homomorphism, "image_of_items", lambda self, items: image)
+    rep = verify_propbfix_item1(4, 2, samples=3, seed=11)
+    assert [c["reason"] for c in rep.counterexamples] == ["image not zero-sum"] * 3
+    assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["sampled, image not zero-sum"]

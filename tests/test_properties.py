@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from zerosum import group
+from zerosum import group, perturbation
 from zerosum.classification import verify_casen
 from zerosum.errors import BudgetExceeded, EmptySequence, PreconditionViolated
+from zerosum.perturbation import UpsilonClass, verify_perturbation
 from zerosum.properties import (
     has_property_a,
     matches_eq1,
@@ -108,6 +109,35 @@ def test_matches_eq1_agrees_with_oracle(n):
     for s in _eq1_cases(n, rng):
         got = [(w.e1, w.e2, w.xs) for w in matches_eq1(s)]
         assert got == naive_eq1_readings(s), s
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_matches_eq1_agrees_with_oracle_on_perturbation_landings(m, monkeypatch):
+    """Every sequence the perturbation lemmas I-III classify at modulus m:
+    family members and near misses whose heavy term is in no basis with
+    the first other term, whose terms all but one lie in a coset of the
+    heavy term's line (m = 4 and 6), or whose residues sum to other than 1."""
+    landings = set()
+
+    def recording(seq):
+        # classified by the oracle, so the landings do not depend on the
+        # matcher under test
+        landings.add(seq)
+        if not naive_eq1_readings(seq):
+            return UpsilonClass("not_in_upsilon", None)
+        heavy = sum(1 for _, k in seq.items() if k == m - 1)
+        return UpsilonClass("unique" if heavy == 1 else "non_unique", None)
+
+    monkeypatch.setattr(perturbation, "upsilon_class", recording)
+    for lemma in ("I", "II", "III"):
+        verify_perturbation(m, lemma, jobs=1)
+    assert len(landings) > 100
+    readings = 0
+    for s in landings:
+        got = [(w.e1, w.e2, w.xs) for w in matches_eq1(s)]
+        assert got == naive_eq1_readings(s), s
+        readings += len(got)
+    assert readings > 0
 
 
 class TestEq2:

@@ -8,6 +8,7 @@ from zerosum.groups import group
 from zerosum.lifting import _coset_form_sample, verify_propbfix_item1
 from zerosum.perturbation import verify_perturbation
 from zerosum.report import Report, Stopwatch
+from zerosum.sequences import Sequence
 
 
 def test_passed_reflects_counterexamples_and_status():
@@ -70,7 +71,7 @@ def test_report_matches_pinned_digest(key):
 
 # a passing item-1 report lists no samples, so the digests above cannot see
 # a changed sample stream; these pin it: sha256 of the JSON list of
-# to_json_obj() of the first 500 _coset_form_sample draws, taken from a run
+# to_json_obj() of the Sequences of the first 500 _coset_form_sample draws, taken from a run
 # of commit 5963332, before the samples were built in one step
 PINNED_STREAM_DIGESTS = {
     (8, 11): "e23919f629696f51c69f1b4f8bb0178ee2f4c9846f614ec2740211409006c1ad",
@@ -83,6 +84,6 @@ PINNED_STREAM_DIGESTS = {
 @pytest.mark.parametrize("N,seed", sorted(PINNED_STREAM_DIGESTS))
 def test_item1_sample_stream_matches_pinned_digest(N, seed):
     grp, rng = group(N), random.Random(seed)
-    objs = [_coset_form_sample(grp, rng).to_json_obj() for _ in range(500)]
+    objs = [Sequence(grp, _coset_form_sample(grp, rng)).to_json_obj() for _ in range(500)]
     text = json.dumps(objs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STREAM_DIGESTS[(N, seed)]

@@ -189,7 +189,10 @@ class Group:
         """Uniform over GL(2, Z/nZ) by rejection; does not build the full list."""
         n = self.n
         while True:
-            p, q, r, s = (rng.randrange(n) for _ in range(4))
+            p = rng.randrange(n)
+            q = rng.randrange(n)
+            r = rng.randrange(n)
+            s = rng.randrange(n)
             if gcd((p * s - q * r) % n, n) == 1:
                 return Automorphism(n, p, q, r, s)
 

@@ -81,15 +81,18 @@ class Homomorphism:
     def image_of_items(self, items: Iterable[tuple[Elem, int]]) -> Sequence:
         """The image over (Z/nZ)^2 of the multiset given by (element,
         multiplicity) pairs: image_coords(self(g)) for each term, inlined
-        into one loop."""
+        into one loop, with equal images merged before the Sequence is
+        built."""
         N, m, n = self.N, self.m, self.n
-        image = []
+        image: dict[Elem, int] = {}
+        get = image.get
         for (a, b), k in items:
             a, b = m * a % N, m * b % N
             if a % m or b % m:
                 raise FiberMismatch(f"{(a, b)} is not in the image of mult-by-{m}")
-            image.append(((a // m % n, b // m % n), k))
-        return Sequence(self.image_group, image)
+            w = (a // m % n, b // m % n)
+            image[w] = get(w, 0) + k
+        return Sequence(self.image_group, image.items())
 
 
 def mul_hom(N: int, m: int) -> Homomorphism:

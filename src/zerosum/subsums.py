@@ -12,10 +12,28 @@ of all sums suffices: ``sums |= translate(sums, t)``.
 ``ZeroSumGuard(grp, k)`` is the one implementation of "no nonempty zero-sum
 subsequence of length <= k" (k = None: any length; k = 0: no constraint),
 shared by the orderly search and the checks here.  Its state holds the
-negated sums of length <= k - 1, the empty sum included, so that appending
-t is ``N | translate(N, -t)`` and the terms that would close an offender
-are the one int ``blocked(state)``: a new zero-sum must end at the added
-term t, which closes one iff -t is a sum of the others, i.e. t is in N.
+layers N_0, ..., N_{k-1}, N_l the negated sums of length <= l, the empty
+sum included, so that appending t is ``N_l | translate(N_{l-1}, -t)`` and
+the terms that would close an offender are the one int ``blocked(state)``:
+a new zero-sum must end at the added term t, which closes one iff -t is a
+sum of the others, i.e. t is in N_{k-1}.
+
+``extend(state, t, c)`` appends c copies of t in one update, so a sequence
+with few distinct terms costs one update per distinct term, not per copy.
+Both rules below are exact, since N'_l is the union of N_{l-j} - j*t over
+0 <= j <= min(c, l):
+
+- l <= c: ``N'_l = N_l | (N'_{l-1} - t)``, taken in ascending l, one
+  translate per layer (N'_{l-1} already holds every j <= l - 1);
+- l > c: ``N'_l = N_l | union_{j=1..c} (N_{l-j} - j*t)`` on the old layers,
+  since the ascending rule would admit c + 1 copies there.
+
+For c = 1 the second rule is ``step`` and the first touches layer 1 only,
+so the search's one-term update is unchanged.  ``closes(state, t, c)`` asks
+whether the c copies close an offender: some j <= min(c, k) with j*t in
+N_{k-j}; for c = 1 that is ``blocked(state) >> t & 1``.  With no length
+bound, the state is the one layer of all negated sums, and c copies are c
+successive translates.
 """
 
 from __future__ import annotations
@@ -72,22 +90,60 @@ class ZeroSumGuard:
     docstring).  A state is an int for k = None, else a list of k layers,
     layer l holding the negated sums of length <= l."""
 
-    __slots__ = ("k", "neg", "shifts")
+    __slots__ = ("k", "n", "neg", "shifts")
 
     def __init__(self, grp: Group, k: int | None = None):
         self.k = k
+        self.n = grp.n
         self.neg = grp.neg_index_table()
         self.shifts = translations(grp.n)
 
     def fresh(self):
         return 1 if self.k is None else [1] * self.k
 
-    def extend(self, state, t: int):
-        """The state once the term of index t is appended."""
+    def extend(self, state, t: int, c: int = 1):
+        """The state once c copies of the term of index t are appended."""
         shift = self.shifts[self.neg[t]]
-        if self.k is None:
-            return state | translate(state, shift)
-        return step(state, shift, self.k - 1)
+        if c == 1:
+            if self.k is None:
+                return state | translate(state, shift)
+            return step(state, shift, self.k - 1)
+        return self._extend_copies(state, t, shift, c)
+
+    def _extend_copies(self, state, t: int, shift: tuple[int, ...], c: int):
+        """``extend`` for c >= 2, by the two rules of the module docstring."""
+        k = self.k
+        if k is None:
+            for _ in range(c):
+                state |= translate(state, shift)
+            return state
+        top = k - 1
+        out = list(state)
+        for l in range(1, (c if c < top else top) + 1):
+            out[l] |= translate(out[l - 1], shift)
+        if c < top:
+            n, neg, shifts = self.n, self.neg, self.shifts
+            a, b = divmod(t, n)
+            far = [shifts[neg[(j * a % n) * n + j * b % n]] for j in range(1, c + 1)]
+            for l in range(c + 1, top + 1):
+                layer = out[l]
+                for j, far_shift in enumerate(far, 1):
+                    layer |= translate(state[l - j], far_shift)
+                out[l] = layer
+        return out
+
+    def closes(self, state, t: int, c: int = 1) -> bool:
+        """Would appending c copies of the term of index t close a nonempty
+        zero-sum of length <= k, i.e. is j*t in N_{k-j} for some j <=
+        min(c, k)?  With no bound j <= n suffices: j = order(t) puts 0 in N."""
+        if c == 1:
+            return bool(self.blocked(state) >> t & 1)
+        k, n = self.k, self.n
+        a, b = divmod(t, n)
+        for j in range(1, min(c, n if k is None else k) + 1):
+            if (state if k is None else state[k - j]) >> (j * a % n) * n + j * b % n & 1:
+                return True
+        return False
 
     def blocked(self, state) -> int:
         """The terms whose append would close a zero-sum of length <= k."""
@@ -131,31 +187,28 @@ def subsequence_sums(seq: Sequence) -> frozenset[Elem]:
     return restricted_sums(seq, 1, len(seq))
 
 
-def _has_zero_sum(grp: Group, terms: list[int], k: int | None = None) -> bool:
-    """Does some nonempty subsequence of the index list, of length <= k
-    (any length for k = None), sum to zero?  Exits at the first term that
-    closes one."""
+def _has_zero_sum(grp: Group, pairs: list[tuple[int, int]], k: int | None = None) -> bool:
+    """Does some nonempty subsequence of the multiset given by (index,
+    multiplicity) pairs, of length <= k (any length for k = None), sum to
+    zero?  Exits at the first pair that closes one."""
     guard = ZeroSumGuard(grp, k)
     state = guard.fresh()
-    for t in terms:
-        if guard.blocked(state) >> t & 1:
+    for t, c in pairs[:-1]:
+        if guard.closes(state, t, c):
             return True
-        state = guard.extend(state, t)
-    return False
+        state = guard.extend(state, t, c)
+    # the last pair needs no update after its test
+    return bool(pairs) and guard.closes(state, *pairs[-1])
 
 
 def has_short_zero_sum(seq: Sequence, k: int | None) -> bool:
     """True iff some nonempty subsequence of length at most k (any length
-    for k = None) sums to zero; k = 0 admits none.
-
-    For bounded k each element is fed at most min(multiplicity, k) times:
-    a zero-sum subsequence of length <= k uses at most k copies of any
-    term, so the answer is unchanged.
-    """
+    for k = None) sums to zero; k = 0 admits none, and k < 0 raises
+    InvalidRange.  The DP takes one update per distinct term."""
+    if k is not None and k < 0:
+        raise InvalidRange(f"k must be None or >= 0, got {k}")
     grp = seq.group
-    cap = len(seq) if k is None else k
-    terms = [t for g, m in seq.items() for t in [grp.index(g)] * min(m, cap)]
-    return _has_zero_sum(grp, terms, k)
+    return _has_zero_sum(grp, [(grp.index(g), m) for g, m in seq.items()], k)
 
 
 def is_zero_sum_free(seq: Sequence) -> bool:
@@ -172,7 +225,12 @@ def is_minimal_zero_sum(seq: Sequence) -> bool:
     """
     if len(seq) == 0 or not seq.is_zero_sum():
         return False
-    return not _has_zero_sum(seq.group, [seq.group.index(g) for g in seq][:-1])
+    grp = seq.group
+    pairs = [(grp.index(g), m) for g, m in seq.items()]
+    t, c = pairs.pop()
+    if c > 1:
+        pairs.append((t, c - 1))
+    return not _has_zero_sum(grp, pairs)
 
 
 def find_zero_sum_subsequence(seq: Sequence, exact_length: int) -> Sequence | None:

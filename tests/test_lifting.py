@@ -196,10 +196,24 @@ def test_image_in_coords_agrees_with_image_coords_termwise(N, m):
 
 @pytest.mark.parametrize("N, seed", [(8, 11), (8, 2026), (20, 11), (20, 2026)])
 def test_item1_image_of_drawn_pairs_is_the_image_of_the_sample(N, seed):
+    """The image merges equal image elements: it equals the Sequence of the
+    drawn pairs' images taken one pair at a time, on at most n + 1 pairs."""
     grp, rng, h = group(N), random.Random(seed), mul_hom(N, 4)
     for _ in range(500):
         pairs = _coset_form_sample(grp, rng)
-        assert h.image_of_items(pairs) == h.image_in_coords(Sequence(grp, pairs))
+        image = h.image_of_items(pairs)
+        assert image == h.image_in_coords(Sequence(grp, pairs))
+        assert image == Sequence(h.image_group, [(h.image_coords(h(g)), k) for g, k in pairs])
+        assert len(image.items()) <= h.n + 1 < len(pairs)
+
+
+def test_image_of_items_rejects_a_term_outside_the_chart():
+    # mult-by-4 on Z/10 reaches 2 = 4*3 mod 10, which is not 4 times a
+    # residue, so the chart of a Homomorphism built past mul_hom's check
+    # has no coordinates for it
+    h = Homomorphism(10, 4)
+    with pytest.raises(FiberMismatch):
+        h.image_of_items([((0, 0), 1), ((3, 0), 2)])
 
 
 # sha256 of to_json(timing=False), taken from a run of commit 3a60ee0, where

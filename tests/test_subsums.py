@@ -164,10 +164,16 @@ def test_has_short_zero_sum_matches_oracles(n):
         assert has_short_zero_sum(s, None) == (not naive_is_zero_sum_free(s))
 
 
+def _regime(c, k):
+    return "c < k - 1" if c < k - 1 else "c = k - 1" if c == k - 1 else "c >= k"
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_has_short_zero_sum_with_heavy_multiplicities(n):
-    """Each term is fed at most min(multiplicity, k) times; g^[k] for g of
-    order k is the case where a cap of k - 1 would miss the zero-sum."""
+    """Each distinct term is one counted update of c copies.  The cases put
+    c below k - 1 (where the far layers take c translates each), at k - 1
+    and at k or above, and close a zero-sum inside one element's copies
+    (j*t = 0 at j = ord(t)), alone and behind other terms."""
     rng = random.Random(130 + n)
     grp = group(n)
     cases = [
@@ -177,13 +183,71 @@ def test_has_short_zero_sum_with_heavy_multiplicities(n):
     for _ in range(12):
         support = rng.sample(grp.elements(), rng.randrange(1, 4))
         cases.append(Sequence(grp, [(g, rng.randrange(1, 2 * n + 1)) for g in support]))
+    for c in range(1, n + 2):
+        g, h = rng.sample(grp.elements(), 2)
+        cases.append(Sequence(grp, [(g, c), (h, rng.randrange(1, 3))]))
+        # h = -(c + 1)g would close a zero-sum with one copy of g too many
+        for g in [x for x in grp.elements() if grp.element_order(x) > c + 1][:4]:
+            cases.append(Sequence(grp, [(g, c), (grp.scale(-(c + 1), g), 1)]))
+    regimes = set()
     for s in cases:
         for k in [*range(len(s) + 2), None]:
             if k is None:
                 expected = not naive_is_zero_sum_free(s)
             else:
                 expected = (0, 0) in naive_restricted_sums(s, 1, min(k, len(s)))
+                regimes.update(_regime(c, k) for _, c in s.items())
             assert has_short_zero_sum(s, k) == expected, (s, k)
+    assert regimes == {"c < k - 1", "c = k - 1", "c >= k"}
+    # j*t = 0 inside the copies of g, after a term that closes nothing
+    for g in grp.elements():
+        d = grp.element_order(g)
+        if d < 2:
+            continue
+        h = (0, 1) if g != (0, 1) else (1, 0)
+        for s in [Sequence(grp, [(g, d)]), Sequence(grp, [(h, 1), (g, d)])]:
+            assert has_short_zero_sum(s, d)
+            assert has_short_zero_sum(s, d - 1) == (
+                (0, 0) in naive_restricted_sums(s, 1, d - 1)), (s, d)
+
+
+def test_has_short_zero_sum_rejects_negative_k():
+    s = seq(3, (1, 0), (2, 0))
+    with pytest.raises(InvalidRange):
+        has_short_zero_sum(s, -1)
+    assert not has_short_zero_sum(s, 0)
+
+
+def _reachable_states(guard, grp, rng):
+    """The fresh state and states reached from it by one-copy appends."""
+    states = [guard.fresh()]
+    for length in (1, 3, 6):
+        state = guard.fresh()
+        for _ in range(length):
+            state = guard.extend(state, rng.randrange(grp.size))
+        states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_counted_guard_equals_copy_by_copy(n):
+    """extend(state, t, c) is c one-copy extends, and closes(state, t, c)
+    is the one-copy test ``blocked`` on the states between them, for every
+    k, t and c <= k + 1 (c <= n + 1 with no bound), on reachable states."""
+    grp = group(n)
+    rng = random.Random(300 + n)
+    for k in [None, *range(2 * n)]:
+        guard = subsums.ZeroSumGuard(grp, k)
+        top = n + 1 if k is None else max(k, 1) + 1
+        for state in _reachable_states(guard, grp, rng):
+            for t in range(grp.size):
+                copies = [state]
+                for _ in range(top):
+                    copies.append(guard.extend(copies[-1], t))
+                for c in range(1, top + 1):
+                    assert guard.extend(state, t, c) == copies[c], (k, state, t, c)
+                    per_copy = any(guard.blocked(x) >> t & 1 for x in copies[:c])
+                    assert guard.closes(state, t, c) == per_copy, (k, state, t, c)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

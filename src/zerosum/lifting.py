@@ -3,15 +3,18 @@
 For m dividing N, the map g -> m*g has kernel nG (n = N/m, a copy of
 (Z/mZ)^2) and image mG (a copy of (Z/nZ)^2).  The Homomorphism object
 lists the kernel and carries the image coordinate chart m*(u,v) <-> (u,v)
-mod n, which maps a multiset given by (element, multiplicity) pairs
-straight to its image over (Z/nZ)^2.
+mod n.  A Homomorphism is built only for m | N (checked at construction),
+so the chart reads m*g for g = (a, b) as (a mod n, b mod n) with no check
+per term: ``image_counts`` maps a multiset given by (element,
+multiplicity) pairs straight to the image's multiplicities and sum.
 
 The two verify_* functions check, at statement level, the transfer result
 for minimal zero-sums of maximal length 2N-1: their image has no nonempty
 zero-sum part of length below n, and when the image lands in the
 exceptional four-element shape, the original sequence keeps the
-one-basis-coset support property.  Item 1 checks each sample on its image
-alone; the sample itself becomes a Sequence only when it is reported.
+one-basis-coset support property.  Item 1 checks each sample on its
+image's multiplicities alone; neither the sample nor its image becomes a
+Sequence unless the sample is reported.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .groups import Elem, Group, group
 from .properties import property_a_witnesses
 from .report import Report, Stopwatch
 from .sequences import Sequence
-from .subsums import has_short_zero_sum, is_minimal_zero_sum
+from .subsums import _has_zero_sum, is_minimal_zero_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,6 +46,13 @@ class Homomorphism:
 
     N: int
     m: int
+
+    def __post_init__(self) -> None:
+        N, m = self.N, self.m
+        if m < 2 or N % m != 0 or N // m < 2:
+            raise NotADivisor(
+                f"need m >= 2 and m | N with N/m >= 2, got N={N}, m={m}"
+            )
 
     @property
     def n(self) -> int:
@@ -80,26 +90,33 @@ class Homomorphism:
 
     def image_of_items(self, items: Iterable[tuple[Elem, int]]) -> Sequence:
         """The image over (Z/nZ)^2 of the multiset given by (element,
-        multiplicity) pairs: image_coords(self(g)) for each term, inlined
-        into one loop, with equal images merged before the Sequence is
-        built."""
-        N, m, n = self.N, self.m, self.n
-        image: dict[Elem, int] = {}
-        get = image.get
+        multiplicity) pairs, as a Sequence."""
+        img = self.image_group
+        counts, _ = self.image_counts(items)
+        return Sequence(img, ((img.unindex(i), k) for i, k in counts.items()))
+
+    def image_counts(self, items: Iterable[tuple[Elem, int]]) -> tuple[dict[int, int], Elem]:
+        """The image over (Z/nZ)^2 of the multiset given by (element,
+        multiplicity) pairs, coordinates not necessarily reduced mod N: the
+        map image index -> multiplicity, and the image's sum.  With N = m*n,
+        m*a mod N = m*(a mod n), so image_coords(self(g)) is (a mod n, b mod
+        n) for g = (a, b)."""
+        n = self.n
+        counts: dict[int, int] = {}
+        get = counts.get
+        sa = sb = 0
         for (a, b), k in items:
-            a, b = m * a % N, m * b % N
-            if a % m or b % m:
-                raise FiberMismatch(f"{(a, b)} is not in the image of mult-by-{m}")
-            w = (a // m % n, b // m % n)
-            image[w] = get(w, 0) + k
-        return Sequence(self.image_group, image.items())
+            a, b = a % n, b % n
+            i = a * n + b
+            counts[i] = get(i, 0) + k
+            sa += a * k
+            sb += b * k
+        return counts, (sa % n, sb % n)
 
 
 def mul_hom(N: int, m: int) -> Homomorphism:
-    if m < 2 or N % m != 0 or N // m < 2:
-        raise NotADivisor(
-            f"need m >= 2 and m | N with N/m >= 2, got N={N}, m={m}"
-        )
+    """g -> m*g on (Z/NZ)^2; raises NotADivisor unless m >= 2, m | N and
+    N/m >= 2."""
     return Homomorphism(N, m)
 
 
@@ -139,14 +156,16 @@ def verify_propbfix_item1(
     default, seeded random members of the maximal-length family, which by
     the separately verified one-coset structure is the whole search space.
     Each population yields (element, multiplicity) pairs, checked through
-    one image routine (Homomorphism.image_of_items); a sample is built as
-    a Sequence only for a counterexample's JSON.
+    one image routine (Homomorphism.image_counts), whose image index
+    pairs go straight to the zero-sum guard; a sample is built as a
+    Sequence only for a counterexample's JSON.
     """
     if m < 4 or n < 2:
         raise PreconditionViolated(f"need m >= 4 and n >= 2, got m={m}, n={n}")
     N = m * n
     grp = group(N)
     hom = mul_hom(N, m)
+    img = hom.image_group
     bad: list = []
     rejected: list = []
     with Stopwatch() as sw:
@@ -176,10 +195,10 @@ def verify_propbfix_item1(
         scanned = 0
         for items in population:
             scanned += 1
-            image = hom.image_of_items(items)
-            if not image.is_zero_sum():
+            counts, total = hom.image_counts(items)
+            if total != img.zero:
                 reason = "image not zero-sum"
-            elif has_short_zero_sum(image, n - 1):
+            elif _has_zero_sum(img, list(counts.items()), n - 1):
                 reason = "image has a zero-sum part shorter than n"
             else:
                 continue

@@ -17,6 +17,11 @@ one lemma exhaustively over all admissible parameters and all g, for one
 basis; automorphism equivariance (tested separately) extends the result to
 every basis, since the family, the moves, and the stated sets all
 transport along automorphisms.
+
+A landing S' is never built as a Sequence: it is the multiplicity map of
+the move's remainder S - t1 - t2 plus its two new terms, classified by the
+same reading routine as upsilon_class (``properties._eq1_readings``), and
+compared with S as a map.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     BudgetExceeded, PreconditionViolated, SchemaError, SumMismatch, WitnessCheckFailed,
 )
 from .groups import Elem, Group, group
-from .properties import Eq1Witness, matches_eq1
+from .properties import Eq1Witness, _eq1_readings, matches_eq1
 from .report import Report, Stopwatch
 from .sequences import Sequence
 
@@ -45,11 +50,23 @@ class UpsilonClass:
 def upsilon_class(seq: Sequence) -> UpsilonClass:
     """Membership of the family, split by uniqueness of the heavy term."""
     readings = matches_eq1(seq)
+    return UpsilonClass(
+        _tag(seq.group.n, readings, seq.items()), readings[0] if readings else None
+    )
+
+
+def _landing_tag(grp: Group, counts: dict[Elem, int]) -> str:
+    """The tag of upsilon_class for a multiplicity map of length 2m - 1
+    (reduced elements, positive multiplicities), with no Sequence built."""
+    items = counts.items()
+    return _tag(grp.n, _eq1_readings(grp, items), items)
+
+
+def _tag(m: int, readings: list[Eq1Witness], items) -> str:
     if not readings:
-        return UpsilonClass("not_in_upsilon", None)
-    m = seq.group.n
-    heavy = sum(1 for _, mult in seq.items() if mult == m - 1)
-    return UpsilonClass("unique" if heavy == 1 else "non_unique", readings[0])
+        return "not_in_upsilon"
+    heavy = sum(1 for _, mult in items if mult == m - 1)
+    return "unique" if heavy == 1 else "non_unique"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,32 +136,42 @@ def _run_moves(grp, base, moves, target_nu, accum, counterexamples, extra):
     """Apply every move to the base sequence for every g, recording the
     achieved offsets and any conclusion violations.
 
-    The landing S - t1 - t2 + (t1 + g) + (t2 - g) is built as one Sequence
-    from the remainder S - t1 - t2, which is formed once per move (raising
-    NotASubsequence if the pivots do not divide S); a landing whose sum is
-    not sigma(S) raises SumMismatch."""
+    Each landing S - t1 - t2 + (t1 + g) + (t2 - g) is a multiplicity map:
+    the remainder S - t1 - t2 and its sum are formed once per move (raising
+    NotASubsequence if the pivots do not divide S), and each g adds its two
+    terms to a copy of the remainder's map.  A landing whose sum is not
+    sigma(S) raises SumMismatch; S' = S is a comparison of maps."""
+    m = grp.n
+    counts = dict(base.items())
     total = base.sigma()
+    elements = grp.elements()
     for move in moves:
         slot = accum[move.item]
         slot["stated"] |= move.stated
+        slot["cases"] += len(elements)
         t1, t2 = move.pivots
-        rest = base.remove(Sequence.from_terms(grp, move.pivots)).items()
-        for g in grp.elements():
-            slot["cases"] += 1
-            landed = Sequence(grp, [*rest, (grp.add(t1, g), 1), (grp.sub(t2, g), 1)])
-            if landed.sigma() != total:
+        remainder = base.remove(Sequence.from_terms(grp, move.pivots))
+        ra, rb = remainder.sigma()
+        rest = dict(remainder.items())
+        for g in elements:
+            u, w = grp.add(t1, g), grp.sub(t2, g)
+            landed_sum = ((ra + u[0] + w[0]) % m, (rb + u[1] + w[1]) % m)
+            if landed_sum != total:
                 raise SumMismatch(
                     f"move {move.item} at g={g} changes the sum: "
-                    f"{landed.sigma()} != {total}"
+                    f"{landed_sum} != {total}"
                 )
-            cls = upsilon_class(landed)
-            if cls.tag == "not_in_upsilon" or (target_nu and cls.tag != "non_unique"):
+            landed = dict(rest)
+            landed[u] = landed.get(u, 0) + 1
+            landed[w] = landed.get(w, 0) + 1
+            tag = _landing_tag(grp, landed)
+            if tag == "not_in_upsilon" or (target_nu and tag != "non_unique"):
                 continue
             slot["achieved"].add(g)
             bad = None
             if g not in move.stated:
                 bad = "achieved offset outside the stated set"
-            elif move.exact and landed != base:
+            elif move.exact and landed != counts:
                 bad = "stated offset fails to restore the sequence"
             if bad is not None:
                 counterexamples.append(

@@ -78,20 +78,33 @@ class Eq1Witness:
 
 
 def matches_eq1(seq: Sequence) -> list[Eq1Witness]:
-    """All ways to read the sequence in the long minimal zero-sum shape.
+    """All ways to read the sequence in the long minimal zero-sum shape,
+    in element order of e1.
 
-    The shape forces v_{e1}(S) = n - 1 exactly, since the n coset terms
-    avoid <e1>, and forces |S| = 2n - 1.  The residue-sum condition is
-    invariant under shifting e2 inside its coset (the sum moves by a
-    multiple of n), so normalizing e2 as in property_a_witnesses is safe.
-    Candidates e1 are the terms of multiplicity n - 1 and order n, in
-    element order.
+    The shape forces |S| = 2n - 1; the readings themselves are
+    ``_eq1_readings``.
     """
     grp = seq.group
-    n = grp.n
-    if len(seq) != 2 * n - 1:
+    if len(seq) != 2 * grp.n - 1:
         return []
-    items = seq.items()
+    return _eq1_readings(grp, seq.items())
+
+
+def _eq1_readings(grp: Group, items) -> list[Eq1Witness]:
+    """The readings of the multiset of length 2n - 1 given by (element,
+    multiplicity) pairs: distinct reduced elements, positive
+    multiplicities, in any order, read as often as needed.  Readings come
+    in the order of their e1 in ``items``.
+
+    The shape forces v_{e1}(S) = n - 1 exactly, since the n coset terms
+    avoid <e1>.  The residue-sum condition is invariant under shifting e2
+    inside its coset (the sum moves by a multiple of n), so normalizing e2
+    as in property_a_witnesses is safe.  Candidates e1 are the terms of
+    multiplicity n - 1 and order n.  The first other term g0 fixes the
+    coset: all of g0 + <e1> has the same determinant with e1, so no other
+    choice of g0 finds another reading.
+    """
+    n = grp.n
     out = []
     for e1, mult in items:
         if mult != n - 1 or grp.element_order(e1) != n:

@@ -27,6 +27,8 @@ from zerosum.subsums import is_minimal_zero_sum
 def test_mul_hom_rejects_non_divisors(N, m):
     with pytest.raises(NotADivisor):
         mul_hom(N, m)
+    with pytest.raises(NotADivisor):
+        Homomorphism(N, m)
 
 
 @pytest.mark.parametrize("N, m", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)])
@@ -149,10 +151,19 @@ def test_item2_budgeted_run():
         assert rep.status == "ok"
 
 
+def _inject_image(monkeypatch, image):
+    """Make the image of every item-1 sample the given Sequence, at the
+    image routine item 1 calls."""
+    grp = image.group
+    counts = {grp.index(g): k for g, k in image.items()}
+    monkeypatch.setattr(
+        Homomorphism, "image_counts", lambda self, items: (dict(counts), image.sigma())
+    )
+
+
 def test_item1_reports_an_image_with_a_zero_sum_shorter_than_n(monkeypatch):
     # zero-sum, with a zero-sum part of length n - 1 = 4 and none shorter
-    image = Sequence(group(5), (((1, 0), 3), ((2, 0), 1)))
-    monkeypatch.setattr(Homomorphism, "image_of_items", lambda self, items: image)
+    _inject_image(monkeypatch, Sequence(group(5), (((1, 0), 3), ((2, 0), 1))))
     rep = verify_propbfix_item1(4, 5, samples=3)
     assert not rep.passed
     assert [c["reason"] for c in rep.counterexamples] == [
@@ -209,11 +220,30 @@ def test_item1_image_of_drawn_pairs_is_the_image_of_the_sample(N, seed):
 
 def test_image_of_items_rejects_a_term_outside_the_chart():
     # mult-by-4 on Z/10 reaches 2 = 4*3 mod 10, which is not 4 times a
-    # residue, so the chart of a Homomorphism built past mul_hom's check
-    # has no coordinates for it
-    h = Homomorphism(10, 4)
-    with pytest.raises(FiberMismatch):
-        h.image_of_items([((0, 0), 1), ((3, 0), 2)])
+    # residue, so the chart would have no coordinates for it: such a
+    # Homomorphism is not built at all
+    with pytest.raises(NotADivisor):
+        Homomorphism(10, 4)
+
+
+@pytest.mark.parametrize("N, seed", [(8, 11), (8, 2026), (20, 11), (20, 2026)])
+def test_image_counts_are_the_image_sequence(N, seed):
+    """image_counts equals the image taken term by term through
+    image_coords, on drawn pairs (coordinates not reduced mod N) and on
+    pairs with negative and large coordinates, and its sum is the
+    image's sum."""
+    grp, rng, h = group(N), random.Random(seed), mul_hom(N, 4)
+    img = h.image_group
+    wide = [[((rng.randrange(-3 * N, 3 * N), rng.randrange(-3 * N, 3 * N)), rng.randrange(1, 4))
+             for _ in range(rng.randrange(1, 12))] for _ in range(200)]
+    reduced = 0
+    for pairs in [_coset_form_sample(grp, rng) for _ in range(300)] + wide:
+        counts, total = h.image_counts(pairs)
+        want = Sequence(img, [(h.image_coords(h(g)), k) for g, k in pairs])
+        assert Sequence(img, [(img.unindex(i), k) for i, k in counts.items()]) == want
+        assert total == want.sigma()
+        reduced += any(not (0 <= c < N) for g, _ in pairs for c in g)
+    assert reduced > 0
 
 
 # sha256 of to_json(timing=False), taken from a run of commit 3a60ee0, where
@@ -250,16 +280,14 @@ def test_item1_supplied_reports_match_pinned_digests(monkeypatch):
     assert rep.passed and rep.orbits_scanned == 2
     assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["supplied"]
     # zero-sum, with the zero element as a zero-sum part of length 1 < n
-    image = Sequence(group(2), (((0, 0), 1), ((1, 0), 2)))
-    monkeypatch.setattr(Homomorphism, "image_of_items", lambda self, items: image)
+    _inject_image(monkeypatch, Sequence(group(2), (((0, 0), 1), ((1, 0), 2))))
     rep = verify_propbfix_item1(4, 2, sequences=supplied)
     assert len(rep.counterexamples) == 2
     assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["supplied, short zero-sum image"]
 
 
 def test_item1_sampled_counterexamples_match_pinned_digest(monkeypatch):
-    image = Sequence(group(2), (((1, 0), 1),))
-    monkeypatch.setattr(Homomorphism, "image_of_items", lambda self, items: image)
+    _inject_image(monkeypatch, Sequence(group(2), (((1, 0), 1),)))
     rep = verify_propbfix_item1(4, 2, samples=3, seed=11)
     assert [c["reason"] for c in rep.counterexamples] == ["image not zero-sum"] * 3
     assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["sampled, image not zero-sum"]

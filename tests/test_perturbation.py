@@ -15,6 +15,9 @@ from zerosum.errors import (
 from zerosum.perturbation import upsilon_class, verify_perturbation
 from zerosum.sequences import Sequence
 
+# the classifier itself, taken before a test patches the module's name
+landing_tag = perturbation._landing_tag
+
 
 def seq(n, items):
     return Sequence(group(n), items)
@@ -41,14 +44,15 @@ class TestUpsilonClass:
 
 def _landings(monkeypatch, base, pivots):
     """Every landing _run_moves builds for one move, in the order of g over
-    group.elements(), read off the upsilon_class calls."""
+    group.elements(), read off the landing classifier's calls as
+    Sequences."""
     seen = []
 
-    def record(landed):
-        seen.append(landed)
-        return upsilon_class(landed)
+    def record(grp, counts):
+        seen.append(Sequence(grp, counts.items()))
+        return landing_tag(grp, counts)
 
-    monkeypatch.setattr(perturbation, "upsilon_class", record)
+    monkeypatch.setattr(perturbation, "_landing_tag", record)
     move = perturbation._Move(1, (), pivots, frozenset(), False)
     perturbation._run_moves(
         base.group, base, [move], False, perturbation._new_accum(), [], {}
@@ -91,6 +95,43 @@ class TestRunMoves:
             _landings(monkeypatch, seq(4, TWIN4), ((1, 0), (1, 0)))
         with pytest.raises(SumMismatch):
             verify_perturbation(4, "I")
+
+    def test_exact_move_reports_a_landing_other_than_the_base(self):
+        # lemma II item 1 lands in the family for every g in <f2>, and only
+        # g = 0 restores S: claimed exact on the whole group, every other
+        # achieved g is reported as failing to restore the sequence
+        grp = group(4)
+        s = seq(4, TWIN4)
+        move = perturbation._Move(1, (), ((1, 0), (1, 0)), frozenset(grp.elements()), True)
+        accum, bad = perturbation._new_accum(), []
+        perturbation._run_moves(grp, s, [move], False, accum, bad, {})
+        assert accum[1]["achieved"] == {(0, 0), (0, 1), (0, 2), (0, 3)}
+        assert [c["g"] for c in bad] == [[0, 1], [0, 2], [0, 3]]
+        assert {c["reason"] for c in bad} == {"stated offset fails to restore the sequence"}
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_landing_tag_agrees_with_upsilon_class_on_every_landing(m, monkeypatch):
+    """Every landing of lemmas I-III at modulus m gets the tag that
+    upsilon_class gives its Sequence."""
+    grp, cases = group(m), []
+
+    def record(grp_, counts):
+        tag = landing_tag(grp_, counts)
+        assert grp_ is grp
+        assert tag == upsilon_class(Sequence(grp, counts.items())).tag, counts
+        cases.append(tag)
+        return tag
+
+    monkeypatch.setattr(perturbation, "_landing_tag", record)
+    for lemma in ("I", "II", "III"):
+        verify_perturbation(m, lemma, jobs=1)
+    assert len(cases) == LANDINGS[m]
+    assert set(cases) == {"not_in_upsilon", "unique", "non_unique"}
+
+
+# landings of lemmas I-III together: 45,166 over m = 4, 5, 6
+LANDINGS = {4: 864, 5: 6_250, 6: 38_052}
 
 
 # (lemma, m) -> (bases scanned, per-item achieved-set sizes)

@@ -5,8 +5,9 @@ import pytest
 from zerosum import group, perturbation
 from zerosum.classification import verify_casen
 from zerosum.errors import BudgetExceeded, EmptySequence, PreconditionViolated
-from zerosum.perturbation import UpsilonClass, verify_perturbation
+from zerosum.perturbation import verify_perturbation
 from zerosum.properties import (
+    _eq1_readings,
     has_property_a,
     matches_eq1,
     matches_eq2,
@@ -119,16 +120,17 @@ def test_matches_eq1_agrees_with_oracle_on_perturbation_landings(m, monkeypatch)
     heavy term's line (m = 4 and 6), or whose residues sum to other than 1."""
     landings = set()
 
-    def recording(seq):
+    def recording(grp, counts):
         # classified by the oracle, so the landings do not depend on the
         # matcher under test
+        seq = Sequence(grp, counts.items())
         landings.add(seq)
         if not naive_eq1_readings(seq):
-            return UpsilonClass("not_in_upsilon", None)
-        heavy = sum(1 for _, k in seq.items() if k == m - 1)
-        return UpsilonClass("unique" if heavy == 1 else "non_unique", None)
+            return "not_in_upsilon"
+        heavy = sum(1 for k in counts.values() if k == m - 1)
+        return "unique" if heavy == 1 else "non_unique"
 
-    monkeypatch.setattr(perturbation, "upsilon_class", recording)
+    monkeypatch.setattr(perturbation, "_landing_tag", recording)
     for lemma in ("I", "II", "III"):
         verify_perturbation(m, lemma, jobs=1)
     assert len(landings) > 100
@@ -138,6 +140,25 @@ def test_matches_eq1_agrees_with_oracle_on_perturbation_landings(m, monkeypatch)
         assert got == naive_eq1_readings(s), s
         readings += len(got)
     assert readings > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_eq1_readings_do_not_depend_on_the_order_of_the_items(n):
+    """The core reading routine gives the readings of matches_eq1, as a
+    set, whatever order the (element, multiplicity) pairs come in."""
+    rng = random.Random(70 + n)
+    grp = group(n)
+    found = 0
+    for s in _eq1_cases(n, rng):
+        want = matches_eq1(s)
+        found += len(want)
+        for _ in range(8):
+            items = list(s.items())
+            rng.shuffle(items)
+            got = _eq1_readings(grp, items)
+            assert len(got) == len(want) and set(got) == set(want), (s, items)
+            assert _eq1_readings(grp, dict(items).items()) == got
+    assert found > 0
 
 
 class TestEq2:

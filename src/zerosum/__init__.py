@@ -11,6 +11,8 @@ Subpackage map:
 - perturbation: two-term exchange lemmas
 - decomposition: block decompositions into a head and zero-sum blocks
 - lifting: multiplication-by-m homomorphisms and the image-transfer checks
+- report: the uniform Report; run_search, the one runner of the search checks
+- errors: the package's exception types, all derived from ZsError
 - cli: the ``zs`` command line front end
 """
 

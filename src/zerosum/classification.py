@@ -20,13 +20,13 @@ from __future__ import annotations
 import dataclasses
 from math import gcd
 
-from .enumeration import EnumSpec, ResultCache, enumerate_sequences
+from .enumeration import EnumSpec, ResultCache
 from .errors import (
     BudgetExceeded, InvalidCounts, InvalidX, PreconditionViolated, WitnessCheckFailed,
 )
 from .groups import Elem, group
 from .properties import has_property_a, property_a_witnesses
-from .report import Report, Stopwatch
+from .report import Report, run_search
 from .sequences import Sequence
 from .subsums import has_short_zero_sum
 
@@ -214,9 +214,8 @@ def verify_casen(
             f"casen scan for n={n}, s={s} exceeds the default budget; "
             "pass force=True to run it anyway"
         )
-    with Stopwatch() as sw:
-        spec = EnumSpec(n, (2 + s) * n - 1, "zero-sum-no-short", {"k": n - 1})
-        reps, stats = enumerate_sequences(spec, jobs=jobs, cache=cache)
+
+    def classify(reps: list[Sequence]) -> tuple[list, dict]:
         kinds = {"item1": 0, "item2": 0, "both": 0, "unclassified": 0}
         bad = []
         for rep in reps:
@@ -224,11 +223,7 @@ def verify_casen(
             kinds[outcome.kind] += 1
             if not outcome.classified:
                 bad.append(rep.to_json_obj())
-    return Report(
-        check="casen",
-        params={"n": n, "s": s},
-        orbits_scanned=len(reps),
-        counterexamples=bad,
-        elapsed_ms=sw.elapsed_ms,
-        details={"kinds": kinds, "nodes": stats.nodes},
-    )
+        return bad, {"kinds": kinds}
+
+    spec = EnumSpec(n, (2 + s) * n - 1, "zero-sum-no-short", {"k": n - 1})
+    return run_search("casen", {"n": n, "s": s}, spec, classify, jobs=jobs, cache=cache)

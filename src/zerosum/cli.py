@@ -69,6 +69,11 @@ def int_opt(flag: str, low: int, **attrs):
     return click.option(flag, type=click.IntRange(min=low), **attrs)
 
 
+def bound_opt(fn, **attrs):
+    """``--bound``, defaulting to the ``bound`` in ``fn``'s signature."""
+    return int_opt("--bound", 1, default=fn.__kwdefaults__["bound"], **attrs)
+
+
 n_opt = int_opt("--n", 2, required=True, help="Group modulus.")
 jobs_opt = int_opt("--jobs", 1, default=None, help="Worker processes (default: all cores).")
 cache_dir_opt = click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
@@ -152,7 +157,7 @@ for grp in (construct_grp, verify_grp, cache_grp):
 
 
 @command(main, "davenport", n_opt,
-         int_opt("--bound", 1, default=7, help="Largest modulus the search budget admits."),
+         bound_opt(davenport, help="Largest modulus the search budget admits."),
          jobs=True, cache=True)
 def davenport_cmd(n, bound, jobs, cache):
     """Davenport constant of (Z/NZ)^2."""
@@ -162,7 +167,7 @@ def davenport_cmd(n, bound, jobs, cache):
 
 @command(main, "sleq", n_opt,
          int_opt("--k", 1, required=True, help="Zero-sum length threshold."),
-         int_opt("--bound", 1, default=5, help="Largest modulus the search budget admits."),
+         bound_opt(s_leq, help="Largest modulus the search budget admits."),
          jobs=True, cache=True)
 def sleq_cmd(n, k, bound, jobs, cache):
     """Least length forcing a nonempty zero-sum subsequence of length <= k."""
@@ -214,14 +219,14 @@ def construct_exceptional_cmd(n, x, a, b, c):
     return {"check": "construct-exceptional", "sequence": seq.to_json_obj()}, EXIT_PASS
 
 
-@command(verify_grp, "property-b", n_opt, int_opt("--bound", 1, default=6),
+@command(verify_grp, "property-b", n_opt, bound_opt(verify_property_b),
          jobs=True, cache=True)
 def property_b_cmd(n, bound, jobs, cache):
     """Every maximal-length minimal zero-sum has the one-coset form."""
     return verify_property_b(n, bound=bound, jobs=jobs, cache=cache)
 
 
-@command(verify_grp, "property-c", n_opt, int_opt("--bound", 1, default=5),
+@command(verify_grp, "property-c", n_opt, bound_opt(verify_property_c),
          jobs=True, cache=True)
 def property_c_cmd(n, bound, jobs, cache):
     """Three-heavy-element profile at length 3(n-1) without short zero-sums."""
@@ -240,7 +245,7 @@ def casen_cmd(n, s, force, jobs, cache):
 @command(verify_grp, "perturbation",
          int_opt("--m", 2, required=True, help="Group modulus."),
          click.option("--lemma", required=True, type=click.Choice(["I", "II", "III"])),
-         int_opt("--bound", 1, default=6), jobs=True)
+         bound_opt(verify_perturbation), jobs=True)
 def perturbation_cmd(m, lemma, bound, jobs):
     """Pairwise-move offsets around the maximal-length family."""
     return verify_perturbation(m, lemma, bound=bound, jobs=jobs)

@@ -720,6 +720,23 @@ def resolve_cache(cache_dir: str | None = None, enabled: bool = True) -> ResultC
     return ResultCache(directory)
 
 
+def _cached(cache: ResultCache | None, key: dict, name: str, search) -> dict:
+    """The cache entry of ``key`` on a hit; else ``search()``'s result, under
+    ``name``, and its SearchStats as an entry, stored unless it lists more
+    than _CACHE_MAX_SEQUENCES leaves.  An unwritable cache fails before the
+    search.  The one caller of load, ensure_writable and store."""
+    if cache is not None:
+        entry = cache.load(key)
+        if entry is not None:
+            return entry
+        cache.ensure_writable()
+    result, stats = search()
+    entry = {name: result, "stats": stats.__dict__}
+    if cache is not None and (name != "leaves" or len(result) <= _CACHE_MAX_SEQUENCES):
+        cache.store(key, entry)
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -742,18 +759,10 @@ def enumerate_leaves(
         # the empty sequence is zero-sum but, by convention, not minimal
         leaves = [] if spec.predicate == "minimal-zero-sum" else [()]
         return leaves, SearchStats(leaves=len(leaves))
-    key = spec.key()
-    if cache is not None:
-        entry = cache.load(key)
-        if entry is not None:
-            return entry["leaves"], SearchStats(**entry["stats"])
-        cache.ensure_writable()
-    leaves, stats = _search(
+    entry = _cached(cache, spec.key(), "leaves", lambda: _search(
         grp, spec.predicate, spec.params, spec.length, spec.up_to_symmetry, jobs=jobs
-    )
-    if cache is not None and len(leaves) <= _CACHE_MAX_SEQUENCES:
-        cache.store(key, {"leaves": leaves, "stats": stats.__dict__})
-    return leaves, stats
+    ))
+    return entry["leaves"], SearchStats(**entry["stats"])
 
 
 def decode_leaves(n: int, leaves: Iterable[Iterable[int]]) -> list[Sequence]:
@@ -820,17 +829,12 @@ def _cached_max_length_plus_one(
         raise BudgetExceeded(
             f"{op} search for n={grp.n} exceeds the exhaustive bound {bound}"
         )
-    key = {"op": op, "n": grp.n, **params}
-    if cache is not None:
-        entry = cache.load(key)
-        if entry is not None:
-            return entry["value"]
-        cache.ensure_writable()
-    longest, stats = max_length_with(grp, predicate, params, jobs=jobs, depth_cap=depth_cap)
-    value = longest + 1
-    if cache is not None:
-        cache.store(key, {"value": value, "stats": stats.__dict__})
-    return value
+
+    def search() -> tuple[int, SearchStats]:
+        longest, stats = max_length_with(grp, predicate, params, jobs=jobs, depth_cap=depth_cap)
+        return longest + 1, stats
+
+    return _cached(cache, {"op": op, "n": grp.n, **params}, "value", search)["value"]
 
 
 def davenport(

@@ -86,13 +86,8 @@ class Homomorphism:
 
     def image_in_coords(self, seq: Sequence) -> Sequence:
         """phi(S) rewritten over (Z/nZ)^2."""
-        return self.image_of_items(seq.items())
-
-    def image_of_items(self, items: Iterable[tuple[Elem, int]]) -> Sequence:
-        """The image over (Z/nZ)^2 of the multiset given by (element,
-        multiplicity) pairs, as a Sequence."""
         img = self.image_group
-        counts, _ = self.image_counts(items)
+        counts, _ = self.image_counts(seq.items())
         return Sequence(img, ((img.unindex(i), k) for i, k in counts.items()))
 
     def image_counts(self, items: Iterable[tuple[Elem, int]]) -> tuple[dict[int, int], Elem]:

@@ -86,9 +86,13 @@ def _cyclic(grp: Group, g: Elem) -> frozenset[Elem]:
     return frozenset(grp.cyclic_subgroup(g))
 
 
-def _unique_heavy_base(grp: Group, f1: Elem, f2: Elem, xs: tuple[int, ...]) -> Sequence:
+def _family_member(grp: Group, f1: Elem, f2: Elem, xs: tuple[int, ...], tag: str) -> Sequence:
+    """f1^[m-1] * prod (x f1 + f2) over xs, checked to have upsilon tag ``tag``."""
     terms = [(grp.add(grp.scale(x, f1), f2), 1) for x in xs]
-    return Sequence(grp, [(f1, grp.n - 1)] + terms)
+    base = Sequence(grp, [(f1, grp.n - 1)] + terms)
+    if upsilon_class(base).tag != tag:
+        raise WitnessCheckFailed(f"base {base!r} is not {tag}")
+    return base
 
 
 def _moves_unique(grp: Group, f1: Elem, f2: Elem, xs: tuple[int, ...]) -> list[_Move]:
@@ -106,12 +110,6 @@ def _moves_unique(grp: Group, f1: Elem, f2: Elem, xs: tuple[int, ...]) -> list[_
             continue
         moves.append(_Move(3, (v, w), (coset[v], coset[w]), f1_line, False))
     return moves
-
-
-def _twin_heavy_base(grp: Group, f1: Elem, f2: Elem) -> Sequence:
-    return Sequence(
-        grp, [(f1, grp.n - 1), (f2, grp.n - 1), (grp.add(f1, f2), 1)]
-    )
 
 
 def _moves_twin(grp: Group, f1: Elem, f2: Elem, lemma: str) -> list[_Move]:
@@ -194,9 +192,7 @@ def _new_accum() -> dict:
 
 def _scan_unique(grp: Group, f1: Elem, f2: Elem, xs: tuple[int, ...]) -> tuple[dict, list]:
     """Every unique-heavy move on the family member of one residue multiset."""
-    base = _unique_heavy_base(grp, f1, f2, xs)
-    if upsilon_class(base).tag != "unique":
-        raise WitnessCheckFailed(f"base {base!r} is not unique-heavy")
+    base = _family_member(grp, f1, f2, xs, "unique")
     accum = _new_accum()
     counterexamples: list = []
     _run_moves(
@@ -264,9 +260,8 @@ def verify_perturbation(
             # order must not depend on the worker split
             counterexamples.sort(key=repr)
         else:
-            base = _twin_heavy_base(grp, f1, f2)
-            if upsilon_class(base).tag != "non_unique":
-                raise WitnessCheckFailed(f"base {base!r} is not twin-heavy")
+            # the twin-heavy member f1^[m-1] f2^[m-1] (f1+f2)
+            base = _family_member(grp, f1, f2, (0,) * (m - 1) + (1,), "non_unique")
             moves = _moves_twin(grp, f1, f2, lemma)
             _run_moves(
                 grp, base, moves, lemma == "III", accum, counterexamples, {}

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from .enumeration import EnumSpec, ResultCache, enumerate_sequences
+from .enumeration import EnumSpec, ResultCache
 from .errors import BudgetExceeded, EmptySequence, PreconditionViolated
 from .groups import Elem, Group
-from .report import Report, Stopwatch
+from .report import Report, run_search
 from .sequences import Sequence
 
 
@@ -187,17 +187,10 @@ def verify_property_b(
         raise PreconditionViolated(f"property B needs n >= 2, got {n}")
     if n > bound:
         raise BudgetExceeded(f"property B search for n={n} exceeds bound {bound}")
-    with Stopwatch() as sw:
-        spec = EnumSpec(n, 2 * n - 1, "minimal-zero-sum")
-        reps, stats = enumerate_sequences(spec, jobs=jobs, cache=cache)
-        bad = [s.to_json_obj() for s in reps if not matches_eq1(s)]
-    return Report(
-        check="property-b",
-        params={"n": n},
-        orbits_scanned=len(reps),
-        counterexamples=bad,
-        elapsed_ms=sw.elapsed_ms,
-        details={"nodes": stats.nodes},
+    return run_search(
+        "property-b", {"n": n}, EnumSpec(n, 2 * n - 1, "minimal-zero-sum"),
+        lambda reps: ([s.to_json_obj() for s in reps if not matches_eq1(s)], {}),
+        jobs=jobs, cache=cache,
     )
 
 
@@ -220,9 +213,8 @@ def verify_property_c(
         raise PreconditionViolated(f"property C needs n >= 2, got {n}")
     if n > bound:
         raise BudgetExceeded(f"property C search for n={n} exceeds bound {bound}")
-    with Stopwatch() as sw:
-        spec = EnumSpec(n, 3 * (n - 1), "no-short-zero-sum", {"k": n})
-        reps, stats = enumerate_sequences(spec, jobs=jobs, cache=cache)
+
+    def classify(reps: list[Sequence]) -> tuple[list, dict]:
         bad = []
         without_form = 0
         for s in reps:
@@ -231,11 +223,7 @@ def verify_property_c(
                 bad.append(s.to_json_obj())
             elif not matches_eq2(s):
                 without_form += 1
-    return Report(
-        check="property-c",
-        params={"n": n},
-        orbits_scanned=len(reps),
-        counterexamples=bad,
-        elapsed_ms=sw.elapsed_ms,
-        details={"nodes": stats.nodes, "without_basis_form": without_form},
-    )
+        return bad, {"without_basis_form": without_form}
+
+    spec = EnumSpec(n, 3 * (n - 1), "no-short-zero-sum", {"k": n})
+    return run_search("property-c", {"n": n}, spec, classify, jobs=jobs, cache=cache)

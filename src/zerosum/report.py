@@ -3,6 +3,7 @@
 Every verifier returns a Report recording what was checked, with which
 parameters, how much was scanned, and any counterexamples found.
 Counterexamples are JSON-ready objects so a failing run can be replayed.
+The search-backed verifiers build theirs in one runner, ``run_search``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import dataclasses
 import json
 import time
 from typing import Any
+
+from .enumeration import EnumSpec, ResultCache, enumerate_sequences
 
 
 class Stopwatch:
@@ -63,3 +66,15 @@ class Report:
         if pretty:
             return json.dumps(obj, indent=2, sort_keys=True)
         return json.dumps(obj, sort_keys=True)
+
+
+def run_search(check: str, params: dict[str, Any], spec: EnumSpec, classify, *,
+               jobs: int, cache: ResultCache | None) -> Report:
+    """The Report of a search-backed check: ``classify`` maps the orbit
+    representatives of ``spec`` (searched, or read from ``cache``) to the
+    counterexamples and the details, and the runner adds the node count."""
+    with Stopwatch() as sw:
+        reps, stats = enumerate_sequences(spec, jobs=jobs, cache=cache)
+        bad, details = classify(reps)
+    return Report(check=check, params=params, orbits_scanned=len(reps), counterexamples=bad,
+                  elapsed_ms=sw.elapsed_ms, details={**details, "nodes": stats.nodes})

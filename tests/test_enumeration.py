@@ -658,6 +658,46 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert len(os.listdir(cache.directory)) == len(CACHED_SPECS) + 3
 
 
+def _counting_search(monkeypatch) -> list:
+    """Replace enumeration._search by a wrapper that records each call."""
+    calls, search = [], enumeration._search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_search", counted)
+    return calls
+
+
+def test_a_search_over_the_leaf_cap_is_not_stored(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path / "c"))
+    spec = EnumSpec(3, 5, "minimal-zero-sum", up_to_symmetry=False)
+    leaves, stats = enumeration.enumerate_leaves(spec)
+    assert len(leaves) > 1
+    monkeypatch.setattr(enumeration, "_CACHE_MAX_SEQUENCES", len(leaves) - 1)
+    calls = _counting_search(monkeypatch)
+    for searches in (1, 2):
+        assert enumeration.enumerate_leaves(spec, cache=cache) == (leaves, stats)
+        assert len(calls) == searches
+        assert cache.load(spec.key()) is None
+    assert os.listdir(cache.directory) == []
+
+
+def test_a_search_at_the_leaf_cap_is_stored(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path / "c"))
+    spec = EnumSpec(3, 5, "minimal-zero-sum", up_to_symmetry=False)
+    leaves, stats = enumeration.enumerate_leaves(spec)
+    monkeypatch.setattr(enumeration, "_CACHE_MAX_SEQUENCES", len(leaves))
+    calls = _counting_search(monkeypatch)
+    assert enumeration.enumerate_leaves(spec, cache=cache) == (leaves, stats)
+    assert len(calls) == 1
+    assert cache.load(spec.key()) is not None
+    monkeypatch.setattr(enumeration, "_search", _no_search)
+    hit, hit_stats = enumeration.enumerate_leaves(spec, cache=cache)
+    assert [tuple(leaf) for leaf in hit] == leaves and hit_stats == stats
+
+
 def test_cache_entry_with_an_edited_value_is_a_miss(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
     key = {"op": "davenport", "n": 3}

@@ -212,8 +212,7 @@ def test_item1_image_of_drawn_pairs_is_the_image_of_the_sample(N, seed):
     grp, rng, h = group(N), random.Random(seed), mul_hom(N, 4)
     for _ in range(500):
         pairs = _coset_form_sample(grp, rng)
-        image = h.image_of_items(pairs)
-        assert image == h.image_in_coords(Sequence(grp, pairs))
+        image = h.image_in_coords(Sequence(grp, pairs))
         assert image == Sequence(h.image_group, [(h.image_coords(h(g)), k) for g, k in pairs])
         assert len(image.items()) <= h.n + 1 < len(pairs)
 

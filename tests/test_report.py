@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from zerosum.classification import verify_casen
 from zerosum.groups import group
 from zerosum.lifting import _coset_form_sample, verify_propbfix_item1
 from zerosum.perturbation import verify_perturbation
+from zerosum.properties import verify_property_b, verify_property_c
 from zerosum.report import Report, Stopwatch
 from zerosum.sequences import Sequence
 
@@ -54,13 +56,32 @@ PINNED_DIGESTS = {
     ("perturbation", 6, "III"): "d5d9ade82d7e28ead7aa1d1f99c271cfc5e58783840458334e49178e028bfa10",
     ("propbfix-item1", 4, 2): "303ed5cfa3ed2da81f985baddb00c5c57b29493fc16b285f3dc1c35b207a44e6",
     ("propbfix-item1", 4, 5): "af90bf7fde5b004fa0f546cf0dd647b26884a81c7a566120c185f1f71ddfc8da",
+    # the search-backed reports, taken from a run of commit acf4689, before
+    # their verifiers shared one report runner
+    ("property-b", 2): "ba13ce9608cb06f872538bf09e6891a8000c9797ccabd75c767b0b18b255d5ed",
+    ("property-b", 3): "5e9ba0a8d618da958f9e271099f777aeea56fb03d949f5ee9aece5dcaeb48ad6",
+    ("property-b", 4): "53956878321a919a01652208b96d73034819d3cd38cf0a71862daff0e912e490",
+    ("property-b", 5): "2ca92c9f0658c9ee03a75192d6f39a4e79d999c905097d69d76bed55d0b8adc2",
+    ("property-b", 6): "069fcb78cb11137ba67c7a2cf9f32fb84a9898f07771dc4e29b8052f64ab591d",
+    ("property-c", 2): "b4a18b7c7cd3640ba807141997cb44c145d4339ee52343da32a9c0b75bed6270",
+    ("property-c", 3): "e58fc808d6eff8d4f935ccddd727805d31ee5f7a814691adb1e401603f009cfd",
+    ("property-c", 4): "9e01c0a1f3e8a4a43586588f30b92a7a87d62336f5393ca5e0fa453be4d0be6f",
+    ("property-c", 5): "fc1778c7dd585bf3aaf5e940c2003077e0065dc3c967d5a7d00dcabf7281e4a7",
+    ("casen", 4, 1): "3559783cf4d4e5fef047dc4c59ae1cdff8c1a8b33f7e85f65310633b501d0de1",
+    ("casen", 5, 1): "1c40de93a013b7da2acd0b8fe9b555dab399992edd78a42a501c29d2176713ec",
+    ("casen", 3, 2): "0a755d0188c6d970e7eb0b5755baf223dc14cc72a85542eb6aa6d0f3acdfe561",
+    ("casen", 2, 3): "db455f7163bfebe31e8d0522fff35b7e41a09baf43779f6eba178ff817d173de",
 }
 
 
-def _pinned_report(check, a, b):
+def _pinned_report(check, *args):
     if check == "perturbation":
-        return verify_perturbation(a, b)
-    return verify_propbfix_item1(a, b, samples=2000, seed=11)
+        return verify_perturbation(*args)
+    if check == "propbfix-item1":
+        return verify_propbfix_item1(*args, samples=2000, seed=11)
+    if check == "casen":
+        return verify_casen(*args, force=True)
+    return {"property-b": verify_property_b, "property-c": verify_property_c}[check](*args)
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr))

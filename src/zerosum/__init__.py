@@ -3,7 +3,7 @@
 Subpackage map:
 
 - groups: element arithmetic, bases, automorphisms of (Z/nZ)^2
-- sequences: multiset sequences and their JSON text format
+- sequences: multiset sequences and their JSON form
 - subsums: length-restricted subsequence-sum DP
 - enumeration: orderly search up to symmetry, Davenport-style constants, cache
 - properties: coset-support witnesses and the two closed sequence shapes
@@ -31,7 +31,7 @@ from .enumeration import (
     s_leq,
 )
 from .groups import Automorphism, Elem, Group, group
-from .lifting import Homomorphism, mul_hom, verify_propbfix_item1, verify_propbfix_item2
+from .lifting import Homomorphism, verify_propbfix_item1, verify_propbfix_item2
 from .perturbation import upsilon_class, verify_perturbation
 from .properties import (
     has_property_a,
@@ -84,7 +84,6 @@ __all__ = [
     "upsilon_class",
     "verify_perturbation",
     "Homomorphism",
-    "mul_hom",
     "verify_propbfix_item1",
     "verify_propbfix_item2",
     "BlockDecomposition",

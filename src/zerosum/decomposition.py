@@ -28,6 +28,9 @@ from .groups import Elem
 from .sequences import Sequence
 from .subsums import find_zero_sum_subsequence, has_short_zero_sum, is_minimal_zero_sum
 
+# the exhaustive stream raises BudgetExceeded past this many decompositions
+_MAX_DECOMPOSITIONS = 10_000
+
 
 @dataclasses.dataclass(frozen=True)
 class BlockDecomposition:
@@ -48,12 +51,6 @@ class BlockDecomposition:
     @property
     def parts(self) -> tuple[Sequence, ...]:
         return (self.W0,) + self.blocks
-
-    def sequence(self) -> Sequence:
-        out = self.W0
-        for b in self.blocks:
-            out = out.concat(b)
-        return out
 
 
 def _exact_zero_sum_parts(seq: Sequence, n: int, floor) -> list[Sequence]:
@@ -94,11 +91,10 @@ def block_decompositions(
     s: int,
     *,
     exhaustive: bool = False,
-    cap: int = 10_000,
 ) -> Iterator[BlockDecomposition]:
     """Stream decompositions of S into W0 (length 2n-1) and s zero-sum
     blocks of length n.  Default yields the first found; the exhaustive
-    flag streams every distinct one up to the cap.
+    flag streams every distinct one, up to _MAX_DECOMPOSITIONS.
     """
     if len(S) != (2 + s) * n - 1:
         raise LengthMismatch(
@@ -135,6 +131,6 @@ def block_decompositions(
     count = 0
     for d in stream:
         count += 1
-        if count > cap:
-            raise BudgetExceeded(f"more than {cap} decompositions")
+        if count > _MAX_DECOMPOSITIONS:
+            raise BudgetExceeded(f"more than {_MAX_DECOMPOSITIONS} decompositions")
         yield d

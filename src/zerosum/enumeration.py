@@ -762,7 +762,8 @@ def enumerate_leaves(
     entry = _cached(cache, spec.key(), "leaves", lambda: _search(
         grp, spec.predicate, spec.params, spec.length, spec.up_to_symmetry, jobs=jobs
     ))
-    return entry["leaves"], SearchStats(**entry["stats"])
+    # a hit reads JSON lists; tuple() returns a searched leaf itself
+    return list(map(tuple, entry["leaves"])), SearchStats(**entry["stats"])
 
 
 def decode_leaves(n: int, leaves: Iterable[Iterable[int]]) -> list[Sequence]:

@@ -94,12 +94,6 @@ class Group:
     def element(self, a: int, b: int) -> Elem:
         return (a % self.n, b % self.n)
 
-    def contains(self, g: Elem) -> bool:
-        return (
-            isinstance(g, tuple) and len(g) == 2
-            and all(isinstance(c, int) and 0 <= c < self.n for c in g)
-        )
-
     def elements(self) -> tuple[Elem, ...]:
         """All n^2 elements in lexicographic order."""
         if self._elements is None:
@@ -284,19 +278,13 @@ class Group:
         base = x * order.shape[1]
         return slice(base + bounds[x][y], base + bounds[x][y + 1])
 
-    def rows_through(self, terms: list[int], y: int) -> np.ndarray:
-        """Rows of :meth:`perm_table` that send some term of the index tuple
-        ``terms`` to ``y``, each automorphism once (it sends only one
-        element to ``y``)."""
-        order = self.orbit_tables()[1].ravel()
-        return np.concatenate([order[self.transversal(x, y)] for x in dict.fromkeys(terms)])
-
     def images_through(self, terms: list[int], y: int) -> np.ndarray:
-        """Sorted images of the index tuple ``terms``, one row per
-        automorphism of :meth:`rows_through`: exactly the images that
-        contain ``y``.
+        """Sorted images of the index tuple ``terms`` under the automorphisms
+        that send some term to ``y``, one row per automorphism (it sends
+        only one element to ``y``): exactly the images that contain ``y``.
         """
-        rows = self.rows_through(terms, y)  # builds the tables on first use
+        order = self.orbit_tables()[1].ravel()  # builds the tables on first use
+        rows = np.concatenate([order[self.transversal(x, y)] for x in dict.fromkeys(terms)])
         images = self._perm.take(rows, axis=0)[:, terms]
         images.sort(axis=1)
         return images

@@ -109,12 +109,6 @@ class Homomorphism:
         return counts, (sa % n, sb % n)
 
 
-def mul_hom(N: int, m: int) -> Homomorphism:
-    """g -> m*g on (Z/NZ)^2; raises NotADivisor unless m >= 2, m | N and
-    N/m >= 2."""
-    return Homomorphism(N, m)
-
-
 def _coset_form_sample(grp: Group, rng: random.Random) -> list[tuple[Elem, int]]:
     """A random member of the maximal-length minimal zero-sum family,
     transported by a random automorphism, as (element, multiplicity) pairs
@@ -137,42 +131,30 @@ def verify_propbfix_item1(
     samples: int = 10_000,
     seed: int = 2026,
     exhaustive: bool = False,
-    sequences: list[Sequence] | None = None,
     jobs: int = 1,
 ) -> Report:
     """Check that phi(S) is zero-sum with no nonempty zero-sum part of
     length below n, for minimal zero-sums S of length 2mn-1.
 
-    Three populations: caller-supplied sequences (each checked against the
-    precondition first, over (Z/mnZ)^2; rejects are recorded, not counted
-    as violations);
-    exhaustive orbit enumeration (mn <= 8 only; conclusions are constant
-    on orbits since mult-by-m commutes with every automorphism); or, by
-    default, seeded random members of the maximal-length family, which by
-    the separately verified one-coset structure is the whole search space.
-    Each population yields (element, multiplicity) pairs, checked through
-    one image routine (Homomorphism.image_counts), whose image index
-    pairs go straight to the zero-sum guard; a sample is built as a
-    Sequence only for a counterexample's JSON.
+    Two populations: exhaustive orbit enumeration (mn <= 8 only;
+    conclusions are constant on orbits since mult-by-m commutes with every
+    automorphism); or, by default, seeded random members of the
+    maximal-length family, which by the separately verified one-coset
+    structure is the whole search space.  Each population yields (element,
+    multiplicity) pairs, checked through one image routine
+    (Homomorphism.image_counts), whose image index pairs go straight to the
+    zero-sum guard; a sample is built as a Sequence only for a
+    counterexample's JSON.
     """
     if m < 4 or n < 2:
         raise PreconditionViolated(f"need m >= 4 and n >= 2, got m={m}, n={n}")
     N = m * n
     grp = group(N)
-    hom = mul_hom(N, m)
+    hom = Homomorphism(N, m)
     img = hom.image_group
     bad: list = []
-    rejected: list = []
     with Stopwatch() as sw:
-        if sequences is not None:
-            population = []
-            for seq in sequences:
-                if seq.group != grp or len(seq) != 2 * N - 1 or not is_minimal_zero_sum(seq):
-                    rejected.append(seq.to_json_obj())
-                else:
-                    population.append(seq.items())
-            provenance = "caller-supplied"
-        elif exhaustive:
+        if exhaustive:
             if N > 8:
                 raise BudgetExceeded(
                     f"exhaustive check needs mn <= 8, got mn={N}"
@@ -210,7 +192,7 @@ def verify_propbfix_item1(
         orbits_scanned=scanned,
         counterexamples=bad,
         elapsed_ms=sw.elapsed_ms,
-        details={"population": provenance, "rejected_inputs": rejected},
+        details={"population": provenance},
     )
 
 
@@ -266,7 +248,7 @@ def verify_propbfix_item2(
     if m < 4 or n < 5:
         raise PreconditionViolated(f"need m >= 4 and n >= 5, got m={m}, n={n}")
     N = m * n
-    hom = mul_hom(N, m)
+    hom = Homomorphism(N, m)
     rng = random.Random(seed)
     kernel = hom.kernel_elements()
     patterns = []

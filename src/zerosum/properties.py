@@ -73,9 +73,6 @@ class Eq1Witness:
     e2: Elem
     xs: tuple[int, ...]
 
-    def to_json_obj(self) -> dict:
-        return {"e1": list(self.e1), "e2": list(self.e2), "xs": list(self.xs)}
-
 
 def matches_eq1(seq: Sequence) -> list[Eq1Witness]:
     """All ways to read the sequence in the long minimal zero-sum shape,
@@ -143,9 +140,6 @@ class Eq2Witness:
     e1: Elem
     e2: Elem
     x: int
-
-    def to_json_obj(self) -> dict:
-        return {"e1": list(self.e1), "e2": list(self.e2), "x": self.x}
 
 
 def matches_eq2(seq: Sequence) -> list[Eq2Witness]:

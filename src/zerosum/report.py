@@ -61,11 +61,8 @@ class Report:
             obj["elapsed_ms"] = self.elapsed_ms
         return obj
 
-    def to_json(self, *, pretty: bool = False, timing: bool = True) -> str:
-        obj = self.to_json_obj(timing=timing)
-        if pretty:
-            return json.dumps(obj, indent=2, sort_keys=True)
-        return json.dumps(obj, sort_keys=True)
+    def to_json(self, *, timing: bool = True) -> str:
+        return json.dumps(self.to_json_obj(timing=timing), sort_keys=True)
 
 
 def run_search(check: str, params: dict[str, Any], spec: EnumSpec, classify, *,

@@ -4,7 +4,7 @@ A Sequence is an unordered multiset of group elements, stored as a sorted
 tuple of (element, multiplicity) pairs.  Term order never matters; two
 sequences are equal iff their multiplicity maps agree.
 
-The JSON text format is::
+The JSON form (``to_json_obj``/``from_json_obj``) is::
 
     {"n": 5, "terms": [[0, 1, 4], [1, 0, 4], [1, 1, 1]]}
 
@@ -14,7 +14,6 @@ elements.  Parsing is strict; anything off-shape raises SchemaError.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Iterable, Iterator
 
 from . import groups
@@ -52,10 +51,6 @@ class Sequence:
     def from_terms(cls, grp: Group, terms: Iterable[Elem]) -> "Sequence":
         return cls(grp, ((g, 1) for g in terms))
 
-    @classmethod
-    def empty(cls, grp: Group) -> "Sequence":
-        return cls(grp, ())
-
     # -- basic protocol --------------------------------------------------------
 
     def __len__(self) -> int:
@@ -89,9 +84,6 @@ class Sequence:
         """(element, multiplicity) pairs in element order."""
         return self._items
 
-    def terms(self) -> tuple[Elem, ...]:
-        return tuple(self)
-
     def multiplicity(self, g: Elem) -> int:
         if self._counts is None:
             self._counts = dict(self._items)
@@ -114,11 +106,6 @@ class Sequence:
 
     # -- multiset algebra ----------------------------------------------------------
 
-    def concat(self, other: "Sequence") -> "Sequence":
-        if other.group != self.group:
-            raise ValueError("cannot concatenate sequences over different groups")
-        return Sequence(self.group, self._items + other._items)
-
     def is_subsequence_of(self, other: "Sequence") -> bool:
         if other.group != self.group:
             return False
@@ -137,11 +124,9 @@ class Sequence:
             counts[g] = have - m
         return Sequence(self.group, counts.items())
 
-    def apply_hom(self, f: Callable[[Elem], Elem], target: Group | None = None) -> "Sequence":
-        """Termwise image under f.  The result lives in ``target`` (defaults
-        to the same group)."""
-        grp = target if target is not None else self.group
-        return Sequence(grp, ((f(g), m) for g, m in self._items))
+    def apply_hom(self, f: Callable[[Elem], Elem]) -> "Sequence":
+        """Termwise image under f, in the same group."""
+        return Sequence(self.group, ((f(g), m) for g, m in self._items))
 
     # -- symmetry ----------------------------------------------------------------
 
@@ -164,31 +149,13 @@ class Sequence:
         best = images[groups.np.lexsort(images.T[::-1])[0]]
         return Sequence.from_terms(grp, (grp.unindex(int(i)) for i in best))
 
-    def orbit_size(self) -> int:
-        """Number of distinct sequences in the automorphism orbit.
-
-        Computed as |Aut| / |Stab|; every automorphism fixing the sequence
-        sends some term onto its first term, so the stabiliser is found
-        among :meth:`Group.images_through` for that term.
-        """
-        if not self._items:
-            return 1
-        grp = self.group
-        idxs = [grp.index(g) for g in self]
-        images = grp.images_through(idxs, idxs[0])
-        stabiliser = int((images == idxs).all(axis=1).sum())
-        return len(grp.perm_table()) // stabiliser
-
-    # -- JSON text format -------------------------------------------------------------
+    # -- JSON form ---------------------------------------------------------------------
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.group.n,
             "terms": [[g[0], g[1], m] for g, m in self._items],
         }
-
-    def to_json(self, *, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "Sequence":
@@ -223,11 +190,3 @@ class Sequence:
             prev = g
             items.append((g, m))
         return cls(grp, items)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Sequence":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_obj(obj)

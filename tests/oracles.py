@@ -59,6 +59,23 @@ def naive_canonical(seq: Sequence) -> Sequence:
     return Sequence.from_terms(seq.group, best)
 
 
+def orbit_size(seq: Sequence) -> int:
+    """Number of distinct sequences in the automorphism orbit.
+
+    Computed as |Aut| / |Stab|; every automorphism fixing the sequence
+    sends some term onto its first term, so the stabiliser is found among
+    :meth:`Group.images_through` for that term.  Checked against
+    :func:`naive_orbit`.
+    """
+    if not seq.items():
+        return 1
+    grp = seq.group
+    idxs = [grp.index(g) for g in seq]
+    images = grp.images_through(idxs, idxs[0])
+    stabiliser = int((images == idxs).all(axis=1).sum())
+    return len(grp.perm_table()) // stabiliser
+
+
 def naive_orbit(seq: Sequence) -> set:
     return {
         tuple(sorted(alpha(g) for g in seq)) for alpha in seq.group.automorphisms()

@@ -40,7 +40,7 @@ def test_criterion_03_property_b():
     scanned = {}
     for n in range(2, 7):
         rep = verify_property_b(n, jobs=1)
-        assert rep.passed, rep.to_json(pretty=True)
+        assert rep.passed, rep.to_json()
         assert rep.counterexamples == []
         scanned[n] = rep.orbits_scanned
     report_line(3, f"property B zero counterexamples, orbits {scanned}")
@@ -50,7 +50,7 @@ def test_criterion_04_property_c():
     scanned = {}
     for n in range(2, 6):
         rep = verify_property_c(n, jobs=1)
-        assert rep.passed, rep.to_json(pretty=True)
+        assert rep.passed, rep.to_json()
         assert rep.counterexamples == []
         assert rep.details["without_basis_form"] == 0  # 100% closed-form match
         scanned[n] = rep.orbits_scanned
@@ -62,7 +62,7 @@ def test_criterion_05_perturbation_suites():
     for m in (4, 5, 6):
         for lemma in ("I", "II", "III"):
             rep = verify_perturbation(m, lemma, jobs=1)
-            assert rep.passed, rep.to_json(pretty=True)
+            assert rep.passed, rep.to_json()
             cases += sum(v["cases"] for v in rep.details["items"].values())
     tight = verify_perturbation(4, "II", jobs=1)
     f2_line = sorted([0, k] for k in range(4))
@@ -74,7 +74,7 @@ def test_criterion_05_perturbation_suites():
 
 def test_criterion_06_corrected_classification():
     rep = verify_casen(5, 1, jobs=1)
-    assert rep.counterexamples == [], rep.to_json(pretty=True)
+    assert rep.counterexamples == [], rep.to_json()
     kinds = rep.details["kinds"]
     assert kinds.get("unclassified", 0) == 0
     assert kinds.get("item2", 0) >= 1
@@ -154,7 +154,7 @@ def test_criterion_08_oracle_equivalence():
 def test_criterion_09_image_transfer_item1():
     for n in (2, 5):
         rep = verify_propbfix_item1(4, n, samples=10_000, seed=2026)
-        assert rep.passed, rep.to_json(pretty=True)
+        assert rep.passed, rep.to_json()
         assert rep.orbits_scanned == 10_000
         assert rep.counterexamples == []
     report_line(9, "image of 10^4 sampled maximal-length sequences: zero-sum, "

@@ -33,6 +33,11 @@ def many_decompositions():
     return S
 
 
+def _joined(d: BlockDecomposition) -> Sequence:
+    """The sequence a decomposition splits: its parts, concatenated."""
+    return Sequence(d.W0.group, [item for part in d.parts for item in part.items()])
+
+
 def test_worked_small_decomposition():
     g3 = group(3)
     S = Sequence(g3, (((1, 0), 2), ((0, 1), 5), ((1, 1), 1)))
@@ -41,7 +46,7 @@ def test_worked_small_decomposition():
     target = Sequence(g3, (((0, 1), 3),))
     assert target in [d.blocks[0] for d in found]
     for d in found:
-        assert d.sequence() == S
+        assert _joined(d) == S
         assert len(d.W0) == 5 and len(d.blocks[0]) == 3
         assert is_minimal_zero_sum(d.W0)
 
@@ -78,7 +83,7 @@ def test_first_found_is_deterministic_and_conservative():
     b = next(iter(block_decompositions(S, 7, 2)))
     assert a == b
     assert a == next(iter(block_decompositions(S, 7, 2, exhaustive=True)))
-    assert a.sequence() == S
+    assert _joined(a) == S
     assert len(a.W0) == 13
     assert [len(blk) for blk in a.blocks] == [7, 7]
 
@@ -92,11 +97,13 @@ def test_zero_blocks_decomposition():
     assert d.blocks == ()
 
 
-def test_exhaustive_cap():
+def test_exhaustive_cap(monkeypatch):
     S = many_decompositions()
+    monkeypatch.setattr(decomposition, "_MAX_DECOMPOSITIONS", 3)
     with pytest.raises(BudgetExceeded):
-        list(block_decompositions(S, 4, 2, exhaustive=True, cap=3))
-    assert len(list(block_decompositions(S, 4, 2, exhaustive=True, cap=161))) == 161
+        list(block_decompositions(S, 4, 2, exhaustive=True))
+    monkeypatch.setattr(decomposition, "_MAX_DECOMPOSITIONS", 161)
+    assert len(list(block_decompositions(S, 4, 2, exhaustive=True))) == 161
 
 
 def test_constructor_validation():
@@ -107,7 +114,7 @@ def test_constructor_validation():
     with pytest.raises(PreconditionViolated):
         BlockDecomposition(head, (Sequence.from_terms(g8, [(1, 0), (2, 0)]),))
     with pytest.raises(EmptySequence):
-        BlockDecomposition(head, (Sequence.empty(g8),))
+        BlockDecomposition(head, (Sequence(g8, ()),))
     with pytest.raises(PreconditionViolated):
         BlockDecomposition(head, (Sequence.from_terms(group(6), [(3, 0), (3, 0)]),))
     assert BlockDecomposition(head, [head]).blocks == (head,)
@@ -122,7 +129,7 @@ def test_exhaustive_stream_is_duplicate_free():
     again = list(block_decompositions(S, 4, 2, exhaustive=True))
     assert [d.parts for d in found] == [d.parts for d in again]
     for d in found:
-        assert d.sequence() == S
+        assert _joined(d) == S
 
 
 def test_non_minimal_head_is_rejected(monkeypatch):

@@ -15,25 +15,21 @@ from zerosum.groups import group
 from zerosum.lifting import (
     Homomorphism,
     _coset_form_sample,
-    mul_hom,
     verify_propbfix_item1,
     verify_propbfix_item2,
 )
 from zerosum.sequences import Sequence
-from zerosum.subsums import is_minimal_zero_sum
 
 
 @pytest.mark.parametrize("N, m", [(8, 3), (8, 1), (4, 4), (6, 5)])
 def test_mul_hom_rejects_non_divisors(N, m):
-    with pytest.raises(NotADivisor):
-        mul_hom(N, m)
     with pytest.raises(NotADivisor):
         Homomorphism(N, m)
 
 
 @pytest.mark.parametrize("N, m", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)])
 def test_kernel_and_image_sizes(N, m):
-    h = mul_hom(N, m)
+    h = Homomorphism(N, m)
     n = N // m
     kernel = h.kernel_elements()
     assert len(kernel) == m * m
@@ -41,11 +37,11 @@ def test_kernel_and_image_sizes(N, m):
     assert all(h(k) == (0, 0) for k in kernel)
     coords = {h.image_coords(h(g)) for g in group(N).elements()}
     assert len(coords) == n * n
-    assert all(h.image_group.contains(c) for c in coords)
+    assert coords <= set(h.image_group.elements())
 
 
 def test_fiber_partition():
-    h = mul_hom(8, 4)
+    h = Homomorphism(8, 4)
     grp = group(8)
     fibers = {}
     for g in grp.elements():
@@ -59,10 +55,10 @@ def test_fiber_partition():
 
 
 def test_image_coords_roundtrip():
-    h = mul_hom(6, 2)
+    h = Homomorphism(6, 2)
     for g in group(6).elements():
         c = h.image_coords(h(g))
-        assert h.image_group.contains(c)
+        assert c in h.image_group.elements()
         # an image coordinate, read in the source group, lies in the fiber
         assert h(c) == h(g)
     with pytest.raises(FiberMismatch):
@@ -93,36 +89,6 @@ def test_item1_streams_its_samples():
     assert rep.passed and rep.orbits_scanned == 5000
     # holding all 5000 samples at once peaked at 8.5 MiB
     assert peak < 2**20
-
-
-def test_item1_accepts_supplied_sequence():
-    grp = group(8)
-    xs = [0, 0, 0, 0, 0, 3, 3, 3]  # sums to 9 = 1 mod 8
-    seq = Sequence(grp, [((1, 0), 7)] + [((x, 1), 1) for x in xs])
-    assert is_minimal_zero_sum(seq)
-    rep = verify_propbfix_item1(4, 2, sequences=[seq])
-    assert rep.passed
-    assert rep.orbits_scanned == 1
-    assert rep.details["rejected_inputs"] == []
-
-
-def test_item1_rejects_bad_supplied_sequence():
-    grp = group(8)
-    junk = Sequence(grp, [((1, 0), 15)])  # right length, not zero-sum
-    rep = verify_propbfix_item1(4, 2, sequences=[junk])
-    assert rep.orbits_scanned == 0
-    assert len(rep.details["rejected_inputs"]) == 1
-    assert rep.counterexamples == []
-
-
-def test_item1_rejects_supplied_sequence_over_another_group():
-    # a minimal zero-sum of length 2*8 - 1 over (Z/16Z)^2: mult-by-4 on
-    # (Z/8Z)^2 is no map of its group, so its "image" is no evidence
-    seq = Sequence(group(16), [((1, 0), 14), ((2, 0), 1)])
-    assert is_minimal_zero_sum(seq)
-    rep = verify_propbfix_item1(4, 2, sequences=[seq])
-    assert rep.orbits_scanned == 0 and rep.counterexamples == []
-    assert rep.details["rejected_inputs"] == [seq.to_json_obj()]
 
 
 def test_item1_validation():
@@ -185,7 +151,7 @@ def test_item2_validation():
 
 
 def test_image_in_coords_matches_hom():
-    h = mul_hom(6, 2)
+    h = Homomorphism(6, 2)
     seq = Sequence.from_terms(group(6), [(1, 0), (2, 3), (5, 5), (4, 4)])
     image = h.image_in_coords(seq)
     assert image.group is h.image_group
@@ -195,7 +161,7 @@ def test_image_in_coords_matches_hom():
 
 @pytest.mark.parametrize("N, m", [(8, 4), (20, 4), (6, 2)])
 def test_image_in_coords_agrees_with_image_coords_termwise(N, m):
-    h = mul_hom(N, m)
+    h = Homomorphism(N, m)
     grp = group(N)
     for g in grp.elements():
         image = h.image_in_coords(Sequence.from_terms(grp, [g]))
@@ -209,7 +175,7 @@ def test_image_in_coords_agrees_with_image_coords_termwise(N, m):
 def test_item1_image_of_drawn_pairs_is_the_image_of_the_sample(N, seed):
     """The image merges equal image elements: it equals the Sequence of the
     drawn pairs' images taken one pair at a time, on at most n + 1 pairs."""
-    grp, rng, h = group(N), random.Random(seed), mul_hom(N, 4)
+    grp, rng, h = group(N), random.Random(seed), Homomorphism(N, 4)
     for _ in range(500):
         pairs = _coset_form_sample(grp, rng)
         image = h.image_in_coords(Sequence(grp, pairs))
@@ -231,7 +197,7 @@ def test_image_counts_are_the_image_sequence(N, seed):
     image_coords, on drawn pairs (coordinates not reduced mod N) and on
     pairs with negative and large coordinates, and its sum is the
     image's sum."""
-    grp, rng, h = group(N), random.Random(seed), mul_hom(N, 4)
+    grp, rng, h = group(N), random.Random(seed), Homomorphism(N, 4)
     img = h.image_group
     wide = [[((rng.randrange(-3 * N, 3 * N), rng.randrange(-3 * N, 3 * N)), rng.randrange(1, 4))
              for _ in range(rng.randrange(1, 12))] for _ in range(200)]
@@ -247,19 +213,13 @@ def test_image_counts_are_the_image_sequence(N, seed):
 
 # sha256 of to_json(timing=False), taken from a run of commit 3a60ee0, where
 # every sample was a Sequence and its image came from image_in_coords; a bad
-# image was injected there through Homomorphism.image_in_coords
-_ITEM1_GOOD = Sequence(group(8), [((1, 0), 7)] + [((x, 1), 1) for x in [0, 0, 0, 0, 0, 3, 3, 3]])
-_ITEM1_MOVED = Sequence(
-    group(8), [((3, 1), 7)] + [((3 * x + 2, x + 1), 1) for x in [1, 2, 2, 5, 6, 7, 7, 3]]
-)
-_ITEM1_JUNK = Sequence(group(8), [((1, 0), 15)])
+# image was injected there through Homomorphism.image_in_coords.  Re-pinned
+# when details["rejected_inputs"] left the report, after checking that each
+# new report equals the old one with that key removed.
 PINNED_ITEM1_DIGESTS = {
-    "exhaustive": "69c22057f576682a8647a19fa27f488d91f406ec262de826bcc73c5fc7d9bf89",
-    "supplied": "e2615d82a8c422948fa4677b22207eed5e6bc0d45ef2bb6dc0342498336d58ec",
-    "supplied, short zero-sum image": (
-        "173fe9c2c175e8418632d99b9cb9433f99d6aa6669a2dfc371d01dfb000d13dc"),
+    "exhaustive": "d4085bb1bdfa3ca2309f6a15bff31198c9804fc791ca0f2aaa4e0bbe07e8955b",
     "sampled, image not zero-sum": (
-        "2299151c1f0cd2c7ad0e3c37406fb52b383670afd2dcf6d456e7d89a4c2b9245"),
+        "0ce87ec62cd9318f40d6ae8582a81805b762c163d69c469b7e713ff9b82b2bc9"),
 }
 
 
@@ -271,18 +231,6 @@ def test_item1_exhaustive_report_matches_pinned_digest():
     rep = verify_propbfix_item1(4, 2, exhaustive=True, jobs=2)
     assert rep.passed and rep.orbits_scanned == 100
     assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["exhaustive"]
-
-
-def test_item1_supplied_reports_match_pinned_digests(monkeypatch):
-    supplied = [_ITEM1_GOOD, _ITEM1_JUNK, _ITEM1_MOVED]
-    rep = verify_propbfix_item1(4, 2, sequences=supplied)
-    assert rep.passed and rep.orbits_scanned == 2
-    assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["supplied"]
-    # zero-sum, with the zero element as a zero-sum part of length 1 < n
-    _inject_image(monkeypatch, Sequence(group(2), (((0, 0), 1), ((1, 0), 2))))
-    rep = verify_propbfix_item1(4, 2, sequences=supplied)
-    assert len(rep.counterexamples) == 2
-    assert _item1_digest(rep) == PINNED_ITEM1_DIGESTS["supplied, short zero-sum image"]
 
 
 def test_item1_sampled_counterexamples_match_pinned_digest(monkeypatch):

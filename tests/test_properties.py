@@ -48,7 +48,7 @@ class TestPropertyA:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySequence):
-            property_a_witnesses(Sequence.empty(group(3)))
+            property_a_witnesses(Sequence(group(3), ()))
 
     def test_witness_count_is_orbit_invariant(self):
         rng = random.Random(7)

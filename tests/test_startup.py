@@ -82,7 +82,6 @@ from zerosum.properties import verify_property_b
 # each the first numpy user of its process, and its value as JSON
 FIRST_CALLS = {
     "canonicalize": f"{SEQ}.canonicalize().to_json_obj()",
-    "orbit_size": f"{SEQ}.orbit_size()",
     "images_through": "group(4).images_through([1, 5, 5, 6], 1).tolist()",
     "search": "json.loads(verify_property_b(3).to_json(timing=False))",
 }

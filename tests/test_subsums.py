@@ -58,7 +58,7 @@ def test_restricted_sums_range_validation():
 
 
 def test_empty_sequence_conventions():
-    e = Sequence.empty(group(4))
+    e = Sequence(group(4), ())
     assert subsequence_sums(e) == frozenset()
     assert is_zero_sum_free(e)
     assert not is_minimal_zero_sum(e)
@@ -277,4 +277,4 @@ def test_zero_sum_freeness_is_hereditary(n, terms):
         for g in s.support():
             assert is_zero_sum_free(s.remove(Sequence(grp, [(g, 1)])))
     else:
-        assert not is_zero_sum_free(s.concat(s))
+        assert not is_zero_sum_free(Sequence(grp, s.items() * 2))

@@ -58,49 +58,48 @@ row maps fewer copies to t0 than T holds, and never beats T otherwise.  So
 only the rows through the e with cnt(e) = cnt(t0) are tested, and through
 e = P[-1] when cnt(e) = cnt(t0) - 1 and P[-1] is a candidate.  At
 davenport(7) this cuts the rows of a tested node from 208 to 92 on average.
-A node carries cnt(t0), the copies of its last term (P is sorted, so they
-are one run at its end) and the terms of t0's orbit with cnt(e) = cnt(t0);
-a child's follow from its parent's and the term it adds, with no rescan.
+The counts are read off a block's terms at once: P (sorted) against
+itself gives each term's cnt, and the e are the first of their runs.
 
-The test is batched.  The nodes of one depth are cut into chunks of about
-_CHUNK_ROWS rows, and one set of array calls decides every candidate of
-every node of a chunk.  The rows come from the transversal table; their
-images of P are gathered a term at a time and sorted once per row, which
-gives each row's j and x.  Over the elements g from the chunk's least
-candidate lo on, a row beats g where alpha(g) - x < 0 (alpha(g) - g for a
-row fixing P); the least of these over a node's rows marks the candidates
-it loses.  A row's tie candidate alpha^-1(x) is read off the row of
-alpha^-1 (Group.inverse_rows) and marked when the tie goes against T.  The
-marks are packed to bits, one int per node of the candidates it loses.
-The rows sending a candidate g to t0, for the candidates left, are batched
-the same way, once the arrays of the rows of R_P are freed.  A chunk's
-memory is its rows times about 2 (n^2 - lo) bytes for the counting rule
-and 6 bytes per term of P for the images, about 160 bytes a row at n = 7,
-so the row budget bounds it; the budget is the largest of the
-BENCH_17.json sweep that keeps the search benchmark's peak RSS flat.
+The frontier is arrays.  The nodes of one depth are rows of four arrays:
+terms, sum, guard layers as n words of n bits (``extend_rows`` of
+ZeroSumGuard) and candidates packed to bits, about 40 bytes a node at
+n = 7.  The admitted candidates of a block of nodes, np.nonzero of its
+bool rows, are the (parent, g) pairs of its children in lex order; one set
+of array calls builds _BLOCK of them, guard layers by one gather, and
+drops those left with no candidate.  The walk takes a block, tests it, and
+walks its children to the end before the next block of its depth, so
+leaves and units come out in lex order.
 
-A search is one walk.  The children of a chunk, lex-sorted as its nodes
-are, are walked to the end before the next chunk of their parents' depth,
-so leaves and units come out in lex order; the pending children of a depth
-are kept as their parents' admitted masks and built a chunk at a time.
-With jobs > 1 the walk stops at the first depth with _UNITS_PER_JOB units
-per job, and ``fan_out`` completes the subtrees of the admitted nodes
-there; each unit is counted once, by its parent, and results are merged in
-unit order, so output and node counts are those of the one walk for any
-split depth, chunk size and worker count.
+The test is batched.  A block is cut into chunks of about _CHUNK_ROWS
+rows, and one set of array calls decides every candidate of a chunk.  The
+rows come from the transversal table; their images of P are gathered and
+sorted once per row, which gives each row's j and x.  Over the elements g
+from the chunk's least last term lo on, a row beats g where alpha(g) - x
+< 0 (alpha(g) - g for a row fixing P); the least of these over a node's
+rows marks the candidates it loses.  A row's tie candidate alpha^-1(x) is
+read off the row of alpha^-1 (Group.inverse_rows), rescanned when it is a
+candidate of the node, and marked when the tie goes against T.  The rows
+sending a candidate g to t0, for the block's candidates left, are batched
+the same way.  A chunk's memory is its rows times about 2 (n^2 - lo)
+bytes for the counting rule and 6 bytes per term of P for the images,
+about 160 bytes a row at n = 7, which the budget of the BENCH_17.json
+sweep bounds.  With jobs > 1 the walk stops at the first depth with
+_UNITS_PER_JOB units per job, and ``fan_out`` completes the subtrees of the
+admitted nodes there; each unit is counted once, by its parent, and results
+are merged in unit order, so output and node counts are those of the one
+walk for any split depth, block, chunk size and worker count.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
-import operator
 import os
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import __version__, groups
 from .errors import BudgetExceeded, CacheUnwritable, SchemaError
@@ -223,47 +222,66 @@ def _reach_table(grp: Group, max_len: int) -> list[list[int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _reach_masks(grp: Group, max_len: int) -> list[list[int]]:
-    """MASKS[j][s]: the terms g with which a sequence of sum s can still
-    close to a zero-sum by j more terms, all >= g: -(s + g) in REACH[g][j]."""
+def _reach_rows(grp: Group, max_len: int) -> np.ndarray:
+    """ROWS[j, s, g]: can a sequence of sum s still close to a zero-sum by
+    j more terms, all >= g, g the first: -(s + g) in REACH[g][j]."""
     reach, add, neg = _reach_table(grp, max_len), grp.add_index_table(), grp.neg_index_table()
-    return [
-        [sum(1 << g for g in range(grp.size) if reach[g][j] >> neg[add[s][g]] & 1)
-         for s in range(grp.size)]
-        for j in range(max_len)
-    ]
+    return groups.numpy().array([[[reach[g][j] >> neg[add[s][g]] & 1 for g in range(grp.size)]
+                                  for s in range(grp.size)] for j in range(max_len)], dtype=bool)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(grp: Group, canonical: bool) -> tuple:
+    """The element indices, ADD, NEG and orbit_min as int16 arrays, and
+    START and STAB: the rows alpha with alpha(e) = t are order[START[e,
+    t]:][:STAB[t]] of the flat transversal table (Group.transversal)."""
+    np, size = groups.numpy(), grp.size
+    index = np.arange(size, dtype=np.int16)
+    add = np.array(grp.add_index_table(), dtype=np.int16)
+    neg = np.array(grp.neg_index_table(), dtype=np.int16)
+    if not canonical:
+        return index, add, neg, index, None, None  # the orbits of the trivial group
+    orbit_min, order, bounds = grp.orbit_tables()
+    bounds = np.array(bounds)
+    start = bounds[:, :-1] + np.arange(0, order.size, order.shape[1])[:, None]
+    stabilizer = bounds[index, index + 1] - bounds[index, index]
+    return index, add, neg, np.array(orbit_min, dtype=np.int16), start, stabilizer
 
 
 # ---------------------------------------------------------------------------
 # the batched walk
 
-# A chunk takes nodes of one depth until it holds this many rows of the
-# sibling test (nodes, in a search without the test), one node at least.
+# A chunk takes nodes of one block until it holds this many rows of the
+# sibling test, one node at least (a search without the test has none).
 # The rows bound a chunk's memory (module docstring); 4096 is the largest
 # budget of the BENCH_17.json sweep (768 to 8192 rows) that leaves the
 # search workload's peak RSS where 768-row chunks have it.
 _CHUNK_ROWS = 4096
+# Children are built _BLOCK at a time and images gathered _GATHER_ROWS
+# rows at a time, each a few hundred kB at most (BENCH_24.json).
+_BLOCK = 512
+_GATHER_ROWS = 1024
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise lexicographic a < b for 2-d arrays of equal shape."""
-    d = a - b
-    return d[groups.np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
+def _cut(ends: np.ndarray, start: int) -> int:
+    """The end of the chunk from item ``start``, ``ends`` the running row
+    counts: the first item that brings it to _CHUNK_ROWS rows, or the last."""
+    base = ends[start - 1] if start else 0
+    return min(int(ends.searchsorted(base + _CHUNK_ROWS)) + 1, len(ends))
 
 
-class _Chunk:
-    """Nodes of one depth, each a tuple (terms, guard state, sum, cnt(t0),
-    cnt(P[-1]), heavy) as ``_Engine._child`` builds it, with their
-    candidate masks and, for the sibling test, the segments of the
-    transversal table that hold their rows and the row count of each.  For
-    the rows sending a candidate g to t0, the entries are the pairs (index
-    of the node in its chunk, g) instead."""
+class _Nodes(NamedTuple):
+    """Nodes of one depth as arrays, one row per node in each: the terms
+    (int16, ascending, then the sentinel n^2), the sum, the guard layers
+    (ZeroSumGuard.extend_rows) and the candidates, packed to bits."""
 
-    __slots__ = ("depth", "nodes", "cands", "segments", "counts", "rows")
+    terms: np.ndarray
+    sums: np.ndarray
+    layers: np.ndarray
+    cands: np.ndarray
 
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.nodes, self.cands, self.segments, self.counts, self.rows = [], [], [], [], 0
+    def take(self, index) -> "_Nodes":
+        return _Nodes(*(array[index] for array in self))
 
 
 class _Engine:
@@ -281,38 +299,13 @@ class _Engine:
         self.length = length
         self.canonical = up_to_symmetry
         self.depth_cap = depth_cap
-        size = grp.size
-        full = (1 << size) - 1
-        self.above = [full >> g << g for g in range(size)]  # bits g, g+1, ...
-        self.add = grp.add_index_table()
-        self.neg = grp.neg_index_table()
-        self.reach = (
-            _reach_masks(grp, length)
-            if (length is not None and self.closes)
-            else None
-        )
+        # built here, before fan_out forks, so that the workers share them
+        self.reach = _reach_rows(grp, length) if (length is not None and self.closes) else None
+        tables = _tables(grp, up_to_symmetry)
+        self.index, self.add, self.neg, self.orbit_min, self.start, self.stabilizer = tables
         if up_to_symmetry:
-            # built here, before fan_out forks, so that the workers share them
-            self.orbit_min, order, _ = grp.orbit_tables()
-            self.perm, self.order = grp.perm_table(), order.ravel()
+            self.perm, self.order = grp.perm_table(), grp.orbit_tables()[1].ravel()
             self.inverse = grp.inverse_rows()
-            self.orbit = [0] * size  # bits of the orbit of an orbit minimum
-            for g, t in enumerate(self.orbit_min):
-                self.orbit[t] |= 1 << g
-            # rows_to[t][e]: the rows alpha with alpha(e) = t, t an orbit minimum
-            self.rows_to = [
-                [grp.transversal(e, t) for e in range(size)] if self.orbit[t] else None
-                for t in range(size)
-            ]
-            self.minima = sum(1 << t for t in range(size) if self.orbit[t])
-            # |Stab(t)|, the size of every rows_to[t][e]
-            self.stabilizer = [
-                r[t].stop - r[t].start if r else 0 for t, r in enumerate(self.rows_to)
-            ]
-            # bits of the g with orbit_min[g] >= t
-            self.not_below = list(itertools.accumulate(reversed(self.orbit), operator.or_))[::-1]
-        else:
-            self.orbit_min = range(size)  # the orbits of the trivial group
 
     def run_subtree(
         self, prefix: tuple[int, ...], stop: int | None = None
@@ -321,11 +314,9 @@ class _Engine:
         below it.  With ``stop`` the walk also ends at nodes of that depth
         (below ``length``) and returns them, in lex order, as work units.
 
-        The nodes of one depth are tested a chunk at a time; the children of
-        a chunk, lex-sorted, are walked to the end before the next chunk, so
-        leaves and units come out in lex order.  A depth's pending children
-        are kept as their parents' admitted masks, and are built a chunk at
-        a time."""
+        A block's children are walked to the end before the next block of
+        its depth (module docstring), so leaves and units come out in lex
+        order."""
         prefix = tuple(prefix)
         stats = SearchStats(max_depth=len(prefix))
         if len(prefix) in (self.length, stop):
@@ -333,31 +324,26 @@ class _Engine:
             return [prefix], stats
         self._check_depth(len(prefix))
         out: list[tuple[int, ...]] = []
-        chunk = _Chunk(len(prefix))
-        root = self._node(prefix)
-        self._join(chunk, root, self._candidates(root))
-        pending = []  # [parents, admitted masks, next parent] per depth
-        while True:
-            masks = self._admitted(chunk)
-            count = sum(m.bit_count() for m in masks)
-            depth = chunk.depth + 1
-            if count:
-                stats.nodes += count
+        pending = [iter([self._root(prefix)])]  # per depth, its blocks to walk
+        while pending:
+            block = next(pending[-1], None)
+            if block is None:
+                pending.pop()
+                continue
+            parent, g = self._admitted(block).nonzero()  # in lex order
+            np, depth = groups.np, block.terms.shape[1]
+            if len(g):
+                stats.nodes += len(g)
                 stats.max_depth = max(stats.max_depth, depth)
                 if depth in (self.length, stop):
                     if depth == self.length:
-                        stats.leaves += count
-                    for node, mask in zip(chunk.nodes, masks):
-                        out.extend(node[0] + (g,) for g in _bits(mask))
+                        stats.leaves += len(g)
+                    leaves = np.column_stack((block.terms[parent, :-1], g))
+                    out.extend(map(tuple, leaves.tolist()))
                 else:
                     self._check_depth(depth)
-                    parents = [node for node, mask in zip(chunk.nodes, masks) if mask]
-                    pending.append([parents, [mask for mask in masks if mask], 0])
-            while pending and pending[-1][2] == len(pending[-1][0]):
-                pending.pop()
-            if not pending:
-                return out, stats
-            chunk = self._take(pending[-1], len(prefix) + len(pending))
+                    pending.append(self._blocks(block, *(a.astype(np.int16) for a in (parent, g))))
+        return out, stats
 
     def _check_depth(self, depth: int) -> None:
         """Nodes of this depth are about to be expanded: raise
@@ -368,218 +354,183 @@ class _Engine:
                 f"be unbounded for this predicate"
             )
 
-    def _take(self, entry: list, depth: int) -> _Chunk:
-        """The next chunk of the children that ``entry`` holds, built and
-        taken from its masks."""
-        parents, masks, i = entry
-        chunk = _Chunk(depth)
-        while i < len(parents) and chunk.rows < _CHUNK_ROWS:
-            mask = masks[i]
-            low = mask & -mask
-            masks[i] = mask ^ low
-            child = self._child(parents[i], low.bit_length() - 1)
-            self._join(chunk, child, self._candidates(child))
-            if mask == low:
-                i += 1
-        entry[2] = i
-        return chunk
+    def _blocks(self, nodes: _Nodes, parent: np.ndarray, g: np.ndarray) -> Iterator[_Nodes]:
+        """The children T + (g,) of ``nodes[parent]``, _BLOCK at a time,
+        less those left with no candidate."""
+        for i in range(0, len(g), _BLOCK):
+            children = self._children(nodes, parent[i:i + _BLOCK], g[i:i + _BLOCK])
+            if len(children.terms):
+                yield children
 
-    def _node(self, prefix: tuple[int, ...]) -> tuple:
+    def _root(self, prefix: tuple[int, ...]) -> _Nodes:
         """The node of an admitted prefix, built a term at a time."""
-        node = ((), self.guard.fresh(), 0, 0, 0, ())
+        np, size = groups.np, self.grp.size
+        zero, terms = np.zeros(1, dtype=np.int16), np.full((1, 1), size, dtype=np.int16)
+        layers = self.guard.fresh_rows(1)
+        nodes = self._nodes(terms, zero, layers, self._candidates(terms, layers, zero))
         for g in prefix:
-            node = self._child(node, g)
-        return node
+            nodes = self._children(nodes, zero, np.array([g], dtype=np.int16))
+        return nodes
 
-    def _child(self, node: tuple, g: int) -> tuple:
-        """The child T + (g,) of a node T, g >= T[-1], with its counts:
-        cnt(t0), the copies of its last term and heavy, the terms of t0's
-        orbit as frequent as t0, ascending.  They follow from T's counts and
-        g alone; the child is canonical, so no term of t0's orbit outnumbers
-        t0 in it."""
-        T, state, sigma, copies, run, heavy = node
-        if not T:
-            copies, run, heavy = 1, 1, (g,) if self.orbit_min[g] == g else ()
-        elif g != T[-1]:
-            run = 1
-            if copies == 1 and self.orbit_min[g] == T[0]:
-                heavy += (g,)
-        else:
-            run += 1
-            if g == T[0]:
-                copies += 1
-            elif run == copies and self.orbit_min[g] == T[0]:
-                heavy += (g,)
-        return (T + (g,), self.guard.extend(state, g), self.add[sigma][g], copies, run, heavy)
+    def _children(self, nodes: _Nodes, parent: np.ndarray, g: np.ndarray) -> _Nodes:
+        """The children T + (g,) of the nodes ``nodes[parent]``, g >= T[-1],
+        that keep a candidate."""
+        np, T = groups.np, nodes.terms[parent]
+        terms = np.concatenate((T[:, :-1], g[:, None], T[:, -1:]), axis=1)
+        layers = self.guard.extend_rows(nodes.layers[parent], g)
+        sums = self.add[nodes.sums[parent], g]
+        return self._nodes(terms, sums, layers, self._candidates(terms, layers, sums))
 
-    def _candidates(self, node: tuple) -> int:
-        """The mask of the terms g >= T[-1] that the predicate lets extend
-        the node."""
-        T, state, sigma = node[:3]
-        guard, neg = self.guard, self.neg
-        blocked = guard.blocked(state)
-        last = T[-1] if T else 0
-        if self.closes and len(T) + 1 == self.length:
+    def _candidates(self, terms: np.ndarray, layers: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """The bool rows of the terms g >= T[-1] that the predicate lets
+        extend the nodes."""
+        k = terms.shape[1] - 1
+        cands = self.index >= (terms[:, -2:-1] if k else terms[:, :1] * 0)
+        if self.closes and k + 1 == self.length:
             # The last term is forced by the zero-sum requirement.  With no
             # length bound it is always blocked and never tested: a sorted
             # zero-sum with a zero-sum free prefix is minimal, as a proper
             # zero-sum part can avoid one copy of the largest term and then
             # lies in the prefix.
-            g = neg[sigma]
-            ok = g >= last and (guard.k is None or not blocked >> g & 1)
-            return 1 << g if ok else 0
-        mask = self.above[last] & ~blocked
+            cands &= self.index == self.neg[sums][:, None]
+            if self.guard.k is None:
+                return cands
+        cands &= ~self.guard.blocked_rows(layers)
         if self.reach is not None:
-            mask &= self.reach[self.length - len(T) - 1][sigma]
-        return mask
+            cands &= self.reach[self.length - k - 1][sums]
+        return cands
 
-    def _join(self, chunk: _Chunk, node: tuple, mask: int) -> None:
-        """Add the node with the candidates of ``mask`` to the chunk, with
-        its rows of the sibling test; a node left with no candidate once
-        the orbit minima are cut is dropped."""
-        T = node[0]
-        if not self.canonical:
-            chunk.rows += 1
-        elif not T:
-            mask &= self.minima
-            chunk.rows += 1
-        else:
-            _, _, _, copies, run, heavy = node
-            t0, last = T[0], T[-1]
-            mask &= self.not_below[t0]
-            if mask:
-                # R_P, cut to the rows through a term e as frequent as t0,
-                # or one copy short when e = P[-1] is a candidate
-                rows_to = self.rows_to[t0]
-                chunk.segments.extend([rows_to[e] for e in heavy])
-                count = len(heavy)
-                if run == copies - 1 and mask >> last & 1 and self.orbit_min[last] == t0:
-                    chunk.segments.append(rows_to[last])
-                    count += 1
-                count *= self.stabilizer[t0]
-                chunk.rows += count
-                chunk.counts.append(count)
-        if mask:
-            chunk.nodes.append(node)
-            chunk.cands.append(mask)
+    def _nodes(self, terms, sums, layers, cands: np.ndarray) -> _Nodes:
+        """The nodes with ``cands`` cut to the g with orbit_min[g] >= t0 (an
+        orbit minimum at the root); nodes with no candidate are dropped."""
+        if self.canonical:
+            cands &= self.orbit_min >= (terms[:, :1] if terms.shape[1] > 1 else self.index)
+        nodes = _Nodes(terms, sums, layers, groups.np.packbits(cands, axis=1, bitorder="little"))
+        keep = cands.any(axis=1)
+        return nodes if keep.all() else nodes.take(keep)
 
-    def _segment(self, chunk: _Chunk, e: int, t: int) -> int:
-        """Add the rows alpha with alpha(e) = t to the chunk; returns their
-        number."""
-        rows = self.rows_to[t][e]
-        chunk.segments.append(rows)
-        chunk.rows += rows.stop - rows.start
-        return rows.stop - rows.start
+    def _rows(self, starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows order[starts[i]:][:counts[i]] of the transversal table,
+        one segment after another, and where each segment begins."""
+        offsets = counts.cumsum() - counts
+        index = groups.np.arange(offsets[-1] + counts[-1]) + (starts - offsets).repeat(counts)
+        return self.order[index], offsets
 
-    def _images(self, chunk: _Chunk, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The chunk's rows and the sorted images alpha(P[i]) for each row
-        alpha and the term row P[i] beside it, gathered a term at a time so
-        that no index array of the images' shape is built."""
+    def _images(self, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """The sorted images alpha(P) for each row alpha and the term row P
+        beside it, gathered _GATHER_ROWS rows at a time."""
         np = groups.np
-        rows = np.concatenate([self.order[s] for s in chunk.segments])
-        base, flat = rows.astype(np.intp), self.perm.ravel()
+        base = rows.astype(np.intp)[:, None]
         base *= self.grp.size
-        images = np.empty(P.shape, dtype=np.int16)
-        for i in range(P.shape[1]):
-            images[:, i] = flat[base + P[:, i]]
+        flat, images = self.perm.ravel(), np.empty(terms.shape, dtype=np.int16)
+        for i in range(0, len(rows), _GATHER_ROWS):
+            part = slice(i, i + _GATHER_ROWS)
+            images[part] = flat[base[part] + terms[part]]
         images.sort(axis=1)
-        return rows, images
+        return images
 
-    def _admitted(self, chunk: _Chunk) -> list[int]:
-        """The masks of the admitted candidates of the chunk's nodes: the
-        sibling test of the module docstring, one set of array calls for
-        all of them."""
-        if not (self.canonical and chunk.depth and chunk.nodes):
-            return chunk.cands
-        np, k = groups.np, chunk.depth
-        # the terms of each node, then a sentinel
-        P = np.array([node[0] + (self.grp.size,) for node in chunk.nodes], dtype=np.int16)
-        out = self._test_r_p(chunk, P)
-        # rows sending a g not in P to t0, when t0 is single in P, for the
-        # candidates left, batched as pairs (node, g) in chunks of their own
-        fresh = _Chunk(k)
-        for i, node in enumerate(chunk.nodes):
-            T = node[0]
-            t0 = T[0]
-            if k == 1 or T[1] != t0:
-                for g in _bits(out[i] & self.orbit[t0] & ~(1 << T[-1])):
-                    fresh.nodes.append(i)
-                    fresh.cands.append(g)
-                    fresh.counts.append(self._segment(fresh, g, t0))
-                    if fresh.rows >= _CHUNK_ROWS:
-                        self._fresh(P, fresh, out)
-                        fresh = _Chunk(k)
-        if fresh.rows:
-            self._fresh(P, fresh, out)
-        return out
+    def _admitted(self, nodes: _Nodes) -> np.ndarray:
+        """The bool rows of the admitted candidates of the block's nodes: the
+        sibling test of the module docstring, a chunk at a time."""
+        np, size, k = groups.np, self.grp.size, nodes.terms.shape[1] - 1
+        cands = np.unpackbits(nodes.cands, axis=1, count=size, bitorder="little").view(bool)
+        if not (self.canonical and k):
+            return cands
+        tested, single = self._tested(nodes.terms[:, :k], cands)
+        rows = tested.sum(axis=1) * self.stabilizer[nodes.terms[:, 0]]
+        ends, start = rows.cumsum(), 0
+        while start < len(ends):
+            end = _cut(ends, start)
+            self._test_r_p(nodes.terms[start:end], tested[start:end], rows[start:end],
+                           cands[start:end])
+            start = end
+        self._test_fresh(nodes.terms, cands, single)
+        return cands
 
-    def _test_r_p(self, chunk: _Chunk, P: np.ndarray) -> list[int]:
-        """The candidate masks of the chunk's nodes, less the candidates
-        that a row of R_P beats; its arrays are freed before the rows
-        sending a candidate to t0 are tested."""
-        np, size, k = groups.np, self.grp.size, chunk.depth
-        terms = P.repeat(chunk.counts, axis=0)  # the terms of each row's node
-        rows, images = self._images(chunk, terms[:, :k])
+    def _tested(self, P: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """R_P cut to the rows through a term e of t0's orbit as frequent as
+        t0, or one copy short when e = P[-1] is a candidate: where each such
+        e first occurs in P; and whether t0 is single in P."""
+        np = groups.np
+        copies = (P[:, :, None] == P[:, None]).sum(axis=2)
+        c0, last = copies[:, :1], P[:, -1:]
+        tested = copies == c0
+        tested |= (copies == c0 - 1) & (P == last) & cands[np.arange(len(P)), last[:, 0], None]
+        tested &= self.orbit_min[P] == P[:, :1]
+        tested[:, 1:] &= P[:, 1:] != P[:, :-1]
+        return tested, c0[:, 0] == 1
+
+    def _test_fresh(self, terms: np.ndarray, out: np.ndarray, single: np.ndarray) -> None:
+        """Clear from ``out`` each candidate g not in P, t0 single in P, that
+        a row alpha(g) = t0 beats: sorted alpha(P) < P[1:] + [g].  The pairs
+        (node, g) are batched in chunks of their own."""
+        np, k = groups.np, terms.shape[1] - 1
+        t0 = terms[:, 0]
+        fresh = out & (self.orbit_min == t0[:, None]) & single[:, None]
+        fresh[np.arange(len(t0)), terms[:, -2]] = False
+        node, g = fresh.nonzero()
+        if not len(g):
+            return
+        counts = self.stabilizer[t0[node]]
+        ends, start = counts.cumsum(), 0
+        while start < len(g):
+            end = _cut(ends, start)
+            i, c, gi = node[start:end], counts[start:end], g[start:end]
+            rows, offsets = self._rows(self.start[gi, t0[i]], c)
+            P = terms[i].repeat(c, axis=0)
+            after = P[:, 1:]  # P[1:] + [g]
+            after[:, -1] = gi.repeat(c)
+            d = self._images(rows, P[:, :k]) - after
+            less = d[np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
+            lost = np.logical_or.reduceat(less, offsets)
+            out[i[lost], gi[lost]] = False
+            start = end
+
+    def _test_r_p(self, terms, tested, counts, cands: np.ndarray) -> None:
+        """Clear from ``cands`` the candidates of the nodes that a row of
+        R_P beats, ``tested[i, j]`` whether the rows through P[j] are
+        tested, ``counts`` their number per node; its arrays are freed
+        before the rows sending a candidate to t0 are tested."""
+        np, k = groups.np, terms.shape[1] - 1
+        node, at = tested.nonzero()
+        t0 = terms[node, 0]
+        rows = self._rows(self.start[terms[node, at], t0], self.stabilizer[t0])[0]
+        P = terms.repeat(counts, axis=0)  # each row's P, then the sentinel
+        images = self._images(rows, P[:, :k])
         # the first difference j of each image with P, 0 for a row fixing P
         # (every image starts with t0), and the row's bound x = P[j]
-        first = (images != terms[:, :k]).argmax(axis=1)[:, None]
-        x = np.take_along_axis(terms, first, axis=1)
-        # the g each row beats, from the least candidate lo of the chunk on:
-        # alpha(g) - x < 0, or alpha(g) - g < 0 for a row fixing P (x = t0
-        # there); the least over each node's rows
-        lo = min((mask & -mask).bit_length() - 1 for mask in chunk.cands)
-        offsets = list(itertools.accumulate(chunk.counts[:-1], initial=0))
-        beats = self.perm[rows, lo:]
-        beats -= x
-        fixing = (first[:, 0] == 0).nonzero()[0]
-        beats[fixing] += x[fixing] - np.arange(lo, size, dtype=np.int16)
-        lost = np.minimum.reduceat(beats, offsets, axis=0) < 0
-        del beats  # the chunk's largest array, freed before the tie's are made
+        each = np.arange(len(rows), dtype=np.int32)
+        first = (images != P[:, :k]).argmax(axis=1)
+        x = P[each, first]
+        offsets = counts.cumsum() - counts
         # A row's one tie: g = alpha^-1(x), a candidate other than x, with x
         # single in P[j:] and j > 0.  Then alpha(T) < T iff I[j:] < P[j+1:] +
         # [g]: I[j:k-1] against P[j+1:k] decides, and on a draw I[k-1] < g.
-        single = (first != 0) & (np.take_along_axis(terms, first + 1, axis=1) != x)
-        t = single[:, 0].nonzero()[0]
-        x = x[t, 0]
-        g = self.perm[self.inverse[rows[t]], x]
-        tie = (g >= lo) & (g != x) & (g >= terms[t, k - 1])
-        t, g = t[tie], g[tie]
+        t = ((first != 0) & (P[each, first + 1] != x)).nonzero()[0]
         if len(t):
+            g = self.perm[self.inverse[rows[t]], x[t]]
+            owner = offsets.searchsorted(t, side="right") - 1
+            tie = (g != x[t]) & cands[owner, g]
+            t, g, owner = t[tie], g[tie], owner[tie]
             I = images[t]
-            d = I[:, :k - 1] - terms[t, 1:k]
-            d[np.arange(k - 1) < first[t]] = 0
+            d = I[:, :k - 1] - P[t, 1:k]
+            d *= np.arange(k - 1) >= first[t, None]  # from j on
             c = d[np.arange(len(t)), (d != 0).argmax(axis=1)]
             won = (c < 0) | ((c == 0) & (I[:, k - 1] < g))
-            lost[np.searchsorted(offsets, t[won], side="right") - 1, g[won] - lo] = True
-        lost = np.packbits(lost, axis=1, bitorder="little")
-        width, flat = lost.shape[1], lost.tobytes()
-        return [
-            mask & ~(int.from_bytes(flat[i * width:(i + 1) * width], "little") << lo)
-            for i, mask in enumerate(chunk.cands)
-        ]
-
-    def _fresh(self, P: np.ndarray, fresh: _Chunk, out: list[int]) -> None:
-        """Clear from ``out`` each pair (node i, candidate g) of ``fresh``
-        that a row sending g to t0 beats: its image t0 + sorted alpha(P)
-        is less than P + [g] when sorted alpha(P) < P[1:] + [g]."""
-        np, k = groups.np, fresh.depth
-        PF = P[np.array(fresh.nodes).repeat(fresh.counts)]
-        _, images = self._images(fresh, PF[:, :k])
-        after = PF[:, 1:]
-        after[:, -1] = np.array(fresh.cands).repeat(fresh.counts)
-        offsets = list(itertools.accumulate(fresh.counts[:-1], initial=0))
-        lost = np.logical_or.reduceat(_lex_less(images, after), offsets)
-        for i, g, beaten in zip(fresh.nodes, fresh.cands, lost.tolist()):
-            if beaten:
-                out[i] &= ~(1 << g)
-
-
-def _bits(mask: int) -> Iterable[int]:
-    """The set bits of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
+            t, g = owner[won], g[won]
+        del images, P  # freed before the chunk's largest array is made
+        # the g each row beats, from the least last term lo of the chunk on:
+        # alpha(g) - x < 0, or alpha(g) - g < 0 for a row fixing P (x = t0
+        # there); the least over each node's rows
+        lo = int(terms[:, -2].min())
+        beats = self.perm[rows, lo:]
+        beats -= x[:, None]
+        fixing = (first == 0).nonzero()[0]
+        beats[fixing] += x[fixing, None] - self.index[lo:]
+        lost = np.minimum.reduceat(beats, offsets, axis=0) < 0
+        if len(t):
+            lost[t, g - lo] = True  # the ties won, by node
+        cands[:, lo:] &= ~lost
 
 
 # ---------------------------------------------------------------------------

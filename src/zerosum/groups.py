@@ -5,9 +5,9 @@ the modulus together with lazily built lookup tables (index arithmetic,
 automorphism permutation matrix) that the search code leans on.  Tables are
 sized for desk-scale moduli; nothing here is meant for n beyond a few dozen.
 
-numpy is imported by the first permutation table build and bound to the
-module global ``np``, where ``sequences`` and ``enumeration`` find it once a
-table exists; a run that builds no table, such as a cache hit, never loads it.
+numpy is imported by :func:`numpy` on first use (a table build or a search)
+and bound to the module global ``np``; a run that builds no table and
+searches nothing, such as a cache hit, never loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,15 @@ Elem = tuple[int, int]
 
 __all__ = ["Elem", "Group", "Automorphism"]
 
-np = None  # numpy, bound by the first perm_table build
+np = None  # numpy, bound by the first call of numpy()
+
+
+def numpy():
+    """numpy, imported and bound to ``np`` by the first call."""
+    global np
+    if np is None:
+        import numpy as np
+    return np
 
 
 @dataclass(frozen=True, order=True)
@@ -225,10 +233,7 @@ class Group:
         Row order matches :meth:`automorphisms`.
         """
         if self._perm is None:
-            global np
-            if np is None:
-                import numpy as np
-            n = self.n
+            np, n = numpy(), self.n
             # int32 is exact: every intermediate is below 2n^2
             auts = np.array([(al.p, al.q, al.r, al.s) for al in self.automorphisms()],
                             dtype=np.int32)

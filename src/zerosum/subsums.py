@@ -34,12 +34,17 @@ whether the c copies close an offender: some j <= min(c, k) with j*t in
 N_{k-j}; for c = 1 that is ``blocked(state) >> t & 1``.  With no length
 bound, the state is the one layer of all negated sums, and c copies are c
 successive translates.
+
+``extend_rows`` appends one term to each of a batch of states held as
+words, shape (states, layers, n), word a of a layer its elements (a, b) as
+bit b: the translate of ``translations`` moves words and rotates bits.
 """
 
 from __future__ import annotations
 
 import functools
 
+from . import groups
 from .errors import InvalidRange, WitnessCheckFailed
 from .groups import Elem, Group
 from .sequences import Sequence
@@ -74,6 +79,16 @@ def translate(layer: int, shift: tuple[int, ...]) -> int:
     low, high, b, n_b, k, size_k, full = shift
     x = (layer & low) << b | (layer & high) >> n_b
     return (x << k | x >> size_k) & full
+
+
+@functools.lru_cache(maxsize=None)
+def word_shifts(n: int) -> tuple:
+    """Per term t, ``translate`` by -t = (a', b') on words: word a of the
+    result is word a - a' rotated left by b'; (source words, b', n - b')."""
+    np, shifts = groups.numpy(), translations(n)
+    minus = [shifts[(-(t // n) % n) * n + -t % n] for t in range(n * n)]
+    rot = np.array([b for _, _, b, *_ in minus], dtype=np.min_scalar_type((1 << n) - 1))
+    return np.array([[(a - k // n) % n for a in range(n)] for *_, k, _, _ in minus]), rot, n - rot
 
 
 def step(layers: list[int], shift: tuple[int, ...], top: int) -> list[int]:
@@ -150,6 +165,34 @@ class ZeroSumGuard:
         if self.k is None:
             return state
         return state[-1] if self.k else 0
+
+    def fresh_rows(self, count: int):
+        """``count`` fresh states as words (module docstring)."""
+        np, depth = groups.numpy(), 1 if self.k is None else self.k
+        layers = np.zeros((count, depth, self.n), np.min_scalar_type((1 << self.n) - 1))
+        layers[:, :, 0] = 1
+        return layers
+
+    def extend_rows(self, layers, terms):
+        """``extend`` of each state of a batch of words by one copy of its
+        own term, ``terms[i]`` for ``layers[i]``."""
+        np, (count, depth, n) = groups.numpy(), layers.shape
+        source, rot, unrot = word_shifts(n)
+        low = int(self.k is not None)  # layer 0 of a bounded state is {0}
+        words = layers[np.arange(count)[:, None, None], np.arange(depth - low)[:, None],
+                       source[terms][:, None]]
+        rot, unrot = rot[terms][:, None, None], unrot[terms][:, None, None]
+        out = layers.copy()
+        out[:, low:] |= (words << rot | words >> unrot) & ((1 << n) - 1)
+        return out
+
+    def blocked_rows(self, layers):
+        """``blocked`` of each state of a batch of words, as a bool row."""
+        np, n = groups.numpy(), self.n
+        if self.k == 0:
+            return np.zeros((len(layers), n * n), bool)
+        bits = layers[:, -1, :, None] >> np.arange(n, dtype=layers.dtype) & 1
+        return bits.reshape(len(layers), -1) > 0
 
 
 def forward_layers(grp: Group, terms: list[int], lmax: int) -> list[list[int]]:

@@ -8,6 +8,7 @@ import os
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import zerosum
@@ -137,18 +138,25 @@ def _sibling_rules(grp, P, g):
     return rules
 
 
+def _nodes(engine, batch):
+    """The nodes of the (P, candidates) of ``batch``, all P of one length,
+    as the engine builds them, with those candidates; the test reads no
+    sums, so that slot carries each node's place in the batch."""
+    roots = [engine._root(tuple(P)) for P, _ in batch]
+    cands = np.zeros((len(batch), engine.grp.size), bool)
+    for i, (_, gs) in enumerate(batch):
+        cands[i, gs] = True
+    return engine._nodes(np.concatenate([r.terms for r in roots]), np.arange(len(batch)),
+                         np.concatenate([r.layers for r in roots]), cands)
+
+
 def _admit(engine, batch):
     """The batched sibling test on one chunk: the admitted candidates of
     each (P, candidates) of ``batch``, all P of one length."""
-    chunk = enumeration._Chunk(len(batch[0][0]))
-    for i, (P, cands) in enumerate(batch):
-        # the test reads no guard state; its slot carries the node's place
-        # in the batch
-        node = engine._node(tuple(P))
-        engine._join(chunk, (node[0], i) + node[2:], sum(1 << g for g in cands))
+    nodes = _nodes(engine, batch)
     admitted = [[] for _ in batch]
-    for (_, i, *_), mask in zip(chunk.nodes, engine._admitted(chunk)):
-        admitted[i] = [g for g in batch[i][1] if mask >> g & 1]
+    for i, row in zip(nodes.sums, engine._admitted(nodes)):
+        admitted[i] = [g for g in batch[i][1] if row[g]]
     return admitted
 
 
@@ -224,51 +232,60 @@ def _canonical_prefix(rng, grp, length):
     return [grp.index(g) for g in Sequence.from_terms(grp, terms).canonicalize()]
 
 
-def _rescanned_segments(engine, P, mask):
+def _rescanned_segments(grp, P, mask):
     """The segments of R_P after the multiplicity cut, read off P by
     counting each distinct term (none when no candidate is left): the
-    reference for the counts a node carries."""
+    reference for the engine's multiplicity cut."""
+    orbit_min = grp.orbit_tables()[0]
     t0, copies, segments = P[0], P.count(P[0]), []
     if not mask:
         return segments
     for e in dict.fromkeys(P):
-        if engine.orbit_min[e] == t0:
+        if orbit_min[e] == t0:
             short = copies - P.count(e)
             if short == 0 or (short == 1 and e == P[-1] and mask >> e & 1):
-                segments.append(engine.rows_to[t0][e])
+                segments.append(grp.transversal(e, t0))
     return segments
 
 
-def test_carried_counts_match_a_rescan():
+def test_multiplicity_cut_matches_a_rescan():
     """Every prefix of random canonical P at n = 3..8, built a term at a
-    time from its parent's counts, joins a chunk with the segments a rescan
-    of its terms gives, with P[-1] a candidate and without.  The prefixes
-    take in a last term repeated away from t0, terms of t0's orbit as
-    frequent as t0, and the P[-1] one copy short of t0."""
+    time, gets the segments of R_P that a rescan of its terms gives, with
+    P[-1] a candidate and without.  The prefixes take in a last term
+    repeated away from t0, terms of t0's orbit as frequent as t0, and the
+    P[-1] one copy short of t0."""
     seen = set()
     for n in range(3, 9):
         grp = group(n)
         engine = _Engine(grp, "all", {}, None, True)
+        orbit_min, full = grp.orbit_tables()[0], (1 << grp.size) - 1
         rng = random.Random(1100 + n)
         for _ in range(60):
             P = _canonical_prefix(rng, grp, rng.randrange(1, 10))
-            node = engine._node(())
+            node = engine._root(())
             for k, g in enumerate(P, 1):
-                node = engine._child(node, g)
-                T = node[0]
+                node = engine._children(node, np.zeros(1, np.int16), np.array([g], np.int16))
+                T = tuple(node.terms[0, :-1].tolist())
                 assert T == tuple(P[:k])
                 t0, last = T[0], T[-1]
                 if k > 1 and last == T[-2] != t0:
                     seen.add("repeated last term")
-                if len(node[5]) > 1:
+                if sum(orbit_min[e] == t0 and T.count(e) == T.count(t0) for e in set(T)) > 1:
                     seen.add("heavy orbit term")
-                if engine.orbit_min[last] == t0 and T.count(last) == T.count(t0) - 1:
+                if orbit_min[last] == t0 and T.count(last) == T.count(t0) - 1:
                     seen.add("one copy short")
-                for mask in (engine.above[last], engine.above[last] & ~(1 << last)):
-                    chunk = enumeration._Chunk(k)
-                    engine._join(chunk, node, mask)
-                    expected = _rescanned_segments(engine, T, mask & engine.not_below[t0])
-                    assert chunk.segments == expected, (n, T, mask >> last & 1)
+                not_below = sum(1 << g for g in range(grp.size) if orbit_min[g] >= t0)
+                for mask in (full >> last << last, full >> last << last & ~(1 << last)):
+                    cands = np.array([[mask >> g & 1 for g in range(grp.size)]], bool)
+                    nodes = engine._nodes(node.terms, node.sums, node.layers, cands)
+                    segments = []
+                    if len(nodes.terms):
+                        tested, _ = engine._tested(nodes.terms[:, :k], cands)
+                        start, stab = engine.start, engine.stabilizer[t0]
+                        segments = [slice(int(start[T[j], t0]), int(start[T[j], t0] + stab))
+                                    for j in tested[0].nonzero()[0]]
+                    expected = _rescanned_segments(grp, T, mask & not_below)
+                    assert segments == expected, (n, T, mask >> last & 1)
     assert seen == {"repeated last term", "heavy orbit term", "one copy short"}
 
 
@@ -303,6 +320,55 @@ def test_batched_sibling_test_matches_single_nodes(n, naive):
     assert {
         "counting-rule reject", "tie accepted", "tie rejected", "alpha(g) = t0 reject",
     } <= rules
+
+
+def _int_candidates(engine, P):
+    """The candidate mask of the node P by the int guard: the terms g >=
+    P[-1] with ~blocked(state), cut by reachability, or the one forced term
+    that closes a zero-sum at the last length."""
+    grp, guard = engine.grp, engine.guard
+    add, neg = grp.add_index_table(), grp.neg_index_table()
+    state, sigma = guard.fresh(), 0
+    for g in P:
+        state, sigma = guard.extend(state, g), add[sigma][g]
+    blocked, last = guard.blocked(state), P[-1] if P else 0
+    if engine.closes and len(P) + 1 == engine.length:
+        g = neg[sigma]
+        return 1 << g if g >= last and (guard.k is None or not blocked >> g & 1) else 0
+    mask = ((1 << grp.size) - 1) >> last << last & ~blocked
+    if engine.closes and engine.length is not None:
+        reach, j = _reach_table(grp, engine.length), engine.length - len(P) - 1
+        mask &= sum(1 << g for g in range(grp.size) if reach[g][j] >> neg[add[sigma][g]] & 1)
+    return mask
+
+
+@pytest.mark.parametrize("name,params", [
+    ("all", {}), ("zero-sum-free", {}), ("minimal-zero-sum", {}),
+    ("no-short-zero-sum", {"k": 3}), ("zero-sum-no-short", {"k": 3}),
+])
+def test_candidate_rows_match_the_int_formula(name, params):
+    """The candidate row the engine builds for a batch of random canonical
+    prefixes, their guard layers extended a term at a time, is the mask of
+    the int guard's formula: at the last length, one below it and with
+    room to spare, and with no length bound; n = 9 takes rows past 64
+    bits."""
+    rng = random.Random(1300)
+    for n in (3, 5, 9):
+        grp = group(n)
+        for length in range(1, 7):
+            prefixes = [_canonical_prefix(rng, grp, length) for _ in range(8)]
+            terms = np.array([P + [grp.size] for P in prefixes], np.int16)
+            for total in (length + 1, length + 2, length + 4, None):
+                engine = _Engine(grp, name, params, total, True)
+                layers = engine.guard.fresh_rows(len(prefixes))
+                sums = np.zeros(len(prefixes), np.int16)
+                for i in range(length):
+                    layers = engine.guard.extend_rows(layers, terms[:, i])
+                    sums = engine.add[sums, terms[:, i]]
+                rows = engine._candidates(terms, layers, sums)
+                for P, row in zip(prefixes, rows):
+                    got = sum(1 << int(g) for g in row.nonzero()[0])
+                    assert got == _int_candidates(engine, P), (n, P, total)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

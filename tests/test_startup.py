@@ -76,6 +76,7 @@ SEQ = "Sequence.from_terms(group(5), [(1, 2), (3, 4), (2, 2), (0, 3), (3, 4)])"
 IMPORTS = """
 import json, sys
 from zerosum import Sequence, group
+from zerosum.enumeration import EnumSpec, enumerate_leaves
 from zerosum.properties import verify_property_b
 """
 
@@ -84,6 +85,8 @@ FIRST_CALLS = {
     "canonicalize": f"{SEQ}.canonicalize().to_json_obj()",
     "images_through": "group(4).images_through([1, 5, 5, 6], 1).tolist()",
     "search": "json.loads(verify_property_b(3).to_json(timing=False))",
+    "raw search": "[list(leaf) for leaf in enumerate_leaves("
+                  "EnumSpec(3, 4, 'zero-sum-free', up_to_symmetry=False))[0]]",
 }
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,6 +249,41 @@ def test_counted_guard_equals_copy_by_copy(n):
                     assert guard.extend(state, t, c) == copies[c], (k, state, t, c)
                     per_copy = any(guard.blocked(x) >> t & 1 for x in copies[:c])
                     assert guard.closes(state, t, c) == per_copy, (k, state, t, c)
+
+
+def _words(state, n):
+    """An int state of ZeroSumGuard as the words of extend_rows: word a of
+    a layer holds its bits a*n, ..., a*n + n - 1."""
+    layers = [state] if isinstance(state, int) else state
+    return np.array([[layer >> a * n & (1 << n) - 1 for a in range(n)] for layer in layers],
+                    np.min_scalar_type((1 << n) - 1)).reshape(len(layers), n)
+
+
+def _bool_row(layer, size):
+    return np.array([layer >> i & 1 for i in range(size)], bool)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_batched_guard_update_equals_extend(n):
+    """extend_rows appends to each state of a batch what extend appends to
+    it, and blocked_rows reads off what blocked does, for every k and term
+    t, on reachable states; n = 9 and 10 have layers past 64 bits."""
+    grp = group(n)
+    rng = random.Random(500 + n)
+    terms = np.arange(grp.size)
+    for k in [None, *range(2 * n)]:
+        guard = subsums.ZeroSumGuard(grp, k)
+        assert (guard.fresh_rows(2) == _words(guard.fresh(), n)).all()
+        for state in _reachable_states(guard, grp, rng):
+            rows = np.repeat(_words(state, n)[None], grp.size, axis=0)
+            extended = guard.extend_rows(rows, terms)
+            after_blocked = guard.blocked_rows(extended)
+            for t in range(grp.size):
+                after = guard.extend(state, t)
+                assert (extended[t] == _words(after, n)).all(), (k, state, t)
+                assert (after_blocked[t] == _bool_row(guard.blocked(after), grp.size)).all()
+            blocked = guard.blocked_rows(rows)
+            assert (blocked == _bool_row(guard.blocked(state), grp.size)).all(), (k, state)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -20,7 +20,7 @@ min alpha(T), at least the least orbit minimum of the terms; those of P are
 Otherwise only an automorphism sending a term of T to t0 yields an image
 that starts with t0; every other image starts higher.  These are the rows
 R_P of the point transversal that send a term of P to t0
-(Group.transversal) and, for g not in P, the rows sending g to t0.
+(Group.orbit_tables) and, for g not in P, the rows sending g to t0.
 
 Fact: for sorted tuples A, B of equal length, A < B exactly when A has more
 copies of c, the least value whose multiplicities differ.  Proof: values
@@ -234,17 +234,16 @@ def _reach_rows(grp: Group, max_len: int) -> np.ndarray:
 def _tables(grp: Group, canonical: bool) -> tuple:
     """The element indices, ADD, NEG and orbit_min as int16 arrays, and
     START and STAB: the rows alpha with alpha(e) = t are order[START[e,
-    t]:][:STAB[t]] of the flat transversal table (Group.transversal)."""
+    t]:][:STAB[t]], START that of Group.orbit_tables and STAB[t] =
+    START[t, t + 1] - START[t, t]."""
     np, size = groups.numpy(), grp.size
     index = np.arange(size, dtype=np.int16)
     add = np.array(grp.add_index_table(), dtype=np.int16)
     neg = np.array(grp.neg_index_table(), dtype=np.int16)
     if not canonical:
         return index, add, neg, index, None, None  # the orbits of the trivial group
-    orbit_min, order, bounds = grp.orbit_tables()
-    bounds = np.array(bounds)
-    start = bounds[:, :-1] + np.arange(0, order.size, order.shape[1])[:, None]
-    stabilizer = bounds[index, index + 1] - bounds[index, index]
+    orbit_min, _, start = grp.orbit_tables()
+    stabilizer = start[index, index + 1] - start[index, index]
     return index, add, neg, np.array(orbit_min, dtype=np.int16), start, stabilizer
 
 
@@ -263,11 +262,15 @@ _BLOCK = 512
 _GATHER_ROWS = 1024
 
 
-def _cut(ends: np.ndarray, start: int) -> int:
-    """The end of the chunk from item ``start``, ``ends`` the running row
-    counts: the first item that brings it to _CHUNK_ROWS rows, or the last."""
-    base = ends[start - 1] if start else 0
-    return min(int(ends.searchsorted(base + _CHUNK_ROWS)) + 1, len(ends))
+def _chunks(counts: np.ndarray) -> Iterator[slice]:
+    """Slices cutting items of ``counts`` rows each into chunks: a chunk
+    ends at the first item that brings it to _CHUNK_ROWS rows, or the last."""
+    ends, start = counts.cumsum(), 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        end = min(int(ends.searchsorted(base + _CHUNK_ROWS)) + 1, len(ends))
+        yield slice(start, end)
+        start = end
 
 
 class _Nodes(NamedTuple):
@@ -304,7 +307,7 @@ class _Engine:
         tables = _tables(grp, up_to_symmetry)
         self.index, self.add, self.neg, self.orbit_min, self.start, self.stabilizer = tables
         if up_to_symmetry:
-            self.perm, self.order = grp.perm_table(), grp.orbit_tables()[1].ravel()
+            self.perm, self.order = grp.perm_table(), grp.orbit_tables()[1]
             self.inverse = grp.inverse_rows()
 
     def run_subtree(
@@ -438,12 +441,8 @@ class _Engine:
             return cands
         tested, single = self._tested(nodes.terms[:, :k], cands)
         rows = tested.sum(axis=1) * self.stabilizer[nodes.terms[:, 0]]
-        ends, start = rows.cumsum(), 0
-        while start < len(ends):
-            end = _cut(ends, start)
-            self._test_r_p(nodes.terms[start:end], tested[start:end], rows[start:end],
-                           cands[start:end])
-            start = end
+        for part in _chunks(rows):
+            self._test_r_p(nodes.terms[part], tested[part], rows[part], cands[part])
         self._test_fresh(nodes.terms, cands, single)
         return cands
 
@@ -469,13 +468,9 @@ class _Engine:
         fresh = out & (self.orbit_min == t0[:, None]) & single[:, None]
         fresh[np.arange(len(t0)), terms[:, -2]] = False
         node, g = fresh.nonzero()
-        if not len(g):
-            return
         counts = self.stabilizer[t0[node]]
-        ends, start = counts.cumsum(), 0
-        while start < len(g):
-            end = _cut(ends, start)
-            i, c, gi = node[start:end], counts[start:end], g[start:end]
+        for part in _chunks(counts):
+            i, c, gi = node[part], counts[part], g[part]
             rows, offsets = self._rows(self.start[gi, t0[i]], c)
             P = terms[i].repeat(c, axis=0)
             after = P[:, 1:]  # P[1:] + [g]
@@ -484,7 +479,6 @@ class _Engine:
             less = d[np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
             lost = np.logical_or.reduceat(less, offsets)
             out[i[lost], gi[lost]] = False
-            start = end
 
     def _test_r_p(self, terms, tested, counts, cands: np.ndarray) -> None:
         """Clear from ``cands`` the candidates of the nodes that a row of

@@ -75,7 +75,7 @@ class Group:
         self._perm: np.ndarray | None = None
         self._add_idx: list[list[int]] | None = None
         self._neg_idx: list[int] | None = None
-        self._orbits: tuple[list[int], np.ndarray, list[list[int]]] | None = None
+        self._orbits: tuple[list[int], np.ndarray, np.ndarray] | None = None
         self._inverse: np.ndarray | None = None
 
     # -- identity and comparison ------------------------------------------
@@ -242,25 +242,26 @@ class Group:
             self._perm = ((p * a + q * b) % n * n + (r * a + s * b) % n).astype(np.int16)
         return self._perm
 
-    def orbit_tables(self) -> tuple[list[int], np.ndarray, list[list[int]]]:
-        """``(orbit_min, order, bounds)``, built on first use.
+    def orbit_tables(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """``(orbit_min, order, start)``, built on first use.
 
         ``orbit_min[x]`` is the least index in the automorphism orbit of
-        element index x.  ``order[x]`` lists the rows of :meth:`perm_table`
-        sorted by the image of x, so the point transversal
-        ``{alpha : alpha(x) = y}`` is ``order[x, bounds[x][y]:bounds[x][y + 1]]``.
+        element index x.  ``order`` is flat: segment x lists the rows of
+        :meth:`perm_table` sorted by the image of x, so the point transversal
+        ``{alpha : alpha(x) = y}`` is ``order[start[x, y]:start[x, y + 1]]``,
+        and segment x ends at ``start[x, n^2]``.
         """
         if self._orbits is None:
             perm = self.perm_table()
             rows = np.int16 if len(perm) <= np.iinfo(np.int16).max else np.int32
             order = np.empty((self.size, len(perm)), dtype=rows)
             edges = np.arange(self.size + 1)
-            bounds = []
+            start = np.empty((self.size, self.size + 1), dtype=np.intp)
             # column by column, so no |Aut| x n^2 int64 temporary is built
             for x in range(self.size):
                 order[x] = perm[:, x].argsort()
-                bounds.append(np.searchsorted(perm[order[x], x], edges).tolist())
-            self._orbits = (perm.min(axis=0).tolist(), order, bounds)
+                start[x] = np.searchsorted(perm[order[x], x], edges) + x * len(perm)
+            self._orbits = (perm.min(axis=0).tolist(), order.ravel(), start)
         return self._orbits
 
     def inverse_rows(self) -> np.ndarray:
@@ -278,17 +279,16 @@ class Group:
 
     def transversal(self, x: int, y: int) -> slice:
         """The point transversal ``{alpha : alpha(x) = y}``, as a slice of the
-        flattened ``order`` table of :meth:`orbit_tables`."""
-        _, order, bounds = self.orbit_tables()
-        base = x * order.shape[1]
-        return slice(base + bounds[x][y], base + bounds[x][y + 1])
+        flat ``order`` table of :meth:`orbit_tables`."""
+        start = self.orbit_tables()[2]
+        return slice(start[x, y], start[x, y + 1])
 
     def images_through(self, terms: list[int], y: int) -> np.ndarray:
         """Sorted images of the index tuple ``terms`` under the automorphisms
         that send some term to ``y``, one row per automorphism (it sends
         only one element to ``y``): exactly the images that contain ``y``.
         """
-        order = self.orbit_tables()[1].ravel()  # builds the tables on first use
+        order = self.orbit_tables()[1]  # builds the tables on first use
         rows = np.concatenate([order[self.transversal(x, y)] for x in dict.fromkeys(terms)])
         images = self._perm.take(rows, axis=0)[:, terms]
         images.sort(axis=1)

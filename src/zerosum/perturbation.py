@@ -130,9 +130,9 @@ def _moves_twin(grp: Group, f1: Elem, f2: Elem, lemma: str) -> list[_Move]:
     ]
 
 
-def _run_moves(grp, base, moves, target_nu, accum, counterexamples, extra):
-    """Apply every move to the base sequence for every g, recording the
-    achieved offsets and any conclusion violations.
+def _run_moves(grp, base, moves, target_nu, extra) -> tuple[dict, list]:
+    """Apply every move to the base sequence for every g; returns the
+    per-item offsets and cases (``_merge_accum``) and the violations.
 
     Each landing S - t1 - t2 + (t1 + g) + (t2 - g) is a multiplicity map:
     the remainder S - t1 - t2 and its sum are formed once per move (raising
@@ -140,13 +140,12 @@ def _run_moves(grp, base, moves, target_nu, accum, counterexamples, extra):
     terms to a copy of the remainder's map.  A landing whose sum is not
     sigma(S) raises SumMismatch; S' = S is a comparison of maps."""
     m = grp.n
+    accum, counterexamples = {}, []
     counts = dict(base.items())
     total = base.sigma()
     elements = grp.elements()
     for move in moves:
-        slot = accum[move.item]
-        slot["stated"] |= move.stated
-        slot["cases"] += len(elements)
+        achieved = set()
         t1, t2 = move.pivots
         remainder = base.remove(Sequence.from_terms(grp, move.pivots))
         ra, rb = remainder.sigma()
@@ -165,7 +164,7 @@ def _run_moves(grp, base, moves, target_nu, accum, counterexamples, extra):
             tag = _landing_tag(grp, landed)
             if tag == "not_in_upsilon" or (target_nu and tag != "non_unique"):
                 continue
-            slot["achieved"].add(g)
+            achieved.add(g)
             bad = None
             if g not in move.stated:
                 bad = "achieved offset outside the stated set"
@@ -181,25 +180,19 @@ def _run_moves(grp, base, moves, target_nu, accum, counterexamples, extra):
                         **extra,
                     }
                 )
-
-
-def _new_accum() -> dict:
-    return {
-        item: {"stated": set(), "achieved": set(), "cases": 0}
-        for item in (1, 2, 3, 4, 5)
-    }
-
-
-def _scan_unique(grp: Group, f1: Elem, f2: Elem, xs: tuple[int, ...]) -> tuple[dict, list]:
-    """Every unique-heavy move on the family member of one residue multiset."""
-    base = _family_member(grp, f1, f2, xs, "unique")
-    accum = _new_accum()
-    counterexamples: list = []
-    _run_moves(
-        grp, base, _moves_unique(grp, f1, f2, xs), False, accum, counterexamples,
-        {"xs": list(xs)},
-    )
+        part = {"stated": move.stated, "achieved": achieved, "cases": len(elements)}
+        _merge_accum(accum, {move.item: part})
     return accum, counterexamples
+
+
+def _scan(grp: Group, f1: Elem, f2: Elem, lemma: str, xs: tuple[int, ...]) -> tuple[dict, list]:
+    """Every move of one lemma on the family member of the residues xs:
+    unique-heavy for lemma I, twin-heavy for lemmas II and III."""
+    if lemma == "I":
+        base = _family_member(grp, f1, f2, xs, "unique")
+        return _run_moves(grp, base, _moves_unique(grp, f1, f2, xs), False, {"xs": list(xs)})
+    base = _family_member(grp, f1, f2, xs, "non_unique")
+    return _run_moves(grp, base, _moves_twin(grp, f1, f2, lemma), lemma == "III", {})
 
 
 def _unique_grid(m: int) -> list[tuple[int, ...]]:
@@ -215,9 +208,10 @@ def _unique_grid(m: int) -> list[tuple[int, ...]]:
 
 def _merge_accum(total: dict, part: dict) -> None:
     for item, slot in part.items():
-        total[item]["stated"] |= slot["stated"]
-        total[item]["achieved"] |= slot["achieved"]
-        total[item]["cases"] += slot["cases"]
+        into = total.setdefault(item, {"stated": set(), "achieved": set(), "cases": 0})
+        into["stated"] |= slot["stated"]
+        into["achieved"] |= slot["achieved"]
+        into["cases"] += slot["cases"]
 
 
 def verify_perturbation(
@@ -249,24 +243,14 @@ def verify_perturbation(
     f1, f2 = grp.element(*basis[0]), grp.element(*basis[1])
     grp.require_basis(f1, f2)
     with Stopwatch() as sw:
-        accum = _new_accum()
+        grid = _unique_grid(m) if lemma == "I" else [(0,) * (m - 1) + (1,)]
+        accum: dict = {}
         counterexamples: list = []
-        if lemma == "I":
-            grid = _unique_grid(m)
-            scanned = len(grid)
-            for part, bad in fan_out(lambda xs: _scan_unique(grp, f1, f2, xs), grid, jobs):
-                _merge_accum(accum, part)
-                counterexamples.extend(bad)
-            # order must not depend on the worker split
-            counterexamples.sort(key=repr)
-        else:
-            # the twin-heavy member f1^[m-1] f2^[m-1] (f1+f2)
-            base = _family_member(grp, f1, f2, (0,) * (m - 1) + (1,), "non_unique")
-            moves = _moves_twin(grp, f1, f2, lemma)
-            _run_moves(
-                grp, base, moves, lemma == "III", accum, counterexamples, {}
-            )
-            scanned = 1
+        for part, bad in fan_out(lambda xs: _scan(grp, f1, f2, lemma, xs), grid, jobs):
+            _merge_accum(accum, part)
+            counterexamples.extend(bad)
+        # order must not depend on the worker split
+        counterexamples.sort(key=repr)
         items = {
             str(item): {
                 "stated": sorted(map(list, slot["stated"])),
@@ -274,12 +258,11 @@ def verify_perturbation(
                 "cases": slot["cases"],
             }
             for item, slot in accum.items()
-            if slot["cases"]
         }
     return Report(
         check="perturbation",
         params={"m": m, "lemma": lemma, "basis": [list(f1), list(f2)]},
-        orbits_scanned=scanned,
+        orbits_scanned=len(grid),
         counterexamples=counterexamples,
         elapsed_ms=sw.elapsed_ms,
         details={"items": items},

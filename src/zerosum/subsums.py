@@ -28,16 +28,15 @@ Both rules below are exact, since N'_l is the union of N_{l-j} - j*t over
 - l > c: ``N'_l = N_l | union_{j=1..c} (N_{l-j} - j*t)`` on the old layers,
   since the ascending rule would admit c + 1 copies there.
 
-For c = 1 the second rule is ``step`` and the first touches layer 1 only,
-so the search's one-term update is unchanged.  ``closes(state, t, c)`` asks
-whether the c copies close an offender: some j <= min(c, k) with j*t in
-N_{k-j}; for c = 1 that is ``blocked(state) >> t & 1``.  With no length
+For c = 1 the two rules together are ``step``.  ``closes(state, t, c)``
+asks whether the c copies close an offender: some j <= min(c, k) with j*t
+in N_{k-j}; for c = 1 that is ``state[k-1] >> t & 1``.  With no length
 bound, the state is the one layer of all negated sums, and c copies are c
-successive translates.
+successive translates.  Only ``_has_zero_sum`` holds int states.
 
-``extend_rows`` appends one term to each of a batch of states held as
-words, shape (states, layers, n), word a of a layer its elements (a, b) as
-bit b: the translate of ``translations`` moves words and rotates bits.
+The search holds its states as words: ``fresh_rows``, ``extend_rows`` and
+``blocked_rows`` take a batch of shape (states, layers, n), word a of a
+layer its elements (a, b) as bit b; the translate moves words, rotates bits.
 """
 
 from __future__ import annotations
@@ -117,17 +116,10 @@ class ZeroSumGuard:
         return 1 if self.k is None else [1] * self.k
 
     def extend(self, state, t: int, c: int = 1):
-        """The state once c copies of the term of index t are appended."""
-        shift = self.shifts[self.neg[t]]
-        if c == 1:
-            if self.k is None:
-                return state | translate(state, shift)
-            return step(state, shift, self.k - 1)
-        return self._extend_copies(state, t, shift, c)
-
-    def _extend_copies(self, state, t: int, shift: tuple[int, ...], c: int):
-        """``extend`` for c >= 2, by the two rules of the module docstring."""
-        k = self.k
+        """The state once c copies of the term of index t are appended, by
+        the two rules of the module docstring."""
+        k, shifts = self.k, self.shifts
+        shift = shifts[self.neg[t]]
         if k is None:
             for _ in range(c):
                 state |= translate(state, shift)
@@ -137,25 +129,22 @@ class ZeroSumGuard:
         for l in range(1, (c if c < top else top) + 1):
             out[l] |= translate(out[l - 1], shift)
         if c < top:
-            n, neg, shifts = self.n, self.neg, self.shifts
+            n, neg = self.n, self.neg
             a, b = divmod(t, n)
-            far = [shifts[neg[(j * a % n) * n + j * b % n]] for j in range(1, c + 1)]
-            for l in range(c + 1, top + 1):
-                layer = out[l]
-                for j, far_shift in enumerate(far, 1):
-                    layer |= translate(state[l - j], far_shift)
-                out[l] = layer
+            for j in range(1, c + 1):  # j = 1 gives the term's own shift
+                far = shifts[neg[(j * a % n) * n + j * b % n]]
+                for l in range(c + 1, top + 1):
+                    out[l] |= translate(state[l - j], far)
         return out
 
     def closes(self, state, t: int, c: int = 1) -> bool:
         """Would appending c copies of the term of index t close a nonempty
         zero-sum of length <= k, i.e. is j*t in N_{k-j} for some j <=
         min(c, k)?  With no bound j <= n suffices: j = order(t) puts 0 in N."""
-        if c == 1:
-            return bool(self.blocked(state) >> t & 1)
         k, n = self.k, self.n
         a, b = divmod(t, n)
-        for j in range(1, min(c, n if k is None else k) + 1):
+        top = n if k is None else k
+        for j in range(1, (c if c < top else top) + 1):
             if (state if k is None else state[k - j]) >> (j * a % n) * n + j * b % n & 1:
                 return True
         return False

@@ -103,13 +103,13 @@ def test_perm_table_matches_automorphisms():
 def test_orbit_tables_match_perm_table(n):
     grp = group(n)
     perm = grp.perm_table()
-    orbit_min, order, bounds = grp.orbit_tables()
+    orbit_min, order, start = grp.orbit_tables()
     for x in range(grp.size):
         assert orbit_min[x] == min(grp.index(alpha(grp.unindex(x))) for alpha in grp.automorphisms())
         for y in range(grp.size):
-            sending = order[x, bounds[x][y]:bounds[x][y + 1]]
+            sending = order[start[x, y]:start[x, y + 1]]
             assert sorted(sending.tolist()) == np.flatnonzero(perm[:, x] == y).tolist()
-            assert order.ravel()[grp.transversal(x, y)].tolist() == sending.tolist()
+            assert order[grp.transversal(x, y)].tolist() == sending.tolist()
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -54,9 +54,7 @@ def _landings(monkeypatch, base, pivots):
 
     monkeypatch.setattr(perturbation, "_landing_tag", record)
     move = perturbation._Move(1, (), pivots, frozenset(), False)
-    perturbation._run_moves(
-        base.group, base, [move], False, perturbation._new_accum(), [], {}
-    )
+    perturbation._run_moves(base.group, base, [move], False, {})
     return seen
 
 
@@ -103,8 +101,7 @@ class TestRunMoves:
         grp = group(4)
         s = seq(4, TWIN4)
         move = perturbation._Move(1, (), ((1, 0), (1, 0)), frozenset(grp.elements()), True)
-        accum, bad = perturbation._new_accum(), []
-        perturbation._run_moves(grp, s, [move], False, accum, bad, {})
+        accum, bad = perturbation._run_moves(grp, s, [move], False, {})
         assert accum[1]["achieved"] == {(0, 0), (0, 1), (0, 2), (0, 3)}
         assert [c["g"] for c in bad] == [[0, 1], [0, 2], [0, 3]]
         assert {c["reason"] for c in bad} == {"stated offset fails to restore the sequence"}

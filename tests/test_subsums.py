@@ -234,14 +234,24 @@ def _reachable_states(guard, grp, rng):
 def test_counted_guard_equals_copy_by_copy(n):
     """extend(state, t, c) is c one-copy extends, and closes(state, t, c)
     is the one-copy test ``blocked`` on the states between them, for every
-    k, t and c <= k + 1 (c <= n + 1 with no bound), on reachable states."""
+    k, t and c <= k + 1 (c <= n + 1 with no bound), on reachable states.
+    A one-copy extend is ``step`` by -t (one translate with no bound), and
+    a one-copy closes is the bit of t in ``blocked``."""
     grp = group(n)
     rng = random.Random(300 + n)
+    shifts, neg = subsums.translations(n), grp.neg_index_table()
     for k in [None, *range(2 * n)]:
         guard = subsums.ZeroSumGuard(grp, k)
         top = n + 1 if k is None else max(k, 1) + 1
         for state in _reachable_states(guard, grp, rng):
             for t in range(grp.size):
+                shift = shifts[neg[t]]
+                if k is None:
+                    one = state | subsums.translate(state, shift)
+                else:
+                    one = subsums.step(state, shift, k - 1)
+                assert guard.extend(state, t) == one, (k, state, t)
+                assert guard.closes(state, t) == bool(guard.blocked(state) >> t & 1), (k, state, t)
                 copies = [state]
                 for _ in range(top):
                     copies.append(guard.extend(copies[-1], t))

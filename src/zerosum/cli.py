@@ -75,7 +75,9 @@ def bound_opt(fn, **attrs):
 
 
 n_opt = int_opt("--n", 2, required=True, help="Group modulus.")
-jobs_opt = int_opt("--jobs", 1, default=None, help="Worker processes (default: all cores).")
+jobs_opt = int_opt("--jobs", 1, default=None,
+                   help="Worker processes (default: all cores); a small search stays "
+                        "in-process whatever the value.")
 cache_dir_opt = click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
                              help="Result cache directory (default: $ZS_CACHE or ./.zs-cache).")
 no_cache_opt = click.option("--no-cache", is_flag=True, help="Disable the result cache.")

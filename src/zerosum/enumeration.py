@@ -67,9 +67,7 @@ ZeroSumGuard) and candidates packed to bits, about 40 bytes a node at
 n = 7.  The admitted candidates of a block of nodes, np.nonzero of its
 bool rows, are the (parent, g) pairs of its children in lex order; one set
 of array calls builds _BLOCK of them, guard layers by one gather, and
-drops those left with no candidate.  The walk takes a block, tests it, and
-walks its children to the end before the next block of its depth, so
-leaves and units come out in lex order.
+drops those left with no candidate.
 
 The test is batched.  A block is cut into chunks of about _CHUNK_ROWS
 rows, and one set of array calls decides every candidate of a chunk.  The
@@ -84,11 +82,22 @@ sending a candidate g to t0, for the block's candidates left, are batched
 the same way.  A chunk's memory is its rows times about 2 (n^2 - lo)
 bytes for the counting rule and 6 bytes per term of P for the images,
 about 160 bytes a row at n = 7, which the budget of the BENCH_17.json
-sweep bounds.  With jobs > 1 the walk stops at the first depth with
-_UNITS_PER_JOB units per job, and ``fan_out`` completes the subtrees of the
-admitted nodes there; each unit is counted once, by its parent, and results
-are merged in unit order, so output and node counts are those of the one
-walk for any split depth, block, chunk size and worker count.
+sweep bounds.
+
+The walk, then the fan-out.  The walk's stack holds a _Level per depth:
+the admitted (parent, g) pairs of that depth, counted and not yet built,
+and where the pending ones begin.  A step builds the next _BLOCK pairs of
+the top level into a block, tests it and pushes its admitted pairs, so a
+block's children are walked to the end before the next block of its depth
+and leaves come out in lex order.  At jobs = 1 the walk runs to the end.
+With jobs > 1 it stops once it has counted _SERIAL_NODES nodes, so a small
+search forks nothing and imports no multiprocessing.  The pairs still
+pending, the deepest level's first, are cut into about _UNITS_PER_JOB units
+per job and level, and ``fan_out`` walks each unit to the end in a forked
+worker, which inherits the stack.  Each node is counted once, by its
+parent, and leaves merge in walk order, the serial walk's first, so output
+and node counts are those of the one walk for any budget, block, chunk
+size and worker count.
 """
 
 from __future__ import annotations
@@ -144,6 +153,10 @@ CACHE_SCHEMA = f"{__version__}/{_source_digest()[:16]}"
 # the probe of ensure_writable; purge removes these and nothing else
 _CACHE_FILE = re.compile(r"[0-9a-f]{24}\.json(\.[0-9]+\.tmp)?|\.probe-[0-9]+")
 
+# At jobs > 1 a search walks this many nodes in-process before it forks
+# (BENCH_26.json sweep), and cuts each level left on its stack into about
+# _UNITS_PER_JOB units per job.
+_SERIAL_NODES = 10_000
 _UNITS_PER_JOB = 4
 _CACHE_MAX_SEQUENCES = 100_000
 
@@ -287,6 +300,17 @@ class _Nodes(NamedTuple):
         return _Nodes(*(array[index] for array in self))
 
 
+class _Level(NamedTuple):
+    """One depth of the walk's stack: the admitted pairs (parent, g), in
+    lex order, of the children T + (g,) of ``nodes[parent]``, counted and
+    not yet built; those from ``pos`` on are pending."""
+
+    nodes: _Nodes
+    parent: np.ndarray
+    g: np.ndarray
+    pos: int
+
+
 class _Engine:
     def __init__(
         self,
@@ -310,43 +334,39 @@ class _Engine:
             self.perm, self.order = grp.perm_table(), grp.orbit_tables()[1]
             self.inverse = grp.inverse_rows()
 
-    def run_subtree(
-        self, prefix: tuple[int, ...], stop: int | None = None
-    ) -> tuple[list[tuple[int, ...]], SearchStats]:
-        """Complete the walk below an admitted prefix, counting the nodes
-        below it.  With ``stop`` the walk also ends at nodes of that depth
-        (below ``length``) and returns them, in lex order, as work units.
-
-        A block's children are walked to the end before the next block of
-        its depth (module docstring), so leaves and units come out in lex
-        order."""
-        prefix = tuple(prefix)
-        stats = SearchStats(max_depth=len(prefix))
-        if len(prefix) in (self.length, stop):
-            stats.leaves = int(len(prefix) == self.length)
-            return [prefix], stats
-        self._check_depth(len(prefix))
-        out: list[tuple[int, ...]] = []
-        pending = [iter([self._root(prefix)])]  # per depth, its blocks to walk
-        while pending:
-            block = next(pending[-1], None)
-            if block is None:
-                pending.pop()
+    def walk(self, stack: list[_Level], stats: SearchStats, out: list,
+             budget: float = float("inf")) -> None:
+        """Walk the pending pairs of ``stack`` in lex order, the deepest
+        level's first, until none is left or ``stats.nodes`` reaches
+        ``budget``; leaves go to ``out``.  A level's pairs are built into
+        children _BLOCK at a time, and each block's children are walked to
+        the end before the next block (module docstring)."""
+        while stack and stats.nodes < budget:
+            nodes, parent, g, pos = stack[-1]
+            if pos >= len(g):
+                stack.pop()
                 continue
-            parent, g = self._admitted(block).nonzero()  # in lex order
-            np, depth = groups.np, block.terms.shape[1]
-            if len(g):
-                stats.nodes += len(g)
-                stats.max_depth = max(stats.max_depth, depth)
-                if depth in (self.length, stop):
-                    if depth == self.length:
-                        stats.leaves += len(g)
-                    leaves = np.column_stack((block.terms[parent, :-1], g))
-                    out.extend(map(tuple, leaves.tolist()))
-                else:
-                    self._check_depth(depth)
-                    pending.append(self._blocks(block, *(a.astype(np.int16) for a in (parent, g))))
-        return out, stats
+            stack[-1] = _Level(nodes, parent, g, pos + _BLOCK)
+            block = self._children(nodes, parent[pos:pos + _BLOCK], g[pos:pos + _BLOCK])
+            self.expand(block, stack, stats, out)
+
+    def expand(self, block: _Nodes, stack: list[_Level], stats: SearchStats, out: list) -> None:
+        """Test the block and count its admitted children, each once: at the
+        search's length as leaves, else pushed on ``stack`` as a level."""
+        if not len(block.terms):
+            return
+        parent, g = self._admitted(block).nonzero()  # in lex order
+        np, depth = groups.np, block.terms.shape[1]
+        if not len(g):
+            return
+        stats.nodes += len(g)
+        stats.max_depth = max(stats.max_depth, depth)
+        if depth == self.length:
+            stats.leaves += len(g)
+            out.extend(map(tuple, np.column_stack((block.terms[parent, :-1], g)).tolist()))
+        else:
+            self._check_depth(depth)
+            stack.append(_Level(block, parent.astype(np.int16), g.astype(np.int16), 0))
 
     def _check_depth(self, depth: int) -> None:
         """Nodes of this depth are about to be expanded: raise
@@ -356,14 +376,6 @@ class _Engine:
                 f"search depth cap {self.depth_cap} reached; the maximum may "
                 f"be unbounded for this predicate"
             )
-
-    def _blocks(self, nodes: _Nodes, parent: np.ndarray, g: np.ndarray) -> Iterator[_Nodes]:
-        """The children T + (g,) of ``nodes[parent]``, _BLOCK at a time,
-        less those left with no candidate."""
-        for i in range(0, len(g), _BLOCK):
-            children = self._children(nodes, parent[i:i + _BLOCK], g[i:i + _BLOCK])
-            if len(children.terms):
-                yield children
 
     def _root(self, prefix: tuple[int, ...]) -> _Nodes:
         """The node of an admitted prefix, built a term at a time."""
@@ -564,16 +576,33 @@ def _search(
     jobs: int = 1,
     depth_cap: int | None = None,
 ) -> tuple[list[tuple[int, ...]], SearchStats]:
-    """One DFS, cut at the first depth d >= 1 holding _UNITS_PER_JOB * jobs
-    units (or at d = length - 1, or where the walk ends) when jobs > 1; the
-    root is the one unit otherwise."""
+    """One walk in lex order.  With jobs > 1 it stops once it has counted
+    _SERIAL_NODES nodes; the pairs left pending on its stack, the deepest
+    level's first, are cut into about _UNITS_PER_JOB * jobs units per level,
+    and ``fan_out`` walks each unit to the end in a forked worker, which
+    inherits the stack, so only slice bounds are pickled.  A search that
+    ends within the budget forks nothing.  Each node is counted once, by
+    its parent, and leaves merge in walk order, the serial walk's first, so
+    results and counts are those of jobs=1 for any budget."""
     engine = _Engine(grp, predicate, params, length, up_to_symmetry, depth_cap)
-    stop, units, stats = 0, [()], SearchStats()
-    while jobs > 1 and units and len(units) < _UNITS_PER_JOB * jobs and stop + 1 != length:
-        stop += 1
-        units, stats = engine.run_subtree((), stop=stop)
-    leaves: list[tuple[int, ...]] = []
-    for unit_leaves, unit_stats in fan_out(engine.run_subtree, units, jobs):
+    stats, leaves, stack = SearchStats(), [], []
+    engine._check_depth(0)
+    engine.expand(engine._root(()), stack, stats, leaves)
+    engine.walk(stack, stats, leaves, _SERIAL_NODES if jobs > 1 else float("inf"))
+    per, units = _UNITS_PER_JOB * jobs, []
+    for level in reversed(range(len(stack))):
+        end = len(stack[level].g)
+        pos = min(stack[level].pos, end)
+        cuts = [pos + (end - pos) * i // per for i in range(per + 1)]
+        units.extend((level, a, b) for a, b in zip(cuts, cuts[1:]) if a < b)
+
+    def finish(unit: tuple[int, int, int]) -> tuple[list[tuple[int, ...]], SearchStats]:
+        nodes, parent, g, _ = stack[unit[0]]
+        part, out, unit_stats = slice(*unit[1:]), [], SearchStats()
+        engine.walk([_Level(nodes, parent[part], g[part], 0)], unit_stats, out)
+        return out, unit_stats
+
+    for unit_leaves, unit_stats in fan_out(finish, units, jobs):
         stats.merge(unit_stats)
         leaves.extend(unit_leaves)
     return leaves, stats

@@ -30,9 +30,10 @@ Both rules below are exact, since N'_l is the union of N_{l-j} - j*t over
 
 For c = 1 the two rules together are ``step``.  ``closes(state, t, c)``
 asks whether the c copies close an offender: some j <= min(c, k) with j*t
-in N_{k-j}; for c = 1 that is ``state[k-1] >> t & 1``.  With no length
-bound, the state is the one layer of all negated sums, and c copies are c
-successive translates.  Only ``_has_zero_sum`` holds int states.
+in N_{k-j}, the index of j*t read off the per-n table ``multiples``; for
+c = 1 that is ``state[k-1] >> t & 1``.  With no length bound, the state is
+the one layer of all negated sums, and c copies are c successive
+translates.  Only ``_has_zero_sum`` holds int states.
 
 The search holds its states as words: ``fresh_rows``, ``extend_rows`` and
 ``blocked_rows`` take a batch of shape (states, layers, n), word a of a
@@ -72,6 +73,13 @@ def translations(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def multiples(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per element index t = (a, b), the indices of j*t for j = 1, ..., n."""
+    return tuple(tuple(j * (t // n) % n * n + j * (t % n) % n for j in range(1, n + 1))
+                 for t in range(n * n))
+
+
 def translate(layer: int, shift: tuple[int, ...]) -> int:
     """The set ``layer + t`` for ``shift = translations(n)[t]``: each row
     (fixed first coordinate) is rotated by b, then the rows by a."""
@@ -104,13 +112,14 @@ class ZeroSumGuard:
     docstring).  A state is an int for k = None, else a list of k layers,
     layer l holding the negated sums of length <= l."""
 
-    __slots__ = ("k", "n", "neg", "shifts")
+    __slots__ = ("k", "n", "neg", "shifts", "multiples")
 
     def __init__(self, grp: Group, k: int | None = None):
         self.k = k
         self.n = grp.n
         self.neg = grp.neg_index_table()
         self.shifts = translations(grp.n)
+        self.multiples = multiples(grp.n)
 
     def fresh(self):
         return 1 if self.k is None else [1] * self.k
@@ -140,12 +149,16 @@ class ZeroSumGuard:
     def closes(self, state, t: int, c: int = 1) -> bool:
         """Would appending c copies of the term of index t close a nonempty
         zero-sum of length <= k, i.e. is j*t in N_{k-j} for some j <=
-        min(c, k)?  With no bound j <= n suffices: j = order(t) puts 0 in N."""
-        k, n = self.k, self.n
-        a, b = divmod(t, n)
-        top = n if k is None else k
-        for j in range(1, (c if c < top else top) + 1):
-            if (state if k is None else state[k - j]) >> (j * a % n) * n + j * b % n & 1:
+        min(c, k)?  j <= n suffices, as j = order(t) <= n gives 0, which
+        every layer holds."""
+        k, at = self.k, self.multiples[t]
+        if k is None:
+            for i in at[:c]:
+                if state >> i & 1:
+                    return True
+            return False
+        for j, i in enumerate(at[:c if c < k else k], 1):
+            if state[k - j] >> i & 1:
                 return True
         return False
 

@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from zerosum import enumeration
 from zerosum.classification import construct_exceptional, verify_casen
 from zerosum.enumeration import davenport, s_leq
 from zerosum.groups import group
@@ -161,7 +162,9 @@ def test_criterion_09_image_transfer_item1():
                    "no zero-sum part shorter than n, for (m,n)=(4,2),(4,5)")
 
 
-def test_criterion_10_determinism_across_jobs():
+def test_criterion_10_determinism_across_jobs(monkeypatch):
+    # a search at jobs=3 forks once it has walked 64 nodes
+    monkeypatch.setattr(enumeration, "_SERIAL_NODES", 64)
     runs = [
         lambda jobs: verify_property_b(4, jobs=jobs),
         lambda jobs: verify_property_c(4, jobs=jobs),

@@ -464,42 +464,12 @@ def test_davenport_node_counts_are_pinned_for_any_jobs(n, nodes):
          {"nodes": 4109, "kinds": {"item1": 44, "item2": 1, "both": 0, "unclassified": 0}}),
     ],
 )
-def test_report_counts_are_pinned_for_any_jobs(verify, n, orbits, details):
+def test_report_counts_are_pinned_for_any_jobs(monkeypatch, verify, n, orbits, details):
+    monkeypatch.setattr(enumeration, "_SERIAL_NODES", 64)  # so that jobs=2 forks
     one, two = (verify(n, jobs=jobs) for jobs in (1, 2))
     assert one.to_json(timing=False) == two.to_json(timing=False)
     assert one.passed and one.orbits_scanned == orbits
     assert one.details == details
-
-
-@pytest.mark.parametrize("split", [1, 2, 3, 4])
-def test_node_counts_do_not_depend_on_the_split_depth(monkeypatch, split):
-    """The fan-out cuts the one walk at the split depth, so every pinned
-    count holds for any split depth, with and without worker processes.
-    2 ** (split - 1) units per job makes some of these searches split at
-    depth ``split``."""
-    monkeypatch.setattr(enumeration, "_UNITS_PER_JOB", 2 ** (split - 1))
-    depths = set()
-    fan_out = enumeration.fan_out
-
-    def recorded(work, units, jobs):
-        depths.update(len(unit) for unit in units[:1])
-        return fan_out(work, units, jobs)
-
-    monkeypatch.setattr(enumeration, "fan_out", recorded)
-    for jobs in (1, 2):
-        for n, (orbits, nodes) in PROPERTY_B.items():
-            if n >= 3:
-                report = verify_property_b(n, jobs=jobs)
-                assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
-        for n, (orbits, nodes) in PROPERTY_C.items():
-            report = verify_property_c(n, jobs=jobs)
-            assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
-        for n, nodes in [(5, 4109), (4, 622)]:
-            assert verify_casen(n, jobs=jobs).details["nodes"] == nodes
-        for n, nodes in DAVENPORT_NODES.items():
-            _, stats = max_length_with(group(n), "zero-sum-free", jobs=jobs)
-            assert stats.nodes == nodes, (split, jobs, n)
-    assert split in depths
 
 
 # leaves of a few searches as (count, nodes, sha256 of their JSON list),
@@ -514,6 +484,61 @@ PINNED_LEAVES = [
 ]
 
 
+def _assert_leaves_pinned(jobs):
+    for spec, count, nodes, digest in PINNED_LEAVES:
+        leaves, stats = enumeration.enumerate_leaves(spec, jobs=jobs)
+        assert (len(leaves), stats.nodes) == (count, nodes), spec
+        assert hashlib.sha256(json.dumps(leaves).encode()).hexdigest()[:16] == digest
+
+
+def _assert_walk_pinned(jobs, davenport_ns=tuple(DAVENPORT_NODES)):
+    """The pinned davenport, property B and C and casen counts, the
+    PINNED_LEAVES, and the depth cap of s_leq(group(4), 2), at ``jobs``."""
+    for n in davenport_ns:
+        longest, stats = max_length_with(group(n), "zero-sum-free", jobs=jobs)
+        assert (longest + 1, stats.nodes) == (2 * n - 1, DAVENPORT_NODES[n]), (jobs, n)
+    for n, (orbits, nodes) in PROPERTY_B.items():
+        report = verify_property_b(n, jobs=jobs)
+        assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
+    for n, (orbits, nodes) in PROPERTY_C.items():
+        report = verify_property_c(n, jobs=jobs)
+        assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
+    for n, orbits, nodes in [(4, 11, 622), (5, 45, 4109)]:
+        report = verify_casen(n, jobs=jobs)
+        assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
+    _assert_leaves_pinned(jobs)
+    with pytest.raises(BudgetExceeded):
+        s_leq(group(4), 2, jobs=jobs)
+
+
+@pytest.mark.parametrize("budget", [1, 64, 4096, enumeration._SERIAL_NODES])
+def test_walk_does_not_depend_on_the_serial_budget(monkeypatch, budget):
+    """At jobs=2 the search walks ``budget`` nodes in-process and hands the
+    pairs left on its stack to workers; a budget of one node forks for any
+    search past its root.  Node and orbit counts, leaves in order and the
+    depth cap are those of jobs=1 for every budget."""
+    monkeypatch.setattr(enumeration, "_SERIAL_NODES", budget)
+    handed = []
+    fan_out = enumeration.fan_out
+
+    def recorded(work, units, jobs):
+        handed.append((jobs, len(units)))
+        return fan_out(work, units, jobs)
+
+    monkeypatch.setattr(enumeration, "fan_out", recorded)
+    block = enumeration._BLOCK
+    for jobs in (1, 2):
+        _assert_walk_pinned(jobs)
+        # blocks of 4 pairs leave pairs pending on the lower levels too, and
+        # let the walk reach leaves before a budget of 64 nodes stops it
+        monkeypatch.setattr(enumeration, "_BLOCK", 4)
+        _assert_leaves_pinned(jobs)
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
+    # jobs=1 hands no unit on; at jobs=2 davenport(7) outruns every budget
+    assert {units for jobs, units in handed if jobs == 1} == {0}
+    assert max(units for jobs, units in handed if jobs == 2) >= 2
+
+
 @pytest.mark.parametrize("budget", [1, enumeration._CHUNK_ROWS, 10**9])
 def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, budget):
     """A budget of one row makes every chunk one node, and a budget above
@@ -522,26 +547,10 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, budget):
     order are those of the default budget, at jobs 1 and 2, and the depth
     cap still raises."""
     monkeypatch.setattr(enumeration, "_CHUNK_ROWS", budget)
+    # 28,211 one-node chunks for davenport(7) would take seconds
+    davenport_ns = [n for n in DAVENPORT_NODES if n < 7 or budget > 1]
     for jobs in (1, 2):
-        for n, nodes in DAVENPORT_NODES.items():
-            if n < 7 or budget > 1:  # 28,211 one-node chunks would take seconds
-                _, stats = max_length_with(group(n), "zero-sum-free", jobs=jobs)
-                assert stats.nodes == nodes, (budget, jobs, n)
-        for n, (orbits, nodes) in PROPERTY_B.items():
-            report = verify_property_b(n, jobs=jobs)
-            assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
-        for n, (orbits, nodes) in PROPERTY_C.items():
-            report = verify_property_c(n, jobs=jobs)
-            assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
-        for n, orbits, nodes in [(4, 11, 622), (5, 45, 4109)]:
-            report = verify_casen(n, jobs=jobs)
-            assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
-        for spec, count, nodes, digest in PINNED_LEAVES:
-            leaves, stats = enumeration.enumerate_leaves(spec, jobs=jobs)
-            assert (len(leaves), stats.nodes) == (count, nodes), spec
-            assert hashlib.sha256(json.dumps(leaves).encode()).hexdigest()[:16] == digest
-        with pytest.raises(BudgetExceeded):
-            s_leq(group(4), 2, jobs=jobs)
+        _assert_walk_pinned(jobs, davenport_ns)
 
 
 def test_walk_working_set_is_bounded():
@@ -609,6 +618,9 @@ def test_fan_out_forks_at_most_one_worker_per_unit(monkeypatch):
 
 
 def test_tiny_searches_stay_in_process(monkeypatch):
+    """A search that ends within the serial budget forks nothing at any
+    jobs: the tiny ones, and the four searches of the cold cli-cache
+    commands, each under 8,000 nodes."""
     pinned = verify_property_b(3, jobs=1).to_json(timing=False)
     monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
     report = verify_property_b(3, jobs=2)
@@ -616,6 +628,14 @@ def test_tiny_searches_stay_in_process(monkeypatch):
     assert (report.orbits_scanned, report.details["nodes"]) == PROPERTY_B[3]
     longest, stats = max_length_with(group(2), "zero-sum-free", jobs=2)
     assert (longest + 1, stats.nodes) == (3, DAVENPORT_NODES[2])
+    leaves, stats = enumeration.enumerate_leaves(EnumSpec(5, 7, "all"), jobs=2)
+    assert (len(leaves), stats.nodes) == (5857, 7697)
+    report = verify_casen(5, 1, jobs=2)
+    assert (report.orbits_scanned, report.details["nodes"]) == (45, 4109)
+    report = verify_property_b(6, jobs=2)
+    assert (report.orbits_scanned, report.details["nodes"]) == PROPERTY_B[6]
+    longest, stats = max_length_with(group(6), "zero-sum-free", jobs=2)
+    assert (longest + 1, stats.nodes) == (11, DAVENPORT_NODES[6])
 
 
 def test_property_b_at_7_is_pinned_for_any_jobs():

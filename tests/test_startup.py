@@ -1,8 +1,9 @@
 """numpy and multiprocessing load on first use, in a fresh interpreter.
 
 A command that builds no group table (``--version``, a cache hit) must not
-import numpy, and every numpy entry point must work when it is the first
-call of a new process, i.e. when it is the one that binds numpy.
+import numpy, a search that forks no pool must not import multiprocessing,
+and every numpy entry point must work when it is the first call of a new
+process, i.e. when it is the one that binds numpy.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ def test_warm_davenport_hit_loads_no_numpy(tmp_path):
     assert warm["code"] == 0
     assert warm["stdout"] == cold["stdout"]
     assert warm["loaded"] == []
+
+
+def test_small_cold_search_at_two_jobs_loads_no_multiprocessing():
+    """davenport(6) walks 7,984 nodes, within the serial budget: no pool."""
+    got = _zs(["davenport", "--n", "6", "--jobs", "2", "--no-cache"])
+    assert got["code"] == 0 and json.loads(got["stdout"])["value"] == 11
+    assert got["loaded"] == ["numpy"]
 
 
 SEQ = "Sequence.from_terms(group(5), [(1, 2), (3, 4), (2, 2), (0, 3), (3, 4)])"

@@ -40,6 +40,15 @@ from .sequences import Sequence
 
 _LEMMAS = ("I", "II", "III")
 
+# a lemma-I grid of fewer residue multisets is scanned in-process at any
+# jobs.  Forking paid off at m = 7 (238 multisets: jobs=2 0.59 s against
+# 1.04 s at jobs=1, medians of 5 rounds) and not below it: m = 4 (4
+# multisets) 0.014 s against 0.004 s, m = 5 (20) 0.033 s against 0.032 s,
+# and at m = 6 (69) the two overlap, jobs=2 0.11-0.28 s against 0.17-0.26 s
+# over 12 rounds, where the pool costs two more processes (BENCH_27
+# lemma_I_fan_out)
+_SERIAL_GRID = 128
+
 
 @dataclasses.dataclass(frozen=True)
 class UpsilonClass:
@@ -246,6 +255,8 @@ def verify_perturbation(
         grid = _unique_grid(m) if lemma == "I" else [(0,) * (m - 1) + (1,)]
         accum: dict = {}
         counterexamples: list = []
+        if len(grid) < _SERIAL_GRID:
+            jobs = 1
         for part, bad in fan_out(lambda xs: _scan(grp, f1, f2, lemma, xs), grid, jobs):
             _merge_accum(accum, part)
             counterexamples.extend(bad)

@@ -38,6 +38,8 @@ translates.  Only ``_has_zero_sum`` holds int states.
 The search holds its states as words: ``fresh_rows``, ``extend_rows`` and
 ``blocked_rows`` take a batch of shape (states, layers, n), word a of a
 layer its elements (a, b) as bit b; the translate moves words, rotates bits.
+``_has_zero_sum_rows`` runs them over a batch of multisets, for propbfix
+item 1.
 """
 
 from __future__ import annotations
@@ -244,6 +246,24 @@ def _has_zero_sum(grp: Group, pairs: list[tuple[int, int]], k: int | None = None
         state = guard.extend(state, t, c)
     # the last pair needs no update after its test
     return bool(pairs) and guard.closes(state, *pairs[-1])
+
+
+def _has_zero_sum_rows(grp: Group, terms, mults, k: int):
+    """``_has_zero_sum`` of a batch, as a bool row: row i is the multiset of
+    the indices ``terms[i, j]``, each with multiplicity ``mults[j]``.  It
+    runs the word states of the search (``fresh_rows``, ``blocked_rows``,
+    ``extend_rows``) one copy at a time, and appends at most k copies of a
+    column: past k, a copy changes no layer (layer l < k takes at most l
+    copies) and closes nothing new (the test reads j*t for j <= k)."""
+    np, guard = groups.numpy(), ZeroSumGuard(grp, k)
+    layers, rows = guard.fresh_rows(len(terms)), np.arange(len(terms))
+    found = np.zeros(len(terms), bool)
+    steps = [terms[:, j] for j, c in enumerate(mults) for _ in range(min(c, k))]
+    for i, t in enumerate(steps, 1):
+        found |= guard.blocked_rows(layers)[rows, t]
+        if i < len(steps):  # the last copy needs no update after its test
+            layers = guard.extend_rows(layers, t)
+    return found
 
 
 def has_short_zero_sum(seq: Sequence, k: int | None) -> bool:

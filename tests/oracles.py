@@ -133,3 +133,18 @@ def naive_eq1_table(n: int) -> dict:
                 shape = Sequence.from_terms(grp, [e1] * (n - 1) + [coset[x] for x in xs])
                 table.setdefault(shape, []).append((e1, e2, xs))
     return table
+
+
+def coset_form_sample(grp: Group, rng) -> list:
+    """One random member of the maximal-length minimal zero-sum family,
+    e1^[N-1] prod (x_i e1 + e2) with sum x_i = 1, transported by a random
+    automorphism alpha, drawn one ``randrange`` at a time: the xs first,
+    then alpha by ``Group.random_automorphism``.  Returned as (element,
+    multiplicity) pairs with alpha(e1) = (p, r) first and then alpha((x, 1))
+    = (p*x + q, r*x + s) per x, coordinates not reduced mod N."""
+    N = grp.n
+    xs = [rng.randrange(N) for _ in range(N - 1)]
+    xs.append((1 - sum(xs)) % N)
+    alpha = grp.random_automorphism(rng)
+    p, q, r, s = alpha.p, alpha.q, alpha.r, alpha.s
+    return [((p, r), N - 1)] + [((p * x + q, r * x + s), 1) for x in xs]

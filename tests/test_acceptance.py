@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from zerosum import enumeration
+from zerosum import enumeration, perturbation
 from zerosum.classification import construct_exceptional, verify_casen
 from zerosum.enumeration import davenport, s_leq
 from zerosum.groups import group
@@ -163,8 +163,10 @@ def test_criterion_09_image_transfer_item1():
 
 
 def test_criterion_10_determinism_across_jobs(monkeypatch):
-    # a search at jobs=3 forks once it has walked 64 nodes
+    # a search at jobs=3 forks once it has walked 64 nodes, and lemma I
+    # forks for any grid of two residue multisets or more
     monkeypatch.setattr(enumeration, "_SERIAL_NODES", 64)
+    monkeypatch.setattr(perturbation, "_SERIAL_GRID", 2)
     runs = [
         lambda jobs: verify_property_b(4, jobs=jobs),
         lambda jobs: verify_property_c(4, jobs=jobs),

@@ -2,8 +2,10 @@ import hashlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from zerosum import lifting
 from zerosum.errors import (
     BudgetExceeded,
     FiberMismatch,
@@ -14,11 +16,14 @@ from zerosum.errors import (
 from zerosum.groups import group
 from zerosum.lifting import (
     Homomorphism,
-    _coset_form_sample,
+    _family_rows,
     verify_propbfix_item1,
     verify_propbfix_item2,
 )
 from zerosum.sequences import Sequence
+from zerosum.subsums import _has_zero_sum_rows, has_short_zero_sum
+
+from oracles import coset_form_sample
 
 
 @pytest.mark.parametrize("N, m", [(8, 3), (8, 1), (4, 4), (6, 5)])
@@ -121,9 +126,12 @@ def _inject_image(monkeypatch, image):
     """Make the image of every item-1 sample the given Sequence, at the
     image routine item 1 calls."""
     grp = image.group
-    counts = {grp.index(g): k for g, k in image.items()}
+    terms = np.array([grp.index(g) for g, _ in image.items()])
+    mults = [k for _, k in image.items()]
     monkeypatch.setattr(
-        Homomorphism, "image_counts", lambda self, items: (dict(counts), image.sigma())
+        Homomorphism, "image_rows",
+        lambda self, rows, _: (np.tile(terms, (len(rows), 1)), mults,
+                               np.tile(image.sigma(), (len(rows), 1))),
     )
 
 
@@ -177,7 +185,7 @@ def test_item1_image_of_drawn_pairs_is_the_image_of_the_sample(N, seed):
     drawn pairs' images taken one pair at a time, on at most n + 1 pairs."""
     grp, rng, h = group(N), random.Random(seed), Homomorphism(N, 4)
     for _ in range(500):
-        pairs = _coset_form_sample(grp, rng)
+        pairs = coset_form_sample(grp, rng)
         image = h.image_in_coords(Sequence(grp, pairs))
         assert image == Sequence(h.image_group, [(h.image_coords(h(g)), k) for g, k in pairs])
         assert len(image.items()) <= h.n + 1 < len(pairs)
@@ -202,13 +210,59 @@ def test_image_counts_are_the_image_sequence(N, seed):
     wide = [[((rng.randrange(-3 * N, 3 * N), rng.randrange(-3 * N, 3 * N)), rng.randrange(1, 4))
              for _ in range(rng.randrange(1, 12))] for _ in range(200)]
     reduced = 0
-    for pairs in [_coset_form_sample(grp, rng) for _ in range(300)] + wide:
+    for pairs in [coset_form_sample(grp, rng) for _ in range(300)] + wide:
         counts, total = h.image_counts(pairs)
         want = Sequence(img, [(h.image_coords(h(g)), k) for g, k in pairs])
         assert Sequence(img, [(img.unindex(i), k) for i, k in counts.items()]) == want
         assert total == want.sigma()
         reduced += any(not (0 <= c < N) for g, _ in pairs for c in g)
     assert reduced > 0
+
+
+@pytest.mark.parametrize("N", [8, 12, 20, 24, 28])
+@pytest.mark.parametrize("count", [0, 1, 3, lifting._ROWS - 1, lifting._ROWS, lifting._ROWS + 1])
+def test_family_rows_are_the_scalar_sample_stream(N, count):
+    """The bulk sampler yields the samples of the one-randrange-at-a-time
+    oracle, in order, in chunks of at most _ROWS rows; past one chunk, its
+    second chunk starts on the values the first left over."""
+    mults = [N - 1] + [1] * N
+    for seed in (1, 11, 2026):
+        chunks = list(_family_rows(N, random.Random(seed), count))
+        assert [len(rows) for rows in chunks] == [
+            min(lifting._ROWS, count - done) for done in range(0, count, lifting._ROWS)]
+        got = [[(tuple(g), k) for g, k in zip(row, mults)]
+               for rows in chunks for row in rows.tolist()]
+        rng = random.Random(seed)
+        assert got == [coset_form_sample(group(N), rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_image_rows_and_row_guard_match_the_scalar_path(n):
+    """image_rows and the guard's row form agree, row by row and for every
+    length bound k, with the image Sequence (image_in_coords) and
+    has_short_zero_sum, on random rows outside the family: wide coordinates,
+    and heavy columns whose image may have order below n, such as (2, 0)
+    at n = 4, where two of the n - 1 heavy copies already sum to zero."""
+    h, rng = Homomorphism(4 * n, 4), random.Random(n)
+    grp, img, N = group(4 * n), h.image_group, 4 * n
+    seen = set()
+    for width in (1, 2, 3, 5):
+        mults = [N - 1] + [rng.randrange(1, 2 * N) for _ in range(width - 1)]
+        rows = np.array([[(rng.randrange(-3 * N, 3 * N), rng.randrange(-3 * N, 3 * N))
+                          for _ in range(width)] for _ in range(60)])
+        if n == 4:
+            rows[:20, 0] = (2, 0)
+        terms, counts, sums = h.image_rows(rows, mults)
+        assert counts == mults
+        images = [h.image_in_coords(Sequence(grp, zip(row, mults))) for row in rows.tolist()]
+        for row_terms, total, image in zip(terms.tolist(), sums.tolist(), images):
+            assert Sequence(img, [(img.unindex(t), k) for t, k in zip(row_terms, mults)]) == image
+            assert tuple(total) == image.sigma()
+        for k in range(2 * n + 1):
+            want = [has_short_zero_sum(image, k) for image in images]
+            assert _has_zero_sum_rows(img, terms, counts, k).tolist() == want
+            seen.update(want)
+    assert seen == {False, True}
 
 
 # sha256 of to_json(timing=False), taken from a run of commit 3a60ee0, where

@@ -1,3 +1,4 @@
+import multiprocessing
 from collections import Counter
 from types import SimpleNamespace
 
@@ -180,10 +181,26 @@ def test_equivariance_under_basis_change():
         assert other["cases"] == item["cases"]
 
 
-def test_jobs_do_not_change_the_report():
+def test_jobs_do_not_change_the_report(monkeypatch):
+    monkeypatch.setattr(perturbation, "_SERIAL_GRID", 2)  # so that jobs=2 forks
     one = verify_perturbation(5, "I", jobs=1)
     two = verify_perturbation(5, "I", jobs=2)
     assert one.to_json(timing=False) == two.to_json(timing=False)
+
+
+def _no_fork(*args, **kwargs):
+    raise AssertionError("fan_out forked")
+
+
+def test_small_lemma_I_grids_stay_in_process(monkeypatch):
+    """Below _SERIAL_GRID residue multisets lemma I forks nothing at any
+    jobs: every default m up to 6 (69 multisets), but not m = 7 (238)."""
+    assert len(perturbation._unique_grid(6)) < perturbation._SERIAL_GRID
+    assert len(perturbation._unique_grid(7)) >= perturbation._SERIAL_GRID
+    pinned = {m: verify_perturbation(m, "I", jobs=1).to_json(timing=False) for m in (4, 5, 6)}
+    monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
+    for m in (4, 5, 6):
+        assert verify_perturbation(m, "I", jobs=2).to_json(timing=False) == pinned[m]
 
 
 def test_base_outside_family_raises(monkeypatch):

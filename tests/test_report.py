@@ -6,7 +6,7 @@ import pytest
 
 from zerosum.classification import verify_casen
 from zerosum.groups import group
-from zerosum.lifting import _coset_form_sample, verify_propbfix_item1
+from zerosum.lifting import _family_rows, verify_propbfix_item1
 from zerosum.perturbation import verify_perturbation
 from zerosum.properties import verify_property_b, verify_property_c
 from zerosum.report import Report, Stopwatch
@@ -94,8 +94,10 @@ def test_report_matches_pinned_digest(key):
 
 # a passing item-1 report lists no samples, so the digests above cannot see
 # a changed sample stream; these pin it: sha256 of the JSON list of
-# to_json_obj() of the Sequences of the first 500 _coset_form_sample draws, taken from a run
-# of commit 5963332, before the samples were built in one step
+# to_json_obj() of the Sequences of the first 500 samples, taken from a run
+# of commit 5963332, before the samples were built in one step, when each
+# was drawn one randrange at a time; the bulk draws of _family_rows, in
+# chunks of rows, give the same digests
 PINNED_STREAM_DIGESTS = {
     (8, 11): "e23919f629696f51c69f1b4f8bb0178ee2f4c9846f614ec2740211409006c1ad",
     (8, 2026): "26b300b7f94ef5d699fa4408d6dcc9557c3770e47bb926fe5e14005baec02801",
@@ -106,7 +108,8 @@ PINNED_STREAM_DIGESTS = {
 
 @pytest.mark.parametrize("N,seed", sorted(PINNED_STREAM_DIGESTS))
 def test_item1_sample_stream_matches_pinned_digest(N, seed):
-    grp, rng = group(N), random.Random(seed)
-    objs = [Sequence(grp, _coset_form_sample(grp, rng)).to_json_obj() for _ in range(500)]
+    grp, mults = group(N), [N - 1] + [1] * N
+    objs = [Sequence(grp, zip(row, mults)).to_json_obj()
+            for rows in _family_rows(N, random.Random(seed), 500) for row in rows.tolist()]
     text = json.dumps(objs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STREAM_DIGESTS[(N, seed)]

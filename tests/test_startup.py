@@ -85,6 +85,7 @@ IMPORTS = """
 import json, sys
 from zerosum import Sequence, group
 from zerosum.enumeration import EnumSpec, enumerate_leaves
+from zerosum.lifting import verify_propbfix_item1
 from zerosum.properties import verify_property_b
 """
 
@@ -95,6 +96,8 @@ FIRST_CALLS = {
     "search": "json.loads(verify_property_b(3).to_json(timing=False))",
     "raw search": "[list(leaf) for leaf in enumerate_leaves("
                   "EnumSpec(3, 4, 'zero-sum-free', up_to_symmetry=False))[0]]",
+    "propbfix item 1": "json.loads(verify_propbfix_item1(4, 2, samples=5, seed=1)"
+                       ".to_json(timing=False))",
 }
 
 

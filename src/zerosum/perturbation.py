@@ -18,23 +18,45 @@ basis; automorphism equivariance (tested separately) extends the result to
 every basis, since the family, the moves, and the stated sets all
 transport along automorphisms.
 
-A landing S' is never built as a Sequence: it is the multiplicity map of
-the move's remainder S - t1 - t2 plus its two new terms, classified by the
-same reading routine as upsilon_class (``properties._eq1_readings``), and
-compared with S as a map.
+A landing S' is never built as a Sequence.  All m^2 landings of one move
+share the remainder R = S - t1 - t2 and differ only in their two new terms
+u = t1 + g and w = t2 - g, so the remainder is read once per move and each
+g is classified from u and w alone (``_landings``):
+
+* The multiplicity of x in S' is v_x(R) + [u = x] + [w = x], so only the
+  terms of R of multiplicity at least m - 3 can reach m - 1.  These are the
+  heavy candidates; each of order m keeps the set of det(e1, x) over the
+  rest of the support of R.
+* S' is in the family iff some heavy candidate e1 passes the membership
+  rule ``properties._eq1_line`` (the rule ``matches_eq1`` reads with):
+  its count in S' is m - 1, and its determinant set, with det(e1, u) and
+  det(e1, w) added for whichever of u, w is not e1, is one unit.
+* The tag counts the candidates of multiplicity m - 1 in S', as
+  upsilon_class counts every term of S' of that multiplicity.
+
+The rule leaves out the residue-sum condition sum x_i = 1 (mod m), because
+every landing satisfies it.  Each base is a family member, hence a
+zero-sum of length 2m - 1, and each landing is checked to have the base's
+sum (SumMismatch otherwise), so S' is a zero-sum of length 2m - 1 too.  If
+S' = e1^[m-1] * prod_{i in [1,m]} (x_i e1 + e2), its sum is
+(m - 1 + sum x_i) e1 + m e2 = (sum x_i - 1) e1, and e1 has order m, so
+S' sums to zero exactly when sum x_i = 1 (mod m).  Only an in-family
+landing of an exact move is built as a multiplicity map, to be compared
+with S.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import Counter
 
 from .enumeration import fan_out
 from .errors import (
     BudgetExceeded, PreconditionViolated, SchemaError, SumMismatch, WitnessCheckFailed,
 )
 from .groups import Elem, Group, group
-from .properties import Eq1Witness, _eq1_readings, matches_eq1
+from .properties import Eq1Witness, _eq1_line, matches_eq1
 from .report import Report, Stopwatch
 from .sequences import Sequence
 
@@ -60,21 +82,17 @@ def upsilon_class(seq: Sequence) -> UpsilonClass:
     """Membership of the family, split by uniqueness of the heavy term."""
     readings = matches_eq1(seq)
     return UpsilonClass(
-        _tag(seq.group.n, readings, seq.items()), readings[0] if readings else None
+        _tag(seq.group.n, bool(readings), (k for _, k in seq.items())),
+        readings[0] if readings else None,
     )
 
 
-def _landing_tag(grp: Group, counts: dict[Elem, int]) -> str:
-    """The tag of upsilon_class for a multiplicity map of length 2m - 1
-    (reduced elements, positive multiplicities), with no Sequence built."""
-    items = counts.items()
-    return _tag(grp.n, _eq1_readings(grp, items), items)
-
-
-def _tag(m: int, readings: list[Eq1Witness], items) -> str:
-    if not readings:
+def _tag(m: int, in_family: bool, mults) -> str:
+    """The tag of a sequence from its membership and the multiplicities of
+    its terms (those of multiplicity m - 1 at least)."""
+    if not in_family:
         return "not_in_upsilon"
-    heavy = sum(1 for _, mult in items if mult == m - 1)
+    heavy = sum(1 for k in mults if k == m - 1)
     return "unique" if heavy == 1 else "non_unique"
 
 
@@ -139,46 +157,72 @@ def _moves_twin(grp: Group, f1: Elem, f2: Elem, lemma: str) -> list[_Move]:
     ]
 
 
+def _landings(grp: Group, base: Sequence, pivots: tuple[Elem, Elem]):
+    """Every landing S' = S - t1 - t2 + u + w of the move with these pivots
+    on the base S, with u = t1 + g and w = t2 - g, as (g, u, w, tag) in the
+    order of g over grp.elements(); tag is upsilon_class(S').tag, found by
+    the rule of the module docstring.
+
+    Raises NotASubsequence if the pivots do not divide S, PreconditionViolated
+    if S is not a zero-sum of length 2m - 1 (the rule needs both), and
+    SumMismatch for a landing whose sum is not sigma(S)."""
+    m = grp.n
+    t1, t2 = pivots
+    remainder = base.remove(Sequence.from_terms(grp, pivots))
+    total = base.sigma()
+    if total != grp.zero or len(base) != 2 * m - 1:
+        raise PreconditionViolated(f"{base!r} is not a zero-sum of length {2 * m - 1}")
+    ra, rb = remainder.sigma()
+    rest = remainder.items()
+    det = grp.det
+    candidates = [(x, k) for x, k in rest if k >= m - 3]
+    lines = [
+        (e1, k, frozenset(det(e1, x) for x, _ in rest if x != e1))
+        for e1, k in candidates
+        if grp.element_order(e1) == m
+    ]
+    (a1, b1), (a2, b2) = t1, t2
+    for g in grp.elements():
+        u, w = ((a1 + g[0]) % m, (b1 + g[1]) % m), ((a2 - g[0]) % m, (b2 - g[1]) % m)
+        landed_sum = ((ra + u[0] + w[0]) % m, (rb + u[1] + w[1]) % m)
+        if landed_sum != total:
+            raise SumMismatch(f"pivots {pivots} at g={g} change the sum: {landed_sum} != {total}")
+        tag = "not_in_upsilon"
+        for e1, k, dets in lines:
+            mult = k + (u == e1) + (w == e1)
+            if mult == m - 1 and _eq1_line(
+                grp, e1, mult, dets.union([det(e1, x) for x in (u, w) if x != e1])
+            ) is not None:
+                tag = _tag(m, True, (k + (u == x) + (w == x) for x, k in candidates))
+                break
+        yield g, u, w, tag
+
+
 def _run_moves(grp, base, moves, target_nu, extra) -> tuple[dict, list]:
     """Apply every move to the base sequence for every g; returns the
     per-item offsets and cases (``_merge_accum``) and the violations.
 
-    Each landing S - t1 - t2 + (t1 + g) + (t2 - g) is a multiplicity map:
-    the remainder S - t1 - t2 and its sum are formed once per move (raising
-    NotASubsequence if the pivots do not divide S), and each g adds its two
-    terms to a copy of the remainder's map.  A landing whose sum is not
-    sigma(S) raises SumMismatch; S' = S is a comparison of maps."""
-    m = grp.n
+    The landings and their tags come from ``_landings``; S' = S is a
+    comparison of multiplicity maps, made for the in-family landings of
+    exact moves."""
     accum, counterexamples = {}, []
-    counts = dict(base.items())
-    total = base.sigma()
-    elements = grp.elements()
+    counts = Counter(dict(base.items()))
+    cases = len(grp.elements())
     for move in moves:
         achieved = set()
-        t1, t2 = move.pivots
-        remainder = base.remove(Sequence.from_terms(grp, move.pivots))
-        ra, rb = remainder.sigma()
-        rest = dict(remainder.items())
-        for g in elements:
-            u, w = grp.add(t1, g), grp.sub(t2, g)
-            landed_sum = ((ra + u[0] + w[0]) % m, (rb + u[1] + w[1]) % m)
-            if landed_sum != total:
-                raise SumMismatch(
-                    f"move {move.item} at g={g} changes the sum: "
-                    f"{landed_sum} != {total}"
-                )
-            landed = dict(rest)
-            landed[u] = landed.get(u, 0) + 1
-            landed[w] = landed.get(w, 0) + 1
-            tag = _landing_tag(grp, landed)
+        for g, u, w, tag in _landings(grp, base, move.pivots):
             if tag == "not_in_upsilon" or (target_nu and tag != "non_unique"):
                 continue
             achieved.add(g)
             bad = None
             if g not in move.stated:
                 bad = "achieved offset outside the stated set"
-            elif move.exact and landed != counts:
-                bad = "stated offset fails to restore the sequence"
+            elif move.exact:
+                landed = counts.copy()
+                landed.subtract(move.pivots)
+                landed.update((u, w))
+                if landed != counts:
+                    bad = "stated offset fails to restore the sequence"
             if bad is not None:
                 counterexamples.append(
                     {
@@ -189,7 +233,7 @@ def _run_moves(grp, base, moves, target_nu, extra) -> tuple[dict, list]:
                         **extra,
                     }
                 )
-        part = {"stated": move.stated, "achieved": achieved, "cases": len(elements)}
+        part = {"stated": move.stated, "achieved": achieved, "cases": cases}
         _merge_accum(accum, {move.item: part})
     return accum, counterexamples
 

@@ -87,6 +87,25 @@ def matches_eq1(seq: Sequence) -> list[Eq1Witness]:
     return _eq1_readings(grp, seq.items())
 
 
+def _eq1_line(grp: Group, e1: Elem, mult: int, dets) -> int | None:
+    """The membership rule of the long minimal zero-sum shape at a term e1
+    of multiplicity mult in a sequence of length 2n - 1, where dets is the
+    set of determinants det(e1, g) over the rest of the support: e1 is
+    heavy (mult = n - 1) of order n and dets is one unit d.  Returns d, or
+    None if the rule fails.
+
+    The rule says that the other terms lie on one line g0 + <e1> of a basis
+    (e1, g0): writing g = a*e1 + b*g0 gives det(e1, g) = b*det(e1, g0), so g
+    is on the line iff det(e1, g) = det(e1, g0).  It leaves out only the
+    residue-sum condition.
+    """
+    n = grp.n
+    if mult != n - 1 or len(dets) != 1 or grp.element_order(e1) != n:
+        return None
+    (d,) = dets
+    return d if grp.is_unit(d) else None
+
+
 def _eq1_readings(grp: Group, items) -> list[Eq1Witness]:
     """The readings of the multiset of length 2n - 1 given by (element,
     multiplicity) pairs: distinct reduced elements, positive
@@ -96,40 +115,33 @@ def _eq1_readings(grp: Group, items) -> list[Eq1Witness]:
     The shape forces v_{e1}(S) = n - 1 exactly, since the n coset terms
     avoid <e1>.  The residue-sum condition is invariant under shifting e2
     inside its coset (the sum moves by a multiple of n), so normalizing e2
-    as in property_a_witnesses is safe.  Candidates e1 are the terms of
-    multiplicity n - 1 and order n.  The first other term g0 fixes the
-    coset: all of g0 + <e1> has the same determinant with e1, so no other
+    as in property_a_witnesses is safe.  Candidates e1 are the terms that
+    pass ``_eq1_line``; the first other term g0 fixes the coset, and every
+    member of g0 + <e1> has the same determinant with e1, so no other
     choice of g0 finds another reading.
     """
     n = grp.n
     out = []
     for e1, mult in items:
-        if mult != n - 1 or grp.element_order(e1) != n:
+        d = _eq1_line(grp, e1, mult, {grp.det(e1, g) for g, _ in items if g != e1})
+        if d is None:
             continue
         rest = [(g, k) for g, k in items if g != e1]
         g0 = rest[0][0]
-        det = grp.det(e1, g0)
-        if not grp.is_unit(det):
+        # g = x*e1 + g0 in the basis (e1, g0), and x = det(g, g0) / d
+        inv = pow(d, -1, n)
+        coords = [(inv * (g0[1] * g[0] - g0[0] * g[1]), k) for g, k in rest]
+        # the residues are x - c for the c found below, and n of them
+        # sum to sum(x) mod n: test the sum before finding c
+        if sum(x * k for x, k in coords) % n != 1:
             continue
-        # g = x*e1 + y*g0 in the basis (e1, g0); g lies in g0 + <e1> iff y = 1
-        d = pow(det, -1, n)
-        coords = []
-        for g, k in rest:
-            if d * (e1[0] * g[1] - e1[1] * g[0]) % n != 1:
-                break
-            coords.append((d * (g0[1] * g[0] - g0[0] * g[1]), k))
-        else:
-            # the residues are x - c for the c found below, and n of them
-            # sum to sum(x) mod n: test the sum before finding c
-            if sum(x * k for x, k in coords) % n != 1:
-                continue
-            # e2 = g0 + c*e1 is the least member of the coset, so x - c is
-            # the residue of g
-            line = [((g0[0] + t * e1[0]) % n, (g0[1] + t * e1[1]) % n) for t in range(n)]
-            e2 = min(line)
-            c = line.index(e2)
-            xs = sorted(r for x, k in coords for r in [(x - c) % n] * k)
-            out.append(Eq1Witness(e1, e2, tuple(xs)))
+        # e2 = g0 + c*e1 is the least member of the coset, so x - c is
+        # the residue of g
+        line = [((g0[0] + t * e1[0]) % n, (g0[1] + t * e1[1]) % n) for t in range(n)]
+        e2 = min(line)
+        c = line.index(e2)
+        xs = sorted(r for x, k in coords for r in [(x - c) % n] * k)
+        out.append(Eq1Witness(e1, e2, tuple(xs)))
     return out
 
 

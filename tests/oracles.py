@@ -148,3 +148,10 @@ def coset_form_sample(grp: Group, rng) -> list:
     alpha = grp.random_automorphism(rng)
     p, q, r, s = alpha.p, alpha.q, alpha.r, alpha.s
     return [((p, r), N - 1)] + [((p * x + q, r * x + s), 1) for x in xs]
+
+
+def landing_sequence(base: Sequence, pivots, u, w) -> Sequence:
+    """The perturbation landing base - t1 - t2 + u + w, built as a Sequence."""
+    grp = base.group
+    rest = base.remove(Sequence.from_terms(grp, pivots))
+    return Sequence(grp, [*rest.items(), (u, 1), (w, 1)])

@@ -1,4 +1,5 @@
 import multiprocessing
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,8 +17,10 @@ from zerosum.errors import (
 from zerosum.perturbation import upsilon_class, verify_perturbation
 from zerosum.sequences import Sequence
 
-# the classifier itself, taken before a test patches the module's name
-landing_tag = perturbation._landing_tag
+from oracles import landing_sequence
+
+# the landing scan itself, taken before a test patches the module's name
+landing_scan = perturbation._landings
 
 
 def seq(n, items):
@@ -43,17 +46,23 @@ class TestUpsilonClass:
         assert cls.witness is None
 
 
+def _recording(on_landing):
+    """A stand-in for perturbation._landings that passes every landing on
+    and first calls on_landing(landing as a Sequence, tag)."""
+
+    def record(grp, base, pivots):
+        for g, u, w, tag in landing_scan(grp, base, pivots):
+            on_landing(landing_sequence(base, pivots, u, w), tag)
+            yield g, u, w, tag
+
+    return record
+
+
 def _landings(monkeypatch, base, pivots):
-    """Every landing _run_moves builds for one move, in the order of g over
-    group.elements(), read off the landing classifier's calls as
-    Sequences."""
+    """Every landing _run_moves classifies for one move, in the order of g
+    over group.elements(), as Sequences read off the landing scan."""
     seen = []
-
-    def record(grp, counts):
-        seen.append(Sequence(grp, counts.items()))
-        return landing_tag(grp, counts)
-
-    monkeypatch.setattr(perturbation, "_landing_tag", record)
+    monkeypatch.setattr(perturbation, "_landings", _recording(lambda s, tag: seen.append(s)))
     move = perturbation._Move(1, (), pivots, frozenset(), False)
     perturbation._run_moves(base.group, base, [move], False, {})
     return seen
@@ -114,18 +123,79 @@ def test_landing_tag_agrees_with_upsilon_class_on_every_landing(m, monkeypatch):
     upsilon_class gives its Sequence."""
     grp, cases = group(m), []
 
-    def record(grp_, counts):
-        tag = landing_tag(grp_, counts)
-        assert grp_ is grp
-        assert tag == upsilon_class(Sequence(grp, counts.items())).tag, counts
+    def check(landed, tag):
+        assert landed.group is grp
+        assert tag == upsilon_class(landed).tag, landed
         cases.append(tag)
-        return tag
 
-    monkeypatch.setattr(perturbation, "_landing_tag", record)
+    monkeypatch.setattr(perturbation, "_landings", _recording(check))
     for lemma in ("I", "II", "III"):
         verify_perturbation(m, lemma, jobs=1)
     assert len(cases) == LANDINGS[m]
     assert set(cases) == {"not_in_upsilon", "unique", "non_unique"}
+
+
+def _random_basis(grp, rng):
+    while True:
+        f1, f2 = rng.choice(grp.elements()), rng.choice(grp.elements())
+        if grp.is_basis(f1, f2):
+            return f1, f2
+
+
+def _random_bases(m, rng):
+    """Zero-sums of length 2m - 1 with their pivot pairs: unique-heavy and
+    twin-heavy family members on random bases, with (f1, f1) among their
+    pivots so that g = 0 gives u = w = f1 on a remainder holding f1
+    exactly m - 3 times; zero-sums with a heavy term of order below m; and
+    random zero-sums.  Every base also gets random pivot pairs."""
+    grp = group(m)
+    out = []
+    for _ in range(3):
+        f1, f2 = _random_basis(grp, rng)
+        while True:
+            xs = [rng.randrange(m) for _ in range(m - 1)]
+            xs.append((1 - sum(xs)) % m)
+            if all(xs.count(v) != m - 1 for v in xs):
+                break
+        line = [grp.add(grp.scale(x, f1), f2) for x in xs]
+        out.append((Sequence.from_terms(grp, [f1] * (m - 1) + line), [(f1, f1)]))
+        f1, f2 = _random_basis(grp, rng)
+        twin = Sequence.from_terms(grp, [f1] * (m - 1) + [f2] * (m - 1) + [grp.add(f1, f2)])
+        out.append((twin, [(f1, f1), (f2, f2), (f1, f2)]))
+    low = rng.choice([g for g in grp.elements() if grp.element_order(g) < m])
+    for head in ([low] * (m - 1), []):
+        for _ in range(2):
+            terms = head + [rng.choice(grp.elements()) for _ in range(2 * m - 2 - len(head))]
+            terms.append(grp.neg(Sequence.from_terms(grp, terms).sigma()))
+            out.append((Sequence.from_terms(grp, terms), []))
+    for base, pivots in out:
+        terms = list(base)
+        pivots += [tuple(rng.sample(terms, 2)) for _ in range(4)]
+    return out
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_landing_tags_agree_with_upsilon_class_past_the_exhaustive_range(m):
+    """Past the exhaustive range of the lemma tests: every g of random
+    pivot pairs on random bases gets the tag upsilon_class gives its
+    landing (m = 8 and 9 have non-unit determinants besides 0)."""
+    rng = random.Random(2800 + m)
+    tags = Counter()
+    for base, pivots in _random_bases(m, rng):
+        assert base.is_zero_sum() and len(base) == 2 * m - 1
+        for pair in pivots:
+            for g, u, w, tag in landing_scan(base.group, base, pair):
+                assert tag == upsilon_class(landing_sequence(base, pair, u, w)).tag, (base, pair, g)
+                tags[tag] += 1
+    assert set(tags) == {"not_in_upsilon", "unique", "non_unique"}
+
+
+def test_landings_need_a_zero_sum_base_of_length_2m_minus_1():
+    grp = group(4)
+    with pytest.raises(PreconditionViolated):
+        list(landing_scan(grp, seq(4, TWIN4[:2]), ((1, 0), (0, 1))))
+    with pytest.raises(PreconditionViolated):
+        list(landing_scan(grp, seq(4, TWIN4[:2] + (((2, 1), 1),)), ((1, 0), (0, 1))))
 
 
 # landings of lemmas I-III together: 45,166 over m = 4, 5, 6

@@ -17,7 +17,7 @@ from zerosum.properties import (
 )
 from zerosum.sequences import Sequence
 
-from oracles import naive_eq1_readings
+from oracles import landing_sequence, naive_eq1_readings
 
 
 def seq(n, terms):
@@ -117,20 +117,23 @@ def test_matches_eq1_agrees_with_oracle_on_perturbation_landings(m, monkeypatch)
     """Every sequence the perturbation lemmas I-III classify at modulus m:
     family members and near misses whose heavy term is in no basis with
     the first other term, whose terms all but one lie in a coset of the
-    heavy term's line (m = 4 and 6), or whose residues sum to other than 1."""
+    heavy term's line (m = 4 and 6), or whose residues sum to other than 1.
+    The landing scan's tag of each agrees with the oracle's readings too."""
     landings = set()
+    scan = perturbation._landings
 
-    def recording(grp, counts):
-        # classified by the oracle, so the landings do not depend on the
-        # matcher under test
-        seq = Sequence(grp, counts.items())
-        landings.add(seq)
-        if not naive_eq1_readings(seq):
-            return "not_in_upsilon"
-        heavy = sum(1 for k in counts.values() if k == m - 1)
-        return "unique" if heavy == 1 else "non_unique"
+    def recording(grp, base, pivots):
+        for g, u, w, tag in scan(grp, base, pivots):
+            seq = landing_sequence(base, pivots, u, w)
+            landings.add(seq)
+            heavy = sum(1 for _, k in seq.items() if k == m - 1)
+            if not naive_eq1_readings(seq):
+                assert tag == "not_in_upsilon", seq
+            else:
+                assert tag == ("unique" if heavy == 1 else "non_unique"), seq
+            yield g, u, w, tag
 
-    monkeypatch.setattr(perturbation, "_landing_tag", recording)
+    monkeypatch.setattr(perturbation, "_landings", recording)
     for lemma in ("I", "II", "III"):
         verify_perturbation(m, lemma, jobs=1)
     assert len(landings) > 100

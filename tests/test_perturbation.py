@@ -146,8 +146,9 @@ def _random_bases(m, rng):
     """Zero-sums of length 2m - 1 with their pivot pairs: unique-heavy and
     twin-heavy family members on random bases, with (f1, f1) among their
     pivots so that g = 0 gives u = w = f1 on a remainder holding f1
-    exactly m - 3 times; zero-sums with a heavy term of order below m; and
-    random zero-sums.  Every base also gets random pivot pairs."""
+    exactly m - 3 times; the shape of the family with a non-unit
+    determinant; zero-sums with a heavy term of order below m; and random
+    zero-sums.  Every base also gets random pivot pairs."""
     grp = group(m)
     out = []
     for _ in range(3):
@@ -162,6 +163,18 @@ def _random_bases(m, rng):
         f1, f2 = _random_basis(grp, rng)
         twin = Sequence.from_terms(grp, [f1] * (m - 1) + [f2] * (m - 1) + [grp.add(f1, f2)])
         out.append((twin, [(f1, f1), (f2, f2), (f1, f2)]))
+        # the other terms on one line of a non-unit determinant with f1:
+        # a zero-sum outside the family that a rule without its unit test
+        # would read
+        d = rng.choice([d for d in range(m) if not grp.is_unit(d)])
+        h = grp.scale(d, f2)
+        while True:
+            xs = [rng.randrange(m) for _ in range(m - 1)]
+            xs.append((1 - sum(xs)) % m)
+            line = [grp.add(grp.scale(x, f1), h) for x in xs]
+            if f1 not in line:
+                break
+        out.append((Sequence.from_terms(grp, [f1] * (m - 1) + line), []))
     low = rng.choice([g for g in grp.elements() if grp.element_order(g) < m])
     for head in ([low] * (m - 1), []):
         for _ in range(2):
@@ -170,7 +183,7 @@ def _random_bases(m, rng):
             out.append((Sequence.from_terms(grp, terms), []))
     for base, pivots in out:
         terms = list(base)
-        pivots += [tuple(rng.sample(terms, 2)) for _ in range(4)]
+        pivots.extend(tuple(rng.sample(terms, 2)) for _ in range(4))
     return out
 
 

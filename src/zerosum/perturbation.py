@@ -88,8 +88,8 @@ def upsilon_class(seq: Sequence) -> UpsilonClass:
 
 
 def _tag(m: int, in_family: bool, mults) -> str:
-    """The tag of a sequence from its membership and the multiplicities of
-    its terms (those of multiplicity m - 1 at least)."""
+    """The tag of a sequence from its membership and mults, the
+    multiplicities of its terms (at least of each that may be m - 1)."""
     if not in_family:
         return "not_in_upsilon"
     heavy = sum(1 for k in mults if k == m - 1)
@@ -202,9 +202,14 @@ def _run_moves(grp, base, moves, target_nu, extra) -> tuple[dict, list]:
     """Apply every move to the base sequence for every g; returns the
     per-item offsets and cases (``_merge_accum``) and the violations.
 
-    The landings and their tags come from ``_landings``; S' = S is a
-    comparison of multiplicity maps, made for the in-family landings of
-    exact moves."""
+    The landings and their tags come from ``_landings``: the remainder
+    S - t1 - t2 is read once per move, and each g is tagged from its two
+    new terms by the membership rule ``properties._eq1_line`` at the
+    remainder's heavy candidates.  The rule omits the residue-sum test
+    because every landing is a zero-sum of length 2m - 1, whose reading
+    sums to (sum x_i - 1) e1 (module docstring).  S' = S is a comparison
+    of multiplicity maps, made for the in-family landings of exact
+    moves."""
     accum, counterexamples = {}, []
     counts = Counter(dict(base.items()))
     cases = len(grp.elements())

@@ -89,10 +89,11 @@ def matches_eq1(seq: Sequence) -> list[Eq1Witness]:
 
 def _eq1_line(grp: Group, e1: Elem, mult: int, dets) -> int | None:
     """The membership rule of the long minimal zero-sum shape at a term e1
-    of multiplicity mult in a sequence of length 2n - 1, where dets is the
-    set of determinants det(e1, g) over the rest of the support: e1 is
-    heavy (mult = n - 1) of order n and dets is one unit d.  Returns d, or
-    None if the rule fails.
+    of multiplicity mult in a sequence of length 2n - 1, where dets are the
+    determinants det(e1, g) over the rest of the support (any iterable,
+    read only if e1 is heavy of order n): e1 is heavy (mult = n - 1) of
+    order n and dets hold one unit d.  Returns d, or None if the rule
+    fails.
 
     The rule says that the other terms lie on one line g0 + <e1> of a basis
     (e1, g0): writing g = a*e1 + b*g0 gives det(e1, g) = b*det(e1, g0), so g
@@ -100,7 +101,10 @@ def _eq1_line(grp: Group, e1: Elem, mult: int, dets) -> int | None:
     residue-sum condition.
     """
     n = grp.n
-    if mult != n - 1 or len(dets) != 1 or grp.element_order(e1) != n:
+    if mult != n - 1 or grp.element_order(e1) != n:
+        return None
+    dets = set(dets)
+    if len(dets) != 1:
         return None
     (d,) = dets
     return d if grp.is_unit(d) else None
@@ -123,7 +127,9 @@ def _eq1_readings(grp: Group, items) -> list[Eq1Witness]:
     n = grp.n
     out = []
     for e1, mult in items:
-        d = _eq1_line(grp, e1, mult, {grp.det(e1, g) for g, _ in items if g != e1})
+        if mult != n - 1:
+            continue  # the rule fails; skip building the determinants
+        d = _eq1_line(grp, e1, mult, (grp.det(e1, g) for g, _ in items if g != e1))
         if d is None:
             continue
         rest = [(g, k) for g, k in items if g != e1]

@@ -63,12 +63,12 @@ from .sequences import Sequence
 _LEMMAS = ("I", "II", "III")
 
 # a lemma-I grid of fewer residue multisets is scanned in-process at any
-# jobs.  Forking paid off at m = 7 (238 multisets: jobs=2 0.59 s against
-# 1.04 s at jobs=1, medians of 5 rounds) and not below it: m = 4 (4
-# multisets) 0.014 s against 0.004 s, m = 5 (20) 0.033 s against 0.032 s,
-# and at m = 6 (69) the two overlap, jobs=2 0.11-0.28 s against 0.17-0.26 s
-# over 12 rounds, where the pool costs two more processes (BENCH_27
-# lemma_I_fan_out)
+# jobs.  Forking pays off at m = 7 (238 multisets: jobs=2 0.36 s against
+# 0.57 s at jobs=1, medians of 16 calls) and not below it: m = 4 (4
+# multisets) and m = 5 (20) lose to the pool's start-up (BENCH_27), and at
+# m = 6 (69) a forced pool read 0.12 s against 0.09 s in-process in two
+# alternating runs and faster in a third, so no gain pays for its two
+# processes (BENCH_28 lemma_I_fan_out)
 _SERIAL_GRID = 128
 
 

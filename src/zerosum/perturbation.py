@@ -167,7 +167,6 @@ def _landings(grp: Group, base: Sequence, pivots: tuple[Elem, Elem]):
     if S is not a zero-sum of length 2m - 1 (the rule needs both), and
     SumMismatch for a landing whose sum is not sigma(S)."""
     m = grp.n
-    t1, t2 = pivots
     remainder = base.remove(Sequence.from_terms(grp, pivots))
     total = base.sigma()
     if total != grp.zero or len(base) != 2 * m - 1:
@@ -181,7 +180,7 @@ def _landings(grp: Group, base: Sequence, pivots: tuple[Elem, Elem]):
         for e1, k in candidates
         if grp.element_order(e1) == m
     ]
-    (a1, b1), (a2, b2) = t1, t2
+    (a1, b1), (a2, b2) = pivots
     for g in grp.elements():
         u, w = ((a1 + g[0]) % m, (b1 + g[1]) % m), ((a2 - g[0]) % m, (b2 - g[1]) % m)
         landed_sum = ((ra + u[0] + w[0]) % m, (rb + u[1] + w[1]) % m)

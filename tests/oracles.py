@@ -135,6 +135,32 @@ def naive_eq1_table(n: int) -> dict:
     return table
 
 
+def naive_property_a_witnesses(seq: Sequence) -> list:
+    """Every pair (e1, e2) with supp(seq) inside {e1} union (e2 + <e1>), as
+    (e1, e2) pairs in lexicographic order, looked up in
+    :func:`naive_property_a_table`."""
+    supp = set(seq.support())
+    return [(e1, e2) for e1, e2, coset in naive_property_a_table(seq.group.n)
+            if supp <= {e1} | coset]
+
+
+@functools.lru_cache(maxsize=None)
+def naive_property_a_table(n: int) -> tuple:
+    """Every basis (e1, e2) of (Z/nZ)^2 (by closure, not by determinant)
+    whose e2 is the least member of e2 + <e1>, as (e1, e2, coset) triples in
+    lexicographic order of (e1, e2), the coset built by scanning the
+    multiples of e1."""
+    grp = group(n)
+    table = []
+    for e1 in grp.elements():
+        line = [grp.scale(t, e1) for t in range(n)]
+        for e2 in grp.elements():
+            coset = frozenset(grp.add(e2, h) for h in line)
+            if e2 == min(coset) and len(subgroup_generated_by(grp, e1, e2)) == n * n:
+                table.append((e1, e2, coset))
+    return tuple(table)
+
+
 def coset_form_sample(grp: Group, rng) -> list:
     """One random member of the maximal-length minimal zero-sum family,
     e1^[N-1] prod (x_i e1 + e2) with sum x_i = 1, transported by a random

@@ -17,7 +17,12 @@ from zerosum.properties import (
 )
 from zerosum.sequences import Sequence
 
-from oracles import landing_sequence, naive_eq1_readings
+from oracles import (
+    landing_sequence,
+    naive_eq1_readings,
+    naive_property_a_witnesses,
+    random_sequence,
+)
 
 
 def seq(n, terms):
@@ -59,6 +64,40 @@ class TestPropertyA:
         for _ in range(10):
             phi = grp.random_automorphism(rng)
             assert len(property_a_witnesses(s.apply_hom(phi))) == base
+
+
+def _property_a_cases(n, rng):
+    """Every single-element support, random sequences, and partial family
+    members (copies of (1, 0) and terms of the line (0, 1) + <(1, 0)>,
+    some with one stray term), each also moved by a random automorphism."""
+    grp = group(n)
+    elems = grp.elements()
+    cases = [Sequence(grp, [(g, rng.randrange(1, n))]) for g in elems]
+    cases += [random_sequence(rng, grp, rng.randrange(1, 2 * n - 1)) for _ in range(60)]
+    for _ in range(60):
+        terms = [((1, 0), rng.randrange(n))]
+        terms += [((rng.randrange(n), 1), 1) for _ in range(rng.randrange(n + 1))]
+        if rng.random() < 0.3:
+            terms.append((rng.choice(elems), 1))
+        s = Sequence(grp, terms)
+        if len(s):
+            cases.append(s)
+    return cases + [s.apply_hom(grp.random_automorphism(rng)) for s in cases]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_property_a_witnesses_agrees_with_oracle(n):
+    """Equal witnesses in equal order (lexicographic in (e1, e2)) to the
+    oracle that tries every basis, found by closure, and every normalised
+    e2."""
+    rng = random.Random(90 + n)
+    found = missed = 0
+    for s in _property_a_cases(n, rng):
+        got = property_a_witnesses(s)
+        assert got == naive_property_a_witnesses(s), s
+        found += bool(got)
+        missed += not got
+    assert found > 0 and missed > 0
 
 
 class TestEq1:

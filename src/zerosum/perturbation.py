@@ -25,12 +25,12 @@ g is classified from u and w alone (``_landings``):
 
 * The multiplicity of x in S' is v_x(R) + [u = x] + [w = x], so only the
   terms of R of multiplicity at least m - 3 can reach m - 1.  These are the
-  heavy candidates; each of order m keeps the set of det(e1, x) over the
-  rest of the support of R.
-* S' is in the family iff some heavy candidate e1 passes the membership
-  rule ``properties._eq1_line`` (the rule ``matches_eq1`` reads with):
-  its count in S' is m - 1, and its determinant set, with det(e1, u) and
-  det(e1, w) added for whichever of u, w is not e1, is one unit.
+  heavy candidates; each keeps the set of det(e1, x) over the rest of the
+  support of R.
+* S' is in the family iff some heavy candidate e1 has count m - 1 in S'
+  and passes the line rule ``properties._line`` (the rule ``matches_eq1``
+  reads with): its determinant set, with det(e1, u) and det(e1, w) added
+  for whichever of u, w is not e1, is one unit.
 * The tag counts the candidates of multiplicity m - 1 in S', as
   upsilon_class counts every term of S' of that multiplicity.
 
@@ -39,7 +39,8 @@ every landing satisfies it.  Each base is a family member, hence a
 zero-sum of length 2m - 1, and each landing is checked to have the base's
 sum (SumMismatch otherwise), so S' is a zero-sum of length 2m - 1 too.  If
 S' = e1^[m-1] * prod_{i in [1,m]} (x_i e1 + e2), its sum is
-(m - 1 + sum x_i) e1 + m e2 = (sum x_i - 1) e1, and e1 has order m, so
+(m - 1 + sum x_i) e1 + m e2 = (sum x_i - 1) e1, and e1 has order m (the
+line rule implies it; ``properties`` docstring), so
 S' sums to zero exactly when sum x_i = 1 (mod m).  Only an in-family
 landing of an exact move is built as a multiplicity map, to be compared
 with S.
@@ -56,7 +57,7 @@ from .errors import (
     BudgetExceeded, PreconditionViolated, SchemaError, SumMismatch, WitnessCheckFailed,
 )
 from .groups import Elem, Group, group
-from .properties import Eq1Witness, _eq1_line, matches_eq1
+from .properties import Eq1Witness, _line, matches_eq1
 from .report import Report, Stopwatch
 from .sequences import Sequence
 
@@ -175,11 +176,7 @@ def _landings(grp: Group, base: Sequence, pivots: tuple[Elem, Elem]):
     rest = remainder.items()
     det = grp.det
     candidates = [(x, k) for x, k in rest if k >= m - 3]
-    lines = [
-        (e1, k, frozenset(det(e1, x) for x, _ in rest if x != e1))
-        for e1, k in candidates
-        if grp.element_order(e1) == m
-    ]
+    lines = [(e1, k, frozenset(det(e1, x) for x, _ in rest if x != e1)) for e1, k in candidates]
     (a1, b1), (a2, b2) = pivots
     for g in grp.elements():
         u, w = ((a1 + g[0]) % m, (b1 + g[1]) % m), ((a2 - g[0]) % m, (b2 - g[1]) % m)
@@ -188,9 +185,11 @@ def _landings(grp: Group, base: Sequence, pivots: tuple[Elem, Elem]):
             raise SumMismatch(f"pivots {pivots} at g={g} change the sum: {landed_sum} != {total}")
         tag = "not_in_upsilon"
         for e1, k, dets in lines:
-            mult = k + (u == e1) + (w == e1)
-            if mult == m - 1 and _eq1_line(
-                grp, e1, mult, dets.union([det(e1, x) for x in (u, w) if x != e1])
+            # on a zero-sum of length 2m - 1 the line rule implies the count
+            # m - 1 (the sum's e2-coordinate is 2m - 1 - count), but the
+            # count is the cheaper test, so it goes first
+            if k + (u == e1) + (w == e1) == m - 1 and _line(
+                grp, dets.union([det(e1, x) for x in (u, w) if x != e1])
             ) is not None:
                 tag = _tag(m, True, (k + (u == x) + (w == x) for x, k in candidates))
                 break
@@ -203,12 +202,12 @@ def _run_moves(grp, base, moves, target_nu, extra) -> tuple[dict, list]:
 
     The landings and their tags come from ``_landings``: the remainder
     S - t1 - t2 is read once per move, and each g is tagged from its two
-    new terms by the membership rule ``properties._eq1_line`` at the
-    remainder's heavy candidates.  The rule omits the residue-sum test
-    because every landing is a zero-sum of length 2m - 1, whose reading
-    sums to (sum x_i - 1) e1 (module docstring).  S' = S is a comparison
-    of multiplicity maps, made for the in-family landings of exact
-    moves."""
+    new terms by the multiplicity test and the line rule
+    ``properties._line`` at the remainder's heavy candidates.  They omit
+    the residue-sum test because every landing is a zero-sum of length
+    2m - 1, whose reading sums to (sum x_i - 1) e1 (module docstring).
+    S' = S is a comparison of multiplicity maps, made for the in-family
+    landings of exact moves."""
     accum, counterexamples = {}, []
     counts = Counter(dict(base.items()))
     cases = len(grp.elements())

@@ -14,6 +14,16 @@ statement about the shape of extremal sequences:
 
 The witness finders work on any sequence; the verify_* functions exhaust
 the relevant search space up to automorphism and report counterexamples.
+
+Properties A and B share one shape: the support minus one term e1 lies on
+one line e2 + <e1> of a basis (e1, e2).  Both read it with one rule,
+``_line``, on the determinants det(e1, g) over the rest of the support:
+writing g = a*e1 + b*g0 in a basis (e1, g0) gives det(e1, g) =
+b*det(e1, g0), so the rest lies on the line g0 + <e1> iff its determinants
+hold one value, and (e1, g0) is a basis iff that value is a unit.  The rule
+needs no test of the order of e1: if e1 = (a, b) and c = gcd(n, a, b) > 1,
+c divides every det(e1, g) = a*g[1] - b*g[0], so none is a unit.  A line
+is named by its least member (``_least_on_line``).
 """
 
 from __future__ import annotations
@@ -27,16 +37,29 @@ from .report import Report, run_search
 from .sequences import Sequence
 
 
-def _coset(grp: Group, g: Elem, e1: Elem) -> frozenset[Elem]:
-    return frozenset(grp.add(g, grp.scale(t, e1)) for t in range(grp.n))
+def _line(grp: Group, dets) -> int | None:
+    """The line rule of the module docstring: the unit d if dets, the
+    determinants det(e1, g) over the rest of the support (any iterable),
+    hold exactly one value and that value is a unit; otherwise None."""
+    dets = set(dets)
+    if len(dets) != 1:
+        return None
+    (d,) = dets
+    return d if grp.is_unit(d) else None
+
+
+def _least_on_line(grp: Group, e1: Elem, g0: Elem) -> Elem:
+    """The least member of the line g0 + <e1>."""
+    n = grp.n
+    return min(((g0[0] + t * e1[0]) % n, (g0[1] + t * e1[1]) % n) for t in range(n))
 
 
 def property_a_witnesses(seq: Sequence) -> list[tuple[Elem, Elem]]:
     """All normalized bases (e1, e2) with supp(S) inside {e1} union (e2 + <e1>).
 
     Whether (e1, e2) is a basis depends only on the coset e2 + <e1>, so e2
-    is normalized to the lexicographically least member of its coset; each
-    qualifying coset then contributes exactly one witness per e1.
+    is normalized to the least member of its coset; each qualifying coset
+    then contributes exactly one witness per e1.
     """
     if len(seq) == 0:
         raise EmptySequence("property A is about nonempty sequences")
@@ -46,17 +69,11 @@ def property_a_witnesses(seq: Sequence) -> list[tuple[Elem, Elem]]:
     for e1 in grp.max_order_elements():
         rest = [g for g in supp if g != e1]
         if rest:
-            if not grp.is_basis(e1, rest[0]):
-                continue
-            coset = _coset(grp, rest[0], e1)
-            if all(g in coset for g in rest):
-                out.append((e1, min(coset)))
+            if _line(grp, (grp.det(e1, g) for g in rest)) is not None:
+                out.append((e1, _least_on_line(grp, e1, rest[0])))
         else:
             # support is {e1} alone: any coset generating the quotient works
-            seen = set()
-            for g in grp.elements():
-                if grp.is_basis(e1, g):
-                    seen.add(min(_coset(grp, g, e1)))
+            seen = {_least_on_line(grp, e1, g) for g in grp.elements() if grp.is_basis(e1, g)}
             out.extend((e1, e2) for e2 in sorted(seen))
     return out
 
@@ -87,29 +104,6 @@ def matches_eq1(seq: Sequence) -> list[Eq1Witness]:
     return _eq1_readings(grp, seq.items())
 
 
-def _eq1_line(grp: Group, e1: Elem, mult: int, dets) -> int | None:
-    """The membership rule of the long minimal zero-sum shape at a term e1
-    of multiplicity mult in a sequence of length 2n - 1, where dets are the
-    determinants det(e1, g) over the rest of the support (any iterable,
-    read only if e1 is heavy of order n): e1 is heavy (mult = n - 1) of
-    order n and dets hold one unit d.  Returns d, or None if the rule
-    fails.
-
-    The rule says that the other terms lie on one line g0 + <e1> of a basis
-    (e1, g0): writing g = a*e1 + b*g0 gives det(e1, g) = b*det(e1, g0), so g
-    is on the line iff det(e1, g) = det(e1, g0).  It leaves out only the
-    residue-sum condition.
-    """
-    n = grp.n
-    if mult != n - 1 or grp.element_order(e1) != n:
-        return None
-    dets = set(dets)
-    if len(dets) != 1:
-        return None
-    (d,) = dets
-    return d if grp.is_unit(d) else None
-
-
 def _eq1_readings(grp: Group, items) -> list[Eq1Witness]:
     """The readings of the multiset of length 2n - 1 given by (element,
     multiplicity) pairs: distinct reduced elements, positive
@@ -117,37 +111,28 @@ def _eq1_readings(grp: Group, items) -> list[Eq1Witness]:
     in the order of their e1 in ``items``.
 
     The shape forces v_{e1}(S) = n - 1 exactly, since the n coset terms
-    avoid <e1>.  The residue-sum condition is invariant under shifting e2
-    inside its coset (the sum moves by a multiple of n), so normalizing e2
-    as in property_a_witnesses is safe.  Candidates e1 are the terms that
-    pass ``_eq1_line``; the first other term g0 fixes the coset, and every
-    member of g0 + <e1> has the same determinant with e1, so no other
-    choice of g0 finds another reading.
+    avoid <e1>.  Candidates e1 are the terms of that multiplicity that pass
+    ``_line``; the rest of the support then fixes the coset, normalized as
+    in property_a_witnesses.  The residue-sum condition does not depend on
+    the representative e2 of the coset: shifting it by e1 moves each of the
+    n residues by one, and their sum by n.
     """
     n = grp.n
     out = []
     for e1, mult in items:
         if mult != n - 1:
-            continue  # the rule fails; skip building the determinants
-        d = _eq1_line(grp, e1, mult, (grp.det(e1, g) for g, _ in items if g != e1))
+            continue  # not heavy; skip building the determinants
+        rest = [(g, k) for g, k in items if g != e1]
+        d = _line(grp, (grp.det(e1, g) for g, _ in rest))
         if d is None:
             continue
-        rest = [(g, k) for g, k in items if g != e1]
-        g0 = rest[0][0]
-        # g = x*e1 + g0 in the basis (e1, g0), and x = det(g, g0) / d
+        e2 = _least_on_line(grp, e1, rest[0][0])
+        # g = x*e1 + e2 in the basis (e1, e2), and x = det(g, e2) / d
         inv = pow(d, -1, n)
-        coords = [(inv * (g0[1] * g[0] - g0[0] * g[1]), k) for g, k in rest]
-        # the residues are x - c for the c found below, and n of them
-        # sum to sum(x) mod n: test the sum before finding c
-        if sum(x * k for x, k in coords) % n != 1:
+        xs = [(inv * grp.det(g, e2) % n, k) for g, k in rest]
+        if sum(x * k for x, k in xs) % n != 1:
             continue
-        # e2 = g0 + c*e1 is the least member of the coset, so x - c is
-        # the residue of g
-        line = [((g0[0] + t * e1[0]) % n, (g0[1] + t * e1[1]) % n) for t in range(n)]
-        e2 = min(line)
-        c = line.index(e2)
-        xs = sorted(r for x, k in coords for r in [(x - c) % n] * k)
-        out.append(Eq1Witness(e1, e2, tuple(xs)))
+        out.append(Eq1Witness(e1, e2, tuple(sorted(x for x, k in xs for _ in range(k)))))
     return out
 
 

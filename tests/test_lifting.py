@@ -201,20 +201,17 @@ def test_image_of_items_rejects_a_term_outside_the_chart():
 
 @pytest.mark.parametrize("N, seed", [(8, 11), (8, 2026), (20, 11), (20, 2026)])
 def test_image_counts_are_the_image_sequence(N, seed):
-    """image_counts equals the image taken term by term through
-    image_coords, on drawn pairs (coordinates not reduced mod N) and on
-    pairs with negative and large coordinates, and its sum is the
-    image's sum."""
+    """image_in_coords of the Sequence of drawn pairs (coordinates not
+    reduced mod N) and of pairs with negative and large coordinates equals
+    the image taken term by term through image_coords."""
     grp, rng, h = group(N), random.Random(seed), Homomorphism(N, 4)
     img = h.image_group
     wide = [[((rng.randrange(-3 * N, 3 * N), rng.randrange(-3 * N, 3 * N)), rng.randrange(1, 4))
              for _ in range(rng.randrange(1, 12))] for _ in range(200)]
     reduced = 0
     for pairs in [coset_form_sample(grp, rng) for _ in range(300)] + wide:
-        counts, total = h.image_counts(pairs)
         want = Sequence(img, [(h.image_coords(h(g)), k) for g, k in pairs])
-        assert Sequence(img, [(img.unindex(i), k) for i, k in counts.items()]) == want
-        assert total == want.sigma()
+        assert h.image_in_coords(Sequence(grp, pairs)) == want
         reduced += any(not (0 <= c < N) for g, _ in pairs for c in g)
     assert reduced > 0
 

@@ -72,17 +72,18 @@ drops those left with no candidate.
 The test is batched.  A block is cut into chunks of about _CHUNK_ROWS
 rows, and one set of array calls decides every candidate of a chunk.  The
 rows come from the transversal table; their images of P are gathered and
-sorted once per row, which gives each row's j and x.  Over the elements g
-from the chunk's least last term lo on, a row beats g where alpha(g) - x
-< 0 (alpha(g) - g for a row fixing P); the least of these over a node's
-rows marks the candidates it loses.  A row's tie candidate alpha^-1(x) is
-read off the row of alpha^-1 (Group.inverse_rows), rescanned when it is a
-candidate of the node, and marked when the tie goes against T.  The rows
-sending a candidate g to t0, for the block's candidates left, are batched
-the same way.  A chunk's memory is its rows times about 2 (n^2 - lo)
-bytes for the counting rule and 6 bytes per term of P for the images,
-about 160 bytes a row at n = 7, which the budget of the BENCH_17.json
-sweep bounds.
+sorted once per row, which gives each row's j and x.  The g that a row
+beats, {g : alpha(g) < x} ({g : alpha(g) < g} for a row fixing P), depend
+on the row and x alone, so each row reads its set off a table of bitsets
+(Group.below_sets); their union over a node's rows marks the candidates
+it loses.  A row's tie candidate alpha^-1(x) is read off the row of
+alpha^-1 (Group.inverse_rows), rescanned when it is a candidate of the
+node, and marked when the tie goes against T.  The rows sending a
+candidate g to t0, for the block's candidates left, are batched the same
+way.  A chunk's memory is its rows times 6 bytes per term of P for the
+images, a few index arrays and one set of ceil(n^2 / 64) words of the
+table for the counting rule, which the budget of the BENCH_17.json sweep
+bounds.
 
 The walk, then the fan-out.  The walk's stack holds a _Level per depth:
 the admitted (parent, g) pairs of that depth, counted and not yet built,
@@ -333,6 +334,8 @@ class _Engine:
         if up_to_symmetry:
             self.perm, self.order = grp.perm_table(), grp.orbit_tables()[1]
             self.inverse = grp.inverse_rows()
+            below = grp.below_sets()
+            self.below = below.reshape(-1, below.shape[2])  # row a's column x at a(n^2 + 1) + x
 
     def walk(self, stack: list[_Level], stats: SearchStats, out: list,
              budget: float = float("inf")) -> None:
@@ -497,7 +500,7 @@ class _Engine:
         R_P beats, ``tested[i, j]`` whether the rows through P[j] are
         tested, ``counts`` their number per node; its arrays are freed
         before the rows sending a candidate to t0 are tested."""
-        np, k = groups.np, terms.shape[1] - 1
+        np, size, k = groups.np, self.grp.size, terms.shape[1] - 1
         node, at = tested.nonzero()
         t0 = terms[node, 0]
         rows = self._rows(self.start[terms[node, at], t0], self.stabilizer[t0])[0]
@@ -524,19 +527,18 @@ class _Engine:
             c = d[np.arange(len(t)), (d != 0).argmax(axis=1)]
             won = (c < 0) | ((c == 0) & (I[:, k - 1] < g))
             t, g = owner[won], g[won]
-        del images, P  # freed before the chunk's largest array is made
-        # the g each row beats, from the least last term lo of the chunk on:
-        # alpha(g) - x < 0, or alpha(g) - g < 0 for a row fixing P (x = t0
-        # there); the least over each node's rows
-        lo = int(terms[:, -2].min())
-        beats = self.perm[rows, lo:]
-        beats -= x[:, None]
-        fixing = (first == 0).nonzero()[0]
-        beats[fixing] += x[fixing, None] - self.index[lo:]
-        lost = np.minimum.reduceat(beats, offsets, axis=0) < 0
+        # the g each row beats, {alpha(g) < x} in column x of its row of
+        # Group.below_sets, or {alpha(g) < g} in column n^2 for a row fixing
+        # P; their union per node, as bool rows (the g below P[-1] in them
+        # are no candidates, so clearing them changes nothing)
+        column = np.where(first == 0, size, x)
+        beaten = self.below.take(rows.astype(np.intp) * (size + 1) + column, axis=0)
+        beaten = np.bitwise_or.reduceat(beaten, offsets)
+        lost = np.unpackbits(beaten.view(np.uint8), axis=1, count=size, bitorder="little")
+        lost = lost.view(bool)
         if len(t):
-            lost[t, g - lo] = True  # the ties won, by node
-        cands[:, lo:] &= ~lost
+            lost[t, g] = True  # the ties won, by node
+        cands &= ~lost
 
 
 # ---------------------------------------------------------------------------

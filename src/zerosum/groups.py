@@ -2,8 +2,10 @@
 
 Elements are plain ``(a, b)`` tuples reduced mod n.  A :class:`Group` carries
 the modulus together with lazily built lookup tables (index arithmetic,
-automorphism permutation matrix) that the search code leans on.  Tables are
-sized for desk-scale moduli; nothing here is meant for n beyond a few dozen.
+automorphism permutation matrix, and per automorphism alpha the bitsets
+{g : alpha(g) < x} of the search's counting rule) that the search code
+leans on.  Tables are sized for desk-scale moduli; nothing here is meant
+for n beyond a few dozen.
 
 numpy is imported by :func:`numpy` on first use (a table build or a search)
 and bound to the module global ``np``; a run that builds no table and
@@ -62,7 +64,7 @@ class Group:
 
     __slots__ = (
         "n", "_elements", "_max_order", "_aut", "_perm", "_add_idx", "_neg_idx", "_orbits",
-        "_inverse",
+        "_inverse", "_below",
     )
 
     def __init__(self, n: int):
@@ -77,6 +79,7 @@ class Group:
         self._neg_idx: list[int] | None = None
         self._orbits: tuple[list[int], np.ndarray, np.ndarray] | None = None
         self._inverse: np.ndarray | None = None
+        self._below: np.ndarray | None = None
 
     # -- identity and comparison ------------------------------------------
 
@@ -276,6 +279,30 @@ class Group:
                 inverse.append(row[(al.s * d % n, -al.q * d % n, -al.r * d % n, al.p * d % n)])
             self._inverse = np.array(inverse, dtype=self.orbit_tables()[1].dtype)
         return self._inverse
+
+    def below_sets(self) -> np.ndarray:
+        """Bitsets of element indices, shape (|Aut|, n^2 + 1, W): entry
+        ``[a, x]`` is {g : alpha(g) < x} for x < n^2 and ``[a, n^2]`` is
+        {g : alpha(g) < g}, alpha the automorphism in row a of
+        :meth:`perm_table`.  A set is W = ceil(n^2 / 64) little-endian
+        64-bit words, g bit g % 64 of word g // 64."""
+        if self._below is None:
+            perm, size = self.perm_table(), self.size
+            table = np.zeros((len(perm), size + 1, -(-size // 64)), dtype="<u8")
+            words, flat = table.shape[2], table.reshape(-1)
+            base = np.arange(len(perm)) * table[0].size + words
+            # Column x + 1 gets the g with alpha(g) = x, one g at a time, so no
+            # |Aut| x n^2 index array is built; the prefix OR then makes it
+            # {g : alpha(g) <= x}.  Column n^2 is overwritten after.
+            for g in range(size):
+                flat[base + perm[:, g] * words + g // 64] = np.uint64(1 << g % 64)
+            body = table[:, 1:size]
+            np.bitwise_or.accumulate(body, axis=1, out=body)
+            fixing = np.packbits(perm < np.arange(size, dtype=perm.dtype), axis=1, bitorder="little")
+            table[:, size] = 0
+            table[:, size].view(np.uint8)[:, :fixing.shape[1]] = fixing
+            self._below = table
+        return self._below
 
     def transversal(self, x: int, y: int) -> slice:
         """The point transversal ``{alpha : alpha(x) = y}``, as a slice of the

@@ -183,8 +183,9 @@ class ZeroSumGuard:
         np, (count, depth, n) = groups.numpy(), layers.shape
         source, rot, unrot = word_shifts(n)
         low = int(self.k is not None)  # layer 0 of a bounded state is {0}
-        words = layers[np.arange(count)[:, None, None], np.arange(depth - low)[:, None],
-                       source[terms][:, None]]
+        # word a of layer l of state i is flat word (i depth + l) n + a
+        index = source[terms] + np.arange(count)[:, None] * (depth * n)
+        words = layers.take(index[:, None] + np.arange(0, (depth - low) * n, n)[:, None])
         rot, unrot = rot[terms][:, None, None], unrot[terms][:, None, None]
         out = layers.copy()
         out[:, low:] |= (words << rot | words >> unrot) & ((1 << n) - 1)
@@ -251,16 +252,17 @@ def _has_zero_sum(grp: Group, pairs: list[tuple[int, int]], k: int | None = None
 def _has_zero_sum_rows(grp: Group, terms, mults, k: int):
     """``_has_zero_sum`` of a batch, as a bool row: row i is the multiset of
     the indices ``terms[i, j]``, each with multiplicity ``mults[j]``.  It
-    runs the word states of the search (``fresh_rows``, ``blocked_rows``,
-    ``extend_rows``) one copy at a time, and appends at most k copies of a
-    column: past k, a copy changes no layer (layer l < k takes at most l
-    copies) and closes nothing new (the test reads j*t for j <= k)."""
-    np, guard = groups.numpy(), ZeroSumGuard(grp, k)
+    runs the word states of the search (``fresh_rows``, ``extend_rows``)
+    one copy at a time, tests each copy on the one bit of ``blocked_rows``
+    that it needs, and appends at most k copies of a column: past k, a copy
+    changes no layer (layer l < k takes at most l copies) and closes nothing
+    new (the test reads j*t for j <= k)."""
+    np, n, guard = groups.numpy(), grp.n, ZeroSumGuard(grp, k)
     layers, rows = guard.fresh_rows(len(terms)), np.arange(len(terms))
     found = np.zeros(len(terms), bool)
     steps = [terms[:, j] for j, c in enumerate(mults) for _ in range(min(c, k))]
     for i, t in enumerate(steps, 1):
-        found |= guard.blocked_rows(layers)[rows, t]
+        found |= (layers[rows, -1, t // n] >> (t % n) & 1).astype(bool)  # blocked bit t
         if i < len(steps):  # the last copy needs no update after its test
             layers = guard.extend_rows(layers, t)
     return found

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,42 @@ def test_inverse_rows_undo_their_rows(n):
     grp = group(n)
     perm, inverse = grp.perm_table(), grp.inverse_rows()
     assert (perm[inverse[:, None], perm] == np.arange(grp.size)).all()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_below_sets_match_perm_table(n):
+    """Entry [a, x] of below_sets is {g : alpha(g) < x}, and [a, n^2] is
+    {g : alpha(g) < g}, bit g % 64 of the little-endian word g // 64: read
+    here bit by bit off the word values, on every row for n <= 7 and on 256
+    sampled rows above.  n = 9 and 10 take two words."""
+    grp, size = group(n), n * n
+    perm, table = grp.perm_table(), grp.below_sets()
+    assert table.dtype == np.dtype("<u8")
+    assert table.shape == (len(perm), size + 1, -(-size // 64))
+    rows = np.arange(len(perm))
+    if n >= 8:
+        rows = np.random.default_rng(n).choice(rows, 256, replace=False)
+    g = np.arange(size)
+    bits = table[rows][:, :, g // 64] >> (g % 64).astype(np.uint64) & 1
+    images = perm[rows]
+    assert (bits[:, :size] == (images[:, None] < g[:, None])).all()
+    assert (bits[:, size] == (images < g)).all()
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_below_sets_build_has_no_large_temporary(n):
+    """The build's tracemalloc peak, the perm table built beforehand, stays
+    under twice the table itself: no |Aut| x n^2 array of indices or of
+    unpacked bits is built on the way."""
+    grp = Group(n)  # not the shared instance, so that the table is built here
+    grp.perm_table()
+    tracemalloc.start()
+    try:
+        table = grp.below_sets()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.nbytes, (peak, table.nbytes)
 
 
 def test_index_tables():

@@ -15,7 +15,6 @@ searches nothing, such as a cache hit, never loads it.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from math import gcd
 
@@ -189,17 +188,6 @@ class Group:
                                 auts.append(Automorphism(n, p, q, r, s))
             self._aut = tuple(auts)
         return self._aut
-
-    def random_automorphism(self, rng: random.Random) -> Automorphism:
-        """Uniform over GL(2, Z/nZ) by rejection; does not build the full list."""
-        n = self.n
-        while True:
-            p = rng.randrange(n)
-            q = rng.randrange(n)
-            r = rng.randrange(n)
-            s = rng.randrange(n)
-            if gcd((p * s - q * r) % n, n) == 1:
-                return Automorphism(n, p, q, r, s)
 
     # -- index encoding (hot paths) -----------------------------------------
 

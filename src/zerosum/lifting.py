@@ -129,15 +129,15 @@ def _family_rows(N: int, rng: random.Random, count: int):
 
     The stream is that of drawing, per sample, N - 1 ``rng.randrange(N)``
     for the xs (the last x makes their sum 1), then ``(p, q, r, s)`` as
-    ``Group.random_automorphism`` does: four randrange(N) per try, until
-    the determinant is a unit.  CPython's randrange(N) is getrandbits(k),
-    k = N.bit_length(), retried while it is >= N, and getrandbits(k) for
-    k <= 32 is the top k bits of one 32-bit output; getrandbits(32 * w)
-    holds w such outputs, the first in the low word.  So the values are
-    drawn in bulk, as words shifted right by 32 - k and kept below N; a
-    chunk's unused values start the next.  Which windows of four values
-    have a unit determinant is one table, so each sample's start and
-    automorphism take one short index loop."""
+    the tests' ``oracles.random_automorphism`` does: four randrange(N) per
+    try, until the determinant is a unit.  CPython's randrange(N) is
+    getrandbits(k), k = N.bit_length(), retried while it is >= N, and
+    getrandbits(k) for k <= 32 is the top k bits of one 32-bit output;
+    getrandbits(32 * w) holds w such outputs, the first in the low word.
+    So the values are drawn in bulk, as words shifted right by 32 - k and
+    kept below N; a chunk's unused values start the next.  Which windows
+    of four values have a unit determinant is one table, so each sample's
+    start and automorphism take one short index loop."""
     np = groups.numpy()
     k = N.bit_length()
     unit = np.array([gcd(d, N) == 1 for d in range(N)])

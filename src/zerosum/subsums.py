@@ -16,30 +16,20 @@ layers N_0, ..., N_{k-1}, N_l the negated sums of length <= l, the empty
 sum included, so that appending t is ``N_l | translate(N_{l-1}, -t)`` and
 the terms that would close an offender are the one int ``blocked(state)``:
 a new zero-sum must end at the added term t, which closes one iff -t is a
-sum of the others, i.e. t is in N_{k-1}.
-
-``extend(state, t, c)`` appends c copies of t in one update, so a sequence
-with few distinct terms costs one update per distinct term, not per copy.
-Both rules below are exact, since N'_l is the union of N_{l-j} - j*t over
-0 <= j <= min(c, l):
-
-- l <= c: ``N'_l = N_l | (N'_{l-1} - t)``, taken in ascending l, one
-  translate per layer (N'_{l-1} already holds every j <= l - 1);
-- l > c: ``N'_l = N_l | union_{j=1..c} (N_{l-j} - j*t)`` on the old layers,
-  since the ascending rule would admit c + 1 copies there.
-
-For c = 1 the two rules together are ``step``.  ``closes(state, t, c)``
-asks whether the c copies close an offender: some j <= min(c, k) with j*t
-in N_{k-j}, the index of j*t read off the per-n table ``multiples``; for
-c = 1 that is ``state[k-1] >> t & 1``.  With no length bound, the state is
-the one layer of all negated sums, and c copies are c successive
-translates.  Only ``_has_zero_sum`` holds int states.
+sum of the others, i.e. t is in N_{k-1}.  With no length bound, the state
+is the one layer of all negated sums.
 
 The search holds its states as words: ``fresh_rows``, ``extend_rows`` and
 ``blocked_rows`` take a batch of shape (states, layers, n), word a of a
 layer its elements (a, b) as bit b; the translate moves words, rotates bits.
-``_has_zero_sum_rows`` runs them over a batch of multisets, for propbfix
-item 1.
+
+A multiset is checked one copy at a time, by ``_has_zero_sum`` on int
+states and by ``_has_zero_sum_rows`` on a batch of words (propbfix item
+1): before each copy of t, test bit t of the blocked set, then append the
+copy.  Each appends at most k copies of a term, or n with no bound.  A
+zero-sum of length <= k holds at most k copies of t, and past k - 1
+copies a copy changes no layer (layer l < k takes at most l); with no
+bound, copy ord(t) <= n closes one, since N then holds -(ord(t) - 1)t = t.
 """
 
 from __future__ import annotations
@@ -75,13 +65,6 @@ def translations(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def multiples(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per element index t = (a, b), the indices of j*t for j = 1, ..., n."""
-    return tuple(tuple(j * (t // n) % n * n + j * (t % n) % n for j in range(1, n + 1))
-                 for t in range(n * n))
-
-
 def translate(layer: int, shift: tuple[int, ...]) -> int:
     """The set ``layer + t`` for ``shift = translations(n)[t]``: each row
     (fixed first coordinate) is rotated by b, then the rows by a."""
@@ -114,55 +97,24 @@ class ZeroSumGuard:
     docstring).  A state is an int for k = None, else a list of k layers,
     layer l holding the negated sums of length <= l."""
 
-    __slots__ = ("k", "n", "neg", "shifts", "multiples")
+    __slots__ = ("k", "n", "neg", "shifts")
 
     def __init__(self, grp: Group, k: int | None = None):
         self.k = k
         self.n = grp.n
         self.neg = grp.neg_index_table()
         self.shifts = translations(grp.n)
-        self.multiples = multiples(grp.n)
 
     def fresh(self):
         return 1 if self.k is None else [1] * self.k
 
-    def extend(self, state, t: int, c: int = 1):
-        """The state once c copies of the term of index t are appended, by
-        the two rules of the module docstring."""
-        k, shifts = self.k, self.shifts
-        shift = shifts[self.neg[t]]
-        if k is None:
-            for _ in range(c):
-                state |= translate(state, shift)
-            return state
-        top = k - 1
-        out = list(state)
-        for l in range(1, (c if c < top else top) + 1):
-            out[l] |= translate(out[l - 1], shift)
-        if c < top:
-            n, neg = self.n, self.neg
-            a, b = divmod(t, n)
-            for j in range(1, c + 1):  # j = 1 gives the term's own shift
-                far = shifts[neg[(j * a % n) * n + j * b % n]]
-                for l in range(c + 1, top + 1):
-                    out[l] |= translate(state[l - j], far)
-        return out
-
-    def closes(self, state, t: int, c: int = 1) -> bool:
-        """Would appending c copies of the term of index t close a nonempty
-        zero-sum of length <= k, i.e. is j*t in N_{k-j} for some j <=
-        min(c, k)?  j <= n suffices, as j = order(t) <= n gives 0, which
-        every layer holds."""
-        k, at = self.k, self.multiples[t]
-        if k is None:
-            for i in at[:c]:
-                if state >> i & 1:
-                    return True
-            return False
-        for j, i in enumerate(at[:c if c < k else k], 1):
-            if state[k - j] >> i & 1:
-                return True
-        return False
+    def extend(self, state, t: int):
+        """The state once one copy of the term of index t is appended:
+        ``step`` by -t, or one translate with no bound."""
+        shift = self.shifts[self.neg[t]]
+        if self.k is None:
+            return state | translate(state, shift)
+        return step(state, shift, self.k - 1)
 
     def blocked(self, state) -> int:
         """The terms whose append would close a zero-sum of length <= k."""
@@ -238,25 +190,24 @@ def subsequence_sums(seq: Sequence) -> frozenset[Elem]:
 def _has_zero_sum(grp: Group, pairs: list[tuple[int, int]], k: int | None = None) -> bool:
     """Does some nonempty subsequence of the multiset given by (index,
     multiplicity) pairs, of length <= k (any length for k = None), sum to
-    zero?  Exits at the first pair that closes one."""
+    zero?  One copy at a time, at most k (or n) of a term, as the module
+    docstring says; exits at the first copy that closes one."""
     guard = ZeroSumGuard(grp, k)
-    state = guard.fresh()
-    for t, c in pairs[:-1]:
-        if guard.closes(state, t, c):
-            return True
-        state = guard.extend(state, t, c)
-    # the last pair needs no update after its test
-    return bool(pairs) and guard.closes(state, *pairs[-1])
+    state, cap = guard.fresh(), grp.n if k is None else k
+    for t, c in pairs:
+        for _ in range(min(c, cap)):
+            if guard.blocked(state) >> t & 1:
+                return True
+            state = guard.extend(state, t)
+    return False
 
 
 def _has_zero_sum_rows(grp: Group, terms, mults, k: int):
     """``_has_zero_sum`` of a batch, as a bool row: row i is the multiset of
     the indices ``terms[i, j]``, each with multiplicity ``mults[j]``.  It
     runs the word states of the search (``fresh_rows``, ``extend_rows``)
-    one copy at a time, tests each copy on the one bit of ``blocked_rows``
-    that it needs, and appends at most k copies of a column: past k, a copy
-    changes no layer (layer l < k takes at most l copies) and closes nothing
-    new (the test reads j*t for j <= k)."""
+    by the same one-copy rule and cap, reading the one blocked bit per row
+    that it needs."""
     np, n, guard = groups.numpy(), grp.n, ZeroSumGuard(grp, k)
     layers, rows = guard.fresh_rows(len(terms)), np.arange(len(terms))
     found = np.zeros(len(terms), bool)
@@ -271,7 +222,7 @@ def _has_zero_sum_rows(grp: Group, terms, mults, k: int):
 def has_short_zero_sum(seq: Sequence, k: int | None) -> bool:
     """True iff some nonempty subsequence of length at most k (any length
     for k = None) sums to zero; k = 0 admits none, and k < 0 raises
-    InvalidRange.  The DP takes one update per distinct term."""
+    InvalidRange.  The DP appends one copy at a time (module docstring)."""
     if k is not None and k < 0:
         raise InvalidRange(f"k must be None or >= 0, got {k}")
     grp = seq.group

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import gcd
 
-from zerosum import Group, Sequence, group
+from zerosum import Automorphism, Group, Sequence, group
 
 
 def iter_submultisets(seq: Sequence):
@@ -161,17 +162,30 @@ def naive_property_a_table(n: int) -> tuple:
     return tuple(table)
 
 
+def random_automorphism(grp: Group, rng) -> Automorphism:
+    """Uniform over GL(2, Z/nZ) by rejection, four ``rng.randrange(n)`` per
+    try in the order p, q, r, s; does not build the full list."""
+    n = grp.n
+    while True:
+        p = rng.randrange(n)
+        q = rng.randrange(n)
+        r = rng.randrange(n)
+        s = rng.randrange(n)
+        if gcd((p * s - q * r) % n, n) == 1:
+            return Automorphism(n, p, q, r, s)
+
+
 def coset_form_sample(grp: Group, rng) -> list:
     """One random member of the maximal-length minimal zero-sum family,
     e1^[N-1] prod (x_i e1 + e2) with sum x_i = 1, transported by a random
     automorphism alpha, drawn one ``randrange`` at a time: the xs first,
-    then alpha by ``Group.random_automorphism``.  Returned as (element,
+    then alpha by ``random_automorphism``.  Returned as (element,
     multiplicity) pairs with alpha(e1) = (p, r) first and then alpha((x, 1))
     = (p*x + q, r*x + s) per x, coordinates not reduced mod N."""
     N = grp.n
     xs = [rng.randrange(N) for _ in range(N - 1)]
     xs.append((1 - sum(xs)) % N)
-    alpha = grp.random_automorphism(rng)
+    alpha = random_automorphism(grp, rng)
     p, q, r, s = alpha.p, alpha.q, alpha.r, alpha.s
     return [((p, r), N - 1)] + [((p * x + q, r * x + s), 1) for x in xs]
 

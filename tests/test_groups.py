@@ -166,15 +166,6 @@ def test_index_tables():
         assert neg[grp.index(g)] == grp.index(grp.neg(g))
 
 
-def test_random_automorphism_is_seed_deterministic():
-    grp = group(6)
-    rng_a, rng_b = random.Random(123), random.Random(123)
-    a = [grp.random_automorphism(rng_a) for _ in range(5)]
-    b = [grp.random_automorphism(rng_b) for _ in range(5)]
-    assert a == b
-    assert all(grp.is_unit(alpha.det) for alpha in a)
-
-
 def test_group_validation():
     with pytest.raises(ValueError):
         Group(1)

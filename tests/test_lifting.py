@@ -23,7 +23,7 @@ from zerosum.lifting import (
 from zerosum.sequences import Sequence
 from zerosum.subsums import _has_zero_sum_rows, has_short_zero_sum
 
-from oracles import coset_form_sample
+from oracles import coset_form_sample, random_automorphism
 
 
 @pytest.mark.parametrize("N, m", [(8, 3), (8, 1), (4, 4), (6, 5)])
@@ -214,6 +214,15 @@ def test_image_counts_are_the_image_sequence(N, seed):
         assert h.image_in_coords(Sequence(grp, pairs)) == want
         reduced += any(not (0 <= c < N) for g, _ in pairs for c in g)
     assert reduced > 0
+
+
+def test_random_automorphism_is_seed_deterministic():
+    grp = group(6)
+    rng_a, rng_b = random.Random(123), random.Random(123)
+    a = [random_automorphism(grp, rng_a) for _ in range(5)]
+    b = [random_automorphism(grp, rng_b) for _ in range(5)]
+    assert a == b
+    assert all(grp.is_unit(alpha.det) for alpha in a)
 
 
 @pytest.mark.parametrize("N", [8, 12, 20, 24, 28])

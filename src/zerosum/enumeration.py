@@ -19,8 +19,9 @@ min alpha(T), at least the least orbit minimum of the terms; those of P are
 >= t0 (P is canonical), so T is beaten outright when orbit_min[g] < t0.
 Otherwise only an automorphism sending a term of T to t0 yields an image
 that starts with t0; every other image starts higher.  These are the rows
-R_P of the point transversal that send a term of P to t0
-(Group.orbit_tables) and, for g not in P, the rows sending g to t0.
+R_P that send a term of P to t0 and, for g not in P, the rows sending g to
+t0: t0 is the orbit minimum of each such term, so Group.orbit_tables
+holds them.
 
 Fact: for sorted tuples A, B of equal length, A < B exactly when A has more
 copies of c, the least value whose multiplicities differ.  Proof: values
@@ -29,7 +30,7 @@ where those values end; from p on each holds its copies of c and then only
 larger values, so at position p + min(copies) the one with fewer copies
 shows a value above c while the other still shows c.  With no such c, A = B.
 
-For alpha in R_P, alpha(T) is I = sorted alpha(P) with v = alpha(g) added,
+For any alpha, alpha(T) is I = sorted alpha(P) with v = alpha(g) added,
 and T is P with g added, so their multiplicities differ by (I - P) + [v] -
 [g], where I >= P since P is canonical.
 - If I = P, the difference is [v] - [g]: alpha(T) < T iff v < g.
@@ -43,10 +44,9 @@ and T is P with g added, so their multiplicities differ by (I - P) + [v] -
   T iff I[j:] < P[j+1:] + [g]: I[j:k-1] against P[j+1:k] decides, and on a
   draw I[k-1] < g.  Each row has one such g, alpha^-1(x).
 - So v = g never rejects: both sides gain the same copy.
-For a row sending g (not in P) to t0, alpha(T) is t0 followed by sorted
-alpha(P), all of whose terms lie above t0.  If t0 occurs twice or more in
-P, T is smaller at position 1; otherwise sorted alpha(P) is compared with
-P[1:] + [g].
+A row sending g (not in P) to t0 maps no term of P to t0, so I[0] > P[0]:
+it is the case j = 0, v = x = t0 and d = cnt(t0), a tie when t0 is single
+in P.
 
 The multiplicity cut.  A row through e (alpha(e) = t0) maps cnt(e) copies
 to t0, and every other term above t0; as P is canonical, cnt(e) <= cnt(t0).
@@ -71,19 +71,19 @@ drops those left with no candidate.
 
 The test is batched.  A block is cut into chunks of about _CHUNK_ROWS
 rows, and one set of array calls decides every candidate of a chunk.  The
-rows come from the transversal table; their images of P are gathered and
+rows come from Group.orbit_tables; their images of P are gathered and
 sorted once per row, which gives each row's j and x.  The g that a row
 beats, {g : alpha(g) < x} ({g : alpha(g) < g} for a row fixing P), depend
 on the row and x alone, so each row reads its set off a table of bitsets
 (Group.below_sets); their union over a node's rows marks the candidates
-it loses.  A row's tie candidate alpha^-1(x) is read off the row of
-alpha^-1 (Group.inverse_rows), rescanned when it is a candidate of the
-node, and marked when the tie goes against T.  The rows sending a
-candidate g to t0, for the block's candidates left, are batched the same
-way.  A chunk's memory is its rows times 6 bytes per term of P for the
-images, a few index arrays and one set of ceil(n^2 / 64) words of the
-table for the counting rule, which the budget of the BENCH_17.json sweep
-bounds.
+it loses.  A row's tie candidate alpha^-1(x) is read off
+Group.inverse_table and, when it is a candidate of the node, marked if
+the tie rule (_beats) goes against T.  The rows sending a candidate g to
+t0, ties with j = 0, are batched the same way for the block's candidates
+left and decided by the same rule.  A chunk's memory is its rows times 6
+bytes per term of P for the images, a few index arrays and one set of
+ceil(n^2 / 64) words of the table for the counting rule, which the budget
+of the BENCH_17.json sweep bounds.
 
 The walk, then the fan-out.  The walk's stack holds a _Level per depth:
 the admitted (parent, g) pairs of that depth, counted and not yet built,
@@ -247,9 +247,8 @@ def _reach_rows(grp: Group, max_len: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _tables(grp: Group, canonical: bool) -> tuple:
     """The element indices, ADD, NEG and orbit_min as int16 arrays, and
-    START and STAB: the rows alpha with alpha(e) = t are order[START[e,
-    t]:][:STAB[t]], START that of Group.orbit_tables and STAB[t] =
-    START[t, t + 1] - START[t, t]."""
+    START of Group.orbit_tables and STAB: the rows alpha with alpha(e) =
+    orbit_min[e] are order[START[e]:][:STAB[e]]."""
     np, size = groups.numpy(), grp.size
     index = np.arange(size, dtype=np.int16)
     add = np.array(grp.add_index_table(), dtype=np.int16)
@@ -257,8 +256,7 @@ def _tables(grp: Group, canonical: bool) -> tuple:
     if not canonical:
         return index, add, neg, index, None, None  # the orbits of the trivial group
     orbit_min, _, start = grp.orbit_tables()
-    stabilizer = start[index, index + 1] - start[index, index]
-    return index, add, neg, np.array(orbit_min, dtype=np.int16), start, stabilizer
+    return index, add, neg, np.array(orbit_min, dtype=np.int16), start, np.diff(start)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +331,7 @@ class _Engine:
         self.index, self.add, self.neg, self.orbit_min, self.start, self.stabilizer = tables
         if up_to_symmetry:
             self.perm, self.order = grp.perm_table(), grp.orbit_tables()[1]
-            self.inverse = grp.inverse_rows()
+            self.inverse = grp.inverse_table()
             below = grp.below_sets()
             self.below = below.reshape(-1, below.shape[2])  # row a's column x at a(n^2 + 1) + x
 
@@ -476,8 +474,9 @@ class _Engine:
 
     def _test_fresh(self, terms: np.ndarray, out: np.ndarray, single: np.ndarray) -> None:
         """Clear from ``out`` each candidate g not in P, t0 single in P, that
-        a row alpha(g) = t0 beats: sorted alpha(P) < P[1:] + [g].  The pairs
-        (node, g) are batched in chunks of their own."""
+        a row alpha(g) = t0 beats: the tie with j = 0.  The pairs (node, g)
+        are batched in chunks of their own, after R_P (through _test_r_p
+        they slow the walk; ROADMAP's negative results)."""
         np, k = groups.np, terms.shape[1] - 1
         t0 = terms[:, 0]
         fresh = out & (self.orbit_min == t0[:, None]) & single[:, None]
@@ -486,12 +485,9 @@ class _Engine:
         counts = self.stabilizer[t0[node]]
         for part in _chunks(counts):
             i, c, gi = node[part], counts[part], g[part]
-            rows, offsets = self._rows(self.start[gi, t0[i]], c)
+            rows, offsets = self._rows(self.start[gi], c)
             P = terms[i].repeat(c, axis=0)
-            after = P[:, 1:]  # P[1:] + [g]
-            after[:, -1] = gi.repeat(c)
-            d = self._images(rows, P[:, :k]) - after
-            less = d[np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
+            less = _beats(self._images(rows, P[:, :k]), P, gi.repeat(c), 0)
             lost = np.logical_or.reduceat(less, offsets)
             out[i[lost], gi[lost]] = False
 
@@ -503,7 +499,7 @@ class _Engine:
         np, size, k = groups.np, self.grp.size, terms.shape[1] - 1
         node, at = tested.nonzero()
         t0 = terms[node, 0]
-        rows = self._rows(self.start[terms[node, at], t0], self.stabilizer[t0])[0]
+        rows = self._rows(self.start[terms[node, at]], self.stabilizer[t0])[0]
         P = terms.repeat(counts, axis=0)  # each row's P, then the sentinel
         images = self._images(rows, P[:, :k])
         # the first difference j of each image with P, 0 for a row fixing P
@@ -513,19 +509,14 @@ class _Engine:
         x = P[each, first]
         offsets = counts.cumsum() - counts
         # A row's one tie: g = alpha^-1(x), a candidate other than x, with x
-        # single in P[j:] and j > 0.  Then alpha(T) < T iff I[j:] < P[j+1:] +
-        # [g]: I[j:k-1] against P[j+1:k] decides, and on a draw I[k-1] < g.
+        # single in P[j:] and j > 0
         t = ((first != 0) & (P[each, first + 1] != x)).nonzero()[0]
         if len(t):
-            g = self.perm[self.inverse[rows[t]], x[t]]
+            g = self.inverse[rows[t], x[t]]
             owner = offsets.searchsorted(t, side="right") - 1
             tie = (g != x[t]) & cands[owner, g]
             t, g, owner = t[tie], g[tie], owner[tie]
-            I = images[t]
-            d = I[:, :k - 1] - P[t, 1:k]
-            d *= np.arange(k - 1) >= first[t, None]  # from j on
-            c = d[np.arange(len(t)), (d != 0).argmax(axis=1)]
-            won = (c < 0) | ((c == 0) & (I[:, k - 1] < g))
+            won = _beats(images[t], P[t], g, first[t, None])
             t, g = owner[won], g[won]
         # the g each row beats, {alpha(g) < x} in column x of its row of
         # Group.below_sets, or {alpha(g) < g} in column n^2 for a row fixing
@@ -539,6 +530,19 @@ class _Engine:
         if len(t):
             lost[t, g] = True  # the ties won, by node
         cands &= ~lost
+
+
+def _beats(images: np.ndarray, P: np.ndarray, g: np.ndarray, j) -> np.ndarray:
+    """The tie rule of the module docstring, per row: whether I[j:] <
+    P[j+1:] + [g] for the sorted images I (k terms) of the term rows P (k
+    terms, then the sentinel), the candidates g and the first differences
+    j (a column, or 0 for every row).  I[j:k-1] against P[j+1:k] decides,
+    and on a draw I[k-1] < g."""
+    np = groups.np
+    d = images - P[:, 1:]
+    d[:, -1] = images[:, -1] - g  # P[k:] is the sentinel; g takes its place
+    d *= np.arange(d.shape[1]) >= j  # from j on
+    return d[np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
 
 
 # ---------------------------------------------------------------------------

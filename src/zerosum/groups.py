@@ -1,11 +1,12 @@
 """Arithmetic for G = (Z/nZ) x (Z/nZ): elements, bases, automorphisms.
 
 Elements are plain ``(a, b)`` tuples reduced mod n.  A :class:`Group` carries
-the modulus together with lazily built lookup tables (index arithmetic,
-automorphism permutation matrix, and per automorphism alpha the bitsets
-{g : alpha(g) < x} of the search's counting rule) that the search code
-leans on.  Tables are sized for desk-scale moduli; nothing here is meant
-for n beyond a few dozen.
+the modulus together with lazily built lookup tables that the search code
+leans on: index arithmetic, the automorphisms as index permutations and
+their inverses, for each element the automorphisms that send it to its
+orbit minimum, and per automorphism alpha the bitsets {g : alpha(g) < x}
+of the search's counting rule.  Tables are sized for desk-scale moduli;
+nothing here is meant for n beyond a few dozen.
 
 numpy is imported by :func:`numpy` on first use (a table build or a search)
 and bound to the module global ``np``; a run that builds no table and
@@ -52,10 +53,6 @@ class Automorphism:
     def __call__(self, g: Elem) -> Elem:
         a, b = g
         return ((self.p * a + self.q * b) % self.n, (self.r * a + self.s * b) % self.n)
-
-    @property
-    def det(self) -> int:
-        return (self.p * self.s - self.q * self.r) % self.n
 
 
 class Group:
@@ -237,35 +234,32 @@ class Group:
         """``(orbit_min, order, start)``, built on first use.
 
         ``orbit_min[x]`` is the least index in the automorphism orbit of
-        element index x.  ``order`` is flat: segment x lists the rows of
-        :meth:`perm_table` sorted by the image of x, so the point transversal
-        ``{alpha : alpha(x) = y}`` is ``order[start[x, y]:start[x, y + 1]]``,
-        and segment x ends at ``start[x, n^2]``.
+        element index x, and ``order[start[x]:start[x + 1]]`` lists, in row
+        order, the rows of :meth:`perm_table` that send x to it: {alpha :
+        alpha(x) = orbit_min[x]}, as many as fix orbit_min[x].  So an orbit
+        holds |Aut| rows, and as the orbits are the element orders,
+        ``order`` holds d(n) |Aut| rows, d(n) the number of divisors of n.
         """
         if self._orbits is None:
             perm = self.perm_table()
+            orbit_min = perm.min(axis=0)
+            segments = [np.flatnonzero(perm[:, x] == orbit_min[x]) for x in range(self.size)]
             rows = np.int16 if len(perm) <= np.iinfo(np.int16).max else np.int32
-            order = np.empty((self.size, len(perm)), dtype=rows)
-            edges = np.arange(self.size + 1)
-            start = np.empty((self.size, self.size + 1), dtype=np.intp)
-            # column by column, so no |Aut| x n^2 int64 temporary is built
-            for x in range(self.size):
-                order[x] = perm[:, x].argsort()
-                start[x] = np.searchsorted(perm[order[x], x], edges) + x * len(perm)
-            self._orbits = (perm.min(axis=0).tolist(), order.ravel(), start)
+            start = np.zeros(self.size + 1, dtype=np.intp)
+            np.cumsum([len(segment) for segment in segments], out=start[1:])
+            self._orbits = (orbit_min.tolist(), np.concatenate(segments).astype(rows), start)
         return self._orbits
 
-    def inverse_rows(self) -> np.ndarray:
-        """``inverse_rows()[a]`` is the row of :meth:`perm_table` that holds
-        the inverse of the automorphism in row a; same dtype as ``order``."""
+    def inverse_table(self) -> np.ndarray:
+        """Entry ``[a, y]`` is alpha^-1(y), alpha the automorphism in row a
+        of :meth:`perm_table`; same shape and dtype."""
         if self._inverse is None:
-            n, auts = self.n, self.automorphisms()
-            row = {(al.p, al.q, al.r, al.s): i for i, al in enumerate(auts)}
-            inverse = []
-            for al in auts:
-                d = pow(al.det, -1, n)
-                inverse.append(row[(al.s * d % n, -al.q * d % n, -al.r * d % n, al.p * d % n)])
-            self._inverse = np.array(inverse, dtype=self.orbit_tables()[1].dtype)
+            perm = self.perm_table()
+            inverse, rows = np.empty_like(perm), np.arange(len(perm))
+            # column by column, as in below_sets: alpha(x) = y puts x at [a, y]
+            for x in range(self.size):
+                inverse[rows, perm[:, x]] = x
+            self._inverse = inverse
         return self._inverse
 
     def below_sets(self) -> np.ndarray:
@@ -291,23 +285,6 @@ class Group:
             table[:, size].view(np.uint8)[:, :fixing.shape[1]] = fixing
             self._below = table
         return self._below
-
-    def transversal(self, x: int, y: int) -> slice:
-        """The point transversal ``{alpha : alpha(x) = y}``, as a slice of the
-        flat ``order`` table of :meth:`orbit_tables`."""
-        start = self.orbit_tables()[2]
-        return slice(start[x, y], start[x, y + 1])
-
-    def images_through(self, terms: list[int], y: int) -> np.ndarray:
-        """Sorted images of the index tuple ``terms`` under the automorphisms
-        that send some term to ``y``, one row per automorphism (it sends
-        only one element to ``y``): exactly the images that contain ``y``.
-        """
-        order = self.orbit_tables()[1]  # builds the tables on first use
-        rows = np.concatenate([order[self.transversal(x, y)] for x in dict.fromkeys(terms)])
-        images = self._perm.take(rows, axis=0)[:, terms]
-        images.sort(axis=1)
-        return images
 
 
 @functools.lru_cache(maxsize=None)

@@ -95,29 +95,18 @@ def matches_eq1(seq: Sequence) -> list[Eq1Witness]:
     """All ways to read the sequence in the long minimal zero-sum shape,
     in element order of e1.
 
-    The shape forces |S| = 2n - 1; the readings themselves are
-    ``_eq1_readings``.
+    The shape forces |S| = 2n - 1 and v_{e1}(S) = n - 1 exactly, since the
+    n coset terms avoid <e1>.  Candidates e1 are the terms of that
+    multiplicity that pass ``_line``; the rest of the support then fixes
+    the coset, normalized as in property_a_witnesses.  The residue-sum
+    condition does not depend on the representative e2 of the coset:
+    shifting it by e1 moves each of the n residues by one, and their sum
+    by n.
     """
-    grp = seq.group
-    if len(seq) != 2 * grp.n - 1:
-        return []
-    return _eq1_readings(grp, seq.items())
-
-
-def _eq1_readings(grp: Group, items) -> list[Eq1Witness]:
-    """The readings of the multiset of length 2n - 1 given by (element,
-    multiplicity) pairs: distinct reduced elements, positive
-    multiplicities, in any order, read as often as needed.  Readings come
-    in the order of their e1 in ``items``.
-
-    The shape forces v_{e1}(S) = n - 1 exactly, since the n coset terms
-    avoid <e1>.  Candidates e1 are the terms of that multiplicity that pass
-    ``_line``; the rest of the support then fixes the coset, normalized as
-    in property_a_witnesses.  The residue-sum condition does not depend on
-    the representative e2 of the coset: shifting it by e1 moves each of the
-    n residues by one, and their sum by n.
-    """
+    grp, items = seq.group, seq.items()
     n = grp.n
+    if len(seq) != 2 * n - 1:
+        return []
     out = []
     for e1, mult in items:
         if mult != n - 1:

@@ -136,16 +136,20 @@ class Sequence:
         The order is lexicographic on the expanded, sorted term tuple.  Every
         image starts with the least image of some term, so the orbit minimum
         starts with m, the smallest orbit minimum over the terms, and only
-        the automorphisms sending a term onto m are compared
-        (:meth:`Group.images_through`).  Uses the group's permutation table,
-        so it is intended for small moduli.
+        the automorphisms sending a term onto m are compared: the rows of
+        :meth:`Group.orbit_tables` of the terms whose orbit minimum is m,
+        no row twice (a row sends one element to m).  Uses the group's
+        permutation table, so it is intended for small moduli.
         """
         if not self._items:
             return self
         grp = self.group
-        orbit_min = grp.orbit_tables()[0]
+        orbit_min, order, start = grp.orbit_tables()
         idxs = [grp.index(g) for g in self]
-        images = grp.images_through(idxs, min(orbit_min[x] for x in idxs))
+        least = min(orbit_min[x] for x in idxs)
+        rows = [order[start[x]:start[x + 1]] for x in dict.fromkeys(idxs) if orbit_min[x] == least]
+        images = grp.perm_table()[groups.np.concatenate(rows)[:, None], idxs]
+        images.sort(axis=1)
         best = images[groups.np.lexsort(images.T[::-1])[0]]
         return Sequence.from_terms(grp, (grp.unindex(int(i)) for i in best))
 

@@ -63,18 +63,14 @@ def naive_canonical(seq: Sequence) -> Sequence:
 def orbit_size(seq: Sequence) -> int:
     """Number of distinct sequences in the automorphism orbit.
 
-    Computed as |Aut| / |Stab|; every automorphism fixing the sequence
-    sends some term onto its first term, so the stabiliser is found among
-    :meth:`Group.images_through` for that term.  Checked against
-    :func:`naive_orbit`.
+    Computed as |Aut| / |Stab|, the stabiliser counted by applying every
+    row of :meth:`Group.perm_table` to the terms, one row at a time.
+    Checked against :func:`naive_orbit`.
     """
-    if not seq.items():
-        return 1
-    grp = seq.group
-    idxs = [grp.index(g) for g in seq]
-    images = grp.images_through(idxs, idxs[0])
-    stabiliser = int((images == idxs).all(axis=1).sum())
-    return len(grp.perm_table()) // stabiliser
+    terms = [seq.group.index(g) for g in seq]  # ascending, as the elements
+    rows = seq.group.perm_table().tolist()
+    stabiliser = sum(sorted(row[x] for x in terms) == terms for row in rows)
+    return len(rows) // stabiliser
 
 
 def naive_orbit(seq: Sequence) -> set:

@@ -236,7 +236,7 @@ def _rescanned_segments(grp, P, mask):
     """The segments of R_P after the multiplicity cut, read off P by
     counting each distinct term (none when no candidate is left): the
     reference for the engine's multiplicity cut."""
-    orbit_min = grp.orbit_tables()[0]
+    orbit_min, _, start = grp.orbit_tables()
     t0, copies, segments = P[0], P.count(P[0]), []
     if not mask:
         return segments
@@ -244,7 +244,7 @@ def _rescanned_segments(grp, P, mask):
         if orbit_min[e] == t0:
             short = copies - P.count(e)
             if short == 0 or (short == 1 and e == P[-1] and mask >> e & 1):
-                segments.append(grp.transversal(e, t0))
+                segments.append(slice(int(start[e]), int(start[e + 1])))
     return segments
 
 
@@ -282,7 +282,7 @@ def test_multiplicity_cut_matches_a_rescan():
                     if len(nodes.terms):
                         tested, _ = engine._tested(nodes.terms[:, :k], cands)
                         start, stab = engine.start, engine.stabilizer[t0]
-                        segments = [slice(int(start[T[j], t0]), int(start[T[j], t0] + stab))
+                        segments = [slice(int(start[T[j]]), int(start[T[j]] + stab))
                                     for j in tested[0].nonzero()[0]]
                     expected = _rescanned_segments(grp, T, mask & not_below)
                     assert segments == expected, (n, T, mask >> last & 1)
@@ -562,7 +562,7 @@ def test_walk_working_set_is_bounded():
     larger chunk budget, or a chunk array more per row, fails here before
     it shows in the benchmark's peak RSS (6144-row chunks read 1.2 MB)."""
     grp = group(7)
-    grp.perm_table(), grp.orbit_tables(), grp.inverse_rows(), grp.below_sets()
+    grp.perm_table(), grp.orbit_tables(), grp.inverse_table(), grp.below_sets()
     tracemalloc.start()
     try:
         assert davenport(grp, jobs=1) == 13

@@ -100,24 +100,49 @@ def test_perm_table_matches_automorphisms():
             assert row == [grp.index(alpha(g)) for g in grp.elements()]
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_orbit_tables_match_perm_table(n):
+    """Segment x of ``order`` is {alpha : alpha(x) = orbit_min[x]} in row
+    order.  The orbits are the element orders, so orbit_min[x] is the least
+    index of an element of x's order, and the table holds d(n) |Aut| rows,
+    d(n) the number of divisors of n."""
     grp = group(n)
     perm = grp.perm_table()
     orbit_min, order, start = grp.orbit_tables()
+    orders = [grp.element_order(g) for g in grp.elements()]
+    assert orbit_min == [orders.index(d) for d in orders]
+    divisors = sum(n % d == 0 for d in range(1, n + 1))
+    assert order.dtype == np.int16 and len(order) == divisors * len(perm)
+    assert start.shape == (grp.size + 1,) and start[0] == 0 and start[-1] == len(order)
     for x in range(grp.size):
-        assert orbit_min[x] == min(grp.index(alpha(grp.unindex(x))) for alpha in grp.automorphisms())
-        for y in range(grp.size):
-            sending = order[start[x, y]:start[x, y + 1]]
-            assert sorted(sending.tolist()) == np.flatnonzero(perm[:, x] == y).tolist()
-            assert order[grp.transversal(x, y)].tolist() == sending.tolist()
+        sending = np.flatnonzero(perm[:, x] == orbit_min[x])
+        assert order[start[x]:start[x + 1]].tolist() == sending.tolist()
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_inverse_rows_undo_their_rows(n):
+    """Row a of the inverse table undoes row a of the perm table."""
     grp = group(n)
-    perm, inverse = grp.perm_table(), grp.inverse_rows()
-    assert (perm[inverse[:, None], perm] == np.arange(grp.size)).all()
+    perm, inverse = grp.perm_table(), grp.inverse_table()
+    assert inverse.dtype == perm.dtype and inverse.shape == perm.shape
+    undone = np.take_along_axis(inverse, perm.astype(np.intp), axis=1)
+    assert (undone == np.arange(grp.size)).all()
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_inverse_table_build_has_no_large_temporary(n):
+    """The build's tracemalloc peak, the perm table built beforehand, stays
+    under 1.5 times the table itself: no |Aut| x n^2 array of indices is
+    built on the way."""
+    grp = Group(n)  # not the shared instance, so that the table is built here
+    grp.perm_table()
+    tracemalloc.start()
+    try:
+        table = grp.inverse_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.nbytes, (peak, table.nbytes)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

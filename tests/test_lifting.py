@@ -222,7 +222,7 @@ def test_random_automorphism_is_seed_deterministic():
     a = [random_automorphism(grp, rng_a) for _ in range(5)]
     b = [random_automorphism(grp, rng_b) for _ in range(5)]
     assert a == b
-    assert all(grp.is_unit(alpha.det) for alpha in a)
+    assert all(grp.is_basis(alpha((1, 0)), alpha((0, 1))) for alpha in a)
 
 
 @pytest.mark.parametrize("N", [8, 12, 20, 24, 28])

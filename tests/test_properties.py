@@ -7,7 +7,6 @@ from zerosum.classification import verify_casen
 from zerosum.errors import BudgetExceeded, EmptySequence, PreconditionViolated
 from zerosum.perturbation import verify_perturbation
 from zerosum.properties import (
-    _eq1_readings,
     has_property_a,
     matches_eq1,
     matches_eq2,
@@ -183,25 +182,6 @@ def test_matches_eq1_agrees_with_oracle_on_perturbation_landings(m, monkeypatch)
         assert got == naive_eq1_readings(s), s
         readings += len(got)
     assert readings > 0
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_eq1_readings_do_not_depend_on_the_order_of_the_items(n):
-    """The core reading routine gives the readings of matches_eq1, as a
-    set, whatever order the (element, multiplicity) pairs come in."""
-    rng = random.Random(70 + n)
-    grp = group(n)
-    found = 0
-    for s in _eq1_cases(n, rng):
-        want = matches_eq1(s)
-        found += len(want)
-        for _ in range(8):
-            items = list(s.items())
-            rng.shuffle(items)
-            got = _eq1_readings(grp, items)
-            assert len(got) == len(want) and set(got) == set(want), (s, items)
-            assert _eq1_readings(grp, dict(items).items()) == got
-    assert found > 0
 
 
 class TestEq2:

@@ -53,10 +53,8 @@ ALLOWED = {
     "sequences.Sequence.is_subsequence_of": "perfbench",
     "sequences.Sequence.apply_hom": "perfbench",
     "lifting.Homomorphism.image_in_coords": "perfbench",
-    # kept for ROADMAP items 3 and 9, which give them their first caller
+    # kept for ROADMAP items 3 and 9, which give it its first caller
     "sequences.Sequence.canonicalize": "items 3 and 9",
-    "groups.Group.images_through": "items 3 and 9",
-    "groups.Group.transversal": "items 3 and 9",
 }
 
 J1 = ["--jobs", "1"]

@@ -92,7 +92,6 @@ from zerosum.properties import verify_property_b
 # each the first numpy user of its process, and its value as JSON
 FIRST_CALLS = {
     "canonicalize": f"{SEQ}.canonicalize().to_json_obj()",
-    "images_through": "group(4).images_through([1, 5, 5, 6], 1).tolist()",
     "search": "json.loads(verify_property_b(3).to_json(timing=False))",
     "raw search": "[list(leaf) for leaf in enumerate_leaves("
                   "EnumSpec(3, 4, 'zero-sum-free', up_to_symmetry=False))[0]]",

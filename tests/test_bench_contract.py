@@ -21,6 +21,8 @@ import zerosum
 import zerosum.cli  # noqa: F401  (zs_traced.py loads it)
 from zerosum.groups import Group
 
+from ledger import LEDGER
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 
@@ -134,3 +136,19 @@ def test_the_scan_sees_the_workloads_calls():
     seen = {f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
     assert {"enumeration.max_length_with", "lifting.verify_propbfix_item1"} <= seen
+
+
+def test_the_counts_perfbench_expects_are_the_ledgers(bench):
+    """``perfbench/expected.py`` keeps its own copy of some ledger rows."""
+    expected = bench("expected")
+    casen, census = LEDGER["casen n=5 s=1"], LEDGER["census n=5 length=7"]
+
+    def counts(key):
+        return LEDGER[key]["orbits_scanned"], LEDGER[key]["details"]["nodes"]
+
+    assert expected.DAVENPORT_NODES == {
+        n: LEDGER[f"davenport n={n}"]["stats"]["nodes"] for n in expected.DAVENPORT_NODES}
+    assert expected.PROPERTY_B == {n: counts(f"property-b n={n}") for n in expected.PROPERTY_B}
+    assert expected.PROPERTY_C == {n: counts(f"property-c n={n}") for n in expected.PROPERTY_C}
+    assert expected.CASEN_5_1 == (*counts("casen n=5 s=1"), casen["details"]["kinds"])
+    assert (expected.CENSUS_ORBITS, expected.CENSUS_NODES) == (census["count"], census["nodes"])

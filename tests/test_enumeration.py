@@ -13,7 +13,6 @@ import pytest
 
 import zerosum
 from zerosum import enumeration, group, is_minimal_zero_sum, is_zero_sum_free, restricted_sums
-from zerosum.classification import verify_casen
 from zerosum.enumeration import (
     EnumSpec,
     ResultCache,
@@ -27,7 +26,6 @@ from zerosum.enumeration import (
     s_leq,
 )
 from zerosum.errors import BudgetExceeded, SchemaError
-from zerosum.properties import verify_property_b, verify_property_c
 from zerosum.sequences import Sequence
 
 from oracles import (
@@ -38,13 +36,8 @@ from oracles import (
     orbit_size,
     random_sequence,
 )
-
-# Exact search sizes, pinned so that a change to the orbit test or the
-# predicates cannot alter the walk unnoticed: nodes of the zero-sum-free
-# forest behind davenport(n), and (orbits, nodes) of the property B/C scans.
-DAVENPORT_NODES = {2: 2, 3: 7, 4: 68, 5: 308, 6: 7984, 7: 28211}
-PROPERTY_B = {2: (1, 3), 3: (1, 7), 4: (2, 62), 5: (5, 267), 6: (13, 6586)}
-PROPERTY_C = {2: (1, 3), 3: (1, 11), 4: (1, 115), 5: (2, 632)}
+import ledger
+from ledger import LEDGER
 
 
 def brute_force_census(n, length, keep):
@@ -441,72 +434,22 @@ def test_results_are_lex_sorted_and_deterministic_across_jobs():
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("n,nodes", sorted(DAVENPORT_NODES.items()))
-def test_davenport_node_counts_are_pinned_for_any_jobs(n, nodes):
-    runs = [
-        max_length_with(group(n), "zero-sum-free", jobs=jobs, depth_cap=n * n + 1)
-        for jobs in (1, 2)
-    ]
-    assert runs[0] == runs[1]
-    longest, stats = runs[0]
-    assert (longest + 1, stats.nodes) == (2 * n - 1, nodes)
+# the ledger's searches that the budget tests rerun: all but the two past
+# their default bounds, which together take about a second
+WALK = [key for key in LEDGER if key.split()[0] in ledger.SEARCHES
+        and key not in ("property-b n=7", "casen n=6 s=1")]
+LEAVES = [key for key in LEDGER if key.startswith("leaves ")]
 
 
-@pytest.mark.parametrize(
-    "verify,n,orbits,details",
-    [(verify_property_b, n, o, {"nodes": d}) for n, (o, d) in PROPERTY_B.items()]
-    + [
-        (verify_property_c, n, o, {"nodes": d, "without_basis_form": 0})
-        for n, (o, d) in PROPERTY_C.items()
-    ]
-    + [
-        (verify_casen, 5, 45,
-         {"nodes": 4109, "kinds": {"item1": 44, "item2": 1, "both": 0, "unclassified": 0}}),
-    ],
-)
-def test_report_counts_are_pinned_for_any_jobs(monkeypatch, verify, n, orbits, details):
-    monkeypatch.setattr(enumeration, "_SERIAL_NODES", 64)  # so that jobs=2 forks
-    one, two = (verify(n, jobs=jobs) for jobs in (1, 2))
-    assert one.to_json(timing=False) == two.to_json(timing=False)
-    assert one.passed and one.orbits_scanned == orbits
-    assert one.details == details
+def _assert_pinned(keys, jobs):
+    for key in keys:
+        assert ledger.run(key, jobs) == LEDGER[key], (jobs, key)
 
 
-# leaves of a few searches as (count, nodes, sha256 of their JSON list),
-# so that leaf order is pinned as well as the counts
-PINNED_LEAVES = [
-    (EnumSpec(5, 9, "minimal-zero-sum"), 5, 267, "da2d5ff4b09d6349"),
-    (EnumSpec(4, 6, "zero-sum-free"), 6, 68, "0c9046c5b5a9a01b"),
-    (EnumSpec(3, 6, "all"), 103, 197, "a7e0bbde67ab0808"),
-    (EnumSpec(4, 7, "zero-sum-no-short", {"k": 3}), 2, 114, "da0fe9b8ccf01ce2"),
-    (EnumSpec(3, 5, "no-short-zero-sum", {"k": 2}, up_to_symmetry=False), 360, 680,
-     "439820a0ac9ee4ae"),
-]
-
-
-def _assert_leaves_pinned(jobs):
-    for spec, count, nodes, digest in PINNED_LEAVES:
-        leaves, stats = enumeration.enumerate_leaves(spec, jobs=jobs)
-        assert (len(leaves), stats.nodes) == (count, nodes), spec
-        assert hashlib.sha256(json.dumps(leaves).encode()).hexdigest()[:16] == digest
-
-
-def _assert_walk_pinned(jobs, davenport_ns=tuple(DAVENPORT_NODES)):
-    """The pinned davenport, property B and C and casen counts, the
-    PINNED_LEAVES, and the depth cap of s_leq(group(4), 2), at ``jobs``."""
-    for n in davenport_ns:
-        longest, stats = max_length_with(group(n), "zero-sum-free", jobs=jobs)
-        assert (longest + 1, stats.nodes) == (2 * n - 1, DAVENPORT_NODES[n]), (jobs, n)
-    for n, (orbits, nodes) in PROPERTY_B.items():
-        report = verify_property_b(n, jobs=jobs)
-        assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
-    for n, (orbits, nodes) in PROPERTY_C.items():
-        report = verify_property_c(n, jobs=jobs)
-        assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
-    for n, orbits, nodes in [(4, 11, 622), (5, 45, 4109)]:
-        report = verify_casen(n, jobs=jobs)
-        assert (report.orbits_scanned, report.details["nodes"]) == (orbits, nodes)
-    _assert_leaves_pinned(jobs)
+def _assert_walk_pinned(jobs, keys=WALK):
+    """The ledger entries of ``keys`` and LEAVES, and the depth cap of
+    s_leq(group(4), 2), at ``jobs``."""
+    _assert_pinned(keys + LEAVES, jobs)
     with pytest.raises(BudgetExceeded):
         s_leq(group(4), 2, jobs=jobs)
 
@@ -532,7 +475,7 @@ def test_walk_does_not_depend_on_the_serial_budget(monkeypatch, budget):
         # blocks of 4 pairs leave pairs pending on the lower levels too, and
         # let the walk reach leaves before a budget of 64 nodes stops it
         monkeypatch.setattr(enumeration, "_BLOCK", 4)
-        _assert_leaves_pinned(jobs)
+        _assert_pinned(LEAVES, jobs)
         monkeypatch.setattr(enumeration, "_BLOCK", block)
     # jobs=1 hands no unit on; at jobs=2 davenport(7) outruns every budget
     assert {units for jobs, units in handed if jobs == 1} == {0}
@@ -548,9 +491,9 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, budget):
     cap still raises."""
     monkeypatch.setattr(enumeration, "_CHUNK_ROWS", budget)
     # 28,211 one-node chunks for davenport(7) would take seconds
-    davenport_ns = [n for n in DAVENPORT_NODES if n < 7 or budget > 1]
+    keys = [key for key in WALK if key != "davenport n=7" or budget > 1]
     for jobs in (1, 2):
-        _assert_walk_pinned(jobs, davenport_ns)
+        _assert_walk_pinned(jobs, keys)
 
 
 def test_walk_working_set_is_bounded():
@@ -570,15 +513,6 @@ def test_walk_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1_100_000, peak
-
-
-def test_casen_6_1_is_pinned():
-    """The first frontier step past the default casen bound."""
-    report = verify_casen(6, jobs=1, force=True)
-    assert report.passed and report.orbits_scanned == 183
-    assert report.details == {
-        "nodes": 88331, "kinds": {"item1": 183, "item2": 0, "both": 0, "unclassified": 0},
-    }
 
 
 def _no_fork(*args, **kwargs):
@@ -622,28 +556,9 @@ def test_tiny_searches_stay_in_process(monkeypatch):
     """A search that ends within the serial budget forks nothing at any
     jobs: the tiny ones, and the four searches of the cold cli-cache
     commands, each under 8,000 nodes."""
-    pinned = verify_property_b(3, jobs=1).to_json(timing=False)
     monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
-    report = verify_property_b(3, jobs=2)
-    assert report.to_json(timing=False) == pinned
-    assert (report.orbits_scanned, report.details["nodes"]) == PROPERTY_B[3]
-    longest, stats = max_length_with(group(2), "zero-sum-free", jobs=2)
-    assert (longest + 1, stats.nodes) == (3, DAVENPORT_NODES[2])
-    leaves, stats = enumeration.enumerate_leaves(EnumSpec(5, 7, "all"), jobs=2)
-    assert (len(leaves), stats.nodes) == (5857, 7697)
-    report = verify_casen(5, 1, jobs=2)
-    assert (report.orbits_scanned, report.details["nodes"]) == (45, 4109)
-    report = verify_property_b(6, jobs=2)
-    assert (report.orbits_scanned, report.details["nodes"]) == PROPERTY_B[6]
-    longest, stats = max_length_with(group(6), "zero-sum-free", jobs=2)
-    assert (longest + 1, stats.nodes) == (11, DAVENPORT_NODES[6])
-
-
-def test_property_b_at_7_is_pinned_for_any_jobs():
-    one, two = (verify_property_b(7, bound=7, jobs=jobs) for jobs in (1, 2))
-    assert one.to_json(timing=False) == two.to_json(timing=False)
-    assert one.passed and one.orbits_scanned == 35
-    assert one.details == {"nodes": 22385}
+    _assert_pinned(["property-b n=3", "davenport n=2", "census n=5 length=7", "casen n=5 s=1",
+                    "property-b n=6", "davenport n=6"], jobs=2)
 
 
 @pytest.mark.parametrize(

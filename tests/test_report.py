@@ -4,11 +4,8 @@ import random
 
 import pytest
 
-from zerosum.classification import verify_casen
 from zerosum.groups import group
-from zerosum.lifting import _family_rows, verify_propbfix_item1
-from zerosum.perturbation import verify_perturbation
-from zerosum.properties import verify_property_b, verify_property_c
+from zerosum.lifting import _family_rows
 from zerosum.report import Report, Stopwatch
 from zerosum.sequences import Sequence
 
@@ -41,64 +38,8 @@ def test_stopwatch_measures_something():
     assert sw.elapsed_ms >= 0
 
 
-# sha256 of to_json(timing=False), taken from a run of commit c8b2c3b, the
-# parent of the speed-ups to matches_eq1, the Sequence constructor, perturb
-# and has_short_zero_sum; a speed-up must leave these reports byte-identical
-PINNED_DIGESTS = {
-    ("perturbation", 4, "I"): "29f206d6f5f2c8854ab841aeb079994a408bbfe320e8e56e755d22684bc10491",
-    ("perturbation", 4, "II"): "cd4ad80c138659a7da8f7f73390e13eae9db1b6640af04b23e51417597687fe0",
-    ("perturbation", 4, "III"): "f58c71bb5aa2b582d5b126ab9295c5b831b31b3d1cd5cab8f56aa701563d63dd",
-    ("perturbation", 5, "I"): "bc1bd5b95e08591555d02e1b6cc20a8e210e46de7f23e87d53401ab65748ba62",
-    ("perturbation", 5, "II"): "c46efdaa139403e5ebc49eb7c7214128ba0bb392abcc34bd8d660272430c2285",
-    ("perturbation", 5, "III"): "0205789fb654600042f72925bca3566b0977a752fa00c0eb3d09aa8dd327f61a",
-    ("perturbation", 6, "I"): "e3ecf48e1f5ebbbd648e59d924952c6bf9d3188b281c63a99699d97b2c891427",
-    ("perturbation", 6, "II"): "5f388bd8c3dc8d8171a833e4c6748a8a8a84faad9fb369aa311d940cae801035",
-    ("perturbation", 6, "III"): "d5d9ade82d7e28ead7aa1d1f99c271cfc5e58783840458334e49178e028bfa10",
-    # m = 7, one past the default bound, taken from a run of commit 534e0ff,
-    # before landings were classified from their move's remainder
-    ("perturbation", 7, "I"): "c5b833d0f57783789f667585cc8a486e2b8c8622eb1a1d8e819757173b4dbeb8",
-    ("perturbation", 7, "II"): "20b0b094ab099b6c57cb881da8ced324760e4c7366428effe3b27107cdf9b725",
-    ("perturbation", 7, "III"): "5781bd525470f0a2c1b22e9e318901301cfa26675565cd981f55d57957ace52d",
-    # re-pinned when details["rejected_inputs"] left the item-1 report, after
-    # checking that each new report equals the old one with that key removed
-    ("propbfix-item1", 4, 2): "770a4ef015685faa042977919c247318d4f2b3087ff63aed391a7df572bafaaf",
-    ("propbfix-item1", 4, 5): "2fbc51379dd7043387a0f2594497a329ca56b08c54452884a1bf81155499ba71",
-    # the search-backed reports, taken from a run of commit acf4689, before
-    # their verifiers shared one report runner
-    ("property-b", 2): "ba13ce9608cb06f872538bf09e6891a8000c9797ccabd75c767b0b18b255d5ed",
-    ("property-b", 3): "5e9ba0a8d618da958f9e271099f777aeea56fb03d949f5ee9aece5dcaeb48ad6",
-    ("property-b", 4): "53956878321a919a01652208b96d73034819d3cd38cf0a71862daff0e912e490",
-    ("property-b", 5): "2ca92c9f0658c9ee03a75192d6f39a4e79d999c905097d69d76bed55d0b8adc2",
-    ("property-b", 6): "069fcb78cb11137ba67c7a2cf9f32fb84a9898f07771dc4e29b8052f64ab591d",
-    ("property-c", 2): "b4a18b7c7cd3640ba807141997cb44c145d4339ee52343da32a9c0b75bed6270",
-    ("property-c", 3): "e58fc808d6eff8d4f935ccddd727805d31ee5f7a814691adb1e401603f009cfd",
-    ("property-c", 4): "9e01c0a1f3e8a4a43586588f30b92a7a87d62336f5393ca5e0fa453be4d0be6f",
-    ("property-c", 5): "fc1778c7dd585bf3aaf5e940c2003077e0065dc3c967d5a7d00dcabf7281e4a7",
-    ("casen", 4, 1): "3559783cf4d4e5fef047dc4c59ae1cdff8c1a8b33f7e85f65310633b501d0de1",
-    ("casen", 5, 1): "1c40de93a013b7da2acd0b8fe9b555dab399992edd78a42a501c29d2176713ec",
-    ("casen", 3, 2): "0a755d0188c6d970e7eb0b5755baf223dc14cc72a85542eb6aa6d0f3acdfe561",
-    ("casen", 2, 3): "db455f7163bfebe31e8d0522fff35b7e41a09baf43779f6eba178ff817d173de",
-}
-
-
-def _pinned_report(check, *args):
-    if check == "perturbation":
-        return verify_perturbation(*args, bound=7)
-    if check == "propbfix-item1":
-        return verify_propbfix_item1(*args, samples=2000, seed=11)
-    if check == "casen":
-        return verify_casen(*args, force=True)
-    return {"property-b": verify_property_b, "property-c": verify_property_c}[check](*args)
-
-
-@pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr))
-def test_report_matches_pinned_digest(key):
-    text = _pinned_report(*key).to_json(timing=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[key]
-
-
-# a passing item-1 report lists no samples, so the digests above cannot see
-# a changed sample stream; these pin it: sha256 of the JSON list of
+# a passing item-1 report lists no samples, so its ledger entry cannot see a
+# changed sample stream; these pin it: sha256 of the JSON list of
 # to_json_obj() of the Sequences of the first 500 samples, taken from a run
 # of commit 5963332, before the samples were built in one step, when each
 # was drawn one randrange at a time; the bulk draws of _family_rows, in

@@ -71,17 +71,24 @@ drops those left with no candidate.
 
 The test is batched.  A block is cut into chunks of about _CHUNK_ROWS
 rows, and one set of array calls decides every candidate of a chunk.  The
-rows come from Group.orbit_tables; their images of P are gathered and
-sorted once per row, which gives each row's j and x.  The g that a row
-beats, {g : alpha(g) < x} ({g : alpha(g) < g} for a row fixing P), depend
-on the row and x alone, so each row reads its set off a table of bitsets
-(Group.below_sets); their union over a node's rows marks the candidates
-it loses.  A row's tie candidate alpha^-1(x) is read off
-Group.inverse_table and, when it is a candidate of the node, marked if
-the tie rule (_beats) goes against T.  The rows sending a candidate g to
-t0, ties with j = 0, are batched the same way for the block's candidates
-left and decided by the same rule.  A chunk's memory is its rows times 6
-bytes per term of P for the images, a few index arrays and one set of
+rows come from Group.orbit_tables; their sorted images of P give each
+row's j and x.  An image is below n^2, so it fits in b =
+(n^2 - 1).bit_length() bits of a uint16 key, and the row's index within a
+span of 2^(16 - b) rows (1,024 at n = 6..8) in the bits above; the rows of
+a span then hold disjoint key ranges of k keys each, and one flat sort of
+the span's keys sorts every row in place (_images).  The gain over a sort
+per row rests on numpy's SIMD sort of 16-bit keys, measured only on a CPU
+with AVX512_SPR (BENCH_35.json, which also times the designs not adopted).
+The g that a row beats, {g : alpha(g) < x} ({g : alpha(g) < g} for a row
+fixing P), depend on the row and x alone, so each row reads its set off a
+table of bitsets (Group.below_sets); their union over a node's rows marks
+the candidates it loses.  A row's tie candidate alpha^-1(x) is read off
+Group.inverse_table and, when it is a candidate of the node, marked if the
+tie rule (_beats) goes against T.  The rows sending a candidate g to t0,
+ties with j = 0, are batched the same way for the block's candidates left
+and decided by the same rule.  A chunk's memory is its rows times 6 bytes
+per term of P (the term rows, and the images twice while _images joins its
+spans), a few index arrays, the gather indices of one span and one set of
 ceil(n^2 / 64) words of the table for the counting rule, which the budget
 of the BENCH_17.json sweep bounds.
 
@@ -268,10 +275,9 @@ def _tables(grp: Group, canonical: bool) -> tuple:
 # budget of the BENCH_17.json sweep (768 to 8192 rows) that leaves the
 # search workload's peak RSS where 768-row chunks have it.
 _CHUNK_ROWS = 4096
-# Children are built _BLOCK at a time and images gathered _GATHER_ROWS
-# rows at a time, each a few hundred kB at most (BENCH_24.json).
+# Children are built _BLOCK at a time, a few hundred kB at most
+# (BENCH_24.json); _images gathers and sorts a span of rows at a time.
 _BLOCK = 512
-_GATHER_ROWS = 1024
 
 
 def _chunks(counts: np.ndarray) -> Iterator[slice]:
@@ -334,6 +340,12 @@ class _Engine:
             self.inverse = grp.inverse_table()
             below = grp.below_sets()
             self.below = below.reshape(-1, below.shape[2])  # row a's column x at a(n^2 + 1) + x
+            # _images' keys: an image in the low b bits, above them the
+            # row's index in its span of 2^(16 - b) rows
+            np, bits = groups.np, (grp.size - 1).bit_length()
+            self.keys = self.perm.view(np.uint16).ravel()
+            self.tags = np.arange(1 << (16 - bits), dtype=np.uint16)[:, None] << bits
+            self.mask = np.uint16((1 << bits) - 1)
 
     def walk(self, stack: list[_Level], stats: SearchStats, out: list,
              budget: float = float("inf")) -> None:
@@ -434,16 +446,20 @@ class _Engine:
 
     def _images(self, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """The sorted images alpha(P) for each row alpha and the term row P
-        beside it, gathered _GATHER_ROWS rows at a time."""
-        np = groups.np
+        beside it, a span of rows at a time by one flat sort of their keys
+        tagged with each row's index in the span (module docstring)."""
+        np, span = groups.np, len(self.tags)
         base = rows.astype(np.intp)[:, None]
         base *= self.grp.size
-        flat, images = self.perm.ravel(), np.empty(terms.shape, dtype=np.int16)
-        for i in range(0, len(rows), _GATHER_ROWS):
-            part = slice(i, i + _GATHER_ROWS)
-            images[part] = flat[base[part] + terms[part]]
-        images.sort(axis=1)
-        return images
+        spans = []
+        for i in range(0, len(rows), span):
+            keys = self.keys[base[i:i + span] + terms[i:i + span]]
+            keys |= self.tags[:len(keys)]
+            keys.reshape(-1).sort()
+            keys &= self.mask
+            spans.append(keys)
+        images = spans[0] if len(spans) == 1 else np.concatenate(spans)
+        return images.view(np.int16)
 
     def _admitted(self, nodes: _Nodes) -> np.ndarray:
         """The bool rows of the admitted candidates of the block's nodes: the
@@ -477,6 +493,8 @@ class _Engine:
         a row alpha(g) = t0 beats: the tie with j = 0.  The pairs (node, g)
         are batched in chunks of their own, after R_P (through _test_r_p
         they slow the walk; ROADMAP's negative results)."""
+        if not single.any():
+            return
         np, k = groups.np, terms.shape[1] - 1
         t0 = terms[:, 0]
         fresh = out & (self.orbit_min == t0[:, None]) & single[:, None]
@@ -503,18 +521,21 @@ class _Engine:
         P = terms.repeat(counts, axis=0)  # each row's P, then the sentinel
         images = self._images(rows, P[:, :k])
         # the first difference j of each image with P, 0 for a row fixing P
-        # (every image starts with t0), and the row's bound x = P[j]
-        each = np.arange(len(rows), dtype=np.int32)
+        # (every image starts with t0), and the row's bound x = P[j]; P, the
+        # tables and cands are read flat here, faster than by 2-d gathers
         first = (images != P[:, :k]).argmax(axis=1)
-        x = P[each, first]
+        pos, flat = np.arange(0, P.size, k + 1), P.ravel()  # where each P begins
+        pos += first
+        x = flat[pos]
         offsets = counts.cumsum() - counts
         # A row's one tie: g = alpha^-1(x), a candidate other than x, with x
         # single in P[j:] and j > 0
-        t = ((first != 0) & (P[each, first + 1] != x)).nonzero()[0]
+        t = ((first != 0) & (flat[pos + 1] != x)).nonzero()[0]
         if len(t):
-            g = self.inverse[rows[t], x[t]]
+            xt = x[t]
+            g = self.inverse.ravel()[rows[t].astype(np.intp) * size + xt]
             owner = offsets.searchsorted(t, side="right") - 1
-            tie = (g != x[t]) & cands[owner, g]
+            tie = (g != xt) & cands.ravel()[owner * size + g]
             t, g, owner = t[tie], g[tie], owner[tie]
             won = _beats(images[t], P[t], g, first[t, None])
             t, g = owner[won], g[won]
@@ -542,7 +563,9 @@ def _beats(images: np.ndarray, P: np.ndarray, g: np.ndarray, j) -> np.ndarray:
     d = images - P[:, 1:]
     d[:, -1] = images[:, -1] - g  # P[k:] is the sentinel; g takes its place
     d *= np.arange(d.shape[1]) >= j  # from j on
-    return d[np.arange(len(d)), (d != 0).argmax(axis=1)] < 0
+    at = (d != 0).argmax(axis=1)
+    at += np.arange(0, d.size, d.shape[1])
+    return d.ravel()[at] < 0
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,29 @@ def test_batched_sibling_test_matches_single_nodes(n, naive):
     } <= rules
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_images_match_a_gather_and_sort(n):
+    """_images sorts a span of rows at a time by one flat sort of keys
+    tagged with each row's index in its span; its rows equal the images
+    gathered off the perm table and sorted row by row, for images of b = 2
+    (n = 2) to 7 (n = 9, 10) bits, rows of 1 to 2n - 1 terms with ties, and
+    row counts on either side of the span and over several spans."""
+    grp = group(n)
+    engine = _Engine(grp, "all", {}, None, True)
+    span, perm = len(engine.tags), grp.perm_table()
+    rng = np.random.default_rng(1500 + n)
+    for k in range(1, 2 * n):
+        for count in (1, span - 1, span, span + 1, 3 * span + 7):
+            rows = rng.integers(0, len(perm), count).astype(engine.order.dtype)
+            terms = rng.integers(0, grp.size, (count, k)).astype(np.int16)
+            ties = rng.random((count, k - 1)) < 0.4
+            terms[:, 1:][ties] = terms[:, :-1][ties]  # a term repeating the one before it
+            images = engine._images(rows, terms)
+            assert images.dtype == np.int16
+            expected = np.sort(perm[rows[:, None], terms], axis=1)
+            assert np.array_equal(images, expected), (k, count)
+
+
 def _int_candidates(engine, P):
     """The candidate mask of the node P by the int guard: the terms g >=
     P[-1] with ~blocked(state), cut by reachability, or the one forced term
@@ -459,7 +482,9 @@ def test_walk_does_not_depend_on_the_serial_budget(monkeypatch, budget):
     """At jobs=2 the search walks ``budget`` nodes in-process and hands the
     pairs left on its stack to workers; a budget of one node forks for any
     search past its root.  Node and orbit counts, leaves in order and the
-    depth cap are those of jobs=1 for every budget."""
+    depth cap are those of jobs=1 for every budget.  At jobs=2 and a budget
+    of 64 nodes, test_search_entry_at_two_jobs of test_ledger checks each
+    search of the ledger, so this test checks LEAVES and the cap alone."""
     monkeypatch.setattr(enumeration, "_SERIAL_NODES", budget)
     handed = []
     fan_out = enumeration.fan_out
@@ -471,7 +496,7 @@ def test_walk_does_not_depend_on_the_serial_budget(monkeypatch, budget):
     monkeypatch.setattr(enumeration, "fan_out", recorded)
     block = enumeration._BLOCK
     for jobs in (1, 2):
-        _assert_walk_pinned(jobs)
+        _assert_walk_pinned(jobs, [] if (jobs, budget) == (2, 64) else WALK)
         # blocks of 4 pairs leave pairs pending on the lower levels too, and
         # let the walk reach leaves before a budget of 64 nodes stops it
         monkeypatch.setattr(enumeration, "_BLOCK", 4)
@@ -500,10 +525,12 @@ def test_walk_working_set_is_bounded():
     """The tracemalloc peak of davenport(7), whose group tables are built
     beforehand, stays under 1.1 MB: 0.86 MB measured with 4096-row chunks
     (for the first search in the process; 0.70 MB for a second) plus a
-    margin of about 30%, and 0.66 MB (0.60 MB) since the counting rule
-    reads Group.below_sets.  numpy reports its buffers to tracemalloc, so a
-    larger chunk budget, or a chunk array more per row, fails here before
-    it shows in the benchmark's peak RSS (6144-row chunks read 1.2 MB)."""
+    margin of about 30%, 0.66 MB (0.60 MB) since the counting rule reads
+    Group.below_sets, and 0.63 MB (0.58 MB) since _images sorts a span of
+    row-tagged 16-bit keys at a time.  numpy reports its buffers to
+    tracemalloc, so a larger chunk budget, or a chunk array more per row,
+    fails here before it shows in the benchmark's peak RSS (6144-row chunks
+    read 1.2 MB)."""
     grp = group(7)
     grp.perm_table(), grp.orbit_tables(), grp.inverse_table(), grp.below_sets()
     tracemalloc.start()
@@ -591,16 +618,6 @@ def test_unknown_predicate_rejected():
         enumerate_sequences(EnumSpec(3, 2, "no-short-zero-sum", {"bogus": 1}))
     with pytest.raises(SchemaError):
         enumerate_sequences(EnumSpec(3, 2, "no-short-zero-sum", {"k": 0}))
-
-
-@pytest.mark.parametrize("n,expected", [(2, 3), (3, 5), (4, 7), (5, 9)])
-def test_davenport_small(n, expected):
-    assert davenport(group(n)) == expected
-
-
-@pytest.mark.parametrize("n,expected", [(2, 4), (3, 7), (4, 10)])
-def test_s_leq_small(n, expected):
-    assert s_leq(group(n), n) == expected
 
 
 def test_davenport_bound_is_enforced():

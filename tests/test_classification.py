@@ -109,7 +109,22 @@ class TestClassify:
 
 
 class TestVerifyCasen:
-    # each small scan's whole report is an entry of tests/ledger.json
+    @pytest.mark.parametrize(
+        "n,s,orbits,kinds",
+        [
+            (2, 1, 1, {"item1": 1, "item2": 0, "both": 0, "unclassified": 0}),
+            (3, 1, 3, {"item1": 3, "item2": 0, "both": 0, "unclassified": 0}),
+            (4, 1, 11, {"item1": 11, "item2": 0, "both": 0, "unclassified": 0}),
+            (2, 2, 2, {"item1": 2, "item2": 0, "both": 0, "unclassified": 0}),
+            (3, 2, 8, {"item1": 8, "item2": 0, "both": 0, "unclassified": 0}),
+        ],
+    )
+    def test_small_scans(self, n, s, orbits, kinds):
+        report = verify_casen(n, s)
+        assert report.passed
+        assert report.orbits_scanned == orbits
+        assert report.details["kinds"] == kinds
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             verify_casen(6, 1)

@@ -620,6 +620,16 @@ def test_unknown_predicate_rejected():
         enumerate_sequences(EnumSpec(3, 2, "no-short-zero-sum", {"k": 0}))
 
 
+@pytest.mark.parametrize("n,expected", [(2, 3), (3, 5), (4, 7), (5, 9)])
+def test_davenport_small(n, expected):
+    assert davenport(group(n)) == expected
+
+
+@pytest.mark.parametrize("n,expected", [(2, 4), (3, 7), (4, 10)])
+def test_s_leq_small(n, expected):
+    assert s_leq(group(n), n) == expected
+
+
 def test_davenport_bound_is_enforced():
     with pytest.raises(BudgetExceeded):
         davenport(group(8))

@@ -21,9 +21,7 @@ import dataclasses
 from math import gcd
 
 from .enumeration import EnumSpec, ResultCache
-from .errors import (
-    BudgetExceeded, InvalidCounts, InvalidX, PreconditionViolated, WitnessCheckFailed,
-)
+from .errors import InvalidCounts, InvalidX, PreconditionViolated, WitnessCheckFailed
 from .groups import Elem, group
 from .properties import has_property_a, property_a_witnesses
 from .report import Report, run_search
@@ -194,26 +192,16 @@ def verify_casen(
     n: int,
     s: int = 1,
     *,
-    force: bool = False,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> Report:
     """Exhaustively classify every zero-sum sequence of length (2+s)n - 1
     over (Z/nZ)^2 with no zero-sum subsequence shorter than n.
 
-    Counterexamples are the sequences matching neither shape.  The scan is
-    limited to n <= 5 for s = 1 and n <= 3 for s = 2 unless forced.
+    Counterexamples are the sequences matching neither shape.
     """
-    if n < 2:
-        raise PreconditionViolated(f"casen needs n >= 2, got {n}")
     if s < 1:
         raise PreconditionViolated(f"s must be >= 1, got {s}")
-    within = (s == 1 and n <= 5) or (s == 2 and n <= 3)
-    if not within and not force:
-        raise BudgetExceeded(
-            f"casen scan for n={n}, s={s} exceeds the default budget; "
-            "pass force=True to run it anyway"
-        )
 
     def classify(reps: list[Sequence]) -> tuple[list, dict]:
         kinds = {"item1": 0, "item2": 0, "both": 0, "unclassified": 0}

@@ -6,8 +6,9 @@ passed, 1 counterexample found, 2 usage, parse, output or cache error, 3
 search budget exceeded.
 
 Every subcommand is registered by ``@command(parent, name, *options,
-jobs=..., cache=...)`` on a body that takes its own options and returns a
-Report (exit 1 if it has counterexamples, else 0) or ``(obj, exit_code)``.
+jobs=..., cache=..., budget=...)`` on a body that takes its own options and
+returns a Report (exit 1 if it has counterexamples, else 0) or ``(obj,
+exit_code)``.
 The helper adds ``--pretty``/``--output``, plus ``--jobs`` (default: all
 cores) with ``jobs`` and ``--cache-dir``/``--no-cache`` with ``cache``, in
 which case the body gets the resolved ``cache``.  ``jobs`` may instead be
@@ -15,6 +16,14 @@ a predicate on the parsed options: where it is false, the body gets no
 ``jobs``, ``config`` records none, and an explicit ``--jobs`` exits 2.  It
 builds ``config``, maps package errors to exit codes 2 and 3, writes the
 JSON and exits.
+
+``budget`` is a predicate on the parsed options, the default search budget:
+with it the helper adds ``--force``, and where the predicate is false and
+``--force`` is absent it exits 3 before it resolves the cache or runs the
+body.  The budgets live here, one beside each registration; the package
+runs any size asked.  Its own BudgetExceeded are not budgets: the search's
+depth cap (a search that would never end), the exhaustive propbfix
+population's mn <= 8 (no override) and decomposition's cap.
 """
 
 from __future__ import annotations
@@ -69,11 +78,6 @@ def int_opt(flag: str, low: int, **attrs):
     return click.option(flag, type=click.IntRange(min=low), **attrs)
 
 
-def bound_opt(fn, **attrs):
-    """``--bound``, defaulting to the ``bound`` in ``fn``'s signature."""
-    return int_opt("--bound", 1, default=fn.__kwdefaults__["bound"], **attrs)
-
-
 n_opt = int_opt("--n", 2, required=True, help="Group modulus.")
 jobs_opt = int_opt("--jobs", 1, default=None,
                    help="Worker processes (default: all cores); a small search stays "
@@ -81,9 +85,14 @@ jobs_opt = int_opt("--jobs", 1, default=None,
 cache_dir_opt = click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
                              help="Result cache directory (default: $ZS_CACHE or ./.zs-cache).")
 no_cache_opt = click.option("--no-cache", is_flag=True, help="Disable the result cache.")
+force_opt = click.option("--force", is_flag=True, help="Run past the default search budget.")
 pretty_opt = click.option("--pretty", is_flag=True, help="Indent the JSON output.")
 output_opt = click.option("--output", type=click.Path(dir_okay=False), default=None,
                           help="Write the report to a file instead of stdout.")
+
+
+# the helper's own options, which a budget error does not show
+_NOT_SHOWN = {"jobs", "cache_dir", "no_cache"}
 
 
 def _fail(exc: Exception, message: str, code: int) -> int:
@@ -116,12 +125,13 @@ def _execute(body, params: dict, config: dict, pretty: bool, output: str | None)
 
 
 def command(parent: click.Group, name: str, *options,
-            jobs: bool | Callable[[dict], bool] = False, cache: bool = False):
+            jobs: bool | Callable[[dict], bool] = False, cache: bool = False,
+            budget: Callable[[dict], bool] | None = None):
     """Register the decorated body as subcommand ``name`` of ``parent``
     (see the module docstring)."""
     subcommand = name if parent is main else f"{parent.name} {name}"
-    options += ((jobs_opt,) if jobs else ()) + ((cache_dir_opt, no_cache_opt) if cache else ())
-    options += (pretty_opt, output_opt)
+    options += ((force_opt,) if budget else ()) + ((jobs_opt,) if jobs else ())
+    options += ((cache_dir_opt, no_cache_opt) if cache else ()) + (pretty_opt, output_opt)
 
     def register(body):
         def run(pretty: bool, output: str | None, **params) -> None:
@@ -132,6 +142,12 @@ def command(parent: click.Group, name: str, *options,
             elif jobs:
                 params["jobs"] = params["jobs"] or os.cpu_count() or 1
             config = {"subcommand": subcommand, **params}
+            if budget and not params.pop("force") and not budget(params):
+                shown = ", ".join(f"{opt.name}={params[opt.name]}" for opt in cmd.params
+                                  if opt.name in params and opt.name not in _NOT_SHOWN)
+                exc = BudgetExceeded(f"{subcommand} with {shown} exceeds the default search "
+                                     "budget; pass --force to run it anyway")
+                sys.exit(_fail(exc, str(exc), EXIT_BUDGET))
             if cache:
                 params["cache"] = resolve_cache(
                     params.pop("cache_dir"), enabled=not params.pop("no_cache"))
@@ -139,7 +155,8 @@ def command(parent: click.Group, name: str, *options,
 
         for opt in reversed(options):
             run = opt(run)
-        return parent.command(name, help=body.__doc__)(run)
+        cmd = parent.command(name, help=body.__doc__)(run)
+        return cmd
 
     return register
 
@@ -158,22 +175,20 @@ for grp in (construct_grp, verify_grp, cache_grp):
     main.add_command(grp)
 
 
-@command(main, "davenport", n_opt,
-         bound_opt(davenport, help="Largest modulus the search budget admits."),
-         jobs=True, cache=True)
-def davenport_cmd(n, bound, jobs, cache):
+@command(main, "davenport", n_opt, jobs=True, cache=True,
+         budget=lambda opts: opts["n"] <= 7)
+def davenport_cmd(n, jobs, cache):
     """Davenport constant of (Z/NZ)^2."""
-    value = davenport(group(n), bound=bound, jobs=jobs, cache=cache)
+    value = davenport(group(n), jobs=jobs, cache=cache)
     return {"check": "davenport", "n": n, "value": value}, EXIT_PASS
 
 
 @command(main, "sleq", n_opt,
          int_opt("--k", 1, required=True, help="Zero-sum length threshold."),
-         bound_opt(s_leq, help="Largest modulus the search budget admits."),
-         jobs=True, cache=True)
-def sleq_cmd(n, k, bound, jobs, cache):
+         jobs=True, cache=True, budget=lambda opts: opts["n"] <= 5)
+def sleq_cmd(n, k, jobs, cache):
     """Least length forcing a nonempty zero-sum subsequence of length <= k."""
-    value = s_leq(group(n), k, bound=bound, jobs=jobs, cache=cache)
+    value = s_leq(group(n), k, jobs=jobs, cache=cache)
     return {"check": "sleq", "n": n, "k": k, "value": value}, EXIT_PASS
 
 
@@ -221,36 +236,37 @@ def construct_exceptional_cmd(n, x, a, b, c):
     return {"check": "construct-exceptional", "sequence": seq.to_json_obj()}, EXIT_PASS
 
 
-@command(verify_grp, "property-b", n_opt, bound_opt(verify_property_b),
-         jobs=True, cache=True)
-def property_b_cmd(n, bound, jobs, cache):
+@command(verify_grp, "property-b", n_opt, jobs=True, cache=True,
+         budget=lambda opts: opts["n"] <= 6)
+def property_b_cmd(n, jobs, cache):
     """Every maximal-length minimal zero-sum has the one-coset form."""
-    return verify_property_b(n, bound=bound, jobs=jobs, cache=cache)
+    return verify_property_b(n, jobs=jobs, cache=cache)
 
 
-@command(verify_grp, "property-c", n_opt, bound_opt(verify_property_c),
-         jobs=True, cache=True)
-def property_c_cmd(n, bound, jobs, cache):
+@command(verify_grp, "property-c", n_opt, jobs=True, cache=True,
+         budget=lambda opts: opts["n"] <= 5)
+def property_c_cmd(n, jobs, cache):
     """Three-heavy-element profile at length 3(n-1) without short zero-sums."""
-    return verify_property_c(n, bound=bound, jobs=jobs, cache=cache)
+    return verify_property_c(n, jobs=jobs, cache=cache)
 
 
 @command(verify_grp, "casen", n_opt,
          int_opt("--s", 1, default=1, help="Length excess in multiples of n."),
-         click.option("--force", is_flag=True, help="Ignore the built-in budget guard."),
-         jobs=True, cache=True)
-def casen_cmd(n, s, force, jobs, cache):
+         jobs=True, cache=True,
+         budget=lambda opts: ((opts["s"] == 1 and opts["n"] <= 5)
+                              or (opts["s"] == 2 and opts["n"] <= 3)))
+def casen_cmd(n, s, jobs, cache):
     """Classify every qualifying zero-sum of length (2+s)n-1."""
-    return verify_casen(n, s, force=force, jobs=jobs, cache=cache)
+    return verify_casen(n, s, jobs=jobs, cache=cache)
 
 
 @command(verify_grp, "perturbation",
          int_opt("--m", 2, required=True, help="Group modulus."),
          click.option("--lemma", required=True, type=click.Choice(["I", "II", "III"])),
-         bound_opt(verify_perturbation), jobs=True)
-def perturbation_cmd(m, lemma, bound, jobs):
+         jobs=True, budget=lambda opts: opts["m"] <= 6)
+def perturbation_cmd(m, lemma, jobs):
     """Pairwise-move offsets around the maximal-length family."""
-    return verify_perturbation(m, lemma, bound=bound, jobs=jobs)
+    return verify_perturbation(m, lemma, jobs=jobs)
 
 
 @command(verify_grp, "propbfix",

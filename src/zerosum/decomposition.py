@@ -28,7 +28,8 @@ from .groups import Elem
 from .sequences import Sequence
 from .subsums import find_zero_sum_subsequence, has_short_zero_sum, is_minimal_zero_sum
 
-# the exhaustive stream raises BudgetExceeded past this many decompositions
+# the exhaustive stream raises BudgetExceeded past this many decompositions;
+# a cap of this module's own, which the CLI never reaches
 _MAX_DECOMPOSITIONS = 10_000
 
 

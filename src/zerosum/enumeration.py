@@ -383,7 +383,8 @@ class _Engine:
 
     def _check_depth(self, depth: int) -> None:
         """Nodes of this depth are about to be expanded: raise
-        BudgetExceeded at the depth cap."""
+        BudgetExceeded at the depth cap.  Not a search budget (those are
+        the CLI's): it stops a search that would never end."""
         if self.depth_cap is not None and depth >= self.depth_cap:
             raise BudgetExceeded(
                 f"search depth cap {self.depth_cap} reached; the maximum may "
@@ -821,18 +822,12 @@ def _cached_max_length_plus_one(
     params: dict,
     predicate: str,
     *,
-    bound: int,
     jobs: int,
     cache: ResultCache | None,
     depth_cap: int,
 ) -> int:
     """1 + the longest length satisfying ``predicate`` with ``params``,
-    cached under ``{"op": op, "n": n, **params}``; moduli above ``bound``
-    raise BudgetExceeded."""
-    if grp.n > bound:
-        raise BudgetExceeded(
-            f"{op} search for n={grp.n} exceeds the exhaustive bound {bound}"
-        )
+    cached under ``{"op": op, "n": n, **params}``."""
 
     def search() -> tuple[int, SearchStats]:
         longest, stats = max_length_with(grp, predicate, params, jobs=jobs, depth_cap=depth_cap)
@@ -844,18 +839,17 @@ def _cached_max_length_plus_one(
 def davenport(
     grp: Group,
     *,
-    bound: int = 7,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> int:
     """Davenport constant: 1 + the longest zero-sum free length.
 
     Computed by exhausting the zero-sum-free search forest; no closed
-    formula is consulted.  Moduli above ``bound`` raise BudgetExceeded.
+    formula is consulted.
     """
     return _cached_max_length_plus_one(
         grp, "davenport", {}, "zero-sum-free",
-        bound=bound, jobs=jobs, cache=cache, depth_cap=grp.size + 1,
+        jobs=jobs, cache=cache, depth_cap=grp.size + 1,
     )
 
 
@@ -863,7 +857,6 @@ def s_leq(
     grp: Group,
     k: int,
     *,
-    bound: int = 5,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> int:
@@ -877,6 +870,6 @@ def s_leq(
     if k < 1:
         raise SchemaError(f"k must be >= 1, got {k}")
     return _cached_max_length_plus_one(
-        grp, "s_leq", {"k": k}, "no-short-zero-sum", bound=bound, jobs=jobs, cache=cache,
+        grp, "s_leq", {"k": k}, "no-short-zero-sum", jobs=jobs, cache=cache,
         depth_cap=4 * grp.n,
     )

@@ -185,7 +185,8 @@ def verify_propbfix_item1(
     """Check that phi(S) is zero-sum with no nonempty zero-sum part of
     length below n, for minimal zero-sums S of length 2mn-1.
 
-    Two populations: exhaustive orbit enumeration (mn <= 8 only;
+    Two populations: exhaustive orbit enumeration (mn <= 8 only, else
+    BudgetExceeded with no override, unlike the CLI's search budgets;
     conclusions are constant on orbits since mult-by-m commutes with every
     automorphism); or, by default, seeded random members of the
     maximal-length family, which by the separately verified one-coset

@@ -53,9 +53,7 @@ import itertools
 from collections import Counter
 
 from .enumeration import fan_out
-from .errors import (
-    BudgetExceeded, PreconditionViolated, SchemaError, SumMismatch, WitnessCheckFailed,
-)
+from .errors import PreconditionViolated, SchemaError, SumMismatch, WitnessCheckFailed
 from .groups import Elem, Group, group
 from .properties import Eq1Witness, _line, matches_eq1
 from .report import Report, Stopwatch
@@ -275,7 +273,6 @@ def verify_perturbation(
     lemma: str,
     *,
     basis: tuple[Elem, Elem] | None = None,
-    bound: int = 6,
     jobs: int = 1,
 ) -> Report:
     """Exhaustively check one perturbation lemma for modulus m.
@@ -291,8 +288,6 @@ def verify_perturbation(
         raise SchemaError(f"lemma must be one of {_LEMMAS}, got {lemma!r}")
     if m < 4:
         raise PreconditionViolated(f"the perturbation lemmas require m >= 4, got {m}")
-    if m > bound:
-        raise BudgetExceeded(f"perturbation scan for m={m} exceeds bound {bound}")
     grp = group(m)
     if basis is None:
         basis = ((1, 0), (0, 1))

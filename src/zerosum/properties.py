@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 
 from .enumeration import EnumSpec, ResultCache
-from .errors import BudgetExceeded, EmptySequence, PreconditionViolated
+from .errors import EmptySequence
 from .groups import Elem, Group
 from .report import Report, run_search
 from .sequences import Sequence
@@ -159,7 +159,6 @@ def matches_eq2(seq: Sequence) -> list[Eq2Witness]:
 def verify_property_b(
     n: int,
     *,
-    bound: int = 6,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> Report:
@@ -169,10 +168,6 @@ def verify_property_b(
     One representative per automorphism orbit suffices: applying an
     automorphism to a witness basis transports the reading.
     """
-    if n < 2:
-        raise PreconditionViolated(f"property B needs n >= 2, got {n}")
-    if n > bound:
-        raise BudgetExceeded(f"property B search for n={n} exceeds bound {bound}")
     return run_search(
         "property-b", {"n": n}, EnumSpec(n, 2 * n - 1, "minimal-zero-sum"),
         lambda reps: ([s.to_json_obj() for s in reps if not matches_eq1(s)], {}),
@@ -183,7 +178,6 @@ def verify_property_b(
 def verify_property_c(
     n: int,
     *,
-    bound: int = 5,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> Report:
@@ -195,10 +189,6 @@ def verify_property_c(
     e1^[n-1] e2^[n-1] (x e1 + e2)^[n-1] are counted separately in
     details["without_basis_form"]; they are not counterexamples.
     """
-    if n < 2:
-        raise PreconditionViolated(f"property C needs n >= 2, got {n}")
-    if n > bound:
-        raise BudgetExceeded(f"property C search for n={n} exceeds bound {bound}")
 
     def classify(reps: list[Sequence]) -> tuple[list, dict]:
         bad = []

@@ -14,6 +14,7 @@ import time
 from typing import Any
 
 from .enumeration import EnumSpec, ResultCache, enumerate_sequences
+from .errors import PreconditionViolated
 
 
 class Stopwatch:
@@ -69,7 +70,10 @@ def run_search(check: str, params: dict[str, Any], spec: EnumSpec, classify, *,
                jobs: int, cache: ResultCache | None) -> Report:
     """The Report of a search-backed check: ``classify`` maps the orbit
     representatives of ``spec`` (searched, or read from ``cache``) to the
-    counterexamples and the details, and the runner adds the node count."""
+    counterexamples and the details, and the runner adds the node count.
+    Every such check needs a modulus of at least 2."""
+    if spec.n < 2:
+        raise PreconditionViolated(f"{check} needs n >= 2, got {spec.n}")
     with Stopwatch() as sw:
         reps, stats = enumerate_sequences(spec, jobs=jobs, cache=cache)
         bad, details = classify(reps)

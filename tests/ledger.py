@@ -65,17 +65,17 @@ def _leaves(jobs, n, length, predicate="all", k=None, raw=False, census=False):
     return entry if census else {**entry, "leaves": [list(t) for t in leaves]}
 
 
-def _report(verify, **fixed):
-    return lambda jobs, **args: verify(**args, **fixed, jobs=jobs).to_json_obj(timing=False)
+def _report(verify):
+    return lambda jobs, **args: verify(**args, jobs=jobs).to_json_obj(timing=False)
 
 
 CALLS = {
     "davenport": lambda jobs, n: _stored(enumeration.davenport, group(n), jobs=jobs),
     "s_leq": lambda jobs, n, k: _stored(enumeration.s_leq, group(n), k, jobs=jobs),
-    "property-b": _report(verify_property_b, bound=7),
+    "property-b": _report(verify_property_b),
     "property-c": _report(verify_property_c),
-    "casen": _report(verify_casen, force=True),
-    "perturbation": _report(verify_perturbation, bound=7),
+    "casen": _report(verify_casen),
+    "perturbation": _report(verify_perturbation),
     "propbfix-item1": _report(verify_propbfix_item1),
     "leaves": _leaves,
     "census": lambda jobs, **args: _leaves(jobs, **args, census=True),

@@ -16,6 +16,8 @@ from zerosum.groups import group
 from zerosum.report import Report
 from zerosum.sequences import Sequence
 
+from ledger import LEDGER
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -39,7 +41,7 @@ def test_davenport_value_and_config(runner):
     assert obj["value"] == 7
     assert obj["config"]["subcommand"] == "davenport"
     assert obj["config"]["n"] == 4
-    assert obj["config"]["bound"] == 7
+    assert obj["config"]["force"] is False
     assert "jobs" in obj["config"]
 
 
@@ -297,12 +299,12 @@ NO_CACHE = {"cache_dir": None, "no_cache": True}
 # test's temporary directory, which holds ITEM1_SEQUENCE as seq.json.
 CONFIG_CASES = [
     (["davenport", "--n", "3", "--jobs", "1", "--no-cache"], 0,
-     {"subcommand": "davenport", "n": 3, "bound": 7, "jobs": 1, **NO_CACHE}),
+     {"subcommand": "davenport", "n": 3, "force": False, "jobs": 1, **NO_CACHE}),
     (["davenport", "--n", "3", "--no-cache"], 0,
-     {"subcommand": "davenport", "n": 3, "bound": 7, "jobs": os.cpu_count() or 1,
+     {"subcommand": "davenport", "n": 3, "force": False, "jobs": os.cpu_count() or 1,
       **NO_CACHE}),
     (["sleq", "--n", "3", "--k", "3", "--jobs", "1", "--no-cache"], 0,
-     {"subcommand": "sleq", "n": 3, "k": 3, "bound": 5, "jobs": 1, **NO_CACHE}),
+     {"subcommand": "sleq", "n": 3, "k": 3, "force": False, "jobs": 1, **NO_CACHE}),
     (["enumerate", "--n", "2", "--length", "2", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "enumerate", "n": 2, "length": 2, "predicate": "all", "k": None,
       "raw": False, "limit": 100, "jobs": 1, **NO_CACHE}),
@@ -318,9 +320,9 @@ CONFIG_CASES = [
     (["construct", "exceptional", "--n", "5", "--x", "2"], 0,
      {"subcommand": "construct exceptional", "n": 5, "x": 2, "a": 1, "b": 1, "c": 1}),
     (["verify", "property-b", "--n", "2", "--jobs", "1", "--no-cache"], 0,
-     {"subcommand": "verify property-b", "n": 2, "bound": 6, "jobs": 1, **NO_CACHE}),
+     {"subcommand": "verify property-b", "n": 2, "force": False, "jobs": 1, **NO_CACHE}),
     (["verify", "property-c", "--n", "2", "--jobs", "1", "--no-cache"], 0,
-     {"subcommand": "verify property-c", "n": 2, "bound": 5, "jobs": 1, **NO_CACHE}),
+     {"subcommand": "verify property-c", "n": 2, "force": False, "jobs": 1, **NO_CACHE}),
     (["verify", "casen", "--n", "2", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "verify casen", "n": 2, "s": 1, "force": False, "jobs": 1,
       **NO_CACHE}),
@@ -328,7 +330,7 @@ CONFIG_CASES = [
      {"subcommand": "verify casen", "n": 2, "s": 1, "force": True, "jobs": 1,
       **NO_CACHE}),
     (["verify", "perturbation", "--m", "4", "--lemma", "III", "--jobs", "1"], 0,
-     {"subcommand": "verify perturbation", "m": 4, "lemma": "III", "bound": 6,
+     {"subcommand": "verify perturbation", "m": 4, "lemma": "III", "force": False,
       "jobs": 1}),
     (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--samples", "5",
       "--jobs", "1"], 0,
@@ -390,8 +392,48 @@ def test_module_entry_point_exit_codes():
     assert res.stdout == ""
     assert json.loads(res.stderr) == {
         "error": "BudgetExceeded",
-        "message": "davenport search for n=9 exceeds the exhaustive bound 7",
+        "message": "davenport with n=9 exceeds the default search budget; "
+                   "pass --force to run it anyway",
     }
+
+
+# each budgeted subcommand at its first size past its default budget, with
+# the subcommand and options its error names
+OVER_BUDGET = [
+    (["davenport", "--n", "8"], "davenport with n=8"),
+    (["sleq", "--n", "6", "--k", "6"], "sleq with n=6, k=6"),
+    (["verify", "property-b", "--n", "7"], "verify property-b with n=7"),
+    (["verify", "property-c", "--n", "6"], "verify property-c with n=6"),
+    (["verify", "casen", "--n", "6", "--s", "1"], "verify casen with n=6, s=1"),
+    (["verify", "casen", "--n", "4", "--s", "2"], "verify casen with n=4, s=2"),
+    (["verify", "casen", "--n", "2", "--s", "3"], "verify casen with n=2, s=3"),
+    (["verify", "perturbation", "--m", "7", "--lemma", "I"],
+     "verify perturbation with m=7, lemma=I"),
+]
+
+
+@pytest.mark.parametrize("args,shown", OVER_BUDGET, ids=[" ".join(c[0]) for c in OVER_BUDGET])
+def test_over_budget_exits_three_before_the_cache(runner, monkeypatch, tmp_path, args, shown):
+    # a search run past the budget would take seconds; fail it at once
+    monkeypatch.setattr(zerosum.enumeration, "_search", _no_search)
+    cache_dir = tmp_path / "cache"
+    res = runner.invoke(main, [*args, "--jobs", "1"],
+                        env={zerosum.enumeration.CACHE_ENV_VAR: str(cache_dir)})
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": "BudgetExceeded",
+        "message": f"{shown} exceeds the default search budget; pass --force to run it anyway",
+    }
+    assert not cache_dir.exists()
+
+
+def test_force_runs_past_the_budget(runner):
+    res = invoke(runner, "verify", "casen", "--n", "2", "--s", "3", "--force", "--no-cache")
+    assert res.exit_code == 0
+    obj = out_json(res)
+    del obj["config"], obj["elapsed_ms"]
+    assert obj == LEDGER["casen n=2 s=3"]
 
 
 def test_unwritable_output_exits_two(tmp_path):

@@ -458,7 +458,7 @@ def test_results_are_lex_sorted_and_deterministic_across_jobs():
 
 
 # the ledger's searches that the budget tests rerun: all but the two past
-# their default bounds, which together take about a second
+# the CLI's default search budgets, which together take about a second
 WALK = [key for key in LEDGER if key.split()[0] in ledger.SEARCHES
         and key not in ("property-b n=7", "casen n=6 s=1")]
 LEAVES = [key for key in LEDGER if key.startswith("leaves ")]
@@ -630,20 +630,10 @@ def test_s_leq_small(n, expected):
     assert s_leq(group(n), n) == expected
 
 
-def test_davenport_bound_is_enforced():
-    with pytest.raises(BudgetExceeded):
-        davenport(group(8))
-
-
 def test_s_leq_unbounded_predicate_hits_cap():
     # a single generator repeated forever never has a zero-sum of length <= 2
     with pytest.raises(BudgetExceeded):
         s_leq(group(4), 2)
-
-
-def test_s_leq_bound_is_enforced():
-    with pytest.raises(BudgetExceeded):
-        s_leq(group(6), 6)
 
 
 def test_max_length_with_reports_stats():

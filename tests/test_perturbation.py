@@ -7,7 +7,6 @@ import pytest
 
 from zerosum import group, perturbation
 from zerosum.errors import (
-    BudgetExceeded,
     NotASubsequence,
     PreconditionViolated,
     SchemaError,
@@ -296,7 +295,5 @@ def test_base_outside_family_raises(monkeypatch):
 def test_input_validation():
     with pytest.raises(PreconditionViolated):
         verify_perturbation(3, "I")
-    with pytest.raises(BudgetExceeded):
-        verify_perturbation(7, "I")
     with pytest.raises(SchemaError):
         verify_perturbation(4, "IV")

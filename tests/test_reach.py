@@ -37,7 +37,6 @@ ALLOWED = {
     "enumeration._source_digest": "import time",
     "cli.command": "import time",
     "cli.int_opt": "import time",
-    "cli.bound_opt": "import time",
     # run only in forked workers, i.e. past _SERIAL_NODES nodes at jobs > 1
     "enumeration._run_forked": "fork only",
     "enumeration.SearchStats.merge": "fork only",

@@ -119,7 +119,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import __version__, groups
-from .errors import BudgetExceeded, CacheUnwritable, SchemaError
+from .errors import BudgetExceeded, CacheUnwritable, PreconditionViolated, SchemaError
 from .groups import Group, group
 from .sequences import Sequence
 from .subsums import ZeroSumGuard, forward_layers
@@ -234,9 +234,10 @@ class SearchStats:
 # reachability cut for runs whose leaves must sum to zero
 
 @functools.lru_cache(maxsize=None)
-def _reach_table(grp: Group, max_len: int) -> list[list[int]]:
-    """REACH[g][j]: layer of the sums of j elements all >= g, read off the
-    layers of max_len copies of each element appended in descending order."""
+def _reach_table(grp: Group, max_len: int) -> list[int]:
+    """REACH[g]: layer j (bits [j n^2, (j + 1) n^2)) is the set of sums of j
+    elements all >= g, read off the packed layers of max_len copies of each
+    element appended in descending order (subsums.forward_layers)."""
     terms = [g for g in range(grp.size - 1, -1, -1) for _ in range(max_len)]
     history = forward_layers(grp, terms, max_len)
     return [history[(grp.size - g) * max_len] for g in range(grp.size + 1)]
@@ -245,10 +246,11 @@ def _reach_table(grp: Group, max_len: int) -> list[list[int]]:
 @functools.lru_cache(maxsize=None)
 def _reach_rows(grp: Group, max_len: int) -> np.ndarray:
     """ROWS[j, s, g]: can a sequence of sum s still close to a zero-sum by
-    j more terms, all >= g, g the first: -(s + g) in REACH[g][j]."""
+    j more terms, all >= g, g the first: -(s + g) in layer j of REACH[g]."""
     reach, add, neg = _reach_table(grp, max_len), grp.add_index_table(), grp.neg_index_table()
-    return groups.numpy().array([[[reach[g][j] >> neg[add[s][g]] & 1 for g in range(grp.size)]
-                                  for s in range(grp.size)] for j in range(max_len)], dtype=bool)
+    size = grp.size
+    return groups.numpy().array([[[reach[g] >> j * size + neg[add[s][g]] & 1 for g in range(size)]
+                                  for s in range(size)] for j in range(max_len)], dtype=bool)
 
 
 @functools.lru_cache(maxsize=None)
@@ -863,12 +865,17 @@ def s_leq(
     """Least l such that every length-l sequence has a zero-sum subsequence
     of length at most k.
 
-    Equals 1 + the longest length admitting no such subsequence.  For k
-    below the modulus that maximum can be infinite, so the search carries a
-    depth cap of 4n and raises BudgetExceeded on hitting it.
+    Equals 1 + the longest length admitting no such subsequence.  For
+    1 <= k < n no length forces one, since (1, 0) repeated has no zero-sum
+    of length <= k, so s_leq raises PreconditionViolated before it searches.
+    For k >= n the value is at most s_leq(n) = 3n - 2; the search still
+    carries a depth cap of 4n, which raises BudgetExceeded.
     """
     if k < 1:
         raise SchemaError(f"k must be >= 1, got {k}")
+    if k < grp.n:
+        raise PreconditionViolated(f"s_leq needs k >= n, got k={k} < n={grp.n}: (1, 0) "
+                                   "repeated has no zero-sum of length <= k")
     return _cached_max_length_plus_one(
         grp, "s_leq", {"k": k}, "no-short-zero-sum", jobs=jobs, cache=cache,
         depth_cap=4 * grp.n,

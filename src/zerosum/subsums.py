@@ -1,23 +1,29 @@
-"""Length-restricted subsequence sums on bitset layers.
+"""Length-restricted subsequence sums on packed bitset layers.
 
-A layer is a set of group elements held in an int: bit i is set iff the
-element of flat index i = a*n + b is in it.  ``translate(X, t)`` is X + t:
-bit x of X is bit x + t of the result.  Appending a term t to a sequence
-updates its layers by ``step``, ``layers[l] |= translate(layers[l - 1], t)``
-for l descending, so that t is used at most once.  From {0} in layer 0 and
-empty layers above, layer l holds the sums of length exactly l; from {0} in
-every layer, the sums of length at most l.  With no length bound one layer
-of all sums suffices: ``sums |= translate(sums, t)``.
+A layer is a set of group elements in n^2 bits: bit i is set iff the
+element of flat index i = a*n + b is in it.  A state holds all its layers
+in one int, layer l in bits [l n^2, (l + 1) n^2).  ``translate(X, t)`` is
+X + t on every layer at once, in one pass of masks and shifts: each row
+(fixed first coordinate) is rotated by b, then the rows of each layer by a.
+Appending a term t to a sequence is one translate,
+``(X | translate(X, t) << n^2) & mask``: layer l takes layer l - 1 + t, so
+that t is used at most once, layer 0 stays as it is and the mask drops what
+passes the top layer.  From {0} in layer 0 and empty layers above, layer l
+holds the sums of length exactly l; from {0} in every layer, the sums of
+length at most l.  With no length bound one layer of all sums suffices:
+``X | translate(X, t)``.  ``translations(n, layers)`` keeps one table of
+masks per n, sized to the most layers asked so far: a longer mask costs
+nothing, as ``x & mask`` runs over the shorter operand.
 
 ``ZeroSumGuard(grp, k)`` is the one implementation of "no nonempty zero-sum
 subsequence of length <= k" (k = None: any length; k = 0: no constraint),
-shared by the orderly search and the checks here.  Its state holds the
-layers N_0, ..., N_{k-1}, N_l the negated sums of length <= l, the empty
-sum included, so that appending t is ``N_l | translate(N_{l-1}, -t)`` and
-the terms that would close an offender are the one int ``blocked(state)``:
-a new zero-sum must end at the added term t, which closes one iff -t is a
-sum of the others, i.e. t is in N_{k-1}.  With no length bound, the state
-is the one layer of all negated sums.
+shared by the orderly search and the checks here.  Its int state packs the
+k layers N_0, ..., N_{k-1}, N_l the negated sums of length <= l, the empty
+sum included, so that appending t is the append above by -t and the terms
+that would close an offender are its top layer, ``blocked(state)``: a new
+zero-sum must end at the added term t, which closes one iff -t is a sum of
+the others, i.e. t is in N_{k-1}.  With no length bound, the state is the
+one layer of all negated sums; with k = 0 it has no layer.
 
 The search holds its states as words: ``fresh_rows``, ``extend_rows`` and
 ``blocked_rows`` take a batch of shape (states, layers, n), word a of a
@@ -52,25 +58,35 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
-def translations(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per element index t = a*n + b, the constants ``translate`` unpacks."""
-    size = n * n
-    full = (1 << size) - 1
-    out = []
-    for t in range(size):
-        a, b = divmod(t, n)
-        low = sum(((1 << (n - b)) - 1) << (row * n) for row in range(n))
-        out.append((low, full ^ low, b, n - b, a * n, size - a * n, full))
-    return tuple(out)
+_TABLES: dict[int, tuple] = {}  # n -> (layers, table), the most layers asked so far
 
 
-def translate(layer: int, shift: tuple[int, ...]) -> int:
-    """The set ``layer + t`` for ``shift = translations(n)[t]``: each row
-    (fixed first coordinate) is rotated by b, then the rows by a."""
-    low, high, b, n_b, k, size_k, full = shift
-    x = (layer & low) << b | (layer & high) >> n_b
-    return (x << k | x >> size_k) & full
+def translations(n: int, layers: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Per element index t = a*n + b, the constants ``translate`` unpacks,
+    their masks covering at least ``layers`` layers: the columns below
+    n - b and the rest, of every row, and the rows below n - a and the
+    rest, of every layer; the n^2 tuples share 4n masks."""
+    depth, table = _TABLES.get(n, (0, ()))
+    if depth < max(layers, 1):
+        size, depth = n * n, max(layers, 1)
+        full = (1 << depth * size) - 1
+        rows, starts = full // ((1 << n) - 1), full // ((1 << size) - 1)  # bit 0 of rows, layers
+        cols = [((1 << n - b) - 1) * rows for b in range(n)]
+        blocks = [((1 << (n - a) * n) - 1) * starts for a in range(n)]
+        cols, blocks = ([(mask, full ^ mask) for mask in masks] for masks in (cols, blocks))
+        table = tuple((*cols[b], b, n - b, *blocks[a], a * n, size - a * n)
+                      for a in range(n) for b in range(n))
+        _TABLES[n] = depth, table
+    return table
+
+
+def translate(layers: int, shift: tuple[int, ...]) -> int:
+    """Every layer of the packed int ``layers`` plus t, for ``shift =
+    translations(n, L)[t]`` with L at least its layers: each row (fixed
+    first coordinate) is rotated by b, then the rows of each layer by a."""
+    low, high, b, n_b, rows, over, k, size_k = shift
+    x = (layers & low) << b | (layers & high) >> n_b
+    return (x & rows) << k | (x & over) >> size_k
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,48 +95,39 @@ def word_shifts(n: int) -> tuple:
     result is word a - a' rotated left by b'; (source words, b', n - b')."""
     np, shifts = groups.numpy(), translations(n)
     minus = [shifts[(-(t // n) % n) * n + -t % n] for t in range(n * n)]
-    rot = np.array([b for _, _, b, *_ in minus], dtype=np.min_scalar_type((1 << n) - 1))
-    return np.array([[(a - k // n) % n for a in range(n)] for *_, k, _, _ in minus]), rot, n - rot
-
-
-def step(layers: list[int], shift: tuple[int, ...], top: int) -> list[int]:
-    """The layers once the term t of ``shift`` is appended to the sequence
-    behind them: ``layers[l] | (layers[l - 1] + t)`` for l = 1, ..., top."""
-    out = list(layers)
-    for l in range(top, 0, -1):
-        out[l] |= translate(out[l - 1], shift)
-    return out
+    rot = np.array([shift[2] for shift in minus], dtype=np.min_scalar_type((1 << n) - 1))
+    return np.array([[(a - shift[6] // n) % n for a in range(n)] for shift in minus]), rot, n - rot
 
 
 class ZeroSumGuard:
     """No nonempty zero-sum subsequence of length <= k (see the module
-    docstring).  A state is an int for k = None, else a list of k layers,
-    layer l holding the negated sums of length <= l."""
+    docstring).  A state is one int of k layers, layer l holding the
+    negated sums of length <= l; one layer of all of them for k = None."""
 
-    __slots__ = ("k", "n", "neg", "shifts")
+    __slots__ = ("k", "n", "neg", "shifts", "up", "mask", "top", "start")
 
     def __init__(self, grp: Group, k: int | None = None):
+        depth, size = 1 if k is None else k, grp.size
         self.k = k
         self.n = grp.n
         self.neg = grp.neg_index_table()
-        self.shifts = translations(grp.n)
+        self.shifts = translations(grp.n, depth)
+        self.up = 0 if k is None else size  # the one layer takes its own translate
+        self.mask = (1 << depth * size) - 1
+        self.top = max(depth - 1, 0) * size
+        self.start = self.mask // ((1 << size) - 1)  # {0} in every layer
 
-    def fresh(self):
-        return 1 if self.k is None else [1] * self.k
+    def fresh(self) -> int:
+        return self.start
 
-    def extend(self, state, t: int):
-        """The state once one copy of the term of index t is appended:
-        ``step`` by -t, or one translate with no bound."""
-        shift = self.shifts[self.neg[t]]
-        if self.k is None:
-            return state | translate(state, shift)
-        return step(state, shift, self.k - 1)
+    def extend(self, state: int, t: int) -> int:
+        """The state once one copy of the term of index t is appended: the
+        packed append by -t, or one translate with no bound."""
+        return (state | translate(state, self.shifts[self.neg[t]]) << self.up) & self.mask
 
-    def blocked(self, state) -> int:
+    def blocked(self, state: int) -> int:
         """The terms whose append would close a zero-sum of length <= k."""
-        if self.k is None:
-            return state
-        return state[-1] if self.k else 0
+        return state >> self.top
 
     def fresh_rows(self, count: int):
         """``count`` fresh states as words (module docstring)."""
@@ -152,14 +159,16 @@ class ZeroSumGuard:
         return bits.reshape(len(layers), -1) > 0
 
 
-def forward_layers(grp: Group, terms: list[int], lmax: int) -> list[list[int]]:
-    """Layers for every prefix of the index list ``terms``; entry [i][l] is
-    the layer of sums of length-l subsequences drawn from the first i terms."""
-    shifts = translations(grp.n)
-    cur = [1] + [0] * lmax  # element index 0 is the zero
+def forward_layers(grp: Group, terms: list[int], lmax: int) -> list[int]:
+    """The packed layers of every prefix of the index list ``terms``: layer
+    l of entry i is the set of sums of length-l subsequences drawn from the
+    first i terms, for l <= lmax."""
+    size = grp.size
+    shifts, mask = translations(grp.n, lmax + 1), (1 << (lmax + 1) * size) - 1
+    cur = 1  # element index 0 is the zero
     history = [cur]
-    for i, t in enumerate(terms, 1):
-        cur = step(cur, shifts[t], min(lmax, i))
+    for t in terms:
+        cur = (cur | translate(cur, shifts[t]) << size) & mask
         history.append(cur)
     return history
 
@@ -173,11 +182,10 @@ def restricted_sums(seq: Sequence, lmin: int, lmax: int) -> frozenset[Elem]:
         raise InvalidRange(
             f"need 0 <= lmin <= lmax <= |S| = {len(seq)}, got [{lmin}, {lmax}]"
         )
-    grp = seq.group
-    union = 0
-    for layer in forward_layers(grp, [grp.index(g) for g in seq], lmax)[-1][lmin:]:
-        union |= layer
-    return frozenset(grp.unindex(i) for i in range(grp.size) if union >> i & 1)
+    grp, size = seq.group, seq.group.size
+    layers = forward_layers(grp, [grp.index(g) for g in seq], lmax)[-1]
+    return frozenset(grp.unindex(i % size)
+                     for i in range(lmin * size, (lmax + 1) * size) if layers >> i & 1)
 
 
 def subsequence_sums(seq: Sequence) -> frozenset[Elem]:
@@ -263,20 +271,19 @@ def find_zero_sum_subsequence(seq: Sequence, exact_length: int) -> Sequence | No
             f"exact_length must be in [1, {len(seq)}], got {exact_length}"
         )
     grp = seq.group
-    zero = grp.index(grp.zero)
+    size, zero = grp.size, grp.index(grp.zero)
     terms = [grp.index(g) for g in seq]  # sorted by element
     history = forward_layers(grp, terms, exact_length)
-    if not history[-1][exact_length] >> zero & 1:
+    if not history[-1] >> exact_length * size + zero & 1:
         return None
-    add = grp.add_index_table()
-    neg = grp.neg_index_table()
+    add, neg = grp.add_index_table(), grp.neg_index_table()
     # walk the prefix layers back; no parent pointers are kept
     picked: list[int] = []
     need, l = zero, exact_length
     for i in range(len(terms), 0, -1):
         t = terms[i - 1]
         # prefer skipping the term; deterministic because terms are sorted
-        if history[i - 1][l] >> need & 1:
+        if history[i - 1] >> l * size + need & 1:
             continue
         picked.append(t)
         need = add[need][neg[t]]

@@ -191,3 +191,34 @@ def landing_sequence(base: Sequence, pivots, u, w) -> Sequence:
     grp = base.group
     rest = base.remove(Sequence.from_terms(grp, pivots))
     return Sequence(grp, [*rest.items(), (u, 1), (w, 1)])
+
+
+def layer_translate(layer: int, n: int, t: int) -> int:
+    """One layer of n^2 bits plus the element of index t = a*n + b: each
+    row rotated by b, then the whole layer by a*n bits; the per-layer
+    reference for the packed ``subsums.translate``."""
+    a, b = divmod(t, n)
+    size = n * n
+    full = (1 << size) - 1
+    low = sum(((1 << (n - b)) - 1) << (r * n) for r in range(n))
+    x = (layer & low) << b | (layer & (full ^ low)) >> (n - b)
+    return (x << a * n | x >> (size - a * n)) & full
+
+
+def layer_step(layers: list, n: int, t: int, top: int) -> list:
+    """The layers once the term of index t is appended, one layer at a
+    time: ``layers[l] | (layers[l - 1] + t)`` for l = top, ..., 1."""
+    out = list(layers)
+    for l in range(top, 0, -1):
+        out[l] |= layer_translate(out[l - 1], n, t)
+    return out
+
+
+def pack_layers(layers, size: int) -> int:
+    """Layer l of the list in bits [l size, (l + 1) size) of one int."""
+    return sum(layer << l * size for l, layer in enumerate(layers))
+
+
+def unpack_layers(packed: int, size: int, count: int) -> list:
+    """The first ``count`` layers of a packed int, as a list."""
+    return [packed >> l * size & (1 << size) - 1 for l in range(count)]

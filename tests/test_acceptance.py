@@ -130,7 +130,8 @@ def test_criterion_08_oracle_equivalence():
             # the layers the verifiers' DP builds, at every exact length
             layers = forward_layers(grp, [grp.index(g) for g in seq], length)[-1]
             for size in range(length + 1):
-                got = {grp.unindex(i) for i in range(grp.size) if layers[size] >> i & 1}
+                got = {grp.unindex(i) for i in range(grp.size)
+                       if layers >> size * grp.size + i & 1}
                 assert got == by_len[size]
             for lmin in range(length + 1):
                 expect = set()

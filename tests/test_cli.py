@@ -51,6 +51,17 @@ def test_sleq_value(runner):
     assert out_json(res)["value"] == 7
 
 
+def test_sleq_below_n_exits_two(runner, monkeypatch):
+    # k < n is refused before any search: a search here would hit the cap
+    monkeypatch.setattr(zerosum.enumeration, "_search", _no_search)
+    res = invoke(runner, "sleq", "--n", "4", "--k", "3", "--no-cache")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    error = json.loads(res.stderr)
+    assert error["error"] == "PreconditionViolated"
+    assert "k=3 < n=4" in error["message"]
+
+
 def test_enumerate_count_and_limit(runner):
     res = invoke(runner, "enumerate", "--n", "2", "--length", "2",
                  "--predicate", "all", "--raw", "--no-cache")

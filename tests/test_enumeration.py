@@ -25,7 +25,7 @@ from zerosum.enumeration import (
     resolve_cache,
     s_leq,
 )
-from zerosum.errors import BudgetExceeded, SchemaError
+from zerosum.errors import BudgetExceeded, PreconditionViolated, SchemaError
 from zerosum.sequences import Sequence
 
 from oracles import (
@@ -354,7 +354,8 @@ def _int_candidates(engine, P):
     mask = ((1 << grp.size) - 1) >> last << last & ~blocked
     if engine.closes and engine.length is not None:
         reach, j = _reach_table(grp, engine.length), engine.length - len(P) - 1
-        mask &= sum(1 << g for g in range(grp.size) if reach[g][j] >> neg[add[sigma][g]] & 1)
+        mask &= sum(1 << g for g in range(grp.size)
+                    if reach[g] >> j * grp.size + neg[add[sigma][g]] & 1)
     return mask
 
 
@@ -400,7 +401,8 @@ def test_reach_table_matches_brute_force(n):
                 for t in terms:
                     total = add[total][t]
                 sums.add(total)
-            assert reach[g][j] == sum(1 << s for s in sums), (g, j)
+            layer = reach[g] >> j * grp.size & (1 << grp.size) - 1
+            assert layer == sum(1 << s for s in sums), (g, j)
 
 
 @pytest.mark.parametrize(
@@ -470,11 +472,11 @@ def _assert_pinned(keys, jobs):
 
 
 def _assert_walk_pinned(jobs, keys=WALK):
-    """The ledger entries of ``keys`` and LEAVES, and the depth cap of
-    s_leq(group(4), 2), at ``jobs``."""
+    """The ledger entries of ``keys`` and LEAVES, and the depth cap 16 of
+    the no-short-zero-sum search with k = 2 over (Z/4Z)^2, at ``jobs``."""
     _assert_pinned(keys + LEAVES, jobs)
     with pytest.raises(BudgetExceeded):
-        s_leq(group(4), 2, jobs=jobs)
+        max_length_with(group(4), "no-short-zero-sum", {"k": 2}, jobs=jobs, depth_cap=16)
 
 
 @pytest.mark.parametrize("budget", [1, 64, 4096, enumeration._SERIAL_NODES])
@@ -633,7 +635,16 @@ def test_s_leq_small(n, expected):
 def test_s_leq_unbounded_predicate_hits_cap():
     # a single generator repeated forever never has a zero-sum of length <= 2
     with pytest.raises(BudgetExceeded):
-        s_leq(group(4), 2)
+        max_length_with(group(4), "no-short-zero-sum", {"k": 2}, depth_cap=16)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_s_leq_below_n_is_a_precondition_violation(n):
+    """For 1 <= k < n no length forces a zero-sum of length <= k, so s_leq
+    refuses before it searches (test_s_leq_small runs k = n)."""
+    for k in range(1, n):
+        with pytest.raises(PreconditionViolated, match=f"k={k} < n={n}"):
+            s_leq(group(n), k)
 
 
 def test_max_length_with_reports_stats():

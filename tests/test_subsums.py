@@ -21,10 +21,14 @@ from zerosum import subsums
 from zerosum.errors import InvalidRange, WitnessCheckFailed
 
 from oracles import (
+    layer_step,
+    layer_translate,
     naive_is_minimal_zero_sum,
     naive_is_zero_sum_free,
     naive_restricted_sums,
+    pack_layers,
     random_sequence,
+    unpack_layers,
 )
 
 
@@ -98,11 +102,12 @@ def test_minimality_equivalent_to_single_removals_zero_sum_free():
 
 def test_corrupted_witness_is_rejected(monkeypatch):
     s = seq(5, (0, 1), (0, 1), (1, 0), (1, 3))
-    everything = (1 << s.group.size) - 1
 
     def corrupted(grp, terms, lmax):
-        # every sum reachable from every prefix: the walk back picks no term
-        return [[everything] * (lmax + 1) for _ in range(len(terms) + 1)]
+        # every sum reachable from every prefix, in every layer: the walk
+        # back picks no term
+        packed = (1 << (lmax + 1) * grp.size) - 1
+        return [packed for _ in range(len(terms) + 1)]
 
     monkeypatch.setattr(subsums, "forward_layers", corrupted)
     with pytest.raises(WitnessCheckFailed):
@@ -122,6 +127,37 @@ def test_translate_matches_add_table(n):
         for t in range(grp.size):
             expected = sum(1 << add[i][t] for i in members)
             assert subsums.translate(layer, shifts[t]) == expected, (members, t)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_packed_translate_equals_per_layer(monkeypatch, n):
+    """``translate`` of a packed int of 1..2n layers moves each layer as the
+    per-layer reference does, with masks of exactly that many layers and
+    with the longer masks of a table grown past it; n = 9 and 10 have
+    layers past 64 bits."""
+    monkeypatch.setattr(subsums, "_TABLES", {})
+    size = n * n
+    rng = random.Random(900 + n)
+    for count in range(1, 2 * n + 1):
+        layers = [rng.getrandbits(size) for _ in range(count)]
+        layers[rng.randrange(count)] = 0
+        packed = pack_layers(layers, size)
+        exact = subsums.translations(n, count)
+        assert subsums._TABLES[n][0] == count
+        for t in range(size):
+            expected = pack_layers([layer_translate(x, n, t) for x in layers], size)
+            assert subsums.translate(packed, exact[t]) == expected, (count, t)
+    longest = subsums.translations(n, 2 * n)
+    for count in (1, n, 2 * n - 1):
+        layers = [rng.getrandbits(size) for _ in range(count)]
+        packed = pack_layers(layers, size)
+        for t in range(size):
+            expected = pack_layers([layer_translate(x, n, t) for x in layers], size)
+            assert subsums.translate(packed, longest[t]) == expected, (count, t)
+    assert subsums.translations(n) is longest  # one table per n, never shrunk
+    # the n^2 shift tuples share 4n masks (0 is one object), not 4 each
+    masks = {id(shift[i]) for shift in longest for i in (0, 1, 4, 5)}
+    assert len(masks) <= 4 * n
 
 
 def test_find_zero_sum_subsequence():
@@ -233,27 +269,28 @@ def _reachable_states(guard, grp, rng):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_counted_guard_equals_copy_by_copy(n):
     """One copy's extend, the update that every counted term takes once per
-    copy, is ``step`` by -t (one translate with no bound), for every k and
-    t, on reachable states."""
+    copy, is the per-layer reference step by -t on the k packed layers (one
+    translate with no bound), for every k and t, on reachable states."""
     grp = group(n)
     rng = random.Random(300 + n)
-    shifts, neg = subsums.translations(n), grp.neg_index_table()
+    size, neg = grp.size, grp.neg_index_table()
     for k in [None, *range(2 * n)]:
         guard = subsums.ZeroSumGuard(grp, k)
         for state in _reachable_states(guard, grp, rng):
             for t in range(grp.size):
-                shift = shifts[neg[t]]
                 if k is None:
-                    one = state | subsums.translate(state, shift)
+                    one = state | layer_translate(state, n, neg[t])
                 else:
-                    one = subsums.step(state, shift, k - 1)
+                    layers = unpack_layers(state, size, k)
+                    one = pack_layers(layer_step(layers, n, neg[t], k - 1), size)
                 assert guard.extend(state, t) == one, (k, state, t)
 
 
-def _words(state, n):
-    """An int state of ZeroSumGuard as the words of extend_rows: word a of
-    a layer holds its bits a*n, ..., a*n + n - 1."""
-    layers = [state] if isinstance(state, int) else state
+def _words(guard, state):
+    """An int state of ZeroSumGuard as the words of extend_rows: its layers
+    unpacked, word a of a layer holding its bits a*n, ..., a*n + n - 1."""
+    n = guard.n
+    layers = unpack_layers(state, n * n, 1 if guard.k is None else guard.k)
     return np.array([[layer >> a * n & (1 << n) - 1 for a in range(n)] for layer in layers],
                     np.min_scalar_type((1 << n) - 1)).reshape(len(layers), n)
 
@@ -272,14 +309,14 @@ def test_batched_guard_update_equals_extend(n):
     terms = np.arange(grp.size)
     for k in [None, *range(2 * n)]:
         guard = subsums.ZeroSumGuard(grp, k)
-        assert (guard.fresh_rows(2) == _words(guard.fresh(), n)).all()
+        assert (guard.fresh_rows(2) == _words(guard, guard.fresh())).all()
         for state in _reachable_states(guard, grp, rng):
-            rows = np.repeat(_words(state, n)[None], grp.size, axis=0)
+            rows = np.repeat(_words(guard, state)[None], grp.size, axis=0)
             extended = guard.extend_rows(rows, terms)
             after_blocked = guard.blocked_rows(extended)
             for t in range(grp.size):
                 after = guard.extend(state, t)
-                assert (extended[t] == _words(after, n)).all(), (k, state, t)
+                assert (extended[t] == _words(guard, after)).all(), (k, state, t)
                 assert (after_blocked[t] == _bool_row(guard.blocked(after), grp.size)).all()
             blocked = guard.blocked_rows(rows)
             assert (blocked == _bool_row(guard.blocked(state), grp.size)).all(), (k, state)

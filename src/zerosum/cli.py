@@ -280,7 +280,7 @@ def perturbation_cmd(m, lemma, jobs):
          int_opt("--structured", 1, default=256,
                  help="Item 2: fiberwise-constant lift budget."),
          int_opt("--random-lifts", 0, default=64, help="Item 2: fully random lift budget."),
-         jobs=lambda params: params["item"] == 1)
+         jobs=lambda params: params["item"] == 1 and params["exhaustive"])
 def propbfix_cmd(item, m, n, samples, seed, exhaustive, structured, random_lifts, jobs=None):
     """Image behavior of maximal-length minimal zero-sums under mult-by-m."""
     if item == 1:

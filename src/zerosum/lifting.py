@@ -13,12 +13,13 @@ for minimal zero-sums of maximal length 2N-1: their image has no nonempty
 zero-sum part of length below n, and when the image lands in the
 exceptional four-element shape, the original sequence keeps the
 one-basis-coset support property.  Item 1 draws its samples in chunks of
-rows (``_family_rows``), maps each chunk to image indices and sums with
-arrays (``image_rows``, the batch form of ``image_in_coords``), and runs the
-zero-sum guard over the rows; neither a sample nor its image becomes a
-Sequence unless the sample is reported.  On a shared 2-core x86_64
-machine, 10^4 samples took 0.111 s at (4,5) and 0.039 s at (4,2) this
-way, against 0.354 s and 0.167 s one sample at a time (BENCH_27.json).
+rows from uniform values taken in bulk (``_family_rows``), maps each chunk
+to image indices and sums with arrays (``image_rows``, the batch form of
+``image_in_coords``), and runs the zero-sum guard over the rows; neither a
+sample nor its image becomes a Sequence unless the sample is reported.  On
+a shared 2-core x86_64 machine, 10^4 samples take 0.081 s at (4,5) and
+0.030 s at (4,2) (in-process medians, BENCH_39.json), against 0.354 s and
+0.167 s one sample at a time (BENCH_27.json).
 """
 
 from __future__ import annotations
@@ -106,70 +107,48 @@ class Homomorphism:
         return a * n + b, mults, np.stack([a @ k % n, b @ k % n], axis=1)
 
 
-# samples per chunk of item 1: 5000 samples at (4,5) peak at 0.61 MiB
-# (tracemalloc) with 256 rows and 1.21 MiB with 512, above the 1 MiB of
-# test_item1_streams_its_samples
+# samples per chunk of item 1: 5000 samples at (4,5) peak at 0.44 MiB
+# (tracemalloc) with 256 rows and 0.85 MiB with 512, against the 1 MiB
+# bound of test_item1_streams_its_samples
 _ROWS = 256
 
 
-def _unit_windows(vals, unit) -> bytes:
-    """Byte i is 1 iff the window vals[i:i + 4] = (p, q, r, s) has a unit
-    determinant p*s - q*r mod N, ``unit`` the unit table mod N."""
-    w = max(len(vals) - 3, 0)
-    p, q, r, s = (vals[i:i + w] for i in range(4))
-    return unit[(p * s - q * r) % len(unit)].tobytes()
+def _below(N: int, rng: random.Random, count: int):
+    """``count`` uniform values in [0, N), as an int64 array: the top k =
+    N.bit_length() bits of each 32-bit word of ``rng.getrandbits``, those
+    below N kept (at least half of them), redrawn until there are enough."""
+    np, k = groups.numpy(), N.bit_length()
+    vals = np.empty(0, np.int64)
+    while len(vals) < count:
+        words = ((count - len(vals)) << k) // N + 32
+        raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                            "<u4") >> (32 - k)
+        vals = np.concatenate([vals, raw[raw < N]])
+    return vals[:count]
 
 
 def _family_rows(N: int, rng: random.Random, count: int):
-    """``count`` random members of the maximal-length minimal zero-sum
-    family, transported by random automorphisms, in chunks of at most _ROWS
-    rows.  Row i holds alpha(e1) = (p, r), then alpha((x, 1)) = (p*x + q,
-    r*x + s) for each of its residues x: multiplicities N - 1, 1, ..., 1,
-    coordinates not reduced mod N.
-
-    The stream is that of drawing, per sample, N - 1 ``rng.randrange(N)``
-    for the xs (the last x makes their sum 1), then ``(p, q, r, s)`` as
-    the tests' ``oracles.random_automorphism`` does: four randrange(N) per
-    try, until the determinant is a unit.  CPython's randrange(N) is
-    getrandbits(k), k = N.bit_length(), retried while it is >= N, and
-    getrandbits(k) for k <= 32 is the top k bits of one 32-bit output;
-    getrandbits(32 * w) holds w such outputs, the first in the low word.
-    So the values are drawn in bulk, as words shifted right by 32 - k and
-    kept below N; a chunk's unused values start the next.  Which windows
-    of four values have a unit determinant is one table, so each sample's
-    start and automorphism take one short index loop."""
+    """``count`` uniform random members of the maximal-length minimal
+    zero-sum family, moved by uniform random automorphisms, in chunks of at
+    most _ROWS rows.  Row i holds alpha(e1) = (p, r), then alpha((x, 1)) =
+    (p*x + q, r*x + s) for each of its residues x: multiplicities N - 1, 1,
+    ..., 1, coordinates not reduced mod N.  A chunk draws rows x N residues,
+    its last column then set to make each row's sum 1, and batches of 2 x
+    rows matrices (p, q, r, s), keeping those with a unit determinant."""
     np = groups.numpy()
-    k = N.bit_length()
     unit = np.array([gcd(d, N) == 1 for d in range(N)])
-    vals, cols = np.empty(0, np.int64), np.arange(N - 1)
     for done in range(0, count, _ROWS):
         rows = min(_ROWS, count - done)
-        starts, auts, pos, ok = [], [], 0, _unit_windows(vals, unit)
-        while len(starts) < rows:
-            at, end = pos + N - 1, len(ok)
-            while at < end and not ok[at]:
-                at += 4
-            if at < end:
-                starts.append(pos)
-                auts.append(at)
-                pos = at + 4
-                continue
-            # the sample runs past the values drawn: draw more and redo it,
-            # guessing N + 31 values a sample (N - 1 xs and four per try; a
-            # try succeeds with chance |GL(2, Z/NZ)| / N^4 > 1/8 for N below
-            # 30030), each value kept with chance N / 2^k
-            words = (rows - len(starts)) * (N + 31) * (1 << k) // N
-            raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
-                                "<u4") >> (32 - k)
-            vals = np.concatenate([vals, raw[raw < N]])
-            ok = _unit_windows(vals, unit)
-        xs = vals[np.array(starts)[:, None] + cols]
-        xs = np.concatenate([xs, (1 - xs.sum(axis=1, keepdims=True)) % N], axis=1)
-        p, q, r, s = vals[np.array(auts)[:, None] + np.arange(4)].T[:, :, None]
+        xs = _below(N, rng, rows * N).reshape(rows, N)
+        xs[:, -1] = (1 - xs[:, :-1].sum(axis=1)) % N
+        auts = np.empty((0, 4), np.int64)
+        while len(auts) < rows:
+            m = _below(N, rng, 8 * rows).reshape(-1, 4)
+            auts = np.concatenate([auts, m[unit[(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) % N]]])
+        p, q, r, s = auts[:rows].T[:, :, None]
         out = np.empty((rows, N + 1, 2), np.int64)
         out[:, :1, 0], out[:, :1, 1] = p, r
         out[:, 1:, 0], out[:, 1:, 1] = p * xs + q, r * xs + s
-        vals = vals[pos:]
         yield out
 
 

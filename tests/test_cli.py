@@ -127,9 +127,9 @@ def test_enumerate_listing_is_the_same_cold_warm_and_uncached(runner, monkeypatc
     assert obj["truncated"] == (len(obj["sequences"]) < len(seqs))
 
 
-def test_enumerate_budget_exit(runner):
-    res = invoke(runner, "davenport", "--n", "9", "--no-cache")
-    assert res.exit_code == 3
+def test_enumerate_budget_exit(runner, monkeypatch, tmp_path):
+    args = ["davenport", "--n", "9", "--no-cache"]
+    _assert_over_budget(runner, monkeypatch, tmp_path, args, "davenport with n=9")
 
 
 def test_construct_classify_round_trip(runner, tmp_path):
@@ -180,9 +180,9 @@ def test_verify_property_b_passes(runner):
     assert obj["config"]["subcommand"] == "verify property-b"
 
 
-def test_verify_casen_budget(runner):
-    res = invoke(runner, "verify", "casen", "--n", "6", "--no-cache")
-    assert res.exit_code == 3
+def test_verify_casen_budget(runner, monkeypatch, tmp_path):
+    args = ["verify", "casen", "--n", "6", "--no-cache"]
+    _assert_over_budget(runner, monkeypatch, tmp_path, args, "verify casen with n=6, s=1")
 
 
 def test_verify_perturbation_exits(runner):
@@ -190,8 +190,6 @@ def test_verify_perturbation_exits(runner):
     assert res.exit_code == 0
     res = invoke(runner, "verify", "perturbation", "--m", "3", "--lemma", "I")
     assert res.exit_code == 2
-    res = invoke(runner, "verify", "perturbation", "--m", "7", "--lemma", "I")
-    assert res.exit_code == 3
     res = invoke(runner, "verify", "perturbation", "--m", "4", "--lemma", "IV")
     assert res.exit_code == 2
 
@@ -216,6 +214,14 @@ def test_verify_propbfix_item2_zero_hits_exit_zero(runner):
         "congruent to -1 mod n, so it never has the item-2 shape")
     assert res.exit_code == 0
     assert obj["counterexamples"] == []
+
+
+def test_verify_propbfix_sampled_item1_rejects_jobs(runner):
+    res = invoke(runner, "verify", "propbfix", "--item", "1", "--m", "4",
+                 "--n", "2", "--samples", "5", "--jobs", "2")
+    assert res.exit_code == 2
+    assert "--jobs" in res.output
+    assert "{" not in res.output
 
 
 def test_verify_propbfix_item2_rejects_jobs(runner):
@@ -343,12 +349,10 @@ CONFIG_CASES = [
     (["verify", "perturbation", "--m", "4", "--lemma", "III", "--jobs", "1"], 0,
      {"subcommand": "verify perturbation", "m": 4, "lemma": "III", "force": False,
       "jobs": 1}),
-    (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--samples", "5",
-      "--jobs", "1"], 0,
+    # only item 1's --exhaustive takes jobs, so these configs record none
+    (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--samples", "5"], 0,
      {"subcommand": "verify propbfix", "item": 1, "m": 4, "n": 2, "samples": 5,
-      "seed": 2026, "exhaustive": False, "structured": 256, "random_lifts": 64,
-      "jobs": 1}),
-    # item 2 takes no jobs, so its config records none
+      "seed": 2026, "exhaustive": False, "structured": 256, "random_lifts": 64}),
     (["verify", "propbfix", "--item", "2", "--m", "4", "--n", "5", "--structured", "2",
       "--random-lifts", "0", "--seed", "7"], 0,
      {"subcommand": "verify propbfix", "item": 2, "m": 4, "n": 5, "samples": 10_000,
@@ -412,9 +416,11 @@ def test_module_entry_point_exit_codes():
 # the subcommand and options its error names
 OVER_BUDGET = [
     (["davenport", "--n", "8"], "davenport with n=8"),
+    (["davenport", "--n", "9"], "davenport with n=9"),
     (["sleq", "--n", "6", "--k", "6"], "sleq with n=6, k=6"),
     (["verify", "property-b", "--n", "7"], "verify property-b with n=7"),
     (["verify", "property-c", "--n", "6"], "verify property-c with n=6"),
+    (["verify", "casen", "--n", "6"], "verify casen with n=6, s=1"),
     (["verify", "casen", "--n", "6", "--s", "1"], "verify casen with n=6, s=1"),
     (["verify", "casen", "--n", "4", "--s", "2"], "verify casen with n=4, s=2"),
     (["verify", "casen", "--n", "2", "--s", "3"], "verify casen with n=2, s=3"),
@@ -423,8 +429,9 @@ OVER_BUDGET = [
 ]
 
 
-@pytest.mark.parametrize("args,shown", OVER_BUDGET, ids=[" ".join(c[0]) for c in OVER_BUDGET])
-def test_over_budget_exits_three_before_the_cache(runner, monkeypatch, tmp_path, args, shown):
+def _assert_over_budget(runner, monkeypatch, tmp_path, args, shown):
+    """``args`` exits 3 with the budget's one JSON error on stderr, before
+    it writes stdout or makes the cache directory."""
     # a search run past the budget would take seconds; fail it at once
     monkeypatch.setattr(zerosum.enumeration, "_search", _no_search)
     cache_dir = tmp_path / "cache"
@@ -437,6 +444,11 @@ def test_over_budget_exits_three_before_the_cache(runner, monkeypatch, tmp_path,
         "message": f"{shown} exceeds the default search budget; pass --force to run it anyway",
     }
     assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize("args,shown", OVER_BUDGET, ids=[" ".join(c[0]) for c in OVER_BUDGET])
+def test_over_budget_exits_three_before_the_cache(runner, monkeypatch, tmp_path, args, shown):
+    _assert_over_budget(runner, monkeypatch, tmp_path, args, shown)
 
 
 def test_force_runs_past_the_budget(runner):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from zerosum.lifting import (
     verify_propbfix_item1,
     verify_propbfix_item2,
 )
+from zerosum.properties import matches_eq1
 from zerosum.sequences import Sequence
 from zerosum.subsums import _has_zero_sum_rows, has_short_zero_sum
 
@@ -227,19 +229,34 @@ def test_random_automorphism_is_seed_deterministic():
 
 @pytest.mark.parametrize("N", [8, 12, 20, 24, 28])
 @pytest.mark.parametrize("count", [0, 1, 3, lifting._ROWS - 1, lifting._ROWS, lifting._ROWS + 1])
-def test_family_rows_are_the_scalar_sample_stream(N, count):
-    """The bulk sampler yields the samples of the one-randrange-at-a-time
-    oracle, in order, in chunks of at most _ROWS rows; past one chunk, its
-    second chunk starts on the values the first left over."""
-    mults = [N - 1] + [1] * N
+def test_family_rows_are_family_members(N, count):
+    """The sampler yields ``count`` members of the family, in chunks of at
+    most _ROWS rows: each row, read as a Sequence, has the long minimal
+    zero-sum shape, with alpha(e1) = (p, r) reduced and det(alpha) a unit,
+    and a seed gives the same rows every time."""
+    grp, mults = group(N), [N - 1] + [1] * N
     for seed in (1, 11, 2026):
         chunks = list(_family_rows(N, random.Random(seed), count))
         assert [len(rows) for rows in chunks] == [
             min(lifting._ROWS, count - done) for done in range(0, count, lifting._ROWS)]
-        got = [[(tuple(g), k) for g, k in zip(row, mults)]
-               for rows in chunks for row in rows.tolist()]
-        rng = random.Random(seed)
-        assert got == [coset_form_sample(group(N), rng) for _ in range(count)]
+        again = list(_family_rows(N, random.Random(seed), count))
+        assert all(np.array_equal(a, b) for a, b in zip(chunks, again, strict=True))
+        for row in (row for rows in chunks for row in rows.tolist()):
+            (p, r), (a, b) = row[0], row[1]
+            assert 0 <= p < N and 0 <= r < N
+            assert gcd((p * b - r * a) % N, N) == 1  # det(alpha(e1), alpha((x, 1)))
+            assert matches_eq1(Sequence(grp, zip(map(tuple, row), mults)))
+
+
+@pytest.mark.parametrize("N", [8, 12, 20, 24, 28])
+def test_below_draws_every_residue_and_nothing_else(N):
+    """_below gives exactly the values asked, each in [0, N); 3000 draws
+    hit every residue (each is missed with chance below 10^-40)."""
+    rng = random.Random(N)
+    assert [len(lifting._below(N, rng, count)) for count in (0, 1, 7)] == [0, 1, 7]
+    vals = lifting._below(N, rng, 3000)
+    assert vals.min() >= 0 and vals.max() < N
+    assert set(vals.tolist()) == set(range(N))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -271,12 +288,13 @@ def test_image_rows_and_row_guard_match_the_scalar_path(n):
     assert seen == {False, True}
 
 
-# sha256 of to_json(timing=False) with a bad image injected, taken from a
-# run of commit 3a60ee0, where every sample was a Sequence and the image was
-# injected through Homomorphism.image_in_coords.  Re-pinned when
+# sha256 of to_json(timing=False) with a bad image injected, first taken
+# from a run of commit 3a60ee0, where every sample was a Sequence and the
+# image was injected through Homomorphism.image_in_coords.  Re-pinned when
 # details["rejected_inputs"] left the report, after checking that the new
-# report equals the old one with that key removed.
-PINNED_FAULT_DIGEST = "0ce87ec62cd9318f40d6ae8582a81805b762c163d69c469b7e713ff9b82b2bc9"
+# report equals the old one with that key removed, and again when the
+# sampler moved to bulk uniform draws, which list other samples for a seed.
+PINNED_FAULT_DIGEST = "a786f9cc260873841407cb55a57599c1064084244a6f589e7054a59e552a4cfe"
 
 
 def test_item1_sampled_counterexamples_match_pinned_digest(monkeypatch):

@@ -40,15 +40,14 @@ def test_stopwatch_measures_something():
 
 # a passing item-1 report lists no samples, so its ledger entry cannot see a
 # changed sample stream; these pin it: sha256 of the JSON list of
-# to_json_obj() of the Sequences of the first 500 samples, taken from a run
-# of commit 5963332, before the samples were built in one step, when each
-# was drawn one randrange at a time; the bulk draws of _family_rows, in
-# chunks of rows, give the same digests
+# to_json_obj() of the Sequences of the first 500 samples of _family_rows,
+# taken when the sampler moved to plain bulk uniform draws (values below N
+# from the top bits of getrandbits words)
 PINNED_STREAM_DIGESTS = {
-    (8, 11): "e23919f629696f51c69f1b4f8bb0178ee2f4c9846f614ec2740211409006c1ad",
-    (8, 2026): "26b300b7f94ef5d699fa4408d6dcc9557c3770e47bb926fe5e14005baec02801",
-    (20, 11): "0abbe7766640fe9a2cae01a5e39bb2e183fbe009fff4310d21dcd9e00f4ae43d",
-    (20, 2026): "e47ce173f9c2ca04a37cd64c8e04aa7e487a4f9aa8e68907776ba8db42e56a4b",
+    (8, 11): "cee2fef12cd97df09322fcbf83600017008bbc9d99d5c4e302c2265f188d7843",
+    (8, 2026): "afdcb43f89c010351d76a5526741c35e5554fc53301f4b0545a4f7d3f75df697",
+    (20, 11): "efb231e3303b65efce8cd568204d004fd9b1d66b9bd8418a46981b2acdd05597",
+    (20, 2026): "a06e14f1858c17805599615230c8dafa82d193a8bdc83cb7328d93a7d1791f02",
 }
 
 

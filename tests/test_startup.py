@@ -111,3 +111,14 @@ value = {expr}
 print(json.dumps({{"value": value, "numpy": "numpy" in sys.modules}}))
 """)
     assert got == {"value": expected, "numpy": True}
+
+
+def test_sampled_item1_leaves_numpy_random_unloaded():
+    """The item-1 sampler draws from ``random.Random``; importing
+    numpy.random would add megabytes to the peak resident memory."""
+    got = _fresh(f"""{IMPORTS}
+rep = verify_propbfix_item1(4, 5, samples=300, seed=1)
+print(json.dumps({{"passed": rep.passed, "loaded": sorted(
+    m for m in ("numpy", "numpy.random") if m in sys.modules)}}))
+""")
+    assert got == {"passed": True, "loaded": ["numpy"]}

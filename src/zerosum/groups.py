@@ -5,8 +5,10 @@ the modulus together with lazily built lookup tables that the search code
 leans on: index arithmetic, the automorphisms as index permutations and
 their inverses, for each element the automorphisms that send it to its
 orbit minimum, and per automorphism alpha the bitsets {g : alpha(g) < x}
-of the search's counting rule.  Tables are sized for desk-scale moduli;
-nothing here is meant for n beyond a few dozen.
+of the search's counting rule.  GL(2, Z/nZ) is enumerated once, by
+:meth:`Group.perm_table`; the other automorphism tables read its rows.
+Tables are sized for desk-scale moduli; nothing here is meant for n beyond
+a few dozen.
 
 numpy is imported by :func:`numpy` on first use (a table build or a search)
 and bound to the module global ``np``; a run that builds no table and
@@ -172,18 +174,13 @@ class Group:
     # -- automorphisms -------------------------------------------------------
 
     def automorphisms(self) -> tuple[Automorphism, ...]:
-        """All of GL(2, Z/nZ), by scanning the n^4 matrices for unit
-        determinant.  Cached; fine for the small moduli used here."""
+        """GL(2, Z/nZ) as :class:`Automorphism` objects, a view of
+        :meth:`perm_table` in its row order: row a sends e1, index n, to
+        p*n + r and e2, index 1, to q*n + s.  Cached; no search reads it."""
         if self._aut is None:
             n = self.n
-            auts = []
-            for p in range(n):
-                for q in range(n):
-                    for r in range(n):
-                        for s in range(n):
-                            if gcd((p * s - q * r) % n, n) == 1:
-                                auts.append(Automorphism(n, p, q, r, s))
-            self._aut = tuple(auts)
+            images = self.perm_table()[:, [n, 1]].tolist()
+            self._aut = tuple(Automorphism(n, x // n, y // n, x % n, y % n) for x, y in images)
         return self._aut
 
     # -- index encoding (hot paths) -----------------------------------------
@@ -197,16 +194,8 @@ class Group:
     def add_index_table(self) -> list[list[int]]:
         """ADD[i][j] = index of element i + element j."""
         if self._add_idx is None:
-            n, sz = self.n, self.size
-            tbl = []
-            for i in range(sz):
-                a, b = divmod(i, n)
-                row = [0] * sz
-                for j in range(sz):
-                    c, d = divmod(j, n)
-                    row[j] = ((a + c) % n) * n + (b + d) % n
-                tbl.append(row)
-            self._add_idx = tbl
+            n, elems = self.n, self.elements()
+            self._add_idx = [[(a + c) % n * n + (b + d) % n for c, d in elems] for a, b in elems]
         return self._add_idx
 
     def neg_index_table(self) -> list[int]:
@@ -216,16 +205,17 @@ class Group:
         return self._neg_idx
 
     def perm_table(self) -> np.ndarray:
-        """Automorphisms as index permutations, shape (|Aut|, n^2), int16.
+        """GL(2, Z/nZ) as index permutations, shape (|Aut|, n^2), int16.
 
-        Row order matches :meth:`automorphisms`.
+        The one enumeration of the group: the matrices [[p, q], [r, s]] of
+        unit determinant, in lexicographic order of (p, q, r, s).
         """
         if self._perm is None:
             np, n = numpy(), self.n
             # int32 is exact: every intermediate is below 2n^2
-            auts = np.array([(al.p, al.q, al.r, al.s) for al in self.automorphisms()],
-                            dtype=np.int32)
-            p, q, r, s = auts.T[:, :, None]  # matrix entries, one column each
+            p, q, r, s = np.indices((n,) * 4, dtype=np.int32).reshape(4, -1)
+            unit = np.gcd(p * s - q * r, n) == 1
+            p, q, r, s = (m[unit, None] for m in (p, q, r, s))  # one column each
             a, b = np.divmod(np.arange(self.size, dtype=np.int32), n)
             self._perm = ((p * a + q * b) % n * n + (r * a + s * b) % n).astype(np.int16)
         return self._perm
@@ -243,11 +233,10 @@ class Group:
         if self._orbits is None:
             perm = self.perm_table()
             orbit_min = perm.min(axis=0)
-            segments = [np.flatnonzero(perm[:, x] == orbit_min[x]) for x in range(self.size)]
-            rows = np.int16 if len(perm) <= np.iinfo(np.int16).max else np.int32
-            start = np.zeros(self.size + 1, dtype=np.intp)
-            np.cumsum([len(segment) for segment in segments], out=start[1:])
-            self._orbits = (orbit_min.tolist(), np.concatenate(segments).astype(rows), start)
+            x, rows = (perm == orbit_min).T.nonzero()  # by x, then by row
+            dtype = np.int16 if len(perm) <= np.iinfo(np.int16).max else np.int32
+            start = np.searchsorted(x, np.arange(self.size + 1))
+            self._orbits = (orbit_min.tolist(), rows.astype(dtype), start)
         return self._orbits
 
     def inverse_table(self) -> np.ndarray:

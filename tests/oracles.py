@@ -48,10 +48,20 @@ def naive_is_minimal_zero_sum(seq: Sequence) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def naive_automorphisms(n: int) -> tuple:
+    """All of GL(2, Z/nZ), by scanning the n^4 matrices (p, q, r, s) in
+    lexicographic order for a unit determinant; the reference for
+    ``Group.perm_table`` and ``Group.automorphisms``."""
+    return tuple(Automorphism(n, p, q, r, s)
+                 for p, q, r, s in itertools.product(range(n), repeat=4)
+                 if gcd((p * s - q * r) % n, n) == 1)
+
+
 def naive_canonical(seq: Sequence) -> Sequence:
     """Orbit minimum by applying every automorphism explicitly."""
     best = None
-    for alpha in seq.group.automorphisms():
+    for alpha in naive_automorphisms(seq.group.n):
         image = tuple(sorted(alpha(g) for g in seq))
         if best is None or image < best:
             best = image
@@ -75,8 +85,40 @@ def orbit_size(seq: Sequence) -> int:
 
 def naive_orbit(seq: Sequence) -> set:
     return {
-        tuple(sorted(alpha(g) for g in seq)) for alpha in seq.group.automorphisms()
+        tuple(sorted(alpha(g) for g in seq)) for alpha in naive_automorphisms(seq.group.n)
     }
+
+
+def burnside_all(n: int, length: int) -> int:
+    """The number of automorphism orbits of sequences of ``length`` over
+    (Z/nZ)^2, by Burnside's lemma: (1/|Aut|) sum over alpha of Fix(alpha).
+
+    A multiset is fixed by alpha iff its multiplicities are constant on the
+    cycles of alpha, so Fix(alpha) is the coefficient of x^length in
+    prod over the cycles c of 1 / (1 - x^|c|).  alpha runs over the rows of
+    ``Group.perm_table``, grouped by cycle type.
+    """
+    types: dict = {}
+    for row in group(n).perm_table().tolist():
+        seen, cycles = [False] * len(row), []
+        for first in range(len(row)):
+            size, x = 0, first
+            while not seen[x]:
+                seen[x], x, size = True, row[x], size + 1
+            if size:
+                cycles.append(size)
+        key = tuple(sorted(cycles))
+        types[key] = types.get(key, 0) + 1
+    total = 0
+    for cycles, count in types.items():
+        coeffs = [1] + [0] * length  # of prod 1 / (1 - x^c), up to x^length
+        for c in cycles:
+            for i in range(c, length + 1):
+                coeffs[i] += coeffs[i - c]
+        total += count * coeffs[length]
+    orbits, rest = divmod(total, sum(types.values()))
+    assert rest == 0, (n, length, total)
+    return orbits
 
 
 def subgroup_generated_by(grp: Group, e1, e2) -> set:

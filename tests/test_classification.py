@@ -17,6 +17,7 @@ from zerosum.errors import (
 )
 from zerosum.sequences import Sequence
 
+from ledger import LEDGER
 from oracles import random_automorphism
 
 
@@ -107,16 +108,15 @@ class TestClassify:
                 classify_long_zero_sum(s)
 
 
+# the ledger's casen rows that test_small_scans reads, in its id order
+CASEN_ROWS = [LEDGER[f"casen n={n} s={s}"] for n, s in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2))]
+
+
 class TestVerifyCasen:
     @pytest.mark.parametrize(
         "n,s,orbits,kinds",
-        [
-            (2, 1, 1, {"item1": 1, "item2": 0, "both": 0, "unclassified": 0}),
-            (3, 1, 3, {"item1": 3, "item2": 0, "both": 0, "unclassified": 0}),
-            (4, 1, 11, {"item1": 11, "item2": 0, "both": 0, "unclassified": 0}),
-            (2, 2, 2, {"item1": 2, "item2": 0, "both": 0, "unclassified": 0}),
-            (3, 2, 8, {"item1": 8, "item2": 0, "both": 0, "unclassified": 0}),
-        ],
+        [(row["params"]["n"], row["params"]["s"], row["orbits_scanned"], row["details"]["kinds"])
+         for row in CASEN_ROWS],
     )
     def test_small_scans(self, n, s, orbits, kinds):
         report = verify_casen(n, s)

@@ -479,15 +479,8 @@ def _assert_walk_pinned(jobs, keys=WALK):
         max_length_with(group(4), "no-short-zero-sum", {"k": 2}, jobs=jobs, depth_cap=16)
 
 
-@pytest.mark.parametrize("budget", [1, 64, 4096, enumeration._SERIAL_NODES])
-def test_walk_does_not_depend_on_the_serial_budget(monkeypatch, budget):
-    """At jobs=2 the search walks ``budget`` nodes in-process and hands the
-    pairs left on its stack to workers; a budget of one node forks for any
-    search past its root.  Node and orbit counts, leaves in order and the
-    depth cap are those of jobs=1 for every budget.  At jobs=2 and a budget
-    of 64 nodes, test_search_entry_at_two_jobs of test_ledger checks each
-    search of the ledger, so this test checks LEAVES and the cap alone."""
-    monkeypatch.setattr(enumeration, "_SERIAL_NODES", budget)
+def _record_fan_out(monkeypatch) -> list:
+    """The (jobs, units handed on) of every fan_out call from now on."""
     handed = []
     fan_out = enumeration.fan_out
 
@@ -496,26 +489,46 @@ def test_walk_does_not_depend_on_the_serial_budget(monkeypatch, budget):
         return fan_out(work, units, jobs)
 
     monkeypatch.setattr(enumeration, "fan_out", recorded)
-    block = enumeration._BLOCK
-    for jobs in (1, 2):
-        _assert_walk_pinned(jobs, [] if (jobs, budget) == (2, 64) else WALK)
-        # blocks of 4 pairs leave pairs pending on the lower levels too, and
-        # let the walk reach leaves before a budget of 64 nodes stops it
-        monkeypatch.setattr(enumeration, "_BLOCK", 4)
-        _assert_pinned(LEAVES, jobs)
-        monkeypatch.setattr(enumeration, "_BLOCK", block)
-    # jobs=1 hands no unit on; at jobs=2 davenport(7) outruns every budget
-    assert {units for jobs, units in handed if jobs == 1} == {0}
-    assert max(units for jobs, units in handed if jobs == 2) >= 2
+    return handed
 
 
-@pytest.mark.parametrize("budget", [1, enumeration._CHUNK_ROWS, 10**9])
+@pytest.mark.parametrize("budget", [1, 64, 4096, enumeration._SERIAL_NODES])
+def test_walk_does_not_depend_on_the_serial_budget(monkeypatch, budget):
+    """At jobs=2 the search walks ``budget`` nodes in-process and hands the
+    pairs left on its stack to workers; a budget of one node forks for any
+    search past its root.  Node and orbit counts, leaves in order and the
+    depth cap are those of jobs=1 (test_ledger_entry) for every budget.  At
+    a budget of 64 nodes, test_search_entry_at_two_jobs of test_ledger
+    checks each search of the ledger, so this test checks LEAVES and the cap
+    alone.  jobs=1 reads no budget, so it is not run here."""
+    monkeypatch.setattr(enumeration, "_SERIAL_NODES", budget)
+    handed = _record_fan_out(monkeypatch)
+    _assert_walk_pinned(2, [] if budget == 64 else WALK)
+    # blocks of 4 pairs leave pairs pending on the lower levels too, and let
+    # the walk reach leaves before a budget of 64 nodes stops it
+    monkeypatch.setattr(enumeration, "_BLOCK", 4)
+    _assert_pinned(LEAVES, 2)
+    # davenport(7) outruns every budget
+    assert max(units for jobs, units in handed) >= 2
+
+
+def test_serial_walk_hands_no_unit_on(monkeypatch):
+    """At jobs=1, with blocks of 4 pairs, LEAVES are pinned and fan_out is
+    handed no unit."""
+    handed = _record_fan_out(monkeypatch)
+    monkeypatch.setattr(enumeration, "_BLOCK", 4)
+    _assert_pinned(LEAVES, 1)
+    assert {units for jobs, units in handed} == {0}
+
+
+@pytest.mark.parametrize("budget", [1, 10**9])
 def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, budget):
     """A budget of one row makes every chunk one node, and a budget above
     any chunk these searches form takes all pending children of a depth
     into one chunk; the walk, its node and orbit counts and its leaves in
     order are those of the default budget, at jobs 1 and 2, and the depth
-    cap still raises."""
+    cap still raises.  The default budget itself is test_ledger_entry's at
+    jobs=1 and the serial-budget test's at jobs=2."""
     monkeypatch.setattr(enumeration, "_CHUNK_ROWS", budget)
     # 28,211 one-node chunks for davenport(7) would take seconds
     keys = [key for key in WALK if key != "davenport n=7" or budget > 1]
@@ -622,12 +635,14 @@ def test_unknown_predicate_rejected():
         enumerate_sequences(EnumSpec(3, 2, "no-short-zero-sum", {"k": 0}))
 
 
-@pytest.mark.parametrize("n,expected", [(2, 3), (3, 5), (4, 7), (5, 9)])
+@pytest.mark.parametrize("n,expected", [(n, LEDGER[f"davenport n={n}"]["value"])
+                                        for n in (2, 3, 4, 5)])
 def test_davenport_small(n, expected):
     assert davenport(group(n)) == expected
 
 
-@pytest.mark.parametrize("n,expected", [(2, 4), (3, 7), (4, 10)])
+@pytest.mark.parametrize("n,expected", [(n, LEDGER[f"s_leq n={n} k={n}"]["value"])
+                                        for n in (2, 3, 4)])
 def test_s_leq_small(n, expected):
     assert s_leq(group(n), n) == expected
 

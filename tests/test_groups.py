@@ -9,9 +9,9 @@ import pytest
 from zerosum import Group, group
 from zerosum.errors import NotABasis
 
-from oracles import subgroup_generated_by
+from oracles import naive_automorphisms, subgroup_generated_by
 
-# |GL(2, Z/nZ)| for n = 2..8, frozen from the scan itself plus the closed
+# |GL(2, Z/nZ)| for n = 2..8, frozen from the reference scan plus the closed
 # formula; the n=2 and n=3 values are the classical 6 and 48.
 GL2_SIZES = {2: 6, 3: 48, 4: 96, 5: 480, 6: 288, 7: 2016, 8: 1536}
 
@@ -44,17 +44,18 @@ def test_max_order_element_count_formula(n):
 @pytest.mark.parametrize("n", sorted(GL2_SIZES))
 def test_automorphism_counts(n):
     grp = group(n)
-    auts = grp.automorphisms()
-    assert len(auts) == GL2_SIZES[n]
+    assert len(naive_automorphisms(n)) == GL2_SIZES[n]
+    assert len(grp.perm_table()) == len(grp.automorphisms()) == GL2_SIZES[n]
 
 
 def test_automorphisms_are_bijections():
     grp = group(4)
     elems = grp.elements()
-    auts = grp.automorphisms()
+    auts, reference = grp.automorphisms(), naive_automorphisms(4)
     rng = random.Random(7)
-    for alpha in rng.sample(auts, 20):
-        assert len({alpha(g) for g in elems}) == len(elems)
+    for a in rng.sample(range(len(auts)), 20):
+        assert auts[a] == reference[a]
+        assert len({auts[a](g) for g in elems}) == len(elems)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -91,13 +92,16 @@ def test_coords_in_basis_roundtrip(n):
 
 
 def test_perm_table_matches_automorphisms():
+    """Row a of perm_table is the a-th matrix of the reference scan, and
+    automorphisms() reads that scan's list back off the rows."""
     for n in range(2, 9):
         grp = group(n)
-        perm = grp.perm_table()
+        perm, auts = grp.perm_table(), naive_automorphisms(n)
         assert perm.dtype == np.int16
-        assert perm.shape == (len(grp.automorphisms()), grp.size)
-        for alpha, row in zip(grp.automorphisms(), perm.tolist()):
+        assert perm.shape == (len(auts), grp.size)
+        for alpha, row in zip(auts, perm.tolist()):
             assert row == [grp.index(alpha(g)) for g in grp.elements()]
+        assert grp.automorphisms() == auts
 
 
 @pytest.mark.parametrize("n", range(2, 11))

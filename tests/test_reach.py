@@ -43,6 +43,7 @@ ALLOWED = {
     # public API kept on purpose
     "report.Report.to_json": "public API",
     "groups.Automorphism.__call__": "public API",
+    "groups.Group.automorphisms": "public API; tests' reference view; perfbench's tracer names it",
     # named by perfbench/ until ROADMAP items 7, 8, 12 and 22 retire them
     "decomposition": "perfbench",
     "subsums.restricted_sums": "perfbench",

@@ -1,9 +1,11 @@
 """numpy and multiprocessing load on first use, in a fresh interpreter.
 
-A command that builds no group table (``--version``, a cache hit) must not
-import numpy, a search that forks no pool must not import multiprocessing,
-and every numpy entry point must work when it is the first call of a new
-process, i.e. when it is the one that binds numpy.
+A command that builds no group table (``--version``, a cache hit) or only
+the pure-Python ones (construct, classify, propbfix item 2) must not import
+numpy, a search that forks no pool must not import multiprocessing, a
+search builds no Automorphism objects, and every numpy entry point must
+work when it is the first call of a new process, i.e. when it is the one
+that binds numpy.
 """
 
 from __future__ import annotations
@@ -71,6 +73,31 @@ def test_warm_davenport_hit_loads_no_numpy(tmp_path):
     assert warm["code"] == 0
     assert warm["stdout"] == cold["stdout"]
     assert warm["loaded"] == []
+
+
+def test_scalar_commands_load_no_numpy(tmp_path):
+    """construct, classify and propbfix item 2 read only the pure-Python
+    tables (``add_index_table``, ``neg_index_table``), never a numpy one."""
+    seq = str(tmp_path / "exceptional.json")
+    for args in (["construct", "exceptional", "--n", "5", "--x", "2", "--output", seq],
+                 ["classify", "--file", seq],
+                 ["verify", "propbfix", "--item", "2", "--m", "4", "--n", "5"]):
+        got = _zs(args)
+        assert got["code"] == 0 and "numpy" not in got["loaded"], (args, got)
+
+
+def test_a_search_builds_no_automorphism_objects():
+    """The search reads GL(2, Z/nZ) as the rows of ``perm_table`` alone;
+    ``Group.automorphisms`` is a view that no search builds."""
+    got = _fresh("""
+import json
+from zerosum.enumeration import davenport
+from zerosum.groups import group
+value = davenport(group(7), jobs=1)
+print(json.dumps({"value": value, "aut": group(7)._aut is None,
+                  "perm": group(7)._perm is not None}))
+""")
+    assert got == {"value": 13, "aut": True, "perm": True}
 
 
 def test_small_cold_search_at_two_jobs_loads_no_multiprocessing():

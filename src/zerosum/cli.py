@@ -24,6 +24,12 @@ body.  The budgets live here, one beside each registration; the package
 runs any size asked.  Its own BudgetExceeded are not budgets: the search's
 depth cap (a search that would never end), the exhaustive propbfix
 population's mn <= 8 (no override) and decomposition's cap.
+
+The ``zs`` group callback defaults ``OPENBLAS_NUM_THREADS`` to 1 before any
+command binds numpy, so the zs process and the workers it forks start no
+BLAS thread pool; a value already set wins.  The package itself leaves the
+environment alone; calling ``main`` in-process sets the variable in the
+calling process.
 """
 
 from __future__ import annotations
@@ -165,6 +171,8 @@ def command(parent: click.Group, name: str, *options,
 @click.version_option(__version__)
 def main() -> None:
     """Zero-sum sequence toolkit for rank-two cyclic groups."""
+    # zerosum calls no BLAS routine: its only @ (lifting.image_rows) is on int64 arrays
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 construct_grp = click.Group("construct", help="Builders for the named sequence families.")

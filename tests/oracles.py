@@ -121,6 +121,18 @@ def burnside_all(n: int, length: int) -> int:
     return orbits
 
 
+def property_b_family(n: int) -> set:
+    """The canonical forms of e1^[n-1] prod (x_i e1 + e2) over the residue
+    multisets {x_1, ..., x_n} with sum x_i = 1 (mod n): the one-coset form
+    of property B on the standard basis (Aut is transitive on bases)."""
+    grp = group(n)
+    return {
+        Sequence(grp, [((1, 0), n - 1)] + [((x, 1), 1) for x in xs]).canonicalize()
+        for xs in itertools.combinations_with_replacement(range(n), n)
+        if sum(xs) % n == 1
+    }
+
+
 def subgroup_generated_by(grp: Group, e1, e2) -> set:
     """Closure of {e1, e2} under addition, for basis cross-checks."""
     seen = {grp.zero}

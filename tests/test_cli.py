@@ -23,7 +23,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    # main defaults OPENBLAS_NUM_THREADS in its process; the runner puts the
+    # caller's value back after each invoke
+    return CliRunner(env={"OPENBLAS_NUM_THREADS": None})
 
 
 def invoke(runner, *args):

@@ -4,7 +4,8 @@
 (Z/nZ)^2 from the cycle types of the rows of ``Group.perm_table`` alone,
 so it shares no code with the orbit test of the search.  The sizes reach
 the multi-word ``below_sets`` (n = 9, 10) and the 512-row spans of the
-search's first tier-1 walks at those moduli.
+search's first tier-1 walks at those moduli.  One row also runs forked over
+two workers, which must return the jobs=1 leaves in the same order.
 
 Limit: a count cannot see a dropped orbit that an extra, non-canonical
 leaf of another orbit makes up for.  So the leaves at (9, 4) and (10, 4)
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from zerosum import enumeration
 from zerosum.enumeration import EnumSpec, decode_leaves, enumerate_leaves
 
 from oracles import burnside_all
@@ -35,3 +37,12 @@ def test_all_leaf_count_is_the_burnside_count(n, length):
 def test_all_leaves_are_orbit_minima(n):
     leaves, _ = enumerate_leaves(EnumSpec(n, 4, "all"), jobs=1)
     assert all(s.canonicalize() == s for s in decode_leaves(n, leaves))
+
+
+def test_forked_all_leaves_are_the_serial_ones(monkeypatch):
+    spec = EnumSpec(8, 5, "all")
+    serial, _ = enumerate_leaves(spec, jobs=1)
+    monkeypatch.setattr(enumeration, "_SERIAL_NODES", 64)  # so that jobs=2 forks
+    forked, stats = enumerate_leaves(spec, jobs=2)
+    assert len(forked) == stats.leaves == ORBITS[8, 5]
+    assert forked == serial

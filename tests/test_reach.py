@@ -116,7 +116,7 @@ def reach(tmp_path_factory) -> tuple[set[str], set[str]]:
     tmp = tmp_path_factory.mktemp("reach")
     runs = _runs(tmp) * 2 + [(["davenport", "--n", "9", "--no-cache", *J1], 3),
                              (["cache", "purge", "--cache-dir", str(tmp / "cache")], 0)]
-    runner, entered, codes = CliRunner(), set(), []
+    runner, entered, codes = CliRunner(env={"OPENBLAS_NUM_THREADS": None}), set(), []
 
     def profile(frame, event, arg):
         if event == "call":

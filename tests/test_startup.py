@@ -5,7 +5,9 @@ the pure-Python ones (construct, classify, propbfix item 2) must not import
 numpy, a search that forks no pool must not import multiprocessing, a
 search builds no Automorphism objects, and every numpy entry point must
 work when it is the first call of a new process, i.e. when it is the one
-that binds numpy.
+that binds numpy.  A ``zs`` process defaults ``OPENBLAS_NUM_THREADS`` to 1
+before numpy loads, so it starts no BLAS threads; a library call leaves the
+variable alone.
 """
 
 from __future__ import annotations
@@ -19,23 +21,29 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+BLAS = "OPENBLAS_NUM_THREADS"
 
 
-def _fresh(script: str) -> dict:
-    """Run ``script`` in a new interpreter with the sources on the path;
-    it prints one JSON object as its last line."""
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+def _fresh(script: str, env: dict | None = None) -> dict:
+    """Run ``script`` in a new interpreter with the sources on the path and
+    ``env`` added to this process's environment, less any
+    OPENBLAS_NUM_THREADS (a CliRunner test may have set it here); it prints
+    one JSON object as its last line."""
+    env = {**{k: v for k, v in os.environ.items() if k != BLAS}, **(env or {}),
+           "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=120)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 
-def _zs(args: list[str]) -> dict:
+def _zs(args: list[str], env: dict | None = None) -> dict:
     """Run ``zs ARGS`` through ``zerosum.cli.main`` in a new interpreter;
-    its exit code, stdout and the heavy modules it loaded."""
+    its exit code, stdout, the heavy modules it loaded, its
+    OPENBLAS_NUM_THREADS and its thread count (None where the OS does not
+    list them)."""
     return _fresh(f"""
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import zerosum.cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -43,9 +51,12 @@ with contextlib.redirect_stdout(out):
         zerosum.cli.main(args={args!r}, prog_name="zs")
     except SystemExit as exc:
         code = exc.code
+tasks = "/proc/self/task"
 print(json.dumps({{"code": code, "stdout": out.getvalue(),
-                  "loaded": [m for m in ("numpy", "multiprocessing") if m in sys.modules]}}))
-""")
+                  "loaded": [m for m in ("numpy", "multiprocessing") if m in sys.modules],
+                  "blas": os.environ.get({BLAS!r}),
+                  "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None}}))
+""", env)
 
 
 def test_importing_the_cli_loads_neither_numpy_nor_multiprocessing():
@@ -84,6 +95,36 @@ def test_scalar_commands_load_no_numpy(tmp_path):
                  ["verify", "propbfix", "--item", "2", "--m", "4", "--n", "5"]):
         got = _zs(args)
         assert got["code"] == 0 and "numpy" not in got["loaded"], (args, got)
+
+
+def test_a_cold_command_starts_no_blas_threads():
+    """zerosum calls no BLAS routine, so the zs process loads numpy with
+    OPENBLAS_NUM_THREADS=1 and runs on its one thread."""
+    got = _zs(["davenport", "--n", "3", "--jobs", "1", "--no-cache"])
+    assert got["code"] == 0 and json.loads(got["stdout"])["value"] == 5
+    assert "numpy" in got["loaded"]
+    assert got["blas"] == "1"
+    assert got["threads"] in (None, 1)
+
+
+def test_a_set_blas_thread_count_wins():
+    got = _zs(["davenport", "--n", "3", "--jobs", "1", "--no-cache"], {BLAS: "2"})
+    assert got["code"] == 0 and "numpy" in got["loaded"]
+    assert got["blas"] == "2"
+
+
+def test_a_library_call_leaves_the_blas_setting_alone():
+    """Only the zs process sets the default: a script that imports zerosum
+    keeps its BLAS threads."""
+    got = _fresh(f"""
+import json, os, sys
+from zerosum.enumeration import davenport
+from zerosum.groups import group
+value = davenport(group(3), jobs=1)
+print(json.dumps({{"value": value, "numpy": "numpy" in sys.modules,
+                  "blas": os.environ.get({BLAS!r})}}))
+""")
+    assert got == {"value": 5, "numpy": True, "blas": None}
 
 
 def test_a_search_builds_no_automorphism_objects():

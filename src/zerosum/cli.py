@@ -11,9 +11,8 @@ returns a Report (exit 1 if it has counterexamples, else 0) or ``(obj,
 exit_code)``.
 The helper adds ``--pretty``/``--output``, plus ``--jobs`` (default: all
 cores) with ``jobs`` and ``--cache-dir``/``--no-cache`` with ``cache``, in
-which case the body gets the resolved ``cache``.  ``jobs`` may instead be
-a predicate on the parsed options: where it is false, the body gets no
-``jobs``, ``config`` records none, and an explicit ``--jobs`` exits 2.  It
+which case the body gets the resolved ``cache``.  A command registered
+without ``jobs`` has no ``--jobs``, so click rejects one (exit 2).  It
 builds ``config``, maps package errors to exit codes 2 and 3, writes the
 JSON and exits.
 
@@ -22,8 +21,7 @@ with it the helper adds ``--force``, and where the predicate is false and
 ``--force`` is absent it exits 3 before it resolves the cache or runs the
 body.  The budgets live here, one beside each registration; the package
 runs any size asked.  Its own BudgetExceeded are not budgets: the search's
-depth cap (a search that would never end), the exhaustive propbfix
-population's mn <= 8 (no override) and decomposition's cap.
+depth cap (a search that would never end) and decomposition's cap.
 
 The ``zs`` group callback defaults ``OPENBLAS_NUM_THREADS`` to 1 before any
 command binds numpy, so the zs process and the workers it forks start no
@@ -131,7 +129,7 @@ def _execute(body, params: dict, config: dict, pretty: bool, output: str | None)
 
 
 def command(parent: click.Group, name: str, *options,
-            jobs: bool | Callable[[dict], bool] = False, cache: bool = False,
+            jobs: bool = False, cache: bool = False,
             budget: Callable[[dict], bool] | None = None):
     """Register the decorated body as subcommand ``name`` of ``parent``
     (see the module docstring)."""
@@ -141,11 +139,7 @@ def command(parent: click.Group, name: str, *options,
 
     def register(body):
         def run(pretty: bool, output: str | None, **params) -> None:
-            if callable(jobs) and not jobs(params):
-                if params.pop("jobs") is not None:
-                    raise click.UsageError(
-                        f"--jobs has no effect on {subcommand} with these options")
-            elif jobs:
+            if jobs:
                 params["jobs"] = params["jobs"] or os.cpu_count() or 1
             config = {"subcommand": subcommand, **params}
             if budget and not params.pop("force") and not budget(params):
@@ -287,13 +281,11 @@ def perturbation_cmd(m, lemma, jobs):
                       help="Item 1: enumerate instead of sampling."),
          int_opt("--structured", 1, default=256,
                  help="Item 2: fiberwise-constant lift budget."),
-         int_opt("--random-lifts", 0, default=64, help="Item 2: fully random lift budget."),
-         jobs=lambda params: params["item"] == 1 and params["exhaustive"])
-def propbfix_cmd(item, m, n, samples, seed, exhaustive, structured, random_lifts, jobs=None):
+         int_opt("--random-lifts", 0, default=64, help="Item 2: fully random lift budget."))
+def propbfix_cmd(item, m, n, samples, seed, exhaustive, structured, random_lifts):
     """Image behavior of maximal-length minimal zero-sums under mult-by-m."""
     if item == 1:
-        return verify_propbfix_item1(m, n, samples=samples, seed=seed,
-                                     exhaustive=exhaustive, jobs=jobs)
+        return verify_propbfix_item1(m, n, samples=samples, seed=seed, exhaustive=exhaustive)
     return verify_propbfix_item2(m, n, structured=structured,
                                  random_lifts=random_lifts, seed=seed)
 

@@ -12,12 +12,15 @@ The two verify_* functions check, at statement level, the transfer result
 for minimal zero-sums of maximal length 2N-1: their image has no nonempty
 zero-sum part of length below n, and when the image lands in the
 exceptional four-element shape, the original sequence keeps the
-one-basis-coset support property.  Item 1 draws its samples in chunks of
-rows from uniform values taken in bulk (``_family_rows``), maps each chunk
-to image indices and sums with arrays (``image_rows``, the batch form of
-``image_in_coords``), and runs the zero-sum guard over the rows; neither a
-sample nor its image becomes a Sequence unless the sample is reported.  On
-a shared 2-core x86_64 machine, 10^4 samples take 0.081 s at (4,5) and
+one-basis-coset support property.  Item 1 checks chunks of rows of the
+family e1^[N-1] prod(x_i e1 + e2) moved by an automorphism (``_rows``),
+drawn in bulk (``_family_rows``) or one per residue multiset mod n
+(``_residue_rows``): it maps them to image indices and sums with arrays
+(``image_rows``, the batch form of ``image_in_coords``) and runs the
+zero-sum guard over the rows; no row becomes a Sequence unless reported.
+Both populations rest on property B at N = mn (every minimal zero-sum of
+length 2mn - 1 is a family member), which the ledger verifies for N <= 8.
+On a shared 2-core x86_64 machine, 10^4 samples take 0.081 s at (4,5) and
 0.030 s at (4,2) (in-process medians, BENCH_39.json), against 0.354 s and
 0.167 s one sample at a time (BENCH_27.json).
 """
@@ -26,13 +29,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import combinations_with_replacement, islice
 from math import gcd
 
 from . import groups
 from .classification import construct_exceptional
-from .enumeration import EnumSpec, enumerate_sequences
 from .errors import (
-    BudgetExceeded,
     FiberMismatch,
     NotADivisor,
     PreconditionViolated,
@@ -127,14 +129,23 @@ def _below(N: int, rng: random.Random, count: int):
     return vals[:count]
 
 
+def _rows(xs, p=1, q=0, r=0, s=1):
+    """Row i: alpha(e1) = (p, r), then alpha((x, 1)) = (p*x + q, r*x + s) for
+    each residue x of ``xs[i]``; p, q, r, s are scalars (the identity by
+    default) or columns, one alpha a row.  Multiplicities N - 1, 1, ..., 1;
+    coordinates not reduced mod N."""
+    out = groups.numpy().empty((len(xs), xs.shape[1] + 1, 2), "int64")
+    out[:, :1, 0], out[:, :1, 1] = p, r
+    out[:, 1:, 0], out[:, 1:, 1] = p * xs + q, r * xs + s
+    return out
+
+
 def _family_rows(N: int, rng: random.Random, count: int):
     """``count`` uniform random members of the maximal-length minimal
     zero-sum family, moved by uniform random automorphisms, in chunks of at
-    most _ROWS rows.  Row i holds alpha(e1) = (p, r), then alpha((x, 1)) =
-    (p*x + q, r*x + s) for each of its residues x: multiplicities N - 1, 1,
-    ..., 1, coordinates not reduced mod N.  A chunk draws rows x N residues,
-    its last column then set to make each row's sum 1, and batches of 2 x
-    rows matrices (p, q, r, s), keeping those with a unit determinant."""
+    most _ROWS rows (``_rows``).  A chunk draws rows x N residues, its last
+    column then set to make each row's sum 1, and batches of 2 x rows
+    matrices (p, q, r, s), keeping those with a unit determinant."""
     np = groups.numpy()
     unit = np.array([gcd(d, N) == 1 for d in range(N)])
     for done in range(0, count, _ROWS):
@@ -145,11 +156,20 @@ def _family_rows(N: int, rng: random.Random, count: int):
         while len(auts) < rows:
             m = _below(N, rng, 8 * rows).reshape(-1, 4)
             auts = np.concatenate([auts, m[unit[(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) % N]]])
-        p, q, r, s = auts[:rows].T[:, :, None]
-        out = np.empty((rows, N + 1, 2), np.int64)
-        out[:, :1, 0], out[:, :1, 1] = p, r
-        out[:, 1:, 0], out[:, 1:, 1] = p * xs + q, r * xs + s
-        yield out
+        yield _rows(xs, *auts[:rows].T[:, :, None])
+
+
+def _residue_rows(N: int, n: int):
+    """The family on the standard basis, one row (``_rows``) per multiset of
+    N residues mod n with sum 1 (mod n), in chunks of at most _ROWS rows;
+    the last residue is shifted by a multiple of n, which the image under
+    mult-by-N/n does not see, so that the row sums to zero mod N."""
+    np = groups.numpy()
+    multisets = (xs for xs in combinations_with_replacement(range(n), N) if sum(xs) % n == 1)
+    while chunk := list(islice(multisets, _ROWS)):
+        xs = np.array(chunk, np.int64)
+        xs[:, -1] += 1 - xs.sum(axis=1)
+        yield _rows(xs)
 
 
 def verify_propbfix_item1(
@@ -159,46 +179,33 @@ def verify_propbfix_item1(
     samples: int = 10_000,
     seed: int = 2026,
     exhaustive: bool = False,
-    jobs: int = 1,
 ) -> Report:
     """Check that phi(S) is zero-sum with no nonempty zero-sum part of
     length below n, for minimal zero-sums S of length 2mn-1.
 
-    Two populations: exhaustive orbit enumeration (mn <= 8 only, else
-    BudgetExceeded with no override, unlike the CLI's search budgets;
-    conclusions are constant on orbits since mult-by-m commutes with every
-    automorphism); or, by default, seeded random members of the
-    maximal-length family, which by the separately verified one-coset
-    structure is the whole search space, drawn in chunks by
-    ``_family_rows``.  Both come as rows of terms with one multiplicity per
-    column, checked a chunk at a time by one image routine
-    (Homomorphism.image_rows) and the zero-sum guard's row form
-    (``subsums._has_zero_sum_rows``), which appends a family sample's
-    heavy term min(N - 1, n - 1) times: copies past k = n - 1 change no
-    layer and close nothing new.  A sample is built as a Sequence only for
-    a counterexample's JSON.
+    Both populations are rows of the maximal-length family, by property B
+    at N = mn the whole search space: seeded random members by default
+    (``_family_rows``), or with ``exhaustive`` one row per residue multiset
+    (``_residue_rows``, about C(N + n - 1, n - 1)/n rows), which reaches
+    every image, as the image reads residues mod n only and mult-by-m
+    commutes with every automorphism.  Each chunk goes through one image
+    routine (Homomorphism.image_rows) and the zero-sum guard's row form
+    (``subsums._has_zero_sum_rows``), which appends a row's heavy term
+    min(N - 1, n - 1) times: copies past k = n - 1 change no layer and
+    close nothing new.  Only a counterexample's row becomes a Sequence.
     """
     if m < 4 or n < 2:
         raise PreconditionViolated(f"need m >= 4 and n >= 2, got m={m}, n={n}")
     N = m * n
-    grp = group(N)
     hom = Homomorphism(N, m)
+    mults = [N - 1] + [1] * N
     bad: list = []
     with Stopwatch() as sw:
         if exhaustive:
-            if N > 8:
-                raise BudgetExceeded(
-                    f"exhaustive check needs mn <= 8, got mn={N}"
-                )
-            reps, _ = enumerate_sequences(
-                EnumSpec(N, 2 * N - 1, "minimal-zero-sum"), jobs=jobs
-            )
-            chunks = [groups.numpy().array([list(seq) for seq in reps]).reshape(-1, 2 * N - 1, 2)]
-            mults = [1] * (2 * N - 1)
-            provenance = "exhaustive orbit enumeration"
+            chunks = _residue_rows(N, n)
+            provenance = "exhaustive residue enumeration"
         else:
             chunks = _family_rows(N, random.Random(seed), samples)
-            mults = [N - 1] + [1] * N
             provenance = "seeded maximal-length family sample"
         scanned = 0
         for rows in chunks:
@@ -209,7 +216,7 @@ def verify_propbfix_item1(
             for i in (off | short).nonzero()[0].tolist():
                 reason = ("image not zero-sum" if off[i]
                           else "image has a zero-sum part shorter than n")
-                seq = Sequence(grp, zip(rows[i].tolist(), mults))
+                seq = Sequence(hom.source, zip(rows[i].tolist(), mults))
                 bad.append({"sequence": seq.to_json_obj(), "reason": reason})
     return Report(
         check="propbfix-item1",

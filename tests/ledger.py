@@ -76,7 +76,8 @@ CALLS = {
     "property-c": _report(verify_property_c),
     "casen": _report(verify_casen),
     "perturbation": _report(verify_perturbation),
-    "propbfix-item1": _report(verify_propbfix_item1),
+    # item 1 runs in-process and takes no jobs
+    "propbfix-item1": lambda jobs, **args: verify_propbfix_item1(**args).to_json_obj(timing=False),
     "leaves": _leaves,
     "census": lambda jobs, **args: _leaves(jobs, **args, census=True),
 }

@@ -174,7 +174,6 @@ def test_criterion_10_determinism_across_jobs(monkeypatch):
         lambda jobs: verify_casen(5, 1, jobs=jobs),
         lambda jobs: verify_perturbation(5, "I", jobs=jobs),
         lambda jobs: verify_perturbation(4, "III", jobs=jobs),
-        lambda jobs: verify_propbfix_item1(4, 2, samples=500, seed=3, jobs=jobs),
     ]
     for make in runs:
         solo = make(1).to_json(timing=False)

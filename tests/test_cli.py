@@ -234,6 +234,14 @@ def test_verify_propbfix_item2_rejects_jobs(runner):
     assert "{" not in res.output
 
 
+def test_verify_propbfix_exhaustive_item1_rejects_jobs(runner):
+    res = invoke(runner, "verify", "propbfix", "--item", "1", "--m", "4",
+                 "--n", "2", "--exhaustive", "--jobs", "2")
+    assert res.exit_code == 2
+    assert "--jobs" in res.output
+    assert "{" not in res.output
+
+
 def test_report_replay_determinism(runner):
     args = ("verify", "property-b", "--n", "3", "--jobs", "1", "--no-cache")
     a = out_json(invoke(runner, *args))
@@ -351,7 +359,7 @@ CONFIG_CASES = [
     (["verify", "perturbation", "--m", "4", "--lemma", "III", "--jobs", "1"], 0,
      {"subcommand": "verify perturbation", "m": 4, "lemma": "III", "force": False,
       "jobs": 1}),
-    # only item 1's --exhaustive takes jobs, so these configs record none
+    # propbfix takes no --jobs, so its configs record none
     (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--samples", "5"], 0,
      {"subcommand": "verify propbfix", "item": 1, "m": 4, "n": 2, "samples": 5,
       "seed": 2026, "exhaustive": False, "structured": 256, "random_lifts": 64}),
@@ -359,6 +367,9 @@ CONFIG_CASES = [
       "--random-lifts", "0", "--seed", "7"], 0,
      {"subcommand": "verify propbfix", "item": 2, "m": 4, "n": 5, "samples": 10_000,
       "seed": 7, "exhaustive": False, "structured": 2, "random_lifts": 0}),
+    (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "3", "--exhaustive"], 0,
+     {"subcommand": "verify propbfix", "item": 1, "m": 4, "n": 3, "samples": 10_000,
+      "seed": 2026, "exhaustive": True, "structured": 256, "random_lifts": 64}),
     (["cache", "purge", "--cache-dir", "{tmp}/c"], 0,
      {"subcommand": "cache purge", "cache_dir": "{tmp}/c"}),
 ]

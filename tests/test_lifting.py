@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zerosum import lifting
+from zerosum.enumeration import EnumSpec, decode_leaves, enumerate_leaves
 from zerosum.errors import (
-    BudgetExceeded,
     FiberMismatch,
     NotADivisor,
     PreconditionViolated,
@@ -101,8 +101,9 @@ def test_item1_streams_its_samples():
 def test_item1_validation():
     with pytest.raises(PreconditionViolated):
         verify_propbfix_item1(3, 2)
-    with pytest.raises(BudgetExceeded):
-        verify_propbfix_item1(4, 3, exhaustive=True)
+    rep = verify_propbfix_item1(4, 3, exhaustive=True)
+    assert rep.passed and rep.orbits_scanned == 30
+    assert rep.details["population"] == "exhaustive residue enumeration"
 
 
 def test_item1_seed_determinism():
@@ -145,6 +146,17 @@ def test_item1_reports_an_image_with_a_zero_sum_shorter_than_n(monkeypatch):
     assert [c["reason"] for c in rep.counterexamples] == [
         "image has a zero-sum part shorter than n"
     ] * 3
+
+
+def test_item1_exhaustive_reports_every_row_with_a_bad_image(monkeypatch):
+    # zero-sum of length 2 < n = 3
+    _inject_image(monkeypatch, Sequence(group(3), (((1, 0), 1), ((2, 0), 1))))
+    rep = verify_propbfix_item1(4, 3, exhaustive=True)
+    assert [c["reason"] for c in rep.counterexamples] == [
+        "image has a zero-sum part shorter than n"] * 30
+    rows = [Sequence.from_json_obj(c["sequence"]) for c in rep.counterexamples]
+    assert all(len(seq) == 23 and seq.is_zero_sum() for seq in rows)
+    assert len(set(rows)) == 30
 
 
 def test_item2_lift_recheck_raises(monkeypatch):
@@ -302,3 +314,51 @@ def test_item1_sampled_counterexamples_match_pinned_digest(monkeypatch):
     rep = verify_propbfix_item1(4, 2, samples=3, seed=11)
     assert [c["reason"] for c in rep.counterexamples] == ["image not zero-sum"] * 3
     assert hashlib.sha256(rep.to_json(timing=False).encode()).hexdigest() == PINNED_FAULT_DIGEST
+
+
+def _multiset_count(N, n):
+    """The number of multisets of N residues mod n with sum 1 (mod n),
+    counted by a DP over the residues: ways[size][sum]."""
+    ways = [[1] + [0] * (n - 1)] + [[0] * n for _ in range(N)]
+    for x in range(n):
+        for size in range(1, N + 1):
+            for total in range(n):
+                ways[size][(total + x) % n] += ways[size - 1][total]
+    return ways[N][1]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_residue_rows_are_every_residue_multiset_once(m, n):
+    """_residue_rows yields, in chunks of _ROWS rows but the last, one row
+    per multiset of N = mn residues mod n with sum 1 (mod n): each row is
+    e1, then (x, 1) for its residues x, a zero-sum family member with a
+    matches_eq1 reading, and no two rows share their residues mod n."""
+    N = m * n
+    grp, mults = group(N), [N - 1] + [1] * N
+    chunks = list(lifting._residue_rows(N, n))
+    assert all(len(rows) == lifting._ROWS for rows in chunks[:-1])
+    rows = [row for rows in chunks for row in rows.tolist()]
+    assert len(rows) == _multiset_count(N, n) > 0
+    residues = set()
+    for row in rows:
+        assert row[0] == [1, 0] and all(b == 1 for _, b in row[1:])
+        xs = tuple(sorted(a % n for a, _ in row[1:]))
+        assert sum(xs) % n == 1
+        residues.add(xs)
+        seq = Sequence(grp, zip(map(tuple, row), mults))
+        assert seq.is_zero_sum() and matches_eq1(seq)
+    assert len(residues) == len(rows)
+
+
+@pytest.mark.parametrize("N, n, images", [(4, 2, 1), (6, 2, 2), (6, 3, 3)])
+def test_residue_rows_reach_every_image_of_property_b(N, n, images):
+    """Under mult-by-N/n the canonical images of the residue rows are those
+    of the property-B orbits at N: the population misses no image."""
+    h, grp, mults = Homomorphism(N, N // n), group(N), [N - 1] + [1] * N
+    leaves, _ = enumerate_leaves(EnumSpec(N, 2 * N - 1, "minimal-zero-sum"), jobs=1)
+    want = {h.image_in_coords(seq).canonicalize() for seq in decode_leaves(N, leaves)}
+    got = {h.image_in_coords(Sequence(grp, zip(map(tuple, row), mults))).canonicalize()
+           for rows in lifting._residue_rows(N, n) for row in rows.tolist()}
+    assert got == want
+    assert len(want) == images

@@ -5,9 +5,8 @@ raises BudgetExceeded before the body runs; the package functions run any
 size asked.  A second copy of a budget inside the package (a ``bound`` or
 ``force`` parameter and its guard) could drift from the CLI's, so no
 package function takes either, and BudgetExceeded is built only in
-``cli.command`` and in three caps that are not budgets: the search's depth
-cap (a search that would never end), the exhaustive propbfix population's
-mn <= 8 (no override) and decomposition's cap.
+``cli.command`` and in two caps that are not budgets: the search's depth
+cap (a search that would never end) and decomposition's cap.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "zerosum"
 _BUILDERS = {
     "cli:command",
     "enumeration:_Engine._check_depth",
-    "lifting:verify_propbfix_item1",
     "decomposition:block_decompositions",
 }
 _BUDGET_PARAMETERS = {"bound", "force"}

@@ -3,10 +3,8 @@
 The probe runs each subcommand at its smallest size in-process, through
 click's CliRunner under ``sys.setprofile``: the searches at jobs=1 with a
 fresh cache directory, every run once cold and once warm, then one run
-over budget and a cache purge.  ``propbfix --exhaustive`` is left out: its
-N = 8 search takes seconds, and the sampled run reaches the same
-functions.  The package's lru caches are cleared first, so that no table
-an earlier test built hides its builder.
+over budget and a cache purge.  The package's lru caches are cleared
+first, so that no table an earlier test built hides its builder.
 
 A module-level or class-level function of ``src/zerosum`` that no run
 enters fails, unless it is a dunder or on ALLOWED.  An ALLOWED entry that a
@@ -82,6 +80,7 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         *[(["verify", "perturbation", "--m", "4", "--lemma", lemma, *J1], 0)
           for lemma in ("I", "II", "III")],
         (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--samples", "3"], 0),
+        (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--exhaustive"], 0),
         (["verify", "propbfix", "--item", "2", "--m", "4", "--n", "5",
           "--structured", "1", "--random-lifts", "1"], 0),
     ]

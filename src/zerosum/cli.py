@@ -8,7 +8,8 @@ search budget exceeded.
 Every subcommand is registered by ``@command(parent, name, *options,
 jobs=..., cache=..., budget=...)`` on a body that takes its own options and
 returns a Report (exit 1 if it has counterexamples, else 0) or ``(obj,
-exit_code)``.
+exit_code)``.  A ``verify`` subcommand is named after its report's
+``check``, and takes only the options its check reads.
 The helper adds ``--pretty``/``--output``, plus ``--jobs`` (default: all
 cores) with ``jobs`` and ``--cache-dir``/``--no-cache`` with ``cache``, in
 which case the body gets the resolved ``cache``.  A command registered
@@ -16,11 +17,12 @@ without ``jobs`` has no ``--jobs``, so click rejects one (exit 2).  It
 builds ``config``, maps package errors to exit codes 2 and 3, writes the
 JSON and exits.
 
-``budget`` is a predicate on the parsed options, the default search budget:
-with it the helper adds ``--force``, and where the predicate is false and
-``--force`` is absent it exits 3 before it resolves the cache or runs the
-body.  The budgets live here, one beside each registration; the package
-runs any size asked.  Its own BudgetExceeded are not budgets: the search's
+``budget`` is a predicate on the parsed options, the default budget of a
+search or, for ``verify propbfix-item1``, of its residue rows: with it the
+helper adds ``--force``, and where the predicate is false and ``--force``
+is absent it exits 3 before it resolves the cache or runs the body.  The
+budgets live here, one beside each registration; the package runs any
+size asked.  Its own BudgetExceeded are not budgets: the search's
 depth cap (a search that would never end) and decomposition's cap.
 
 The ``zs`` group callback defaults ``OPENBLAS_NUM_THREADS`` to 1 before any
@@ -35,9 +37,11 @@ from __future__ import annotations
 import json
 import os
 import sys
+from math import comb
 from typing import Callable
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .classification import classify_long_zero_sum, construct_exceptional, verify_casen
@@ -271,23 +275,30 @@ def perturbation_cmd(m, lemma, jobs):
     return verify_perturbation(m, lemma, jobs=jobs)
 
 
-@command(verify_grp, "propbfix",
-         click.option("--item", required=True, type=click.Choice(["1", "2"]),
-                      callback=lambda ctx, param, value: int(value)),
-         int_opt("--m", 2, required=True), int_opt("--n", 2, required=True),
-         int_opt("--samples", 1, default=10_000, help="Sample count for item 1."),
-         click.option("--seed", type=int, default=2026),
-         click.option("--exhaustive", is_flag=True,
-                      help="Item 1: enumerate instead of sampling."),
-         int_opt("--structured", 1, default=256,
-                 help="Item 2: fiberwise-constant lift budget."),
-         int_opt("--random-lifts", 0, default=64, help="Item 2: fully random lift budget."))
-def propbfix_cmd(item, m, n, samples, seed, exhaustive, structured, random_lifts):
-    """Image behavior of maximal-length minimal zero-sums under mult-by-m."""
-    if item == 1:
-        return verify_propbfix_item1(m, n, samples=samples, seed=seed, exhaustive=exhaustive)
-    return verify_propbfix_item2(m, n, structured=structured,
-                                 random_lifts=random_lifts, seed=seed)
+mn_opts = (int_opt("--m", 2, required=True, help="Multiplier: g -> m*g on (Z/mnZ)^2."),
+           int_opt("--n", 2, required=True, help="Image modulus."))
+seed_opt = click.option("--seed", type=int, default=2026, help="Seed of the random draws.")
+
+
+@command(verify_grp, "propbfix-item1", *mn_opts,
+         int_opt("--samples", 1, default=None,
+                 help="Check this many seeded family members, not every residue multiset."),
+         seed_opt,
+         # about C(mn + n - 1, n - 1)/n residue rows: 27,150 at (8,5), 54,081 at (5,6)
+         budget=lambda opts: opts["samples"] is not None or comb(
+             opts["m"] * opts["n"] + opts["n"] - 1, opts["n"] - 1) // opts["n"] <= 30_000)
+def propbfix_item1_cmd(m, n, samples, seed):
+    """No image under mult-by-m has a zero-sum part shorter than n."""
+    ctx = click.get_current_context()
+    if samples is None and ctx.get_parameter_source("seed") != ParameterSource.DEFAULT:
+        raise click.UsageError("--seed seeds the draws of --samples; pass both")
+    return verify_propbfix_item1(m, n, samples=samples, seed=seed)
+
+
+@command(verify_grp, "propbfix-item2", *mn_opts, seed_opt)
+def propbfix_item2_cmd(m, n, seed):
+    """Sampled lifts of the exceptional image shape under mult-by-m."""
+    return verify_propbfix_item2(m, n, seed=seed)
 
 
 @command(cache_grp, "purge", cache_dir_opt)

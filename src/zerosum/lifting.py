@@ -14,15 +14,15 @@ zero-sum part of length below n, and when the image lands in the
 exceptional four-element shape, the original sequence keeps the
 one-basis-coset support property.  Item 1 checks chunks of rows of the
 family e1^[N-1] prod(x_i e1 + e2) moved by an automorphism (``_rows``),
-drawn in bulk (``_family_rows``) or one per residue multiset mod n
-(``_residue_rows``): it maps them to image indices and sums with arrays
-(``image_rows``, the batch form of ``image_in_coords``) and runs the
-zero-sum guard over the rows; no row becomes a Sequence unless reported.
-Both populations rest on property B at N = mn (every minimal zero-sum of
-length 2mn - 1 is a family member), which the ledger verifies for N <= 8.
-On a shared 2-core x86_64 machine, 10^4 samples take 0.081 s at (4,5) and
-0.030 s at (4,2) (in-process medians, BENCH_39.json), against 0.354 s and
-0.167 s one sample at a time (BENCH_27.json).
+one per residue multiset mod n by default (``_residue_rows``) or a given
+number drawn in bulk (``_family_rows``): it maps them to image indices and
+sums with arrays (``image_rows``, the batch form of ``image_in_coords``)
+and runs the zero-sum guard over the rows; no row becomes a Sequence
+unless reported.  Both populations rest on property B at N = mn (every
+minimal zero-sum of length 2mn - 1 is a family member), which the ledger
+verifies for N <= 8.  On a shared 2-core x86_64 machine, 10^4 samples take
+0.081 s at (4,5) and 0.030 s at (4,2) (in-process medians, BENCH_39.json),
+against 0.354 s and 0.167 s one sample at a time (BENCH_27.json).
 """
 
 from __future__ import annotations
@@ -172,27 +172,23 @@ def _residue_rows(N: int, n: int):
         yield _rows(xs)
 
 
-def verify_propbfix_item1(
-    m: int,
-    n: int,
-    *,
-    samples: int = 10_000,
-    seed: int = 2026,
-    exhaustive: bool = False,
-) -> Report:
+def verify_propbfix_item1(m: int, n: int, *, samples: int | None = None,
+                          seed: int = 2026) -> Report:
     """Check that phi(S) is zero-sum with no nonempty zero-sum part of
     length below n, for minimal zero-sums S of length 2mn-1.
 
     Both populations are rows of the maximal-length family, by property B
-    at N = mn the whole search space: seeded random members by default
-    (``_family_rows``), or with ``exhaustive`` one row per residue multiset
-    (``_residue_rows``, about C(N + n - 1, n - 1)/n rows), which reaches
-    every image, as the image reads residues mod n only and mult-by-m
-    commutes with every automorphism.  Each chunk goes through one image
-    routine (Homomorphism.image_rows) and the zero-sum guard's row form
-    (``subsums._has_zero_sum_rows``), which appends a row's heavy term
-    min(N - 1, n - 1) times: copies past k = n - 1 change no layer and
-    close nothing new.  Only a counterexample's row becomes a Sequence.
+    at N = mn the whole search space: by default one row per residue
+    multiset (``_residue_rows``, about C(N + n - 1, n - 1)/n rows), which
+    reaches every image, as the image reads residues mod n only and
+    mult-by-m commutes with every automorphism; with ``samples``, that many
+    members drawn from ``random.Random(seed)`` (``_family_rows``).  Each
+    chunk goes through one image routine (Homomorphism.image_rows) and the
+    zero-sum guard's row form (``subsums._has_zero_sum_rows``), which
+    appends a row's heavy term min(N - 1, n - 1) times: copies past
+    k = n - 1 change no layer and close nothing new.  Only a
+    counterexample's row becomes a Sequence.  The report's params are
+    those the population read: {m, n}, or {m, n, samples, seed}.
     """
     if m < 4 or n < 2:
         raise PreconditionViolated(f"need m >= 4 and n >= 2, got m={m}, n={n}")
@@ -201,11 +197,12 @@ def verify_propbfix_item1(
     mults = [N - 1] + [1] * N
     bad: list = []
     with Stopwatch() as sw:
-        if exhaustive:
-            chunks = _residue_rows(N, n)
+        if samples is None:
+            chunks, params = _residue_rows(N, n), {"m": m, "n": n}
             provenance = "exhaustive residue enumeration"
         else:
             chunks = _family_rows(N, random.Random(seed), samples)
+            params = {"m": m, "n": n, "samples": samples, "seed": seed}
             provenance = "seeded maximal-length family sample"
         scanned = 0
         for rows in chunks:
@@ -220,13 +217,7 @@ def verify_propbfix_item1(
                 bad.append({"sequence": seq.to_json_obj(), "reason": reason})
     return Report(
         check="propbfix-item1",
-        params={
-            "m": m,
-            "n": n,
-            "samples": samples,
-            "seed": seed,
-            "exhaustive": exhaustive,
-        },
+        params=params,
         orbits_scanned=scanned,
         counterexamples=bad,
         elapsed_ms=sw.elapsed_ms,
@@ -263,22 +254,21 @@ _ITEM2_NO_HITS = (
 )
 
 
-def verify_propbfix_item2(
-    m: int,
-    n: int,
-    *,
-    structured: int = 256,
-    random_lifts: int = 64,
-    seed: int = 2026,
-) -> Report:
+# item 2's lifts, split evenly over its patterns: 294 candidates at (4,5)
+_STRUCTURED = 256
+_RANDOM_LIFTS = 64
+
+
+def verify_propbfix_item2(m: int, n: int, *, seed: int = 2026) -> Report:
     """Search for minimal zero-sums of length 2mn-1 whose image has the
     exceptional four-element shape, and check the support property on
     every hit.
 
     The search lifts each exceptional image pattern fiberwise: constant
     kernel offsets per image term (the forced term absorbing the zero-sum
-    constraint), plus some lifts with a random offset per copy.  Budgets
-    cap the candidate count; zero hits is reported as a status, not a pass,
+    constraint), plus some lifts with a random offset per copy, drawn from
+    ``random.Random(seed)``; _STRUCTURED and _RANDOM_LIFTS fix how many.
+    It is a sampled scan, and zero hits is reported as a status, not a pass,
     with ``details["reason"]``: by property B at N = mn every candidate S is
     e1^[mn-1] prod(x_i e1 + e2), whose image is f1^[mn-1] prod(x_i f1 + f2),
     one-coset again, so no S has an image of the exceptional shape.
@@ -304,13 +294,13 @@ def verify_propbfix_item2(
             pattern = construct_exceptional(n, x, a, b, c)
             forced = (x, 2 % n)  # the unique multiplicity-1 image term
             support = pattern.support()
-            per_pattern = max(1, structured // len(patterns))
+            per_pattern = max(1, _STRUCTURED // len(patterns))
             copies = [g for g in pattern if g != forced]
             lifts = []
             for _ in range(per_pattern):
                 chosen = {g: rng.choice(kernel) for g in support}
                 lifts.append([chosen[g] for g in copies])
-            for _ in range(max(0, random_lifts // len(patterns))):
+            for _ in range(_RANDOM_LIFTS // len(patterns)):
                 lifts.append([rng.choice(kernel) for _ in copies])
             for offsets in lifts:
                 cand = _lift(hom, pattern, offsets, forced)
@@ -331,13 +321,7 @@ def verify_propbfix_item2(
         details["reason"] = _ITEM2_NO_HITS
     return Report(
         check="propbfix-item2",
-        params={
-            "m": m,
-            "n": n,
-            "structured": structured,
-            "random_lifts": random_lifts,
-            "seed": seed,
-        },
+        params={"m": m, "n": n, "seed": seed},
         orbits_scanned=candidates,
         counterexamples=bad,
         elapsed_ms=sw.elapsed_ms,

@@ -197,17 +197,26 @@ def test_verify_perturbation_exits(runner):
 
 
 def test_verify_propbfix_item1(runner):
-    res = invoke(runner, "verify", "propbfix", "--item", "1", "--m", "4",
+    res = invoke(runner, "verify", "propbfix-item1", "--m", "4",
                  "--n", "2", "--samples", "50", "--seed", "9")
     assert res.exit_code == 0
     obj = out_json(res)
     assert obj["orbits_scanned"] == 50
     assert obj["config"]["seed"] == 9
+    assert obj["params"] == {"m": 4, "n": 2, "samples": 50, "seed": 9}
+
+
+def test_verify_propbfix_item1_is_exhaustive_by_default(runner):
+    res = invoke(runner, "verify", "propbfix-item1", "--m", "4", "--n", "5")
+    assert res.exit_code == 0
+    obj = out_json(res)
+    assert obj["details"]["population"] == "exhaustive residue enumeration"
+    assert obj["orbits_scanned"] == 2125
+    assert obj["params"] == {"m": 4, "n": 5}
 
 
 def test_verify_propbfix_item2_zero_hits_exit_zero(runner):
-    res = invoke(runner, "verify", "propbfix", "--item", "2", "--m", "4",
-                 "--n", "5", "--structured", "42", "--random-lifts", "0")
+    res = invoke(runner, "verify", "propbfix-item2", "--m", "4", "--n", "5")
     obj = out_json(res)
     assert obj["details"]["hit_count"] == 0
     assert obj["status"] == "no qualifying S found"
@@ -216,30 +225,98 @@ def test_verify_propbfix_item2_zero_hits_exit_zero(runner):
         "congruent to -1 mod n, so it never has the item-2 shape")
     assert res.exit_code == 0
     assert obj["counterexamples"] == []
+    assert obj["params"] == {"m": 4, "n": 5, "seed": 2026}
+
+
+def _assert_usage_error(res, option):
+    assert res.exit_code == 2
+    assert option in res.output
+    assert "{" not in res.output
+
+
+def _refuse_check(monkeypatch, item):
+    def refused(*_args, **_kwargs):
+        raise AssertionError("a refused command ran its check")
+
+    monkeypatch.setattr(zerosum.cli, f"verify_propbfix_{item}", refused)
 
 
 def test_verify_propbfix_sampled_item1_rejects_jobs(runner):
-    res = invoke(runner, "verify", "propbfix", "--item", "1", "--m", "4",
+    res = invoke(runner, "verify", "propbfix-item1", "--m", "4",
                  "--n", "2", "--samples", "5", "--jobs", "2")
-    assert res.exit_code == 2
-    assert "--jobs" in res.output
-    assert "{" not in res.output
+    _assert_usage_error(res, "--jobs")
 
 
 def test_verify_propbfix_item2_rejects_jobs(runner):
-    res = invoke(runner, "verify", "propbfix", "--item", "2", "--m", "4",
-                 "--n", "5", "--structured", "2", "--random-lifts", "0", "--jobs", "1")
-    assert res.exit_code == 2
-    assert "--jobs" in res.output
-    assert "{" not in res.output
+    res = invoke(runner, "verify", "propbfix-item2", "--m", "4", "--n", "5", "--jobs", "1")
+    _assert_usage_error(res, "--jobs")
 
 
 def test_verify_propbfix_exhaustive_item1_rejects_jobs(runner):
-    res = invoke(runner, "verify", "propbfix", "--item", "1", "--m", "4",
-                 "--n", "2", "--exhaustive", "--jobs", "2")
-    assert res.exit_code == 2
-    assert "--jobs" in res.output
-    assert "{" not in res.output
+    res = invoke(runner, "verify", "propbfix-item1", "--m", "4", "--n", "2", "--jobs", "2")
+    _assert_usage_error(res, "--jobs")
+
+
+@pytest.mark.parametrize("item, option", [
+    ("item2", ["--samples", "3"]), ("item2", ["--item", "2"]), ("item2", ["--structured", "9"]),
+    ("item2", ["--random-lifts", "0"]), ("item1", ["--exhaustive"]),
+    ("item1", ["--structured", "9"]), ("item1", ["--item", "1"]),
+])
+def test_verify_propbfix_rejects_an_option_it_does_not_read(runner, monkeypatch, item, option):
+    _refuse_check(monkeypatch, item)
+    res = invoke(runner, "verify", f"propbfix-{item}", "--m", "4", "--n", "5", *option)
+    _assert_usage_error(res, option[0])
+
+
+def test_verify_propbfix_item1_seed_needs_samples(runner, monkeypatch):
+    """The residue enumeration draws nothing, so a seed without --samples
+    would be read by nothing."""
+    _refuse_check(monkeypatch, "item1")
+    res = invoke(runner, "verify", "propbfix-item1", "--m", "4", "--n", "2", "--seed", "3")
+    _assert_usage_error(res, "--seed")
+
+
+def test_verify_propbfix_item1_budget(runner, monkeypatch):
+    """(5,6) has 54,081 residue rows, past the budget: exit 3 before the
+    check runs; --force or --samples lets it run."""
+    calls = []
+    monkeypatch.setattr(zerosum.cli, "verify_propbfix_item1",
+                        lambda m, n, **kw: calls.append(kw) or Report("propbfix-item1", {}))
+    res = invoke(runner, "verify", "propbfix-item1", "--m", "5", "--n", "6")
+    assert res.exit_code == 3
+    assert res.stdout == "" and calls == []
+    assert json.loads(res.stderr) == {
+        "error": "BudgetExceeded",
+        "message": "verify propbfix-item1 with m=5, n=6, samples=None, seed=2026 exceeds "
+                   "the default search budget; pass --force to run it anyway",
+    }
+    for extra in (["--force"], ["--samples", "10"]):
+        res = invoke(runner, "verify", "propbfix-item1", "--m", "5", "--n", "6", *extra)
+        assert res.exit_code == 0
+    assert calls == [{"samples": None, "seed": 2026}, {"samples": 10, "seed": 2026}]
+    # (8,5), 27,150 rows, is within it
+    assert invoke(runner, "verify", "propbfix-item1", "--m", "8", "--n", "5").exit_code == 0
+
+
+# each verify subcommand at its smallest size
+SMALLEST = {
+    "property-b": ["--n", "2", "--jobs", "1", "--no-cache"],
+    "property-c": ["--n", "2", "--jobs", "1", "--no-cache"],
+    "casen": ["--n", "2", "--jobs", "1", "--no-cache"],
+    "perturbation": ["--m", "4", "--lemma", "I", "--jobs", "1"],
+    "propbfix-item1": ["--m", "4", "--n", "2"],
+    "propbfix-item2": ["--m", "4", "--n", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(zerosum.cli.verify_grp.commands))
+def test_verify_subcommand_is_named_after_its_check(runner, name):
+    """Each ``zs verify`` subcommand emits a report whose ``check`` is the
+    subcommand's name; a subcommand SMALLEST lacks fails here."""
+    assert name in SMALLEST, f"add verify {name} to SMALLEST"
+    res = invoke(runner, "verify", name, *SMALLEST[name])
+    assert res.exit_code == 0
+    assert out_json(res)["check"] == name
 
 
 def test_report_replay_determinism(runner):
@@ -360,16 +437,14 @@ CONFIG_CASES = [
      {"subcommand": "verify perturbation", "m": 4, "lemma": "III", "force": False,
       "jobs": 1}),
     # propbfix takes no --jobs, so its configs record none
-    (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--samples", "5"], 0,
-     {"subcommand": "verify propbfix", "item": 1, "m": 4, "n": 2, "samples": 5,
-      "seed": 2026, "exhaustive": False, "structured": 256, "random_lifts": 64}),
-    (["verify", "propbfix", "--item", "2", "--m", "4", "--n", "5", "--structured", "2",
-      "--random-lifts", "0", "--seed", "7"], 0,
-     {"subcommand": "verify propbfix", "item": 2, "m": 4, "n": 5, "samples": 10_000,
-      "seed": 7, "exhaustive": False, "structured": 2, "random_lifts": 0}),
-    (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "3", "--exhaustive"], 0,
-     {"subcommand": "verify propbfix", "item": 1, "m": 4, "n": 3, "samples": 10_000,
-      "seed": 2026, "exhaustive": True, "structured": 256, "random_lifts": 64}),
+    (["verify", "propbfix-item1", "--samples", "5", "--m", "4", "--n", "2"], 0,
+     {"subcommand": "verify propbfix-item1", "m": 4, "n": 2, "samples": 5, "seed": 2026,
+      "force": False}),
+    (["verify", "propbfix-item2", "--seed", "7", "--m", "4", "--n", "5"], 0,
+     {"subcommand": "verify propbfix-item2", "m": 4, "n": 5, "seed": 7}),
+    (["verify", "propbfix-item1", "--m", "4", "--n", "3"], 0,
+     {"subcommand": "verify propbfix-item1", "m": 4, "n": 3, "samples": None, "seed": 2026,
+      "force": False}),
     (["cache", "purge", "--cache-dir", "{tmp}/c"], 0,
      {"subcommand": "cache purge", "cache_dir": "{tmp}/c"}),
 ]

@@ -459,11 +459,31 @@ def test_results_are_lex_sorted_and_deterministic_across_jobs():
     assert keys == sorted(keys)
 
 
-# the ledger's searches that the budget tests rerun: all but the three past
-# the CLI's default search budgets, which together take about three seconds
-WALK = [key for key in LEDGER if key.split()[0] in ledger.SEARCHES
-        and key not in ("property-b n=7", "property-b n=8", "casen n=6 s=1")]
+# the ledger's searches that the budget tests rerun, at jobs 1 and 2 and for
+# each chunk and serial budget, an opt-in list: a row added to the ledger is
+# not rerun unless named here, and test_walk_rows_are_light keeps each named
+# row at no more than WALK_NODES pinned nodes
+WALK = [
+    "casen n=2 s=1", "casen n=2 s=2", "casen n=2 s=3", "casen n=3 s=1", "casen n=3 s=2",
+    "casen n=4 s=1", "casen n=5 s=1",
+    "davenport n=2", "davenport n=3", "davenport n=4", "davenport n=5", "davenport n=6",
+    "davenport n=7",
+    "property-b n=2", "property-b n=3", "property-b n=4", "property-b n=5", "property-b n=6",
+    "property-c n=2", "property-c n=3", "property-c n=4", "property-c n=5",
+    "s_leq n=2 k=2", "s_leq n=3 k=3", "s_leq n=4 k=4", "s_leq n=5 k=5",
+]
+WALK_NODES = 30_000
 LEAVES = [key for key in LEDGER if key.startswith("leaves ")]
+
+
+def test_walk_rows_are_light():
+    """Every WALK row is a ledger search pinned at no more than WALK_NODES
+    nodes, so that a heavy row fails here instead of slowing the budget
+    tests, which rerun each one up to seven times."""
+    for key in WALK:
+        entry = LEDGER[key]
+        assert key.split()[0] in ledger.SEARCHES, key
+        assert (entry.get("stats") or entry["details"])["nodes"] <= WALK_NODES, key
 
 
 def _assert_pinned(keys, jobs):

@@ -75,6 +75,7 @@ def test_image_coords_roundtrip():
 def test_item1_sampled_run_is_clean():
     rep = verify_propbfix_item1(4, 2, samples=300, seed=11)
     assert rep.passed
+    assert rep.params == {"m": 4, "n": 2, "samples": 300, "seed": 11}
     assert rep.orbits_scanned == 300
     assert rep.counterexamples == []
     assert "sample" in rep.details["population"]
@@ -101,9 +102,10 @@ def test_item1_streams_its_samples():
 def test_item1_validation():
     with pytest.raises(PreconditionViolated):
         verify_propbfix_item1(3, 2)
-    rep = verify_propbfix_item1(4, 3, exhaustive=True)
+    rep = verify_propbfix_item1(4, 3)
     assert rep.passed and rep.orbits_scanned == 30
     assert rep.details["population"] == "exhaustive residue enumeration"
+    assert rep.params == {"m": 4, "n": 3}
 
 
 def test_item1_seed_determinism():
@@ -113,16 +115,14 @@ def test_item1_seed_determinism():
 
 
 def test_item2_budgeted_run():
-    rep = verify_propbfix_item2(4, 5, structured=84, random_lifts=42, seed=3)
+    rep = verify_propbfix_item2(4, 5, seed=3)
     assert rep.counterexamples == []
-    assert rep.orbits_scanned > 0
-    assert rep.details["hit_count"] == len(rep.details["hits"]) or rep.details["hit_count"] > 20
-    if rep.details["hit_count"] == 0:
-        assert rep.status == "no qualifying S found"
-        assert not rep.passed
-        assert "again one-coset" in rep.details["reason"]
-    else:
-        assert rep.status == "ok"
+    assert rep.orbits_scanned == 294
+    assert rep.params == {"m": 4, "n": 5, "seed": 3}
+    assert rep.details["hit_count"] == 0
+    assert rep.status == "no qualifying S found"
+    assert not rep.passed
+    assert "again one-coset" in rep.details["reason"]
 
 
 def _inject_image(monkeypatch, image):
@@ -151,7 +151,7 @@ def test_item1_reports_an_image_with_a_zero_sum_shorter_than_n(monkeypatch):
 def test_item1_exhaustive_reports_every_row_with_a_bad_image(monkeypatch):
     # zero-sum of length 2 < n = 3
     _inject_image(monkeypatch, Sequence(group(3), (((1, 0), 1), ((2, 0), 1))))
-    rep = verify_propbfix_item1(4, 3, exhaustive=True)
+    rep = verify_propbfix_item1(4, 3)
     assert [c["reason"] for c in rep.counterexamples] == [
         "image has a zero-sum part shorter than n"] * 30
     rows = [Sequence.from_json_obj(c["sequence"]) for c in rep.counterexamples]
@@ -162,7 +162,7 @@ def test_item1_exhaustive_reports_every_row_with_a_bad_image(monkeypatch):
 def test_item2_lift_recheck_raises(monkeypatch):
     monkeypatch.setattr(Homomorphism, "image_coords", lambda self, w: (0, 0))
     with pytest.raises(WitnessCheckFailed):
-        verify_propbfix_item2(4, 5, structured=4, random_lifts=0)
+        verify_propbfix_item2(4, 5)
 
 
 def test_item2_validation():
@@ -305,8 +305,10 @@ def test_image_rows_and_row_guard_match_the_scalar_path(n):
 # image was injected through Homomorphism.image_in_coords.  Re-pinned when
 # details["rejected_inputs"] left the report, after checking that the new
 # report equals the old one with that key removed, and again when the
-# sampler moved to bulk uniform draws, which list other samples for a seed.
-PINNED_FAULT_DIGEST = "a786f9cc260873841407cb55a57599c1064084244a6f589e7054a59e552a4cfe"
+# sampler moved to bulk uniform draws, which list other samples for a seed,
+# and again when params lost the "exhaustive" flag, after checking that the
+# new report with the old params restored hashes to the old digest.
+PINNED_FAULT_DIGEST = "ec9656fa292821598e7fa5e320591bf20760b33e2163c21c4d063d706a45b2c4"
 
 
 def test_item1_sampled_counterexamples_match_pinned_digest(monkeypatch):

@@ -79,10 +79,9 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["verify", "casen", "--n", "2", *J1, *cache], 0),
         *[(["verify", "perturbation", "--m", "4", "--lemma", lemma, *J1], 0)
           for lemma in ("I", "II", "III")],
-        (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--samples", "3"], 0),
-        (["verify", "propbfix", "--item", "1", "--m", "4", "--n", "2", "--exhaustive"], 0),
-        (["verify", "propbfix", "--item", "2", "--m", "4", "--n", "5",
-          "--structured", "1", "--random-lifts", "1"], 0),
+        (["verify", "propbfix-item1", "--m", "4", "--n", "2", "--samples", "3"], 0),
+        (["verify", "propbfix-item1", "--m", "4", "--n", "2"], 0),
+        (["verify", "propbfix-item2", "--m", "4", "--n", "5"], 0),
     ]
 
 

@@ -92,7 +92,7 @@ def test_scalar_commands_load_no_numpy(tmp_path):
     seq = str(tmp_path / "exceptional.json")
     for args in (["construct", "exceptional", "--n", "5", "--x", "2", "--output", seq],
                  ["classify", "--file", seq],
-                 ["verify", "propbfix", "--item", "2", "--m", "4", "--n", "5"]):
+                 ["verify", "propbfix-item2", "--m", "4", "--n", "5"]):
         got = _zs(args)
         assert got["code"] == 0 and "numpy" not in got["loaded"], (args, got)
 

@@ -3,7 +3,7 @@
 JSON to stdout by default (``--pretty`` indents it); every run embeds its
 full configuration in the emitted object.  Exit codes: 0 all checks
 passed, 1 counterexample found, 2 usage, parse, output or cache error, 3
-search budget exceeded.
+budget exceeded.
 
 Every subcommand is registered by ``@command(parent, name, *options,
 jobs=..., cache=..., budget=...)`` on a body that takes its own options and
@@ -93,7 +93,7 @@ jobs_opt = int_opt("--jobs", 1, default=None,
 cache_dir_opt = click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
                              help="Result cache directory (default: $ZS_CACHE or ./.zs-cache).")
 no_cache_opt = click.option("--no-cache", is_flag=True, help="Disable the result cache.")
-force_opt = click.option("--force", is_flag=True, help="Run past the default search budget.")
+force_opt = click.option("--force", is_flag=True, help="Run past the default budget.")
 pretty_opt = click.option("--pretty", is_flag=True, help="Indent the JSON output.")
 output_opt = click.option("--output", type=click.Path(dir_okay=False), default=None,
                           help="Write the report to a file instead of stdout.")
@@ -148,9 +148,10 @@ def command(parent: click.Group, name: str, *options,
             config = {"subcommand": subcommand, **params}
             if budget and not params.pop("force") and not budget(params):
                 shown = ", ".join(f"{opt.name}={params[opt.name]}" for opt in cmd.params
-                                  if opt.name in params and opt.name not in _NOT_SHOWN)
-                exc = BudgetExceeded(f"{subcommand} with {shown} exceeds the default search "
-                                     "budget; pass --force to run it anyway")
+                                  if params.get(opt.name) is not None
+                                  and opt.name not in _NOT_SHOWN)
+                exc = BudgetExceeded(f"{subcommand} with {shown} exceeds the default budget; "
+                                     "pass --force to run it anyway")
                 sys.exit(_fail(exc, str(exc), EXIT_BUDGET))
             if cache:
                 params["cache"] = resolve_cache(

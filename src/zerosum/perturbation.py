@@ -25,12 +25,16 @@ g is classified from u and w alone (``_landings``):
 
 * The multiplicity of x in S' is v_x(R) + [u = x] + [w = x], so only the
   terms of R of multiplicity at least m - 3 can reach m - 1.  These are the
-  heavy candidates; each keeps the set of det(e1, x) over the rest of the
-  support of R.
+  heavy candidates.
 * S' is in the family iff some heavy candidate e1 has count m - 1 in S'
   and passes the line rule ``properties._line`` (the rule ``matches_eq1``
-  reads with): its determinant set, with det(e1, u) and det(e1, w) added
-  for whichever of u, w is not e1, is one unit.
+  reads with) on det(e1, x) over the rest of the support of S': R's
+  determinants, plus det(e1, u) and det(e1, w) for whichever of u, w is
+  not e1.  A landing only adds determinants, so the rule is read once per
+  move, on R's: None means e1 passes at no landing, and a unit d means a
+  landing passes iff det(e1, u) and det(e1, w) (for u, w != e1) are d.
+  This is exact, since R holds a term besides e1 whenever e1 can have
+  count m - 1: R = e1^[2m-3] would give it count 2m - 3 > m - 1 in S'.
 * The tag counts the candidates of multiplicity m - 1 in S', as
   upsilon_class counts every term of S' of that multiplicity.
 
@@ -62,12 +66,11 @@ from .sequences import Sequence
 _LEMMAS = ("I", "II", "III")
 
 # a lemma-I grid of fewer residue multisets is scanned in-process at any
-# jobs.  Forking pays off at m = 7 (238 multisets: jobs=2 0.36 s against
-# 0.57 s at jobs=1, medians of 16 calls) and not below it: m = 4 (4
-# multisets) and m = 5 (20) lose to the pool's start-up (BENCH_27), and at
-# m = 6 (69) a forced pool read 0.12 s against 0.09 s in-process in two
-# alternating runs and faster in a third, so no gain pays for its two
-# processes (BENCH_28 lemma_I_fan_out)
+# jobs.  Forking pays off at m = 7 (238 multisets: jobs=2 0.21-0.23 s
+# against 0.26-0.29 s at jobs=1) and not at m = 6 (69: a forced pool
+# 0.064-0.082 s against 0.051-0.061 s), medians of two rounds of 16
+# alternating fresh interpreters (BENCH_45); m = 4 (4 multisets) and m = 5
+# (20) lose to the pool's start-up (BENCH_27)
 _SERIAL_GRID = 128
 
 
@@ -174,7 +177,8 @@ def _landings(grp: Group, base: Sequence, pivots: tuple[Elem, Elem]):
     rest = remainder.items()
     det = grp.det
     candidates = [(x, k) for x, k in rest if k >= m - 3]
-    lines = [(e1, k, frozenset(det(e1, x) for x, _ in rest if x != e1)) for e1, k in candidates]
+    lines = [(e1, k, _line(grp, (det(e1, x) for x, _ in rest if x != e1))) for e1, k in candidates]
+    lines = [(e1, k, d) for e1, k, d in lines if d is not None]
     (a1, b1), (a2, b2) = pivots
     for g in grp.elements():
         u, w = ((a1 + g[0]) % m, (b1 + g[1]) % m), ((a2 - g[0]) % m, (b2 - g[1]) % m)
@@ -182,13 +186,12 @@ def _landings(grp: Group, base: Sequence, pivots: tuple[Elem, Elem]):
         if landed_sum != total:
             raise SumMismatch(f"pivots {pivots} at g={g} change the sum: {landed_sum} != {total}")
         tag = "not_in_upsilon"
-        for e1, k, dets in lines:
+        for e1, k, d in lines:
             # on a zero-sum of length 2m - 1 the line rule implies the count
             # m - 1 (the sum's e2-coordinate is 2m - 1 - count), but the
             # count is the cheaper test, so it goes first
-            if k + (u == e1) + (w == e1) == m - 1 and _line(
-                grp, dets.union([det(e1, x) for x in (u, w) if x != e1])
-            ) is not None:
+            if (k + (u == e1) + (w == e1) == m - 1 and (u == e1 or det(e1, u) == d)
+                    and (w == e1 or det(e1, w) == d)):
                 tag = _tag(m, True, (k + (u == x) + (w == x) for x, k in candidates))
                 break
         yield g, u, w, tag
@@ -198,14 +201,10 @@ def _run_moves(grp, base, moves, target_nu, extra) -> tuple[dict, list]:
     """Apply every move to the base sequence for every g; returns the
     per-item offsets and cases (``_merge_accum``) and the violations.
 
-    The landings and their tags come from ``_landings``: the remainder
-    S - t1 - t2 is read once per move, and each g is tagged from its two
-    new terms by the multiplicity test and the line rule
-    ``properties._line`` at the remainder's heavy candidates.  They omit
-    the residue-sum test because every landing is a zero-sum of length
-    2m - 1, whose reading sums to (sum x_i - 1) e1 (module docstring).
-    S' = S is a comparison of multiplicity maps, made for the in-family
-    landings of exact moves."""
+    The landings and their tags come from ``_landings`` (module
+    docstring), which reads the remainder S - t1 - t2 and its line rule
+    once per move.  S' = S is a comparison of multiplicity maps, made for
+    the in-family landings of exact moves."""
     accum, counterexamples = {}, []
     counts = Counter(dict(base.items()))
     cases = len(grp.elements())

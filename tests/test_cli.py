@@ -287,8 +287,8 @@ def test_verify_propbfix_item1_budget(runner, monkeypatch):
     assert res.stdout == "" and calls == []
     assert json.loads(res.stderr) == {
         "error": "BudgetExceeded",
-        "message": "verify propbfix-item1 with m=5, n=6, samples=None, seed=2026 exceeds "
-                   "the default search budget; pass --force to run it anyway",
+        "message": "verify propbfix-item1 with m=5, n=6, seed=2026 exceeds the default "
+                   "budget; pass --force to run it anyway",
     }
     for extra in (["--force"], ["--samples", "10"]):
         res = invoke(runner, "verify", "propbfix-item1", "--m", "5", "--n", "6", *extra)
@@ -399,53 +399,71 @@ def test_help_lists_subcommands(runner):
 ITEM1_SEQUENCE = {"n": 3, "terms": [[0, 1, 2], [1, 0, 5], [1, 1, 1]]}
 NO_CACHE = {"cache_dir": None, "no_cache": True}
 
-# Every subcommand's emitted config and exit code; "{tmp}" stands for the
-# test's temporary directory, which holds ITEM1_SEQUENCE as seq.json.
+# Every subcommand's emitted config and exit code, each case under a fixed
+# id; "{tmp}" stands for the test's temporary directory, which holds
+# ITEM1_SEQUENCE as seq.json.
 CONFIG_CASES = [
-    (["davenport", "--n", "3", "--jobs", "1", "--no-cache"], 0,
+    ("davenport --n 3_0",
+     ["davenport", "--n", "3", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "davenport", "n": 3, "force": False, "jobs": 1, **NO_CACHE}),
-    (["davenport", "--n", "3", "--no-cache"], 0,
+    ("davenport --n 3_1",
+     ["davenport", "--n", "3", "--no-cache"], 0,
      {"subcommand": "davenport", "n": 3, "force": False, "jobs": os.cpu_count() or 1,
       **NO_CACHE}),
-    (["sleq", "--n", "3", "--k", "3", "--jobs", "1", "--no-cache"], 0,
+    ("sleq --n 3",
+     ["sleq", "--n", "3", "--k", "3", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "sleq", "n": 3, "k": 3, "force": False, "jobs": 1, **NO_CACHE}),
-    (["enumerate", "--n", "2", "--length", "2", "--jobs", "1", "--no-cache"], 0,
+    ("enumerate --n 2_0",
+     ["enumerate", "--n", "2", "--length", "2", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "enumerate", "n": 2, "length": 2, "predicate": "all", "k": None,
       "raw": False, "limit": 100, "jobs": 1, **NO_CACHE}),
-    (["enumerate", "--n", "2", "--length", "3", "--predicate", "no-short-zero-sum",
+    ("enumerate --n 2_1",
+     ["enumerate", "--n", "2", "--length", "3", "--predicate", "no-short-zero-sum",
       "--k", "2", "--raw", "--limit", "0", "--jobs", "2", "--cache-dir", "{tmp}/c"], 0,
      {"subcommand": "enumerate", "n": 2, "length": 3, "predicate": "no-short-zero-sum",
       "k": 2, "raw": True, "limit": 0, "jobs": 2, "cache_dir": "{tmp}/c",
       "no_cache": False}),
-    (["classify", "--file", "{tmp}/seq.json"], 0,
+    ("classify --file {tmp}/seq.json0",
+     ["classify", "--file", "{tmp}/seq.json"], 0,
      {"subcommand": "classify", "file": "{tmp}/seq.json", "n": None}),
-    (["classify", "--file", "{tmp}/seq.json", "--n", "3"], 0,
+    ("classify --file {tmp}/seq.json1",
+     ["classify", "--file", "{tmp}/seq.json", "--n", "3"], 0,
      {"subcommand": "classify", "file": "{tmp}/seq.json", "n": 3}),
-    (["construct", "exceptional", "--n", "5", "--x", "2"], 0,
+    ("construct exceptional --n",
+     ["construct", "exceptional", "--n", "5", "--x", "2"], 0,
      {"subcommand": "construct exceptional", "n": 5, "x": 2, "a": 1, "b": 1, "c": 1}),
-    (["verify", "property-b", "--n", "2", "--jobs", "1", "--no-cache"], 0,
+    ("verify property-b --n",
+     ["verify", "property-b", "--n", "2", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "verify property-b", "n": 2, "force": False, "jobs": 1, **NO_CACHE}),
-    (["verify", "property-c", "--n", "2", "--jobs", "1", "--no-cache"], 0,
+    ("verify property-c --n",
+     ["verify", "property-c", "--n", "2", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "verify property-c", "n": 2, "force": False, "jobs": 1, **NO_CACHE}),
-    (["verify", "casen", "--n", "2", "--jobs", "1", "--no-cache"], 0,
+    ("verify casen --n0",
+     ["verify", "casen", "--n", "2", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "verify casen", "n": 2, "s": 1, "force": False, "jobs": 1,
       **NO_CACHE}),
-    (["verify", "casen", "--n", "2", "--force", "--jobs", "1", "--no-cache"], 0,
+    ("verify casen --n1",
+     ["verify", "casen", "--n", "2", "--force", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "verify casen", "n": 2, "s": 1, "force": True, "jobs": 1,
       **NO_CACHE}),
-    (["verify", "perturbation", "--m", "4", "--lemma", "III", "--jobs", "1"], 0,
+    ("verify perturbation --m",
+     ["verify", "perturbation", "--m", "4", "--lemma", "III", "--jobs", "1"], 0,
      {"subcommand": "verify perturbation", "m": 4, "lemma": "III", "force": False,
       "jobs": 1}),
     # propbfix takes no --jobs, so its configs record none
-    (["verify", "propbfix-item1", "--samples", "5", "--m", "4", "--n", "2"], 0,
+    ("verify propbfix-item1 --samples",
+     ["verify", "propbfix-item1", "--samples", "5", "--m", "4", "--n", "2"], 0,
      {"subcommand": "verify propbfix-item1", "m": 4, "n": 2, "samples": 5, "seed": 2026,
       "force": False}),
-    (["verify", "propbfix-item2", "--seed", "7", "--m", "4", "--n", "5"], 0,
+    ("verify propbfix-item2 --seed",
+     ["verify", "propbfix-item2", "--seed", "7", "--m", "4", "--n", "5"], 0,
      {"subcommand": "verify propbfix-item2", "m": 4, "n": 5, "seed": 7}),
-    (["verify", "propbfix-item1", "--m", "4", "--n", "3"], 0,
+    ("verify propbfix-item1 --m",
+     ["verify", "propbfix-item1", "--m", "4", "--n", "3"], 0,
      {"subcommand": "verify propbfix-item1", "m": 4, "n": 3, "samples": None, "seed": 2026,
       "force": False}),
-    (["cache", "purge", "--cache-dir", "{tmp}/c"], 0,
+    ("cache purge --cache-dir",
+     ["cache", "purge", "--cache-dir", "{tmp}/c"], 0,
      {"subcommand": "cache purge", "cache_dir": "{tmp}/c"}),
 ]
 
@@ -458,8 +476,8 @@ def _fill(value, tmp):
     return value
 
 
-@pytest.mark.parametrize("args,code,config", CONFIG_CASES,
-                         ids=[" ".join(c[0][:3]) for c in CONFIG_CASES])
+@pytest.mark.parametrize("args,code,config", [c[1:] for c in CONFIG_CASES],
+                         ids=[c[0] for c in CONFIG_CASES])
 def test_config_and_exit_code_of_every_subcommand(runner, tmp_path, args, code, config):
     (tmp_path / "seq.json").write_text(json.dumps(ITEM1_SEQUENCE))
     res = invoke(runner, *[_fill(a, str(tmp_path)) for a in args])
@@ -495,7 +513,7 @@ def test_module_entry_point_exit_codes():
     assert res.stdout == ""
     assert json.loads(res.stderr) == {
         "error": "BudgetExceeded",
-        "message": "davenport with n=9 exceeds the default search budget; "
+        "message": "davenport with n=9 exceeds the default budget; "
                    "pass --force to run it anyway",
     }
 
@@ -529,7 +547,7 @@ def _assert_over_budget(runner, monkeypatch, tmp_path, args, shown):
     assert res.stdout == ""
     assert json.loads(res.stderr) == {
         "error": "BudgetExceeded",
-        "message": f"{shown} exceeds the default search budget; pass --force to run it anyway",
+        "message": f"{shown} exceeds the default budget; pass --force to run it anyway",
     }
     assert not cache_dir.exists()
 

@@ -10,9 +10,10 @@ jobs=..., cache=..., budget=...)`` on a body that takes its own options and
 returns a Report (exit 1 if it has counterexamples, else 0) or ``(obj,
 exit_code)``.  A ``verify`` subcommand is named after its report's
 ``check``, and takes only the options its check reads.
-The helper adds ``--pretty``/``--output``, plus ``--jobs`` (default: all
-cores) with ``jobs`` and ``--cache-dir``/``--no-cache`` with ``cache``, in
-which case the body gets the resolved ``cache``.  A command registered
+The helper adds ``--pretty``/``--output``, plus ``--jobs`` (default: the
+cores the process may run on) with ``jobs`` and
+``--cache-dir``/``--no-cache`` with ``cache``, in which case the body gets
+the resolved ``cache``.  A command registered
 without ``jobs`` has no ``--jobs``, so click rejects one (exit 2).  It
 builds ``config``, maps package errors to exit codes 2 and 3, writes the
 JSON and exits.
@@ -88,8 +89,8 @@ def int_opt(flag: str, low: int, **attrs):
 
 n_opt = int_opt("--n", 2, required=True, help="Group modulus.")
 jobs_opt = int_opt("--jobs", 1, default=None,
-                   help="Worker processes (default: all cores); a small search stays "
-                        "in-process whatever the value.")
+                   help="Worker processes (default: the cores this process may run on); "
+                        "a small search stays in-process whatever the value.")
 cache_dir_opt = click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
                              help="Result cache directory (default: $ZS_CACHE or ./.zs-cache).")
 no_cache_opt = click.option("--no-cache", is_flag=True, help="Disable the result cache.")
@@ -143,8 +144,12 @@ def command(parent: click.Group, name: str, *options,
 
     def register(body):
         def run(pretty: bool, output: str | None, **params) -> None:
-            if jobs:
-                params["jobs"] = params["jobs"] or os.cpu_count() or 1
+            if jobs and not params["jobs"]:
+                # the cores this process may run on: under taskset -c 0 a
+                # default davenport(7) ran 0.88x the wall time of forking
+                # os.cpu_count() = 2 workers (BENCH_46.json jobs_default)
+                params["jobs"] = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                                  else os.cpu_count() or 1)
             config = {"subcommand": subcommand, **params}
             if budget and not params.pop("force") and not budget(params):
                 shown = ", ".join(f"{opt.name}={params[opt.name]}" for opt in cmd.params
@@ -170,7 +175,7 @@ def command(parent: click.Group, name: str, *options,
 @click.version_option(__version__)
 def main() -> None:
     """Zero-sum sequence toolkit for rank-two cyclic groups."""
-    # zerosum calls no BLAS routine: its only @ (lifting.image_rows) is on int64 arrays
+    # zerosum calls no BLAS routine: its only @ (lifting.image_rows) is on integer arrays
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 

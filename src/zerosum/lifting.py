@@ -20,9 +20,12 @@ sums with arrays (``image_rows``, the batch form of ``image_in_coords``)
 and runs the zero-sum guard over the rows; no row becomes a Sequence
 unless reported.  Both populations rest on property B at N = mn (every
 minimal zero-sum of length 2mn - 1 is a family member), which the ledger
-verifies for N <= 8.  On a shared 2-core x86_64 machine, 10^4 samples take
-0.081 s at (4,5) and 0.030 s at (4,2) (in-process medians, BENCH_39.json),
-against 0.354 s and 0.167 s one sample at a time (BENCH_27.json).
+verifies for N <= 8.  The rows are int32 arrays (every value is below
+N^2 + N), so item 1 takes N <= 46340.  On a shared 2-core x86_64 machine,
+10^4 samples take 0.060 s at (4,5) and 0.017 s at (4,2), and the 27,150
+residue rows of (8,5) 0.37 s, against 0.076, 0.026 and 0.42 s in chunks of
+256 int64 rows (in-process medians, BENCH_46.json) and 0.354 s and 0.167 s
+for the samples one at a time (BENCH_27.json).
 """
 
 from __future__ import annotations
@@ -109,23 +112,28 @@ class Homomorphism:
         return a * n + b, mults, np.stack([a @ k % n, b @ k % n], axis=1)
 
 
-# samples per chunk of item 1: 5000 samples at (4,5) peak at 0.44 MiB
-# (tracemalloc) with 256 rows and 0.85 MiB with 512, against the 1 MiB
-# bound of test_item1_streams_its_samples
-_ROWS = 256
+# rows per chunk of item 1.  A chunk pays a fixed n - 1 + N guard steps, so
+# fewer, larger chunks run faster; 5000 samples at (4,5) peak at 0.43 MiB
+# (tracemalloc) with 512 int32 rows, against 0.85 MiB with 512 int64 rows,
+# 0.44 MiB with 256 int64 rows, 0.23 MiB with 256 int32 rows
+# (BENCH_46.json) and the 1 MiB bound of test_item1_streams_its_samples
+_ROWS = 512
+
+# the largest N whose row values, below N^2 + N, fit int32
+_INT32_N = 46340
 
 
 def _below(N: int, rng: random.Random, count: int):
-    """``count`` uniform values in [0, N), as an int64 array: the top k =
+    """``count`` uniform values in [0, N), as an int32 array: the top k =
     N.bit_length() bits of each 32-bit word of ``rng.getrandbits``, those
     below N kept (at least half of them), redrawn until there are enough."""
     np, k = groups.numpy(), N.bit_length()
-    vals = np.empty(0, np.int64)
+    vals = np.empty(0, np.int32)
     while len(vals) < count:
         words = ((count - len(vals)) << k) // N + 32
         raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
                             "<u4") >> (32 - k)
-        vals = np.concatenate([vals, raw[raw < N]])
+        vals = np.concatenate([vals, raw[raw < N].astype(np.int32)])
     return vals[:count]
 
 
@@ -134,7 +142,7 @@ def _rows(xs, p=1, q=0, r=0, s=1):
     each residue x of ``xs[i]``; p, q, r, s are scalars (the identity by
     default) or columns, one alpha a row.  Multiplicities N - 1, 1, ..., 1;
     coordinates not reduced mod N."""
-    out = groups.numpy().empty((len(xs), xs.shape[1] + 1, 2), "int64")
+    out = groups.numpy().empty((len(xs), xs.shape[1] + 1, 2), "int32")
     out[:, :1, 0], out[:, :1, 1] = p, r
     out[:, 1:, 0], out[:, 1:, 1] = p * xs + q, r * xs + s
     return out
@@ -152,7 +160,7 @@ def _family_rows(N: int, rng: random.Random, count: int):
         rows = min(_ROWS, count - done)
         xs = _below(N, rng, rows * N).reshape(rows, N)
         xs[:, -1] = (1 - xs[:, :-1].sum(axis=1)) % N
-        auts = np.empty((0, 4), np.int64)
+        auts = np.empty((0, 4), np.int32)
         while len(auts) < rows:
             m = _below(N, rng, 8 * rows).reshape(-1, 4)
             auts = np.concatenate([auts, m[unit[(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) % N]]])
@@ -167,7 +175,7 @@ def _residue_rows(N: int, n: int):
     np = groups.numpy()
     multisets = (xs for xs in combinations_with_replacement(range(n), N) if sum(xs) % n == 1)
     while chunk := list(islice(multisets, _ROWS)):
-        xs = np.array(chunk, np.int64)
+        xs = np.array(chunk, np.int32)
         xs[:, -1] += 1 - xs.sum(axis=1)
         yield _rows(xs)
 
@@ -188,11 +196,16 @@ def verify_propbfix_item1(m: int, n: int, *, samples: int | None = None,
     appends a row's heavy term min(N - 1, n - 1) times: copies past
     k = n - 1 change no layer and close nothing new.  Only a
     counterexample's row becomes a Sequence.  The report's params are
-    those the population read: {m, n}, or {m, n, samples, seed}.
+    those the population read: {m, n}, or {m, n, samples, seed}.  N = mn
+    is at most 46340, so that the int32 rows hold every value.
     """
     if m < 4 or n < 2:
         raise PreconditionViolated(f"need m >= 4 and n >= 2, got m={m}, n={n}")
     N = m * n
+    if N > _INT32_N:
+        raise PreconditionViolated(
+            f"need N = mn <= {_INT32_N}: the rows are int32 arrays and hold values "
+            f"below N^2 + N, got N={N}")
     hom = Homomorphism(N, m)
     mults = [N - 1] + [1] * N
     bad: list = []

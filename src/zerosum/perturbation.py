@@ -35,6 +35,11 @@ g is classified from u and w alone (``_landings``):
   landing passes iff det(e1, u) and det(e1, w) (for u, w != e1) are d.
   This is exact, since R holds a term besides e1 whenever e1 can have
   count m - 1: R = e1^[2m-3] would give it count 2m - 3 > m - 1 in S'.
+  Of these tests the count and det(e1, u) suffice, as they force
+  det(e1, w) = d.  With e1 of count m - 1, S' has m other terms, counted
+  with multiplicity, and since S' is a zero-sum and det(e1, e1) = 0 their
+  determinants with e1 sum to det(e1, sigma(S')) = 0 (mod m).  If w != e1
+  and the other m - 1 of them are d, then det(e1, w) = -(m - 1)d = d.
 * The tag counts the candidates of multiplicity m - 1 in S', as
   upsilon_class counts every term of S' of that multiplicity.
 
@@ -187,11 +192,8 @@ def _landings(grp: Group, base: Sequence, pivots: tuple[Elem, Elem]):
             raise SumMismatch(f"pivots {pivots} at g={g} change the sum: {landed_sum} != {total}")
         tag = "not_in_upsilon"
         for e1, k, d in lines:
-            # on a zero-sum of length 2m - 1 the line rule implies the count
-            # m - 1 (the sum's e2-coordinate is 2m - 1 - count), but the
-            # count is the cheaper test, so it goes first
-            if (k + (u == e1) + (w == e1) == m - 1 and (u == e1 or det(e1, u) == d)
-                    and (w == e1 or det(e1, w) == d)):
+            # the count and det(e1, u) force det(e1, w) = d (module docstring)
+            if k + (u == e1) + (w == e1) == m - 1 and (u == e1 or det(e1, u) == d):
                 tag = _tag(m, True, (k + (u == x) + (w == x) for x, k in candidates))
                 break
         yield g, u, w, tag

@@ -138,14 +138,18 @@ class ZeroSumGuard:
 
     def extend_rows(self, layers, terms):
         """``extend`` of each state of a batch of words by one copy of its
-        own term, ``terms[i]`` for ``layers[i]``."""
+        own term, ``terms[i]`` for ``layers[i]``.  Layer 0 of a bounded
+        state is always {0}, so with k <= 1 no layer can change and
+        ``layers`` itself is returned."""
         np, (count, depth, n) = groups.numpy(), layers.shape
-        source, rot, unrot = word_shifts(n)
         low = int(self.k is not None)  # layer 0 of a bounded state is {0}
+        if depth <= low:
+            return layers
+        source, rot, unrot = word_shifts(n)
         # word a of layer l of state i is flat word (i depth + l) n + a
-        index = source[terms] + np.arange(count)[:, None] * (depth * n)
+        index = source.take(terms, axis=0) + np.arange(count)[:, None] * (depth * n)
         words = layers.take(index[:, None] + np.arange(0, (depth - low) * n, n)[:, None])
-        rot, unrot = rot[terms][:, None, None], unrot[terms][:, None, None]
+        rot, unrot = rot.take(terms)[:, None, None], unrot.take(terms)[:, None, None]
         out = layers.copy()
         out[:, low:] |= (words << rot | words >> unrot) & ((1 << n) - 1)
         return out
@@ -219,11 +223,12 @@ def _has_zero_sum_rows(grp: Group, terms, mults, k: int):
     np, n, guard = groups.numpy(), grp.n, ZeroSumGuard(grp, k)
     layers, rows = guard.fresh_rows(len(terms)), np.arange(len(terms))
     found = np.zeros(len(terms), bool)
-    steps = [terms[:, j] for j, c in enumerate(mults) for _ in range(min(c, k))]
-    for i, t in enumerate(steps, 1):
-        found |= (layers[rows, -1, t // n] >> (t % n) & 1).astype(bool)  # blocked bit t
+    words, bits = np.divmod(terms, n)  # blocked bit t is bit t % n of word t // n
+    steps = [j for j, c in enumerate(mults) for _ in range(min(c, k))]
+    for i, j in enumerate(steps, 1):
+        found |= (layers[rows, -1, words[:, j]] >> bits[:, j] & 1).astype(bool)
         if i < len(steps):  # the last copy needs no update after its test
-            layers = guard.extend_rows(layers, t)
+            layers = guard.extend_rows(layers, terms[:, j])
     return found
 
 

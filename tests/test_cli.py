@@ -398,6 +398,9 @@ def test_help_lists_subcommands(runner):
 
 ITEM1_SEQUENCE = {"n": 3, "terms": [[0, 1, 2], [1, 0, 5], [1, 1, 1]]}
 NO_CACHE = {"cache_dir": None, "no_cache": True}
+# the cores this process may run on
+DEFAULT_JOBS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
 
 # Every subcommand's emitted config and exit code, each case under a fixed
 # id; "{tmp}" stands for the test's temporary directory, which holds
@@ -408,8 +411,7 @@ CONFIG_CASES = [
      {"subcommand": "davenport", "n": 3, "force": False, "jobs": 1, **NO_CACHE}),
     ("davenport --n 3_1",
      ["davenport", "--n", "3", "--no-cache"], 0,
-     {"subcommand": "davenport", "n": 3, "force": False, "jobs": os.cpu_count() or 1,
-      **NO_CACHE}),
+     {"subcommand": "davenport", "n": 3, "force": False, "jobs": DEFAULT_JOBS, **NO_CACHE}),
     ("sleq --n 3",
      ["sleq", "--n", "3", "--k", "3", "--jobs", "1", "--no-cache"], 0,
      {"subcommand": "sleq", "n": 3, "k": 3, "force": False, "jobs": 1, **NO_CACHE}),
@@ -483,6 +485,16 @@ def test_config_and_exit_code_of_every_subcommand(runner, tmp_path, args, code, 
     res = invoke(runner, *[_fill(a, str(tmp_path)) for a in args])
     assert res.exit_code == code
     assert out_json(res)["config"] == _fill(config, str(tmp_path))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+def test_default_jobs_is_the_affinity_mask(runner, monkeypatch):
+    """A run without --jobs takes one worker per core it may run on, not
+    per core of the machine, as under taskset -c 0."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    res = invoke(runner, "davenport", "--n", "3", "--no-cache")
+    assert res.exit_code == 0 and out_json(res)["config"]["jobs"] == 1
 
 
 def test_counterexample_exits_one(runner, monkeypatch):

@@ -1,12 +1,13 @@
 import hashlib
 import random
 import tracemalloc
+from itertools import combinations_with_replacement
 from math import gcd
 
 import numpy as np
 import pytest
 
-from zerosum import lifting
+from zerosum import groups, lifting
 from zerosum.enumeration import EnumSpec, decode_leaves, enumerate_leaves
 from zerosum.errors import (
     FiberMismatch,
@@ -239,8 +240,11 @@ def test_random_automorphism_is_seed_deterministic():
     assert all(grp.is_basis(alpha((1, 0)), alpha((0, 1))) for alpha in a)
 
 
+# 255..257 sat at the chunk boundary when _ROWS was 256; they stay as counts
+# inside one chunk, next to the boundary of today's _ROWS
 @pytest.mark.parametrize("N", [8, 12, 20, 24, 28])
-@pytest.mark.parametrize("count", [0, 1, 3, lifting._ROWS - 1, lifting._ROWS, lifting._ROWS + 1])
+@pytest.mark.parametrize("count", [0, 1, 3, 255, 256, 257,
+                                   lifting._ROWS - 1, lifting._ROWS, lifting._ROWS + 1])
 def test_family_rows_are_family_members(N, count):
     """The sampler yields ``count`` members of the family, in chunks of at
     most _ROWS rows: each row, read as a Sequence, has the long minimal
@@ -269,6 +273,55 @@ def test_below_draws_every_residue_and_nothing_else(N):
     vals = lifting._below(N, rng, 3000)
     assert vals.min() >= 0 and vals.max() < N
     assert set(vals.tolist()) == set(range(N))
+
+
+@pytest.mark.parametrize("N", [8, 20, 40])
+def test_row_chunks_are_int32_and_hold_the_family_formula(N, monkeypatch):
+    """Every chunk of _family_rows and _residue_rows is an int32 array whose
+    rows are (p, r), then (p*x + q, r*x + s) for the row's residues x, as
+    Python ints recompute them: for a sample from the values _below drew for
+    its chunk (rows x N residues, the last reset to make the sum 1, then
+    4-tuples (p, q, r, s), the first with a unit determinant kept), and for
+    a residue row from its multiset mod n = 4 on the identity, the last
+    residue shifted to make the sum 0."""
+    draws, below = [], lifting._below
+    monkeypatch.setattr(lifting, "_below", lambda *args: draws.append(below(*args)) or draws[-1])
+    sizes = []
+    for rows in _family_rows(N, random.Random(N), lifting._ROWS + 3):
+        assert rows.dtype == np.int32
+        flat, tuples = draws[0].tolist(), [v for batch in draws[1:] for v in batch.tolist()]
+        auts = [tuple(tuples[i:i + 4]) for i in range(0, len(tuples), 4)]
+        auts = [(p, q, r, s) for p, q, r, s in auts if gcd((p * s - q * r) % N, N) == 1]
+        want = []
+        for i, (p, q, r, s) in enumerate(auts[:len(rows)]):
+            xs = flat[i * N:(i + 1) * N - 1]
+            xs.append((1 - sum(xs)) % N)
+            want.append([[p, r]] + [[p * x + q, r * x + s] for x in xs])
+        assert rows.tolist() == want
+        sizes.append(len(rows))
+        draws.clear()
+    assert sizes == [lifting._ROWS, 3]
+    multisets = [list(xs) for xs in combinations_with_replacement(range(4), N) if sum(xs) % 4 == 1]
+    for xs in multisets:
+        xs[-1] += 1 - sum(xs)
+    got = []
+    for rows in lifting._residue_rows(N, 4):
+        assert rows.dtype == np.int32
+        got.extend(rows.tolist())
+    assert got == [[[1, 0]] + [[x, 1] for x in xs] for xs in multisets]
+
+
+def test_item1_refuses_an_N_whose_rows_overflow_int32(monkeypatch):
+    """N = 46340 is the largest N with N^2 + N below 2^31; item 1 refuses
+    N = 4 * 11586 = 46344 before it builds an array, and takes N = 46340."""
+    assert lifting._INT32_N ** 2 + lifting._INT32_N < 2**31 <= (lifting._INT32_N + 1) ** 2
+    with monkeypatch.context() as patch:
+        patch.setattr(groups, "numpy", lambda: pytest.fail("an array was built"))
+        with pytest.raises(PreconditionViolated, match="int32"):
+            verify_propbfix_item1(4, 11586, samples=1)
+        with pytest.raises(PreconditionViolated, match="int32"):
+            verify_propbfix_item1(4, 11586)
+    assert verify_propbfix_item1(4, 11585, samples=0).orbits_scanned == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -288,7 +288,7 @@ seed_opt = click.option("--seed", type=int, default=2026, help="Seed of the rand
 
 @command(verify_grp, "propbfix-item1", *mn_opts,
          int_opt("--samples", 1, default=None,
-                 help="Check this many seeded family members, not every residue multiset."),
+                 help="Check this many seeded standard-basis rows, not every residue multiset."),
          seed_opt,
          # about C(mn + n - 1, n - 1)/n residue rows: 27,150 at (8,5), 54,081 at (5,6)
          budget=lambda opts: opts["samples"] is not None or comb(

@@ -12,20 +12,24 @@ The two verify_* functions check, at statement level, the transfer result
 for minimal zero-sums of maximal length 2N-1: their image has no nonempty
 zero-sum part of length below n, and when the image lands in the
 exceptional four-element shape, the original sequence keeps the
-one-basis-coset support property.  Item 1 checks chunks of rows of the
-family e1^[N-1] prod(x_i e1 + e2) moved by an automorphism (``_rows``),
-one per residue multiset mod n by default (``_residue_rows``) or a given
-number drawn in bulk (``_family_rows``): it maps them to image indices and
-sums with arrays (``image_rows``, the batch form of ``image_in_coords``)
-and runs the zero-sum guard over the rows; no row becomes a Sequence
-unless reported.  Both populations rest on property B at N = mn (every
-minimal zero-sum of length 2mn - 1 is a family member), which the ledger
-verifies for N <= 8.  The rows are int32 arrays (every value is below
-N^2 + N), so item 1 takes N <= 46340.  On a shared 2-core x86_64 machine,
-10^4 samples take 0.060 s at (4,5) and 0.017 s at (4,2), and the 27,150
-residue rows of (8,5) 0.37 s, against 0.076, 0.026 and 0.42 s in chunks of
-256 int64 rows (in-process medians, BENCH_46.json) and 0.354 s and 0.167 s
-for the samples one at a time (BENCH_27.json).
+one-basis-coset support property.  Item 1 checks chunks of family rows
+e1^[N-1] prod(x_i e1 + e2) on the standard basis (``_rows``), one per
+residue multiset mod n by default (``_residue_rows``) or a given number
+drawn in bulk (``_family_rows``): it maps them to image indices and sums
+with arrays (``image_rows``, the batch form of ``image_in_coords``) and
+runs the zero-sum guard over the rows; no row becomes a Sequence unless
+reported.  By property B at N = mn, which the ledger verifies for N <= 8,
+every minimal zero-sum of length 2mn - 1 is alpha(S) for such a row S and
+an automorphism alpha, and alpha moves no verdict: det alpha is a unit mod
+N, hence mod n, so alpha mod n is in GL(2, Z/nZ), and m*alpha(g) =
+alpha(m*g) has the chart coordinates (alpha mod n)(g mod n).  The image of
+alpha(S) is thus the image of S moved by an automorphism, and being
+zero-sum and having no zero-sum part shorter than n are both invariant
+under automorphisms.  The rows are int32 arrays (values below N^2 + N in
+magnitude), so item 1 takes N <= 46340.  On a shared 2-core x86_64
+machine, 10^4 samples take 0.039 s at (4,5) and 0.005 s at (4,2)
+(in-process medians, BENCH_47.json), against 0.354 s and 0.167 s for the
+samples one at a time (BENCH_27.json).
 """
 
 from __future__ import annotations
@@ -104,19 +108,18 @@ class Homomorphism:
         """The image over (Z/nZ)^2 of a batch of multisets, row i the terms
         ``rows[i, j]`` (coordinate pairs, not necessarily reduced mod N), each
         with multiplicity ``mults[j]``: the image indices (a mod n)*n + (b mod
-        n) of the terms, their multiplicities (those given), and each row's
-        image sum: the rows' ``image_in_coords``, as arrays."""
+        n) of the terms and each row's image sum, the rows'
+        ``image_in_coords`` as arrays."""
         np, n = groups.numpy(), self.n
         a, b = rows[..., 0] % n, rows[..., 1] % n
         k = np.array(mults)
-        return a * n + b, mults, np.stack([a @ k % n, b @ k % n], axis=1)
+        return a * n + b, np.stack([a @ k % n, b @ k % n], axis=1)
 
 
 # rows per chunk of item 1.  A chunk pays a fixed n - 1 + N guard steps, so
-# fewer, larger chunks run faster; 5000 samples at (4,5) peak at 0.43 MiB
-# (tracemalloc) with 512 int32 rows, against 0.85 MiB with 512 int64 rows,
-# 0.44 MiB with 256 int64 rows, 0.23 MiB with 256 int32 rows
-# (BENCH_46.json) and the 1 MiB bound of test_item1_streams_its_samples
+# fewer, larger chunks run faster; 5000 samples at (4,5) peak at 0.47 MiB
+# (tracemalloc) with 512 int32 rows, against 0.24 MiB with 256 rows
+# (BENCH_47.json) and the 1 MiB bound of test_item1_streams_its_samples
 _ROWS = 512
 
 # the largest N whose row values, below N^2 + N, fit int32
@@ -125,9 +128,10 @@ _INT32_N = 46340
 
 def _below(N: int, rng: random.Random, count: int):
     """``count`` uniform values in [0, N), as an int32 array: the top k =
-    N.bit_length() bits of each 32-bit word of ``rng.getrandbits``, those
-    below N kept (at least half of them), redrawn until there are enough."""
-    np, k = groups.numpy(), N.bit_length()
+    (N - 1).bit_length() bits of each 32-bit word of ``rng.getrandbits``,
+    those below N kept (more than half of them, all when N is a power of
+    two), redrawn until there are enough."""
+    np, k = groups.numpy(), (N - 1).bit_length()
     vals = np.empty(0, np.int32)
     while len(vals) < count:
         words = ((count - len(vals)) << k) // N + 32
@@ -137,34 +141,27 @@ def _below(N: int, rng: random.Random, count: int):
     return vals[:count]
 
 
-def _rows(xs, p=1, q=0, r=0, s=1):
-    """Row i: alpha(e1) = (p, r), then alpha((x, 1)) = (p*x + q, r*x + s) for
-    each residue x of ``xs[i]``; p, q, r, s are scalars (the identity by
-    default) or columns, one alpha a row.  Multiplicities N - 1, 1, ..., 1;
-    coordinates not reduced mod N."""
+def _rows(xs):
+    """Row i: e1 = (1, 0), then (x, 1) for each residue x of ``xs[i]``: the
+    family member on the standard basis, with multiplicities N - 1, 1, ...,
+    1; coordinates not reduced mod N."""
     out = groups.numpy().empty((len(xs), xs.shape[1] + 1, 2), "int32")
-    out[:, :1, 0], out[:, :1, 1] = p, r
-    out[:, 1:, 0], out[:, 1:, 1] = p * xs + q, r * xs + s
+    out[:, 0] = 1, 0
+    out[:, 1:, 0], out[:, 1:, 1] = xs, 1
     return out
 
 
 def _family_rows(N: int, rng: random.Random, count: int):
     """``count`` uniform random members of the maximal-length minimal
-    zero-sum family, moved by uniform random automorphisms, in chunks of at
-    most _ROWS rows (``_rows``).  A chunk draws rows x N residues, its last
-    column then set to make each row's sum 1, and batches of 2 x rows
-    matrices (p, q, r, s), keeping those with a unit determinant."""
-    np = groups.numpy()
-    unit = np.array([gcd(d, N) == 1 for d in range(N)])
+    zero-sum family on the standard basis, in chunks of at most _ROWS rows
+    (``_rows``): a chunk draws rows x N residues, its last column then set
+    to make each row's sum 1.  No automorphism is drawn, as none changes a
+    verdict (module docstring)."""
     for done in range(0, count, _ROWS):
         rows = min(_ROWS, count - done)
         xs = _below(N, rng, rows * N).reshape(rows, N)
         xs[:, -1] = (1 - xs[:, :-1].sum(axis=1)) % N
-        auts = np.empty((0, 4), np.int32)
-        while len(auts) < rows:
-            m = _below(N, rng, 8 * rows).reshape(-1, 4)
-            auts = np.concatenate([auts, m[unit[(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) % N]]])
-        yield _rows(xs, *auts[:rows].T[:, :, None])
+        yield _rows(xs)
 
 
 def _residue_rows(N: int, n: int):
@@ -185,15 +182,15 @@ def verify_propbfix_item1(m: int, n: int, *, samples: int | None = None,
     """Check that phi(S) is zero-sum with no nonempty zero-sum part of
     length below n, for minimal zero-sums S of length 2mn-1.
 
-    Both populations are rows of the maximal-length family, by property B
-    at N = mn the whole search space: by default one row per residue
-    multiset (``_residue_rows``, about C(N + n - 1, n - 1)/n rows), which
-    reaches every image, as the image reads residues mod n only and
-    mult-by-m commutes with every automorphism; with ``samples``, that many
-    members drawn from ``random.Random(seed)`` (``_family_rows``).  Each
-    chunk goes through one image routine (Homomorphism.image_rows) and the
-    zero-sum guard's row form (``subsums._has_zero_sum_rows``), which
-    appends a row's heavy term min(N - 1, n - 1) times: copies past
+    Both populations are family rows on the standard basis, which stand
+    for every S by property B at N = mn and the module docstring's
+    equivariance: by default one row per residue multiset
+    (``_residue_rows``, about C(N + n - 1, n - 1)/n rows), which reaches
+    every image, as the image reads residues mod n only; with ``samples``,
+    that many rows drawn from ``random.Random(seed)`` (``_family_rows``).
+    Each chunk goes through one image routine (Homomorphism.image_rows)
+    and the zero-sum guard's row form (``subsums._has_zero_sum_rows``),
+    which appends a row's heavy term min(N - 1, n - 1) times: copies past
     k = n - 1 change no layer and close nothing new.  Only a
     counterexample's row becomes a Sequence.  The report's params are
     those the population read: {m, n}, or {m, n, samples, seed}.  N = mn
@@ -220,9 +217,9 @@ def verify_propbfix_item1(m: int, n: int, *, samples: int | None = None,
         scanned = 0
         for rows in chunks:
             scanned += len(rows)
-            terms, counts, sums = hom.image_rows(rows, mults)
+            terms, sums = hom.image_rows(rows, mults)
             off = sums.any(axis=1)
-            short = _has_zero_sum_rows(hom.image_group, terms, counts, n - 1)
+            short = _has_zero_sum_rows(hom.image_group, terms, mults, n - 1)
             for i in (off | short).nonzero()[0].tolist():
                 reason = ("image not zero-sum" if off[i]
                           else "image has a zero-sum part shorter than n")

@@ -2,7 +2,6 @@ import hashlib
 import random
 import tracemalloc
 from itertools import combinations_with_replacement
-from math import gcd
 
 import numpy as np
 import pytest
@@ -126,22 +125,23 @@ def test_item2_budgeted_run():
     assert "again one-coset" in rep.details["reason"]
 
 
-def _inject_image(monkeypatch, image):
-    """Make the image of every item-1 sample the given Sequence, at the
-    image routine item 1 calls."""
-    grp = image.group
-    terms = np.array([grp.index(g) for g, _ in image.items()])
-    mults = [k for _, k in image.items()]
+def _inject_image(monkeypatch, n, terms):
+    """Make the image of every item-1 row the given N + 1 terms over
+    (Z/nZ)^2, with item 1's multiplicities N - 1, 1, ..., 1, at the image
+    routine item 1 calls."""
+    img, mults = group(n), [len(terms) - 2] + [1] * (len(terms) - 1)
+    index = np.array([img.index(g) for g in terms])
+    total = Sequence(img, zip(terms, mults)).sigma()
     monkeypatch.setattr(
         Homomorphism, "image_rows",
-        lambda self, rows, _: (np.tile(terms, (len(rows), 1)), mults,
-                               np.tile(image.sigma(), (len(rows), 1))),
+        lambda self, rows, _: (np.tile(index, (len(rows), 1)), np.tile(total, (len(rows), 1))),
     )
 
 
 def test_item1_reports_an_image_with_a_zero_sum_shorter_than_n(monkeypatch):
-    # zero-sum, with a zero-sum part of length n - 1 = 4 and none shorter
-    _inject_image(monkeypatch, Sequence(group(5), (((1, 0), 3), ((2, 0), 1))))
+    # (1, 0)^38 (2, 0): zero-sum, with a zero-sum part of length n - 1 = 4
+    # and none shorter
+    _inject_image(monkeypatch, 5, [(1, 0)] * 20 + [(2, 0)])
     rep = verify_propbfix_item1(4, 5, samples=3)
     assert not rep.passed
     assert [c["reason"] for c in rep.counterexamples] == [
@@ -150,8 +150,8 @@ def test_item1_reports_an_image_with_a_zero_sum_shorter_than_n(monkeypatch):
 
 
 def test_item1_exhaustive_reports_every_row_with_a_bad_image(monkeypatch):
-    # zero-sum of length 2 < n = 3
-    _inject_image(monkeypatch, Sequence(group(3), (((1, 0), 1), ((2, 0), 1))))
+    # (1, 0)^22 (2, 0): zero-sum, with a zero-sum part of length 2 < n = 3
+    _inject_image(monkeypatch, 3, [(1, 0)] * 12 + [(2, 0)])
     rep = verify_propbfix_item1(4, 3)
     assert [c["reason"] for c in rep.counterexamples] == [
         "image has a zero-sum part shorter than n"] * 30
@@ -240,16 +240,19 @@ def test_random_automorphism_is_seed_deterministic():
     assert all(grp.is_basis(alpha((1, 0)), alpha((0, 1))) for alpha in a)
 
 
-# 255..257 sat at the chunk boundary when _ROWS was 256; they stay as counts
-# inside one chunk, next to the boundary of today's _ROWS
+# 255..257 and 511..513 sat at the chunk boundary when _ROWS was 256 and 512;
+# they stay as literal counts so that their test ids stay, and the boundary
+# ids follow _ROWS without renaming a test when it moves
 @pytest.mark.parametrize("N", [8, 12, 20, 24, 28])
-@pytest.mark.parametrize("count", [0, 1, 3, 255, 256, 257,
-                                   lifting._ROWS - 1, lifting._ROWS, lifting._ROWS + 1])
+@pytest.mark.parametrize("count", [0, 1, 3, 255, 256, 257, 511, 512, 513,
+                                   pytest.param(lifting._ROWS - 1, id="boundary-1"),
+                                   pytest.param(lifting._ROWS, id="boundary"),
+                                   pytest.param(lifting._ROWS + 1, id="boundary+1")])
 def test_family_rows_are_family_members(N, count):
     """The sampler yields ``count`` members of the family, in chunks of at
-    most _ROWS rows: each row, read as a Sequence, has the long minimal
-    zero-sum shape, with alpha(e1) = (p, r) reduced and det(alpha) a unit,
-    and a seed gives the same rows every time."""
+    most _ROWS rows: each row is e1 = (1, 0), then (x, 1) for residues
+    0 <= x < N with sum 1 (mod N), and, read as a Sequence, has the long
+    minimal zero-sum shape; a seed gives the same rows every time."""
     grp, mults = group(N), [N - 1] + [1] * N
     for seed in (1, 11, 2026):
         chunks = list(_family_rows(N, random.Random(seed), count))
@@ -258,9 +261,8 @@ def test_family_rows_are_family_members(N, count):
         again = list(_family_rows(N, random.Random(seed), count))
         assert all(np.array_equal(a, b) for a, b in zip(chunks, again, strict=True))
         for row in (row for rows in chunks for row in rows.tolist()):
-            (p, r), (a, b) = row[0], row[1]
-            assert 0 <= p < N and 0 <= r < N
-            assert gcd((p * b - r * a) % N, N) == 1  # det(alpha(e1), alpha((x, 1)))
+            assert row[0] == [1, 0] and all(b == 1 and 0 <= x < N for x, b in row[1:])
+            assert sum(x for x, _ in row[1:]) % N == 1
             assert matches_eq1(Sequence(grp, zip(map(tuple, row), mults)))
 
 
@@ -278,25 +280,22 @@ def test_below_draws_every_residue_and_nothing_else(N):
 @pytest.mark.parametrize("N", [8, 20, 40])
 def test_row_chunks_are_int32_and_hold_the_family_formula(N, monkeypatch):
     """Every chunk of _family_rows and _residue_rows is an int32 array whose
-    rows are (p, r), then (p*x + q, r*x + s) for the row's residues x, as
-    Python ints recompute them: for a sample from the values _below drew for
-    its chunk (rows x N residues, the last reset to make the sum 1, then
-    4-tuples (p, q, r, s), the first with a unit determinant kept), and for
-    a residue row from its multiset mod n = 4 on the identity, the last
-    residue shifted to make the sum 0."""
+    rows are (1, 0), then (x, 1) for the row's residues x, as Python ints
+    recompute them from the residues alone: for a sample from the values
+    _below drew for its chunk (rows x N residues, the last reset to make
+    the sum 1), and for a residue row from its multiset mod n = 4, the last
+    residue shifted so that the row sums to zero."""
     draws, below = [], lifting._below
     monkeypatch.setattr(lifting, "_below", lambda *args: draws.append(below(*args)) or draws[-1])
     sizes = []
     for rows in _family_rows(N, random.Random(N), lifting._ROWS + 3):
         assert rows.dtype == np.int32
-        flat, tuples = draws[0].tolist(), [v for batch in draws[1:] for v in batch.tolist()]
-        auts = [tuple(tuples[i:i + 4]) for i in range(0, len(tuples), 4)]
-        auts = [(p, q, r, s) for p, q, r, s in auts if gcd((p * s - q * r) % N, N) == 1]
+        [flat] = [batch.tolist() for batch in draws]
         want = []
-        for i, (p, q, r, s) in enumerate(auts[:len(rows)]):
+        for i in range(len(rows)):
             xs = flat[i * N:(i + 1) * N - 1]
             xs.append((1 - sum(xs)) % N)
-            want.append([[p, r]] + [[p * x + q, r * x + s] for x in xs])
+            want.append([[1, 0]] + [[x, 1] for x in xs])
         assert rows.tolist() == want
         sizes.append(len(rows))
         draws.clear()
@@ -340,17 +339,47 @@ def test_image_rows_and_row_guard_match_the_scalar_path(n):
                           for _ in range(width)] for _ in range(60)])
         if n == 4:
             rows[:20, 0] = (2, 0)
-        terms, counts, sums = h.image_rows(rows, mults)
-        assert counts == mults
+        terms, sums = h.image_rows(rows, mults)
         images = [h.image_in_coords(Sequence(grp, zip(row, mults))) for row in rows.tolist()]
         for row_terms, total, image in zip(terms.tolist(), sums.tolist(), images):
             assert Sequence(img, [(img.unindex(t), k) for t, k in zip(row_terms, mults)]) == image
             assert tuple(total) == image.sigma()
         for k in range(2 * n + 1):
             want = [has_short_zero_sum(image, k) for image in images]
-            assert _has_zero_sum_rows(img, terms, counts, k).tolist() == want
+            assert _has_zero_sum_rows(img, terms, mults, k).tolist() == want
             seen.update(want)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("m, n", [(4, 2), (4, 3), (4, 5)])
+def test_no_automorphism_moves_an_item1_verdict(m, n):
+    """The ground of item 1's standard basis (lifting module docstring):
+    each row moved by random automorphisms alpha (random_automorphism)
+    gets the same "not zero-sum" and "short zero-sum" verdicts through
+    image_rows and _has_zero_sum_rows as the row itself, on rows of both
+    generators and on random rows outside the family, where both verdicts
+    take both values at every n."""
+    N, rng = m * n, random.Random(n)
+    h, grp, mults = Homomorphism(N, m), group(N), [N - 1] + [1] * N
+    junk = np.array([[(rng.randrange(N), rng.randrange(N)) for _ in range(N + 1)]
+                     for _ in range(300)])
+    junk[:150, -1] = (-(N - 1) * junk[:150, 0] - junk[:150, 1:-1].sum(axis=1)) % N
+
+    def verdicts(rows):
+        terms, sums = h.image_rows(rows, mults)
+        short = _has_zero_sum_rows(h.image_group, terms, mults, n - 1)
+        return sums.any(axis=1).tolist(), short.tolist()
+
+    seen = set()
+    for rows in [next(_family_rows(N, rng, 200)), *lifting._residue_rows(N, n), junk]:
+        want = verdicts(rows)
+        seen.update((kind, v) for kind, vs in enumerate(want) for v in vs)
+        for _ in range(5):
+            alphas = [random_automorphism(grp, rng) for _ in rows]
+            matrices = np.array([[[a.p, a.q], [a.r, a.s]] for a in alphas])
+            moved = np.einsum("rij,rtj->rti", matrices, rows.astype(np.int64)) % N
+            assert verdicts(moved) == want
+    assert seen == {(kind, v) for kind in (0, 1) for v in (False, True)}
 
 
 # sha256 of to_json(timing=False) with a bad image injected, first taken
@@ -361,11 +390,17 @@ def test_image_rows_and_row_guard_match_the_scalar_path(n):
 # sampler moved to bulk uniform draws, which list other samples for a seed,
 # and again when params lost the "exhaustive" flag, after checking that the
 # new report with the old params restored hashes to the old digest.
-PINNED_FAULT_DIGEST = "ec9656fa292821598e7fa5e320591bf20760b33e2163c21c4d063d706a45b2c4"
+# Re-pinned once more when the sampler stopped drawing automorphisms (rows
+# on the standard basis) and _below began keeping (N - 1).bit_length()
+# bits, which together give other rows for a seed: with the previous
+# sampler's three rows fed in, this report hashes to the old digest
+# ec9656fa..., so only the rows moved.
+PINNED_FAULT_DIGEST = "45468e5945c97fc1f83ab6ffd1ebee3d59fd16721258d223d779acbc6b59d8da"
 
 
 def test_item1_sampled_counterexamples_match_pinned_digest(monkeypatch):
-    _inject_image(monkeypatch, Sequence(group(2), (((1, 0), 1),)))
+    # (1, 0)^15: not zero-sum, and no term is zero
+    _inject_image(monkeypatch, 2, [(1, 0)] * 9)
     rep = verify_propbfix_item1(4, 2, samples=3, seed=11)
     assert [c["reason"] for c in rep.counterexamples] == ["image not zero-sum"] * 3
     assert hashlib.sha256(rep.to_json(timing=False).encode()).hexdigest() == PINNED_FAULT_DIGEST

@@ -40,19 +40,19 @@ def test_stopwatch_measures_something():
 
 # a passing item-1 report lists no samples, so its ledger entry cannot see a
 # changed sample stream; these pin it: sha256 of the JSON list of
-# to_json_obj() of the Sequences of the first 500 samples of _family_rows,
-# taken when the sampler moved to plain bulk uniform draws (values below N
-# from the top bits of getrandbits words).  Re-pinned when _ROWS went from
-# 256 to 512: the 500 samples are now one chunk, drawn as one block of
-# residues and then one of automorphisms, where they were two chunks of 256
-# and 244, so a seed gives other samples.  The int64 sampler with _ROWS set
-# to 512 gives these digests, and the int32 one with _ROWS set to 256 the
-# old ones, so the row dtype moves no value.
+# to_json_obj() of the Sequences of the first 500 samples of _family_rows
+# (values below N from the top bits of getrandbits words, 500 samples one
+# chunk).  Re-pinned when the sampler stopped drawing an automorphism per
+# row, so the rows are on the standard basis, and _below began keeping
+# (N - 1).bit_length() bits of a word, so at N = 8 it keeps 3 bits, not 4:
+# both give other samples for a seed.  At N = 20 the bit count is 5 either
+# way, and each row's residues are those the previous sampler drew first
+# for the same seed.
 PINNED_STREAM_DIGESTS = {
-    (8, 11): "23562b1fd0d8003c2fb25592ed1135c3772245f7f47830be96e80e7f979a3735",
-    (8, 2026): "307a8cca81dcada3427eead145edd90e7d81489dbe320f568759814d95a42704",
-    (20, 11): "4b049c9d233f4d7c64af193687a65fe6be67982c3e7654c9e2d8debcd6d0fb73",
-    (20, 2026): "6958efc7709c78d7218c8140fddcd4465f195c889bece7bb186d9c12a9841926",
+    (8, 11): "dfda66a038a4e86f24dff96f902a7df4ab934c3402919a7cc1c895186be1e7fe",
+    (8, 2026): "18bdb9d4a87df7bb88ae7898f0c383d33822d07b1ad08453901b68aed2b231ee",
+    (20, 11): "c9bc7e96e802ded07df8ed4e41b9aa381713c2932a4d4f5e2914913c9184cd18",
+    (20, 2026): "9f5cf1668ed5910fefa044099467632b77bcb98fcc515df556882634d036132f",
 }
 
 

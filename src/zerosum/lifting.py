@@ -25,9 +25,12 @@ N, hence mod n, so alpha mod n is in GL(2, Z/nZ), and m*alpha(g) =
 alpha(m*g) has the chart coordinates (alpha mod n)(g mod n).  The image of
 alpha(S) is thus the image of S moved by an automorphism, and being
 zero-sum and having no zero-sum part shorter than n are both invariant
-under automorphisms.  The rows are int32 arrays (values below N^2 + N in
-magnitude), so item 1 takes N <= 46340.  On a shared 2-core x86_64
-machine, 10^4 samples take 0.039 s at (4,5) and 0.005 s at (4,2)
+under automorphisms.  The rows are int32 arrays, and on the standard
+basis every value is below N*n in magnitude: a sampled residue is below
+N, and the largest residue-row value is the shifted last residue, of
+magnitude at most (N - 2)(n - 1) - 1 (one residue 0 and N - 1 of n - 1).
+So item 1 takes the (m, n) with N*n = m*n^2 at most 2^31 - 1.  On a
+shared 2-core x86_64 machine, 10^4 samples take 0.039 s at (4,5) and 0.005 s at (4,2)
 (in-process medians, BENCH_47.json), against 0.354 s and 0.167 s for the
 samples one at a time (BENCH_27.json).
 """
@@ -122,8 +125,8 @@ class Homomorphism:
 # (BENCH_47.json) and the 1 MiB bound of test_item1_streams_its_samples
 _ROWS = 512
 
-# the largest N whose row values, below N^2 + N, fit int32
-_INT32_N = 46340
+# the largest int32: item 1's row values are below N*n in magnitude
+_INT32_MAX = 2**31 - 1
 
 
 def _below(N: int, rng: random.Random, count: int):
@@ -193,16 +196,17 @@ def verify_propbfix_item1(m: int, n: int, *, samples: int | None = None,
     which appends a row's heavy term min(N - 1, n - 1) times: copies past
     k = n - 1 change no layer and close nothing new.  Only a
     counterexample's row becomes a Sequence.  The report's params are
-    those the population read: {m, n}, or {m, n, samples, seed}.  N = mn
-    is at most 46340, so that the int32 rows hold every value.
+    those the population read: {m, n}, or {m, n, samples, seed}.  N*n is
+    at most 2^31 - 1, so that the int32 rows hold every value (module
+    docstring).
     """
     if m < 4 or n < 2:
         raise PreconditionViolated(f"need m >= 4 and n >= 2, got m={m}, n={n}")
     N = m * n
-    if N > _INT32_N:
+    if N * n > _INT32_MAX:
         raise PreconditionViolated(
-            f"need N = mn <= {_INT32_N}: the rows are int32 arrays and hold values "
-            f"below N^2 + N, got N={N}")
+            f"need N*n = m*n^2 <= {_INT32_MAX}: the rows are int32 arrays and hold "
+            f"values below N*n in magnitude, got N={N}, n={n}")
     hom = Homomorphism(N, m)
     mults = [N - 1] + [1] * N
     bad: list = []

@@ -247,6 +247,17 @@ def landing_sequence(base: Sequence, pivots, u, w) -> Sequence:
     return Sequence(grp, [*rest.items(), (u, 1), (w, 1)])
 
 
+def every_landing(base: Sequence, pivots):
+    """All m^2 landings of one perturbation move, as (g, u, w, landing) in
+    the order of g over the group's elements, with u = t1 + g, w = t2 - g
+    and each landing built by ``landing_sequence``."""
+    grp = base.group
+    t1, t2 = pivots
+    for g in grp.elements():
+        u, w = grp.add(t1, g), grp.sub(t2, g)
+        yield g, u, w, landing_sequence(base, pivots, u, w)
+
+
 def layer_translate(layer: int, n: int, t: int) -> int:
     """One layer of n^2 bits plus the element of index t = a*n + b: each
     row rotated by b, then the whole layer by a*n bits; the per-layer

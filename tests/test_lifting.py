@@ -311,16 +311,25 @@ def test_row_chunks_are_int32_and_hold_the_family_formula(N, monkeypatch):
 
 
 def test_item1_refuses_an_N_whose_rows_overflow_int32(monkeypatch):
-    """N = 46340 is the largest N with N^2 + N below 2^31; item 1 refuses
-    N = 4 * 11586 = 46344 before it builds an array, and takes N = 46340."""
-    assert lifting._INT32_N ** 2 + lifting._INT32_N < 2**31 <= (lifting._INT32_N + 1) ** 2
+    """Row values stay below N*n in magnitude (the residue rows' shifted
+    last residue reaches (N - 2)(n - 1) - 1), so item 1 takes (m, n) while
+    N*n = m*n^2 fits int32: it refuses (4, 23171) and (5, 20725) before it
+    builds an array, and takes (4, 23170) and (5, 20724)."""
+    for N, n in ((8, 2), (12, 3), (20, 4)):
+        peak = max(int(abs(rows).max()) for rows in lifting._residue_rows(N, n))
+        assert peak == (N - 2) * (n - 1) - 1 < N * n
+    for m, n in ((4, 23170), (5, 20724)):
+        assert m * n * n <= lifting._INT32_MAX < m * (n + 1) ** 2
+    assert lifting._INT32_MAX == np.iinfo(np.int32).max
     with monkeypatch.context() as patch:
         patch.setattr(groups, "numpy", lambda: pytest.fail("an array was built"))
-        with pytest.raises(PreconditionViolated, match="int32"):
-            verify_propbfix_item1(4, 11586, samples=1)
-        with pytest.raises(PreconditionViolated, match="int32"):
-            verify_propbfix_item1(4, 11586)
-    assert verify_propbfix_item1(4, 11585, samples=0).orbits_scanned == 0
+        for m, n in ((4, 23171), (5, 20725)):
+            with pytest.raises(PreconditionViolated, match="int32"):
+                verify_propbfix_item1(m, n, samples=1)
+            with pytest.raises(PreconditionViolated, match="int32"):
+                verify_propbfix_item1(m, n)
+    for m, n in ((4, 23170), (5, 20724)):
+        assert verify_propbfix_item1(m, n, samples=0).orbits_scanned == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

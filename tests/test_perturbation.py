@@ -16,7 +16,7 @@ from zerosum.errors import (
 from zerosum.perturbation import upsilon_class, verify_perturbation
 from zerosum.sequences import Sequence
 
-from oracles import landing_sequence
+from oracles import every_landing, landing_sequence
 
 # the landing scan itself, taken before a test patches the module's name
 landing_scan = perturbation._landings
@@ -45,23 +45,44 @@ class TestUpsilonClass:
         assert cls.witness is None
 
 
-def _recording(on_landing):
-    """A stand-in for perturbation._landings that passes every landing on
-    and first calls on_landing(landing as a Sequence, tag)."""
+def _scan_two_way(base, pivots, on_landing=lambda landed, tag: None):
+    """The landing scan of one move, checked against every landing: all
+    m^2 landings are built (``oracles.every_landing``), on_landing(landing,
+    tag) is called on each with its upsilon_class tag, and the scan must
+    yield exactly the g whose tag is not not_in_upsilon, each with that
+    tag, in the order of g.  Returns the scan's (g, u, w, tag) list."""
+    got = list(landing_scan(base.group, base, pivots))
+    want = []
+    for g, u, w, landed in every_landing(base, pivots):
+        tag = upsilon_class(landed).tag
+        on_landing(landed, tag)
+        if tag != "not_in_upsilon":
+            want.append((g, u, w, tag))
+    assert got == want, (base, pivots)
+    return got
 
-    def record(grp, base, pivots):
-        for g, u, w, tag in landing_scan(grp, base, pivots):
-            on_landing(landing_sequence(base, pivots, u, w), tag)
-            yield g, u, w, tag
 
-    return record
+def _two_way(on_landing, seen=None):
+    """A stand-in for perturbation._landings that checks each move by
+    ``_scan_two_way`` and passes the scan's landings on, recording them
+    in seen if given."""
+
+    def scan(grp, base, pivots):
+        assert grp is base.group
+        got = _scan_two_way(base, pivots, on_landing)
+        if seen is not None:
+            seen.extend(got)
+        yield from got
+
+    return scan
 
 
-def _landings(monkeypatch, base, pivots):
-    """Every landing _run_moves classifies for one move, in the order of g
-    over group.elements(), as Sequences read off the landing scan."""
+def _landings(monkeypatch, base, pivots, on_landing=lambda landed, tag: None):
+    """The landings _run_moves reads for one move, as (g, u, w, tag) in the
+    order of g over group.elements(), checked against every landing by
+    ``_scan_two_way``."""
     seen = []
-    monkeypatch.setattr(perturbation, "_landings", _recording(lambda s, tag: seen.append(s)))
+    monkeypatch.setattr(perturbation, "_landings", _two_way(on_landing, seen))
     move = perturbation._Move(1, (), pivots, frozenset(), False)
     perturbation._run_moves(base.group, base, [move], False, {})
     return seen
@@ -73,16 +94,22 @@ TWIN4 = (((1, 0), 3), ((0, 1), 3), ((1, 1), 1))
 class TestRunMoves:
     def test_identity_replacement(self, monkeypatch):
         s = seq(4, TWIN4)
-        landed = _landings(monkeypatch, s, ((1, 0), (0, 1)))
-        assert landed[group(4).elements().index((0, 0))] == s
+        pivots = ((1, 0), (0, 1))
+        landed = {g: landing_sequence(s, pivots, u, w)
+                  for g, u, w, _ in _landings(monkeypatch, s, pivots)}
+        assert landed[(0, 0)] == s
 
     def test_shape_change(self, monkeypatch):
+        # every one of the 16 landings has the shape of a move; the scan
+        # yields the four in the family, g in <f2> (lemma II item 1)
         grp = group(4)
         s = seq(4, TWIN4)
         t1, t2 = (1, 0), (1, 0)
-        landed = _landings(monkeypatch, s, (t1, t2))
-        assert len(landed) == 16
-        for g, out in zip(grp.elements(), landed):
+        every = []
+        landed = _landings(monkeypatch, s, (t1, t2), lambda out, tag: every.append(out))
+        assert [g for g, *_ in landed] == [(0, 0), (0, 1), (0, 2), (0, 3)]
+        assert len(every) == 16
+        for g, out in zip(grp.elements(), every):
             want = Counter(s)
             want.subtract([t1, t2])
             want.update([grp.add(t1, g), grp.sub(t2, g)])
@@ -100,6 +127,9 @@ class TestRunMoves:
         monkeypatch.setattr(Sequence, "remove", lambda self, sub: self)
         with pytest.raises(SumMismatch):
             _landings(monkeypatch, seq(4, TWIN4), ((1, 0), (1, 0)))
+        # checked once per move, before the first landing
+        with pytest.raises(SumMismatch):
+            next(landing_scan(group(4), seq(4, TWIN4), ((1, 0), (1, 0))))
         with pytest.raises(SumMismatch):
             verify_perturbation(4, "I")
 
@@ -118,20 +148,23 @@ class TestRunMoves:
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_landing_tag_agrees_with_upsilon_class_on_every_landing(m, monkeypatch):
-    """Every landing of lemmas I-III at modulus m gets the tag that
-    upsilon_class gives its Sequence."""
-    grp, cases = group(m), []
+    """Over every landing of lemmas I-III at modulus m, the landing scan
+    yields exactly those that upsilon_class puts in the family, each with
+    its tag; the reports count every landing as a case."""
+    grp, tags = group(m), Counter()
 
     def check(landed, tag):
         assert landed.group is grp
-        assert tag == upsilon_class(landed).tag, landed
-        cases.append(tag)
+        tags[tag] += 1
 
-    monkeypatch.setattr(perturbation, "_landings", _recording(check))
+    monkeypatch.setattr(perturbation, "_landings", _two_way(check))
+    cases = 0
     for lemma in ("I", "II", "III"):
-        verify_perturbation(m, lemma, jobs=1)
-    assert len(cases) == LANDINGS[m]
-    assert set(cases) == {"not_in_upsilon", "unique", "non_unique"}
+        items = verify_perturbation(m, lemma, jobs=1).details["items"]
+        cases += sum(item["cases"] for item in items.values())
+    assert cases == sum(tags.values()) == CASES[m]
+    assert tags["unique"] + tags["non_unique"] == LANDINGS[m]
+    assert set(tags) == {"not_in_upsilon", "unique", "non_unique"}
 
 
 def _random_basis(grp, rng):
@@ -188,17 +221,16 @@ def _random_bases(m, rng):
 
 @pytest.mark.parametrize("m", [7, 8, 9])
 def test_landing_tags_agree_with_upsilon_class_past_the_exhaustive_range(m):
-    """Past the exhaustive range of the lemma tests: every g of random
-    pivot pairs on random bases gets the tag upsilon_class gives its
-    landing (m = 8 and 9 have non-unit determinants besides 0)."""
+    """Past the exhaustive range of the lemma tests: over every g of
+    random pivot pairs on random bases, the landing scan yields exactly
+    the landings upsilon_class puts in the family, each with its tag (m = 8
+    and 9 have non-unit determinants besides 0)."""
     rng = random.Random(2800 + m)
     tags = Counter()
     for base, pivots in _random_bases(m, rng):
         assert base.is_zero_sum() and len(base) == 2 * m - 1
         for pair in pivots:
-            for g, u, w, tag in landing_scan(base.group, base, pair):
-                assert tag == upsilon_class(landing_sequence(base, pair, u, w)).tag, (base, pair, g)
-                tags[tag] += 1
+            _scan_two_way(base, pair, lambda landed, tag: tags.update([tag]))
     assert set(tags) == {"not_in_upsilon", "unique", "non_unique"}
 
 
@@ -210,8 +242,11 @@ def test_landings_need_a_zero_sum_base_of_length_2m_minus_1():
         list(landing_scan(grp, seq(4, TWIN4[:2] + (((2, 1), 1),)), ((1, 0), (0, 1))))
 
 
-# landings of lemmas I-III together: 45,166 over m = 4, 5, 6
-LANDINGS = {4: 864, 5: 6_250, 6: 38_052}
+# landings of lemmas I-III together, m^2 per move (the reports' cases):
+# 45,166 over m = 4, 5, 6
+CASES = {4: 864, 5: 6_250, 6: 38_052}
+# of those, the landings in the family, which the landing scan yields
+LANDINGS = {4: 176, 5: 984, 6: 5_029}
 
 
 # (lemma, m) -> (bases scanned, per-item achieved-set sizes)

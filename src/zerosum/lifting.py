@@ -30,9 +30,9 @@ basis every value is below N*n in magnitude: a sampled residue is below
 N, and the largest residue-row value is the shifted last residue, of
 magnitude at most (N - 2)(n - 1) - 1 (one residue 0 and N - 1 of n - 1).
 So item 1 takes the (m, n) with N*n = m*n^2 at most 2^31 - 1.  On a
-shared 2-core x86_64 machine, 10^4 samples take 0.039 s at (4,5) and 0.005 s at (4,2)
-(in-process medians, BENCH_47.json), against 0.354 s and 0.167 s for the
-samples one at a time (BENCH_27.json).
+shared 2-core x86_64 machine, 10^4 samples take 0.039 s at (4,5) and
+0.005 s at (4,2) (in-process medians, BENCH_47.json), against 0.354 s and
+0.167 s for the samples one at a time (BENCH_27.json).
 """
 
 from __future__ import annotations

@@ -66,9 +66,8 @@ to sigma(R) + t1 + t2, and one check per move stands for one per
 landing.  If S' = e1^[m-1] * prod_{i in [1,m]} (x_i e1 + e2), its sum is
 (m - 1 + sum x_i) e1 + m e2 = (sum x_i - 1) e1, and e1 has order m (the
 line rule implies it; ``properties`` docstring), so S' sums to zero
-exactly when sum x_i = 1 (mod m).  Only an in-family
-landing of an exact move is built as a multiplicity map, to be compared
-with S.
+exactly when sum x_i = 1 (mod m).  Only an in-family landing of an exact
+move is built as a multiplicity map, to be compared with S.
 """
 
 from __future__ import annotations
@@ -87,12 +86,14 @@ from .sequences import Sequence
 _LEMMAS = ("I", "II", "III")
 
 # a lemma-I grid of fewer residue multisets is scanned in-process at any
-# jobs.  Forking pays off at m = 7 (238 multisets: jobs=2 0.21-0.23 s
-# against 0.26-0.29 s at jobs=1) and not at m = 6 (69: a forced pool
-# 0.064-0.082 s against 0.051-0.061 s), medians of two rounds of 16
-# alternating fresh interpreters (BENCH_45); m = 4 (4 multisets) and m = 5
-# (20) lose to the pool's start-up (BENCH_27)
-_SERIAL_GRID = 128
+# jobs.  Forking pays off at m = 8 (792 multisets: jobs=2 0.43-0.47 s
+# against 0.65-0.66 s at jobs=1) and not at m = 7 (238: a forced pool
+# 0.21-0.25 s against 0.16 s in two of three rounds, 0.148 s against
+# 0.156 s in the third) or m = 6 (69: 0.055-0.070 s against 0.036-0.038
+# s), medians of rounds of 16 alternating fresh interpreters (BENCH_48);
+# m = 4 (4 multisets) and m = 5 (20) lose to the pool's start-up
+# (BENCH_27)
+_SERIAL_GRID = 512
 
 
 @dataclasses.dataclass(frozen=True)

@@ -311,12 +311,13 @@ def _no_fork(*args, **kwargs):
 
 def test_small_lemma_I_grids_stay_in_process(monkeypatch):
     """Below _SERIAL_GRID residue multisets lemma I forks nothing at any
-    jobs: every default m up to 6 (69 multisets), but not m = 7 (238)."""
-    assert len(perturbation._unique_grid(6)) < perturbation._SERIAL_GRID
-    assert len(perturbation._unique_grid(7)) >= perturbation._SERIAL_GRID
-    pinned = {m: verify_perturbation(m, "I", jobs=1).to_json(timing=False) for m in (4, 5, 6)}
+    jobs: every m up to 7 (238 multisets, which the in-process scan now
+    finishes before a pool would), but not m = 8 (792)."""
+    assert len(perturbation._unique_grid(7)) < perturbation._SERIAL_GRID
+    assert len(perturbation._unique_grid(8)) >= perturbation._SERIAL_GRID
+    pinned = {m: verify_perturbation(m, "I", jobs=1).to_json(timing=False) for m in (4, 5, 6, 7)}
     monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
-    for m in (4, 5, 6):
+    for m in (4, 5, 6, 7):
         assert verify_perturbation(m, "I", jobs=2).to_json(timing=False) == pinned[m]
 
 

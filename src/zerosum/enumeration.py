@@ -61,6 +61,33 @@ davenport(7) this cuts the rows of a tested node from 208 to 92 on average.
 The counts are read off a block's terms at once: P (sorted) against
 itself gives each term's cnt, and the e are the first of their runs.
 
+Inherited first differences.  Let the node P = P' + [g'] of k terms be a
+child of P', g' = P[k-1] >= P'[-1], and alpha a row that P''s test ran
+too: through the same term at the same position, so of the same segment
+of Group.orbit_tables, with the same t0 and in the same order.  Then
+alpha(P) is I' = sorted alpha(P') with v = alpha(g') added; let (j', x')
+be the first difference of I' with P'.
+- If alpha fixes P' (I' = P'), alpha(P) is P' + [v]: alpha fixes P when v
+  = g', and first differs at j = k - 1 with x = g' when v > g'.
+- Otherwise I'[:j'] = P'[:j'] <= x' < I'[j'], and g' >= x'.  When v > x',
+  v goes in at j' or later, so I[:j'] = P[:j'] and I[j'] = min(I'[j'], v)
+  > x' = P[j']: (j, x) = (j', x').  When v = x', I[j'] = x' = P[j'] and the
+  first difference lies past j': the row needs a fresh image.
+- v < x', or v < g' on a row fixing P', cannot occur: every value below v
+  is as frequent in alpha(P) as in P, and alpha(P) holds one copy of v
+  more, so alpha(P) < P by the Fact, and P is canonical, being admitted.
+So a tested block keeps each R_P row's j as its records (_Records), its
+level holds them on the walk's stack until its last child is built, and
+a child reads its rows' j off them with one gather v = alpha(g') per row.
+Only the rows with v = x', those of a segment P' did not test (through
+g', new in P, or through a term whose count g' changed) and the tie rows
+(below) of the others get images.  The bookkeeping costs more than the
+images save at few rows or short images, so only a chunk of at least
+_INHERIT_ROWS rows reads records, and a block keeps them only when its
+children have _INHERIT_DEPTH terms or more, are tested, and a block of
+them, min(pairs, _BLOCK) nodes of about the block's rows per node,
+reaches _INHERIT_ROWS rows (the crossover is measured in BENCH_49.json).
+
 The frontier is arrays.  The nodes of one depth are rows of four arrays:
 terms, sum, guard layers as n words of n bits (``extend_rows`` of
 ZeroSumGuard) and candidates packed to bits, about 40 bytes a node at
@@ -90,7 +117,10 @@ and decided by the same rule.  A chunk's memory is its rows times 6 bytes
 per term of P (the term rows, and the images twice while _images joins its
 spans), a few index arrays, the gather indices of one span and one set of
 ceil(n^2 / 64) words of the table for the counting rule, which the budget
-of the BENCH_17.json sweep bounds.
+of the BENCH_17.json sweep bounds; a chunk that reads records builds term
+rows and images for its fresh and tie rows only.  Records take one byte
+per R_P row below depth 256 (int16 past it) and 8 + k bytes per node, for
+each level on the stack that keeps them: 0.20 MB at most at davenport(7).
 
 The walk, then the fan-out.  The walk's stack holds a _Level per depth:
 the admitted (parent, g) pairs of that depth, counted and not yet built,
@@ -246,11 +276,17 @@ def _reach_table(grp: Group, max_len: int) -> list[int]:
 @functools.lru_cache(maxsize=None)
 def _reach_rows(grp: Group, max_len: int) -> np.ndarray:
     """ROWS[j, s, g]: can a sequence of sum s still close to a zero-sum by
-    j more terms, all >= g, g the first: -(s + g) in layer j of REACH[g]."""
-    reach, add, neg = _reach_table(grp, max_len), grp.add_index_table(), grp.neg_index_table()
-    size = grp.size
-    return groups.numpy().array([[[reach[g] >> j * size + neg[add[s][g]] & 1 for g in range(size)]
-                                  for s in range(size)] for j in range(max_len)], dtype=bool)
+    j more terms, all >= g, g the first: -(s + g) in layer j of REACH[g].
+    The bits of the tables REACH[g], g < n^2, unpacked at once, are gathered
+    at bit j n^2 - (s + g) of row g."""
+    np, size = groups.numpy(), grp.size
+    reach = _reach_table(grp, max_len)[:size]
+    width = ((max_len + 1) * size + 7) // 8  # layers 0..max_len
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in reach), np.uint8)
+    bits = np.unpackbits(packed.reshape(size, width), axis=1, bitorder="little").view(bool)
+    target = np.array(grp.neg_index_table())[np.array(grp.add_index_table())]  # -(s + g)
+    layer = np.arange(max_len)[:, None, None] * size
+    return bits[np.arange(size), layer + target]
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,6 +316,12 @@ _CHUNK_ROWS = 4096
 # Children are built _BLOCK at a time, a few hundred kB at most
 # (BENCH_24.json); _images gathers and sorts a span of rows at a time.
 _BLOCK = 512
+# A chunk of _INHERIT_ROWS rows or more reads its rows' first differences
+# off its parents' records, which blocks keep when their children have
+# _INHERIT_DEPTH terms or more (module docstring); below either, fresh
+# images cost less than the bookkeeping (BENCH_49.json's crossover).
+_INHERIT_DEPTH = 5
+_INHERIT_ROWS = 2048
 
 
 def _chunks(counts: np.ndarray) -> Iterator[slice]:
@@ -296,26 +338,41 @@ def _chunks(counts: np.ndarray) -> Iterator[slice]:
 class _Nodes(NamedTuple):
     """Nodes of one depth as arrays, one row per node in each: the terms
     (int16, ascending, then the sentinel n^2), the sum, the guard layers
-    (ZeroSumGuard.extend_rows) and the candidates, packed to bits."""
+    (ZeroSumGuard.extend_rows), the candidates, packed to bits, and the
+    parent's row in the nodes it was built from (0 for a root)."""
 
     terms: np.ndarray
     sums: np.ndarray
     layers: np.ndarray
     cands: np.ndarray
+    up: np.ndarray
 
     def take(self, index) -> "_Nodes":
         return _Nodes(*(array[index] for array in self))
 
 
+class _Records(NamedTuple):
+    """The R_P rows of a tested block, for its children to read: ``first``,
+    each row's first difference j in the test's segment order, ``start``,
+    where each node's rows begin in it, and ``tested``, the positions of
+    the node's segments (``_tested``)."""
+
+    first: np.ndarray
+    start: np.ndarray
+    tested: np.ndarray
+
+
 class _Level(NamedTuple):
     """One depth of the walk's stack: the admitted pairs (parent, g), in
     lex order, of the children T + (g,) of ``nodes[parent]``, counted and
-    not yet built; those from ``pos`` on are pending."""
+    not yet built; those from ``pos`` on are pending.  ``records`` are the
+    nodes' records when their children read them, else None."""
 
     nodes: _Nodes
     parent: np.ndarray
     g: np.ndarray
     pos: int
+    records: _Records | None
 
 
 class _Engine:
@@ -348,6 +405,8 @@ class _Engine:
             self.keys = self.perm.view(np.uint16).ravel()
             self.tags = np.arange(1 << (16 - bits), dtype=np.uint16)[:, None] << bits
             self.mask = np.uint16((1 << bits) - 1)
+            # the records' dtype: j is below the depth
+            self.first_type = np.min_scalar_type(length or depth_cap or np.iinfo(np.int16).max)
 
     def walk(self, stack: list[_Level], stats: SearchStats, out: list,
              budget: float = float("inf")) -> None:
@@ -357,20 +416,23 @@ class _Engine:
         children _BLOCK at a time, and each block's children are walked to
         the end before the next block (module docstring)."""
         while stack and stats.nodes < budget:
-            nodes, parent, g, pos = stack[-1]
+            nodes, parent, g, pos, records = stack[-1]
             if pos >= len(g):
                 stack.pop()
                 continue
-            stack[-1] = _Level(nodes, parent, g, pos + _BLOCK)
+            stack[-1] = _Level(nodes, parent, g, pos + _BLOCK, records)
             block = self._children(nodes, parent[pos:pos + _BLOCK], g[pos:pos + _BLOCK])
-            self.expand(block, stack, stats, out)
+            self.expand(block, stack, stats, out, records)
 
-    def expand(self, block: _Nodes, stack: list[_Level], stats: SearchStats, out: list) -> None:
-        """Test the block and count its admitted children, each once: at the
-        search's length as leaves, else pushed on ``stack`` as a level."""
+    def expand(self, block: _Nodes, stack: list[_Level], stats: SearchStats, out: list,
+               inherited: _Records | None = None) -> None:
+        """Test the block, its parents' records ``inherited``, and count its
+        admitted children, each once: at the search's length as leaves, else
+        pushed on ``stack`` as a level."""
         if not len(block.terms):
             return
-        parent, g = self._admitted(block).nonzero()  # in lex order
+        admitted, records = self._admitted(block, inherited)
+        parent, g = admitted.nonzero()  # in lex order
         np, depth = groups.np, block.terms.shape[1]
         if not len(g):
             return
@@ -381,7 +443,7 @@ class _Engine:
             out.extend(map(tuple, np.column_stack((block.terms[parent, :-1], g)).tolist()))
         else:
             self._check_depth(depth)
-            stack.append(_Level(block, parent.astype(np.int16), g.astype(np.int16), 0))
+            stack.append(_Level(block, parent.astype(np.int16), g.astype(np.int16), 0, records))
 
     def _check_depth(self, depth: int) -> None:
         """Nodes of this depth are about to be expanded: raise
@@ -398,7 +460,7 @@ class _Engine:
         np, size = groups.np, self.grp.size
         zero, terms = np.zeros(1, dtype=np.int16), np.full((1, 1), size, dtype=np.int16)
         layers = self.guard.fresh_rows(1)
-        nodes = self._nodes(terms, zero, layers, self._candidates(terms, layers, zero))
+        nodes = self._nodes(terms, zero, layers, self._candidates(terms, layers, zero), zero)
         for g in prefix:
             nodes = self._children(nodes, zero, np.array([g], dtype=np.int16))
         return nodes
@@ -410,7 +472,7 @@ class _Engine:
         terms = np.concatenate((T[:, :-1], g[:, None], T[:, -1:]), axis=1)
         layers = self.guard.extend_rows(nodes.layers[parent], g)
         sums = self.add[nodes.sums[parent], g]
-        return self._nodes(terms, sums, layers, self._candidates(terms, layers, sums))
+        return self._nodes(terms, sums, layers, self._candidates(terms, layers, sums), parent)
 
     def _candidates(self, terms: np.ndarray, layers: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """The bool rows of the terms g >= T[-1] that the predicate lets
@@ -431,12 +493,13 @@ class _Engine:
             cands &= self.reach[self.length - k - 1][sums]
         return cands
 
-    def _nodes(self, terms, sums, layers, cands: np.ndarray) -> _Nodes:
+    def _nodes(self, terms, sums, layers, cands: np.ndarray, up: np.ndarray) -> _Nodes:
         """The nodes with ``cands`` cut to the g with orbit_min[g] >= t0 (an
         orbit minimum at the root); nodes with no candidate are dropped."""
         if self.canonical:
             cands &= self.orbit_min >= (terms[:, :1] if terms.shape[1] > 1 else self.index)
-        nodes = _Nodes(terms, sums, layers, groups.np.packbits(cands, axis=1, bitorder="little"))
+        packed = groups.np.packbits(cands, axis=1, bitorder="little")
+        nodes = _Nodes(terms, sums, layers, packed, up)
         keep = cands.any(axis=1)
         return nodes if keep.all() else nodes.take(keep)
 
@@ -455,7 +518,7 @@ class _Engine:
         base = rows.astype(np.intp)[:, None]
         base *= self.grp.size
         spans = []
-        for i in range(0, len(rows), span):
+        for i in range(0, len(rows) or 1, span):  # one empty span for no rows
             keys = self.keys[base[i:i + span] + terms[i:i + span]]
             keys |= self.tags[:len(keys)]
             keys.reshape(-1).sort()
@@ -464,19 +527,37 @@ class _Engine:
         images = spans[0] if len(spans) == 1 else np.concatenate(spans)
         return images.view(np.int16)
 
-    def _admitted(self, nodes: _Nodes) -> np.ndarray:
+    def _admitted(self, nodes: _Nodes, inherited: _Records | None = None,
+                  ) -> tuple[np.ndarray, _Records | None]:
         """The bool rows of the admitted candidates of the block's nodes: the
-        sibling test of the module docstring, a chunk at a time."""
+        sibling test of the module docstring, a chunk at a time, a chunk of
+        _INHERIT_ROWS rows or more reading the parents' records
+        ``inherited``; and the block's own records, or None where its
+        children would read none (module docstring)."""
         np, size, k = groups.np, self.grp.size, nodes.terms.shape[1] - 1
         cands = np.unpackbits(nodes.cands, axis=1, count=size, bitorder="little").view(bool)
-        if not (self.canonical and k):
-            return cands
-        tested, single = self._tested(nodes.terms[:, :k], cands)
-        rows = tested.sum(axis=1) * self.stabilizer[nodes.terms[:, 0]]
+        if not (self.canonical and k and len(cands)):
+            return cands, None
+        terms = nodes.terms
+        tested, single = self._tested(terms[:, :k], cands)
+        rows = tested.sum(axis=1) * self.stabilizer[terms[:, 0]]
+        # records only where a block of children, min(pairs, _BLOCK) nodes of
+        # about the rows of a node here, reaches _INHERIT_ROWS rows, with as
+        # many pairs as candidates before the test and as admitted after it
+        keep, first = _INHERIT_DEPTH <= k + 1 != self.length, []
+        if keep:
+            total, need = rows.sum(), _INHERIT_ROWS * len(rows)
+            keep = min(np.count_nonzero(cands), _BLOCK) * total >= need
         for part in _chunks(rows):
-            self._test_r_p(nodes.terms[part], tested[part], rows[part], cands[part])
-        self._test_fresh(nodes.terms, cands, single)
-        return cands
+            inherits = inherited is not None and rows[part].sum() >= _INHERIT_ROWS
+            j = self._test_r_p(terms[part], tested[part], rows[part], cands[part],
+                               nodes.up[part], inherited if inherits else None)
+            if keep:
+                first.append(j.astype(self.first_type))
+        self._test_fresh(terms, cands, single)
+        if not (keep and min(np.count_nonzero(cands), _BLOCK) * total >= need):
+            return cands, None
+        return cands, _Records(np.concatenate(first), rows.cumsum() - rows, tested)
 
     def _tested(self, P: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """R_P cut to the rows through a term e of t0's orbit as frequent as
@@ -512,48 +593,89 @@ class _Engine:
             lost = np.logical_or.reduceat(less, offsets)
             out[i[lost], gi[lost]] = False
 
-    def _test_r_p(self, terms, tested, counts, cands: np.ndarray) -> None:
+    def _test_r_p(self, terms, tested, counts, cands: np.ndarray, up=None,
+                  inherited: _Records | None = None) -> np.ndarray:
         """Clear from ``cands`` the candidates of the nodes that a row of
         R_P beats, ``tested[i, j]`` whether the rows through P[j] are
-        tested, ``counts`` their number per node; its arrays are freed
+        tested, ``counts`` their number per node; returns each row's first
+        difference j.  With the records ``inherited`` of the parents, the
+        nodes ``up`` of them, a row of a segment that the parent tested
+        reads j off its parent's (module docstring).  Its arrays are freed
         before the rows sending a candidate to t0 are tested."""
         np, size, k = groups.np, self.grp.size, terms.shape[1] - 1
         node, at = tested.nonzero()
-        t0 = terms[node, 0]
-        rows = self._rows(self.start[terms[node, at]], self.stabilizer[t0])[0]
-        P = terms.repeat(counts, axis=0)  # each row's P, then the sentinel
-        images = self._images(rows, P[:, :k])
+        stab = self.stabilizer[terms[node, 0]]
+        rows, starts = self._rows(self.start[terms[node, at]], stab)
+        owner = np.arange(len(terms)).repeat(counts)  # each row's node
         # the first difference j of each image with P, 0 for a row fixing P
-        # (every image starts with t0), and the row's bound x = P[j]; P, the
-        # tables and cands are read flat here, faster than by 2-d gathers
-        first = (images != P[:, :k]).argmax(axis=1)
-        pos, flat = np.arange(0, P.size, k + 1), P.ravel()  # where each P begins
+        # (every image starts with t0), and the row's bound x = P[j]; the
+        # terms, the tables and cands are read flat here, faster than by 2-d
+        # gathers
+        pos, flat = owner * (k + 1), terms.ravel()  # where each row's P begins
+        base = rows.astype(np.intp)
+        if inherited is None:
+            P = terms.repeat(counts, axis=0)  # each row's P, then the sentinel
+            images = self._images(rows, P[:, :k])
+            first = (images != P[:, :k]).argmax(axis=1)
+        else:
+            # where each segment begins in the parent's records, -1 where
+            # the parent did not test it (its last position, P[k-1] = g',
+            # is new); the parent's j of each row (mode="clip" keeps the
+            # rows of a new segment in range: they get fresh images) and v
+            # = alpha(g'): a row fixing the parent's P fixes P when v = g'
+            # and first differs at k - 1 when v > g'; any other keeps j
+            # when v > x and gets a fresh image when v = x
+            parent = inherited.tested[up]
+            seg = np.full(tested.shape, -1, dtype=np.intp)
+            seg[:, :k - 1] = np.where(parent, inherited.start[up, None] + (
+                parent.cumsum(axis=1) - 1) * self.stabilizer[terms[:, :1]], -1)
+            seg = seg[node, at]
+            first = inherited.first.take(np.arange(len(rows)) + (seg - starts).repeat(stab),
+                                         mode="clip")
+            last = terms[:, k - 1].repeat(counts)
+            v = self.perm.ravel()[base * size + last]
+            fresh = v == flat[pos + first]
+            fresh |= (seg < 0).repeat(stab)
+            fixing = ((first == 0) & ~fresh).nonzero()[0]
+            first[fixing] = (v[fixing] != last[fixing]) * (k - 1)
+            f = fresh.nonzero()[0]
+            Pf = terms[owner[f], :k]
+            images = self._images(rows[f], Pf)
+            first[f] = (images != Pf).argmax(axis=1)
         pos += first
         x = flat[pos]
-        offsets = counts.cumsum() - counts
         # A row's one tie: g = alpha^-1(x), a candidate other than x, with x
         # single in P[j:] and j > 0
         t = ((first != 0) & (flat[pos + 1] != x)).nonzero()[0]
         if len(t):
             xt = x[t]
-            g = self.inverse.ravel()[rows[t].astype(np.intp) * size + xt]
-            owner = offsets.searchsorted(t, side="right") - 1
-            tie = (g != xt) & cands.ravel()[owner * size + g]
-            t, g, owner = t[tie], g[tie], owner[tie]
-            won = _beats(images[t], P[t], g, first[t, None])
-            t, g = owner[won], g[won]
+            g = self.inverse.ravel()[base[t] * size + xt]
+            tie = (g != xt) & cands.ravel()[owner[t] * size + g]
+            t, g = t[tie], g[tie]
+        if len(t):
+            Pt = terms[owner[t]]
+            if inherited is None:
+                tied = images[t]
+            else:  # the fresh rows have their images, the others get theirs
+                tied = (images.take(f.searchsorted(t), axis=0, mode="clip") if len(f)
+                        else np.empty((len(t), k), np.int16))
+                miss = (~fresh[t]).nonzero()[0]
+                tied[miss] = self._images(rows[t[miss]], Pt[miss, :k])
+            won = _beats(tied, Pt, g, first[t, None])
+            t, g = owner[t[won]], g[won]
         # the g each row beats, {alpha(g) < x} in column x of its row of
         # Group.below_sets, or {alpha(g) < g} in column n^2 for a row fixing
         # P; their union per node, as bool rows (the g below P[-1] in them
         # are no candidates, so clearing them changes nothing)
         column = np.where(first == 0, size, x)
-        beaten = self.below.take(rows.astype(np.intp) * (size + 1) + column, axis=0)
-        beaten = np.bitwise_or.reduceat(beaten, offsets)
+        beaten = self.below.take(base * (size + 1) + column, axis=0)
+        beaten = np.bitwise_or.reduceat(beaten, counts.cumsum() - counts)
         lost = np.unpackbits(beaten.view(np.uint8), axis=1, count=size, bitorder="little")
         lost = lost.view(bool)
         if len(t):
             lost[t, g] = True  # the ties won, by node
         cands &= ~lost
+        return first
 
 
 def _beats(images: np.ndarray, P: np.ndarray, g: np.ndarray, j) -> np.ndarray:
@@ -629,9 +751,9 @@ def _search(
         units.extend((level, a, b) for a, b in zip(cuts, cuts[1:]) if a < b)
 
     def finish(unit: tuple[int, int, int]) -> tuple[list[tuple[int, ...]], SearchStats]:
-        nodes, parent, g, _ = stack[unit[0]]
+        nodes, parent, g, _, records = stack[unit[0]]
         part, out, unit_stats = slice(*unit[1:]), [], SearchStats()
-        engine.walk([_Level(nodes, parent[part], g[part], 0)], unit_stats, out)
+        engine.walk([_Level(nodes, parent[part], g[part], 0, records)], unit_stats, out)
         return out, unit_stats
 
     for unit_leaves, unit_stats in fan_out(finish, units, jobs):

@@ -66,15 +66,15 @@ to sigma(R) + t1 + t2, and one check per move stands for one per
 landing.  If S' = e1^[m-1] * prod_{i in [1,m]} (x_i e1 + e2), its sum is
 (m - 1 + sum x_i) e1 + m e2 = (sum x_i - 1) e1, and e1 has order m (the
 line rule implies it; ``properties`` docstring), so S' sums to zero
-exactly when sum x_i = 1 (mod m).  Only an in-family landing of an exact
-move is built as a multiplicity map, to be compared with S.
+exactly when sum x_i = 1 (mod m).  An exact move claims S' = S, and as
+S' = S - t1 - t2 + u + w that holds exactly when {u, w} = {t1, t2} as
+multisets, so no landing is built to be compared with S.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections import Counter
 
 from .enumeration import fan_out
 from .errors import PreconditionViolated, SchemaError, SumMismatch, WitnessCheckFailed
@@ -233,10 +233,9 @@ def _run_moves(grp, base, moves, target_nu, extra) -> tuple[dict, list]:
     The in-family landings and their tags come from ``_landings`` (module
     docstring), which reads the remainder S - t1 - t2 and its line rule
     once per move and tests only the offsets that can pass it; each move
-    still counts all m^2 offsets as cases.  S' = S is a comparison of
-    multiplicity maps, made for the in-family landings of exact moves."""
+    still counts all m^2 offsets as cases.  On an exact move S' = S is
+    {u, w} = {t1, t2} as multisets (module docstring)."""
     accum, counterexamples = {}, []
-    counts = Counter(dict(base.items()))
     cases = len(grp.elements())
     for move in moves:
         achieved = set()
@@ -247,12 +246,8 @@ def _run_moves(grp, base, moves, target_nu, extra) -> tuple[dict, list]:
             bad = None
             if g not in move.stated:
                 bad = "achieved offset outside the stated set"
-            elif move.exact:
-                landed = counts.copy()
-                landed.subtract(move.pivots)
-                landed.update((u, w))
-                if landed != counts:
-                    bad = "stated offset fails to restore the sequence"
+            elif move.exact and (u, w) != move.pivots and (w, u) != move.pivots:
+                bad = "stated offset fails to restore the sequence"
             if bad is not None:
                 counterexamples.append(
                     {

@@ -287,3 +287,12 @@ def pack_layers(layers, size: int) -> int:
 def unpack_layers(packed: int, size: int, count: int) -> list:
     """The first ``count`` layers of a packed int, as a list."""
     return [packed >> l * size & (1 << size) - 1 for l in range(count)]
+
+
+def naive_reach_rows(grp: Group, reach: list, max_len: int) -> list:
+    """ROWS[j][s][g] of ``enumeration._reach_rows`` off the tables REACH[g]
+    of ``_reach_table``, one bit at a time: -(s + g) in layer j of
+    REACH[g]."""
+    add, neg, size = grp.add_index_table(), grp.neg_index_table(), grp.size
+    return [[[bool(reach[g] >> j * size + neg[add[s][g]] & 1) for g in range(size)]
+             for s in range(size)] for j in range(max_len)]

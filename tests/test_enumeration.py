@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from zerosum.enumeration import (
     ResultCache,
     _Engine,
     _compile_predicate,
+    _reach_rows,
     _reach_table,
     davenport,
     enumerate_sequences,
@@ -32,6 +34,7 @@ from oracles import (
     naive_canonical,
     naive_is_minimal_zero_sum,
     naive_is_zero_sum_free,
+    naive_reach_rows,
     naive_restricted_sums,
     orbit_size,
     random_sequence,
@@ -140,7 +143,8 @@ def _nodes(engine, batch):
     for i, (_, gs) in enumerate(batch):
         cands[i, gs] = True
     return engine._nodes(np.concatenate([r.terms for r in roots]), np.arange(len(batch)),
-                         np.concatenate([r.layers for r in roots]), cands)
+                         np.concatenate([r.layers for r in roots]), cands,
+                         np.zeros(len(batch), np.int16))
 
 
 def _admit(engine, batch):
@@ -148,7 +152,7 @@ def _admit(engine, batch):
     each (P, candidates) of ``batch``, all P of one length."""
     nodes = _nodes(engine, batch)
     admitted = [[] for _ in batch]
-    for i, row in zip(nodes.sums, engine._admitted(nodes)):
+    for i, row in zip(nodes.sums, engine._admitted(nodes)[0]):
         admitted[i] = [g for g in batch[i][1] if row[g]]
     return admitted
 
@@ -270,7 +274,7 @@ def test_multiplicity_cut_matches_a_rescan():
                 not_below = sum(1 << g for g in range(grp.size) if orbit_min[g] >= t0)
                 for mask in (full >> last << last, full >> last << last & ~(1 << last)):
                     cands = np.array([[mask >> g & 1 for g in range(grp.size)]], bool)
-                    nodes = engine._nodes(node.terms, node.sums, node.layers, cands)
+                    nodes = engine._nodes(node.terms, node.sums, node.layers, cands, node.up)
                     segments = []
                     if len(nodes.terms):
                         tested, _ = engine._tested(nodes.terms[:, :k], cands)
@@ -403,6 +407,18 @@ def test_reach_table_matches_brute_force(n):
                 sums.add(total)
             layer = reach[g] >> j * grp.size & (1 << grp.size) - 1
             assert layer == sum(1 << s for s in sums), (g, j)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_reach_rows_match_a_bit_at_a_time(n):
+    """The unpacked and gathered ROWS[j, s, g] equal the bits read one at a
+    time off _reach_table, at the reach cut's length 2n - 1 and a length
+    with more layers than that."""
+    grp = group(n)
+    for max_len in (2 * n - 1, 2 * n + 2):
+        rows = _reach_rows(grp, max_len)
+        assert rows.dtype == bool and rows.shape == (max_len, grp.size, grp.size)
+        assert rows.tolist() == naive_reach_rows(grp, _reach_table(grp, max_len), max_len), max_len
 
 
 @pytest.mark.parametrize(
@@ -556,13 +572,124 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, budget):
         _assert_walk_pinned(jobs, keys)
 
 
+# whole walks whose chunks read their parents' records: (n, length,
+# predicate, params) for n = 3..7, the zero-sum free walk to its longest
+# length, the minimal zero-sums of length 2n - 1 under the reach cut, no
+# zero-sum of length <= n - 1 and no predicate at all
+INHERITED_WALKS = [
+    walk
+    for n, free, short, every in [(3, 4, 5, 4), (4, 6, 6, 4), (5, 8, 7, 4), (6, 10, 7, 4),
+                                  (7, 12, 6, 3)]
+    for walk in [(n, free, "zero-sum-free", {}), (n, 2 * n - 1, "minimal-zero-sum", {}),
+                 (n, short, "no-short-zero-sum", {"k": n - 1}), (n, every, "all", {})]
+]
+
+
+# blocks of 4 pairs and one-node chunks walk only the walks of at most
+# this many nodes, all but n = 7's two longest
+LIGHT_WALK = 10_000
+
+
+def _checked_records(monkeypatch, seen):
+    """Rerun every chunk that reads its parents' records with a fresh
+    image for every row, and require the same first differences j (so the
+    same bounds x = P[j]) and admitted candidates.  For each inherited
+    row, with v = alpha(g') for the node's new term g' = P[k-1], v < x
+    never occurs, nor v < g' on a row fixing the parent's P.  ``seen``
+    counts each case."""
+    test = _Engine._test_r_p
+
+    def checked(self, terms, tested, counts, cands, up=None, inherited=None):
+        before = cands.copy()
+        first = test(self, terms, tested, counts, cands, up, inherited)
+        if inherited is None:
+            return first
+        again = before.copy()
+        assert np.array_equal(first, test(self, terms, tested, counts, again))
+        assert np.array_equal(cands, again)
+        k = terms.shape[1] - 1
+        node, at = tested.nonzero()
+        stab = self.stabilizer[terms[node, 0]]
+        rows, starts = self._rows(self.start[terms[node, at]], stab)
+        # the parent's segment through the same term, in its segment order
+        parent = np.zeros_like(tested)
+        parent[:, :k - 1] = inherited.tested[up]
+        seg = inherited.start[up][node] + (parent.cumsum(axis=1)[node, at] - 1) * stab
+        old = parent[node, at].repeat(stab)
+        index = (np.arange(len(rows)) + (seg - starts).repeat(stab))[old]
+        P = terms.repeat(counts, axis=0)[old]
+        j = inherited.first[index].astype(int)
+        g, v = P[:, k - 1], self.perm[rows[old], P[:, k - 1]]
+        x = P[np.arange(len(P)), j]
+        fixing = j == 0
+        assert not (v < g)[fixing].any()
+        assert not (v < x)[~fixing].any()
+        seen["new segment"] += int((~old).sum())
+        seen["fixing, v = g'"] += int((fixing & (v == g)).sum())
+        seen["fixing, v > g'"] += int((fixing & (v > g)).sum())
+        seen["v = x"] += int((~fixing & (v == x)).sum())
+        seen["v > x"] += int((~fixing & (v > x)).sum())
+        return first
+
+    monkeypatch.setattr(_Engine, "_test_r_p", checked)
+
+
+def _walk_everywhere(monkeypatch):
+    """Keep records at every depth and read them in every chunk."""
+    monkeypatch.setattr(enumeration, "_INHERIT_DEPTH", 2)
+    monkeypatch.setattr(enumeration, "_INHERIT_ROWS", 1)
+
+
+@pytest.fixture(scope="module")
+def reference_walks():
+    """The leaves and counts of INHERITED_WALKS with no records anywhere."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(enumeration, "_INHERIT_DEPTH", 10**9)
+        return [enumeration.enumerate_leaves(EnumSpec(*walk)) for walk in INHERITED_WALKS]
+
+
+@pytest.mark.parametrize("config", ["default", "block=4", "chunk=1", "jobs=2"])
+def test_inherited_records_equal_fresh_images(monkeypatch, reference_walks, config):
+    """Over whole walks at n = 3..7, every chunk that reads its parents'
+    records gets the first differences and admitted candidates of fresh
+    images (_checked_records), and each walk the leaves, in order, and
+    counts of a walk with no records: with records read everywhere, and at
+    the default thresholds; with blocks of 4 pairs and with one-node
+    chunks (the walks of at most LIGHT_WALK nodes); and at jobs=2, forked
+    past a 64-node serial budget."""
+    seen, jobs = Counter(), 1
+    _checked_records(monkeypatch, seen)
+    if config == "block=4":
+        monkeypatch.setattr(enumeration, "_BLOCK", 4)
+    elif config == "chunk=1":
+        monkeypatch.setattr(enumeration, "_CHUNK_ROWS", 1)
+    elif config == "jobs=2":
+        monkeypatch.setattr(enumeration, "_SERIAL_NODES", 64)
+        jobs = 2
+    for thresholds in ["everywhere"] + (["default"] if config == "default" else []):
+        with monkeypatch.context() as m:
+            if thresholds == "everywhere":
+                _walk_everywhere(m)
+            for walk, expected in zip(INHERITED_WALKS, reference_walks):
+                if config in ("block=4", "chunk=1") and expected[1].nodes > LIGHT_WALK:
+                    continue
+                got = enumeration.enumerate_leaves(EnumSpec(*walk), jobs=jobs)
+                assert got == expected, (config, thresholds, walk)
+    if jobs == 1:
+        assert set(seen) == {"new segment", "fixing, v = g'", "fixing, v > g'", "v = x", "v > x"}
+        assert min(seen.values()) > 0, seen
+        assert sum(seen.values()) > 1000, seen
+
+
 def test_walk_working_set_is_bounded():
     """The tracemalloc peak of davenport(7), whose group tables are built
     beforehand, stays under 1.1 MB: 0.86 MB measured with 4096-row chunks
     (for the first search in the process; 0.70 MB for a second) plus a
     margin of about 30%, 0.66 MB (0.60 MB) since the counting rule reads
-    Group.below_sets, and 0.63 MB (0.58 MB) since _images sorts a span of
-    row-tagged 16-bit keys at a time.  numpy reports its buffers to
+    Group.below_sets, 0.63 MB (0.58 MB) since _images sorts a span of
+    row-tagged 16-bit keys at a time, and 0.78 MB (0.73 MB) since tested
+    blocks keep their rows' first differences for their children, 0.20 MB
+    of it on the stack at most.  numpy reports its buffers to
     tracemalloc, so a larger chunk budget, or a chunk array more per row,
     fails here before it shows in the benchmark's peak RSS (6144-row chunks
     read 1.2 MB)."""

@@ -86,12 +86,17 @@ images save at few rows or short images, so only a chunk of at least
 _INHERIT_ROWS rows reads records, and a block keeps them only when its
 children have _INHERIT_DEPTH terms or more, are tested, and a block of
 them, min(pairs, _BLOCK) nodes of about the block's rows per node,
-reaches _INHERIT_ROWS rows (the crossover is measured in BENCH_49.json).
+reaches _INHERIT_ROWS rows.  The crossover, each chunk of davenport(7)
+timed both ways (BENCH_49.json): at 4096 rows or more, reading records
+takes 1.06x the time of fresh images for nodes of k = 4 terms, 0.87x at
+k = 5 and 0.80x at k = 6, 7; at 1024 to 2047 rows 1.04-1.09x at k =
+5..7; below 1024 rows 1.1-1.5x.  The chunks that read records image 25%
+of their rows there.
 
-The frontier is arrays.  The nodes of one depth are rows of four arrays:
+The frontier is arrays.  The nodes of one depth are rows of five arrays:
 terms, sum, guard layers as n words of n bits (``extend_rows`` of
-ZeroSumGuard) and candidates packed to bits, about 40 bytes a node at
-n = 7.  The admitted candidates of a block of nodes, np.nonzero of its
+ZeroSumGuard), candidates packed to bits and the parent's row, about 40
+bytes a node at n = 7.  The admitted candidates of a block of nodes, np.nonzero of its
 bool rows, are the (parent, g) pairs of its children in lex order; one set
 of array calls builds _BLOCK of them, guard layers by one gather, and
 drops those left with no candidate.
@@ -119,8 +124,9 @@ spans), a few index arrays, the gather indices of one span and one set of
 ceil(n^2 / 64) words of the table for the counting rule, which the budget
 of the BENCH_17.json sweep bounds; a chunk that reads records builds term
 rows and images for its fresh and tie rows only.  Records take one byte
-per R_P row below depth 256 (int16 past it) and 8 + k bytes per node, for
-each level on the stack that keeps them: 0.20 MB at most at davenport(7).
+per R_P row when the search's length or depth cap is below 256 (two bytes
+otherwise) and 8 + k bytes per node, for each level on the stack that
+keeps them: 0.20 MB at most at davenport(7).
 
 The walk, then the fan-out.  The walk's stack holds a _Level per depth:
 the admitted (parent, g) pairs of that depth, counted and not yet built,
@@ -319,7 +325,8 @@ _BLOCK = 512
 # A chunk of _INHERIT_ROWS rows or more reads its rows' first differences
 # off its parents' records, which blocks keep when their children have
 # _INHERIT_DEPTH terms or more (module docstring); below either, fresh
-# images cost less than the bookkeeping (BENCH_49.json's crossover).
+# images cost less than the bookkeeping (the crossover in the module
+# docstring and BENCH_49.json).
 _INHERIT_DEPTH = 5
 _INHERIT_ROWS = 2048
 
@@ -541,13 +548,15 @@ class _Engine:
         terms = nodes.terms
         tested, single = self._tested(terms[:, :k], cands)
         rows = tested.sum(axis=1) * self.stabilizer[terms[:, 0]]
-        # records only where a block of children, min(pairs, _BLOCK) nodes of
-        # about the rows of a node here, reaches _INHERIT_ROWS rows, with as
-        # many pairs as candidates before the test and as admitted after it
-        keep, first = _INHERIT_DEPTH <= k + 1 != self.length, []
-        if keep:
-            total, need = rows.sum(), _INHERIT_ROWS * len(rows)
-            keep = min(np.count_nonzero(cands), _BLOCK) * total >= need
+
+        def pays() -> bool:
+            """Whether a block of children, min(pairs, _BLOCK) nodes of
+            about the rows of a node here, reaches _INHERIT_ROWS rows, with
+            as many pairs as candidates before the test and as admitted
+            after it."""
+            return min(np.count_nonzero(cands), _BLOCK) * rows.sum() >= _INHERIT_ROWS * len(rows)
+
+        keep, first = _INHERIT_DEPTH <= k + 1 != self.length and pays(), []
         for part in _chunks(rows):
             inherits = inherited is not None and rows[part].sum() >= _INHERIT_ROWS
             j = self._test_r_p(terms[part], tested[part], rows[part], cands[part],
@@ -555,7 +564,7 @@ class _Engine:
             if keep:
                 first.append(j.astype(self.first_type))
         self._test_fresh(terms, cands, single)
-        if not (keep and min(np.count_nonzero(cands), _BLOCK) * total >= need):
+        if not (keep and pays()):
             return cands, None
         return cands, _Records(np.concatenate(first), rows.cumsum() - rows, tested)
 

@@ -5,7 +5,8 @@ Subpackage map:
 - groups: element arithmetic, bases, automorphisms of (Z/nZ)^2
 - sequences: multiset sequences and their JSON form
 - subsums: length-restricted subsequence-sum DP
-- enumeration: orderly search up to symmetry, Davenport-style constants, cache
+- enumeration: orderly search up to symmetry, Davenport-style constants, and
+  the result cache that only cli uses
 - properties: coset-support witnesses and the two closed sequence shapes
 - classification: long zero-sum classification and the exceptional family
 - perturbation: two-term exchange lemmas
@@ -13,7 +14,7 @@ Subpackage map:
 - lifting: multiplication-by-m homomorphisms and the image-transfer checks
 - report: the uniform Report; run_search, the one runner of the search checks
 - errors: the package's exception types, all derived from ZsError
-- cli: the ``zs`` command line front end
+- cli: the ``zs`` command line front end, which caches each command's output
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from math import gcd
 
-from .enumeration import EnumSpec, ResultCache
+from .enumeration import EnumSpec
 from .errors import InvalidCounts, InvalidX, PreconditionViolated, WitnessCheckFailed
 from .groups import Elem, group
 from .properties import has_property_a, property_a_witnesses
@@ -188,13 +188,7 @@ def classify_long_zero_sum(seq: Sequence) -> ClassificationOutcome:
     return ClassificationOutcome(item1=item1, item2=_item2_witnesses(seq, s))
 
 
-def verify_casen(
-    n: int,
-    s: int = 1,
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> Report:
+def verify_casen(n: int, s: int = 1, *, jobs: int = 1) -> Report:
     """Exhaustively classify every zero-sum sequence of length (2+s)n - 1
     over (Z/nZ)^2 with no zero-sum subsequence shorter than n.
 
@@ -214,4 +208,4 @@ def verify_casen(
         return bad, {"kinds": kinds}
 
     spec = EnumSpec(n, (2 + s) * n - 1, "zero-sum-no-short", {"k": n - 1})
-    return run_search("casen", {"n": n, "s": s}, spec, classify, jobs=jobs, cache=cache)
+    return run_search("casen", {"n": n, "s": s}, spec, classify, jobs=jobs)

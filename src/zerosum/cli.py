@@ -12,11 +12,18 @@ exit_code)``.  A ``verify`` subcommand is named after its report's
 ``check``, and takes only the options its check reads.
 The helper adds ``--pretty``/``--output``, plus ``--jobs`` (default: the
 cores the process may run on) with ``jobs`` and
-``--cache-dir``/``--no-cache`` with ``cache``, in which case the body gets
-the resolved ``cache``.  A command registered
+``--cache-dir``/``--no-cache`` with ``cache``.  A command registered
 without ``jobs`` has no ``--jobs``, so click rejects one (exit 2).  It
 builds ``config``, maps package errors to exit codes 2 and 3, writes the
 JSON and exits.
+
+The result cache is the CLI's alone, and ``_execute`` its one user.  A
+cached command's key is its subcommand and the body's options less
+``jobs``, on which no output depends; its entry is the body's JSON object,
+with ``elapsed_ms`` stored as 0, and its exit code.  A hit prints the
+entry, with ``elapsed_ms`` its own load time, and runs no body; a miss
+checks that the directory takes a file (exit 2 if not), runs the body and
+stores its output.  ``config`` is added at print time, and not stored.
 
 ``budget`` is a predicate on the parsed options, the default budget of a
 search or, for ``verify propbfix-item1``, of its residue rows: with it the
@@ -46,14 +53,14 @@ from click.core import ParameterSource
 
 from . import __version__
 from .classification import classify_long_zero_sum, construct_exceptional, verify_casen
-from .enumeration import PREDICATES, EnumSpec, decode_leaves, enumerate_leaves, resolve_cache
-from .enumeration import davenport, s_leq
+from .enumeration import PREDICATES, EnumSpec, ResultCache, decode_leaves, enumerate_leaves
+from .enumeration import davenport, resolve_cache, s_leq
 from .errors import BudgetExceeded, ParseError, ZsError
 from .groups import group
 from .lifting import verify_propbfix_item1, verify_propbfix_item2
 from .perturbation import verify_perturbation
 from .properties import verify_property_b, verify_property_c
-from .report import Report
+from .report import Report, Stopwatch
 from .sequences import Sequence
 
 EXIT_PASS = 0
@@ -109,18 +116,35 @@ def _fail(exc: Exception, message: str, code: int) -> int:
     return code
 
 
-def _execute(body, params: dict, config: dict, pretty: bool, output: str | None) -> int:
-    """Run one command body, emit its JSON once; returns the exit code."""
+def _execute(body, params: dict, config: dict, cache: ResultCache | None, pretty: bool,
+             output: str | None) -> int:
+    """Run one command body, or replay its entry in ``cache``, and emit its
+    JSON once; returns the exit code."""
+    key = {"subcommand": config["subcommand"], **params}
+    key.pop("jobs", None)
     try:
-        result = body(**params)
+        with Stopwatch() as sw:
+            entry = cache.load(key) if cache else None
+        if entry is not None:
+            obj, code = entry["output"], entry["exit"]
+            if "elapsed_ms" in obj:
+                obj["elapsed_ms"] = sw.elapsed_ms
+        else:
+            if cache:
+                cache.ensure_writable()
+            result = body(**params)
+            if isinstance(result, Report):
+                code = EXIT_COUNTEREXAMPLE if result.counterexamples else EXIT_PASS
+                result = result.to_json_obj(), code
+            obj, code = result
+            if cache:
+                # no wall time in an entry, so that equal runs store equal bytes
+                stored = {**obj, "elapsed_ms": 0} if "elapsed_ms" in obj else obj
+                cache.store(key, {"output": stored, "exit": code})
     except BudgetExceeded as exc:
         return _fail(exc, str(exc), EXIT_BUDGET)
     except ZsError as exc:
         return _fail(exc, str(exc), EXIT_USAGE)
-    if isinstance(result, Report):
-        code = EXIT_COUNTEREXAMPLE if result.counterexamples else EXIT_PASS
-        result = result.to_json_obj(), code
-    obj, code = result
     text = json.dumps({**obj, "config": config}, indent=2 if pretty else None, sort_keys=True)
     if not output:
         click.echo(text)
@@ -158,10 +182,9 @@ def command(parent: click.Group, name: str, *options,
                 exc = BudgetExceeded(f"{subcommand} with {shown} exceeds the default budget; "
                                      "pass --force to run it anyway")
                 sys.exit(_fail(exc, str(exc), EXIT_BUDGET))
-            if cache:
-                params["cache"] = resolve_cache(
-                    params.pop("cache_dir"), enabled=not params.pop("no_cache"))
-            sys.exit(_execute(body, params, config, pretty, output))
+            result_cache = (resolve_cache(params.pop("cache_dir"),
+                                          enabled=not params.pop("no_cache")) if cache else None)
+            sys.exit(_execute(body, params, config, result_cache, pretty, output))
 
         for opt in reversed(options):
             run = opt(run)
@@ -189,18 +212,18 @@ for grp in (construct_grp, verify_grp, cache_grp):
 
 @command(main, "davenport", n_opt, jobs=True, cache=True,
          budget=lambda opts: opts["n"] <= 7)
-def davenport_cmd(n, jobs, cache):
+def davenport_cmd(n, jobs):
     """Davenport constant of (Z/NZ)^2."""
-    value = davenport(group(n), jobs=jobs, cache=cache)
+    value = davenport(group(n), jobs=jobs)
     return {"check": "davenport", "n": n, "value": value}, EXIT_PASS
 
 
 @command(main, "sleq", n_opt,
          int_opt("--k", 1, required=True, help="Zero-sum length threshold."),
          jobs=True, cache=True, budget=lambda opts: opts["n"] <= 5)
-def sleq_cmd(n, k, jobs, cache):
+def sleq_cmd(n, k, jobs):
     """Least length forcing a nonempty zero-sum subsequence of length <= k."""
-    value = s_leq(group(n), k, jobs=jobs, cache=cache)
+    value = s_leq(group(n), k, jobs=jobs)
     return {"check": "sleq", "n": n, "k": k, "value": value}, EXIT_PASS
 
 
@@ -213,11 +236,11 @@ def sleq_cmd(n, k, jobs, cache):
          int_opt("--limit", 0, default=100,
                  help="Cap on listed sequences (0 = no cap); the count is always exact."),
          jobs=True, cache=True)
-def enumerate_cmd(n, length, predicate, k, raw, limit, jobs, cache):
+def enumerate_cmd(n, length, predicate, k, raw, limit, jobs):
     """List sequences with a given property, up to symmetry by default."""
     params = {"k": k} if k is not None else {}
     spec = EnumSpec(n, length, predicate, params, up_to_symmetry=not raw)
-    leaves, stats = enumerate_leaves(spec, jobs=jobs, cache=cache)
+    leaves, stats = enumerate_leaves(spec, jobs=jobs)
     listed = leaves if limit == 0 else leaves[:limit]
     return {"check": "enumerate", "count": len(leaves), "nodes": stats.nodes,
             "sequences": [s.to_json_obj() for s in decode_leaves(n, listed)],
@@ -250,16 +273,16 @@ def construct_exceptional_cmd(n, x, a, b, c):
 
 @command(verify_grp, "property-b", n_opt, jobs=True, cache=True,
          budget=lambda opts: opts["n"] <= 6)
-def property_b_cmd(n, jobs, cache):
+def property_b_cmd(n, jobs):
     """Every maximal-length minimal zero-sum has the one-coset form."""
-    return verify_property_b(n, jobs=jobs, cache=cache)
+    return verify_property_b(n, jobs=jobs)
 
 
 @command(verify_grp, "property-c", n_opt, jobs=True, cache=True,
          budget=lambda opts: opts["n"] <= 5)
-def property_c_cmd(n, jobs, cache):
+def property_c_cmd(n, jobs):
     """Three-heavy-element profile at length 3(n-1) without short zero-sums."""
-    return verify_property_c(n, jobs=jobs, cache=cache)
+    return verify_property_c(n, jobs=jobs)
 
 
 @command(verify_grp, "casen", n_opt,
@@ -267,9 +290,9 @@ def property_c_cmd(n, jobs, cache):
          jobs=True, cache=True,
          budget=lambda opts: ((opts["s"] == 1 and opts["n"] <= 5)
                               or (opts["s"] == 2 and opts["n"] <= 3)))
-def casen_cmd(n, s, jobs, cache):
+def casen_cmd(n, s, jobs):
     """Classify every qualifying zero-sum of length (2+s)n-1."""
-    return verify_casen(n, s, jobs=jobs, cache=cache)
+    return verify_casen(n, s, jobs=jobs)
 
 
 @command(verify_grp, "perturbation",
@@ -309,7 +332,7 @@ def propbfix_item2_cmd(m, n, seed):
 
 @command(cache_grp, "purge", cache_dir_opt)
 def cache_purge_cmd(cache_dir):
-    """Remove all cached search results."""
+    """Remove all cached command outputs."""
     cache = resolve_cache(cache_dir)
     removed = cache.purge()
     return {"check": "cache-purge", "removed": removed, "directory": cache.directory}, EXIT_PASS

@@ -182,15 +182,16 @@ CACHE_ENV_VAR = "ZS_CACHE"
 
 
 def _source_digest() -> str:
-    """sha256 of the modules whose code decides what a search returns."""
-    h = hashlib.sha256()
-    for name in ("enumeration.py", "subsums.py", "groups.py", "sequences.py"):
-        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
-            h.update(fh.read())
+    """sha256 of every module of the package: an entry is a command's output."""
+    h, here = hashlib.sha256(), os.path.dirname(__file__)
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(fh.read())
     return h.hexdigest()
 
 
-# any edit to the search source makes every stored entry a miss
+# any edit to the package source makes every stored entry a miss
 CACHE_SCHEMA = f"{__version__}/{_source_digest()[:16]}"
 
 # the files a ResultCache writes: entries, the tmp files of their stores and
@@ -202,7 +203,6 @@ _CACHE_FILE = re.compile(r"[0-9a-f]{24}\.json(\.[0-9]+\.tmp)?|\.probe-[0-9]+")
 # _UNITS_PER_JOB units per job.
 _SERIAL_NODES = 10_000
 _UNITS_PER_JOB = 4
-_CACHE_MAX_SEQUENCES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +242,6 @@ class EnumSpec:
     predicate: str
     params: dict = field(default_factory=dict)
     up_to_symmetry: bool = True
-
-    def key(self) -> dict:
-        return {
-            "op": "enumerate",
-            "n": self.n,
-            "length": self.length,
-            "predicate": self.predicate,
-            "params": dict(sorted(self.params.items())),
-            "up_to_symmetry": self.up_to_symmetry,
-        }
 
 
 @dataclass
@@ -775,8 +765,9 @@ def _search(
 # result cache
 
 
+# only cli reads it; it stays here as perfbench/tracer.py patches load and store by name
 class ResultCache:
-    """Directory of completed search results, keyed by a canonical JSON key.
+    """Directory of completed command outputs, keyed by a canonical JSON key.
 
     Each entry is one file: the sha256 hex digest of its body, a newline,
     then the body, the JSON object of the schema, the key and the payload.
@@ -857,23 +848,6 @@ def resolve_cache(cache_dir: str | None = None, enabled: bool = True) -> ResultC
     return ResultCache(directory)
 
 
-def _cached(cache: ResultCache | None, key: dict, name: str, search) -> dict:
-    """The cache entry of ``key`` on a hit; else ``search()``'s result, under
-    ``name``, and its SearchStats as an entry, stored unless it lists more
-    than _CACHE_MAX_SEQUENCES leaves.  An unwritable cache fails before the
-    search.  The one caller of load, ensure_writable and store."""
-    if cache is not None:
-        entry = cache.load(key)
-        if entry is not None:
-            return entry
-        cache.ensure_writable()
-    result, stats = search()
-    entry = {name: result, "stats": stats.__dict__}
-    if cache is not None and (name != "leaves" or len(result) <= _CACHE_MAX_SEQUENCES):
-        cache.store(key, entry)
-    return entry
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -882,11 +856,9 @@ def enumerate_leaves(
     spec: EnumSpec,
     *,
     jobs: int = 1,
-    cache: ResultCache | None = None,
 ) -> tuple[list[tuple[int, ...]], SearchStats]:
     """The sequences matching the spec as sorted element-index tuples,
-    lex-ordered, plus search statistics: read from ``cache`` when it holds
-    them, else searched (and stored).  :func:`decode_leaves` turns any
+    lex-ordered, plus search statistics.  :func:`decode_leaves` turns any
     slice of them into Sequences."""
     if spec.length < 0:
         raise SchemaError(f"length must be >= 0, got {spec.length}")
@@ -896,11 +868,8 @@ def enumerate_leaves(
         # the empty sequence is zero-sum but, by convention, not minimal
         leaves = [] if spec.predicate == "minimal-zero-sum" else [()]
         return leaves, SearchStats(leaves=len(leaves))
-    entry = _cached(cache, spec.key(), "leaves", lambda: _search(
-        grp, spec.predicate, spec.params, spec.length, spec.up_to_symmetry, jobs=jobs
-    ))
-    # a hit reads JSON lists; tuple() returns a searched leaf itself
-    return list(map(tuple, entry["leaves"])), SearchStats(**entry["stats"])
+    return _search(grp, spec.predicate, spec.params, spec.length, spec.up_to_symmetry,
+                   jobs=jobs)
 
 
 def decode_leaves(n: int, leaves: Iterable[Iterable[int]]) -> list[Sequence]:
@@ -909,18 +878,13 @@ def decode_leaves(n: int, leaves: Iterable[Iterable[int]]) -> list[Sequence]:
     return [Sequence.from_terms(grp, (grp.unindex(i) for i in leaf)) for leaf in leaves]
 
 
-def enumerate_sequences(
-    spec: EnumSpec,
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> tuple[list[Sequence], SearchStats]:
+def enumerate_sequences(spec: EnumSpec, *, jobs: int = 1) -> tuple[list[Sequence], SearchStats]:
     """All sequences matching the spec, lex-ordered, plus search statistics.
 
     With ``up_to_symmetry`` each orbit appears exactly once, as its least
     member.  Results (and node counts) are identical for every ``jobs``.
     """
-    leaves, stats = enumerate_leaves(spec, jobs=jobs, cache=cache)
+    leaves, stats = enumerate_leaves(spec, jobs=jobs)
     return decode_leaves(spec.n, leaves), stats
 
 
@@ -949,50 +913,16 @@ def max_length_with(
     return stats.max_depth, stats
 
 
-def _cached_max_length_plus_one(
-    grp: Group,
-    op: str,
-    params: dict,
-    predicate: str,
-    *,
-    jobs: int,
-    cache: ResultCache | None,
-    depth_cap: int,
-) -> int:
-    """1 + the longest length satisfying ``predicate`` with ``params``,
-    cached under ``{"op": op, "n": n, **params}``."""
-
-    def search() -> tuple[int, SearchStats]:
-        longest, stats = max_length_with(grp, predicate, params, jobs=jobs, depth_cap=depth_cap)
-        return longest + 1, stats
-
-    return _cached(cache, {"op": op, "n": grp.n, **params}, "value", search)["value"]
-
-
-def davenport(
-    grp: Group,
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> int:
+def davenport(grp: Group, *, jobs: int = 1) -> int:
     """Davenport constant: 1 + the longest zero-sum free length.
 
     Computed by exhausting the zero-sum-free search forest; no closed
     formula is consulted.
     """
-    return _cached_max_length_plus_one(
-        grp, "davenport", {}, "zero-sum-free",
-        jobs=jobs, cache=cache, depth_cap=grp.size + 1,
-    )
+    return max_length_with(grp, "zero-sum-free", jobs=jobs, depth_cap=grp.size + 1)[0] + 1
 
 
-def s_leq(
-    grp: Group,
-    k: int,
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> int:
+def s_leq(grp: Group, k: int, *, jobs: int = 1) -> int:
     """Least l such that every length-l sequence has a zero-sum subsequence
     of length at most k.
 
@@ -1007,7 +937,6 @@ def s_leq(
     if k < grp.n:
         raise PreconditionViolated(f"s_leq needs k >= n, got k={k} < n={grp.n}: (1, 0) "
                                    "repeated has no zero-sum of length <= k")
-    return _cached_max_length_plus_one(
-        grp, "s_leq", {"k": k}, "no-short-zero-sum", jobs=jobs, cache=cache,
-        depth_cap=4 * grp.n,
-    )
+    longest, _ = max_length_with(grp, "no-short-zero-sum", {"k": k}, jobs=jobs,
+                                 depth_cap=4 * grp.n)
+    return longest + 1

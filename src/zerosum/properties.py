@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .enumeration import EnumSpec, ResultCache
+from .enumeration import EnumSpec
 from .errors import EmptySequence
 from .groups import Elem, Group
 from .report import Report, run_search
@@ -156,12 +156,7 @@ def matches_eq2(seq: Sequence) -> list[Eq2Witness]:
     return out
 
 
-def verify_property_b(
-    n: int,
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> Report:
+def verify_property_b(n: int, *, jobs: int = 1) -> Report:
     """Exhaustively check that every minimal zero-sum sequence of length
     2n-1 over (Z/nZ)^2 admits an Eq1Witness reading.
 
@@ -171,16 +166,11 @@ def verify_property_b(
     return run_search(
         "property-b", {"n": n}, EnumSpec(n, 2 * n - 1, "minimal-zero-sum"),
         lambda reps: ([s.to_json_obj() for s in reps if not matches_eq1(s)], {}),
-        jobs=jobs, cache=cache,
+        jobs=jobs,
     )
 
 
-def verify_property_c(
-    n: int,
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> Report:
+def verify_property_c(n: int, *, jobs: int = 1) -> Report:
     """Exhaustively check that every sequence of length 3n-3 over (Z/nZ)^2
     with no zero-sum subsequence of length <= n has three distinct terms of
     multiplicity n-1 each.
@@ -202,4 +192,4 @@ def verify_property_c(
         return bad, {"without_basis_form": without_form}
 
     spec = EnumSpec(n, 3 * (n - 1), "no-short-zero-sum", {"k": n})
-    return run_search("property-c", {"n": n}, spec, classify, jobs=jobs, cache=cache)
+    return run_search("property-c", {"n": n}, spec, classify, jobs=jobs)

@@ -13,7 +13,7 @@ import json
 import time
 from typing import Any
 
-from .enumeration import EnumSpec, ResultCache, enumerate_sequences
+from .enumeration import EnumSpec, enumerate_sequences
 from .errors import PreconditionViolated
 
 
@@ -67,15 +67,15 @@ class Report:
 
 
 def run_search(check: str, params: dict[str, Any], spec: EnumSpec, classify, *,
-               jobs: int, cache: ResultCache | None) -> Report:
+               jobs: int) -> Report:
     """The Report of a search-backed check: ``classify`` maps the orbit
-    representatives of ``spec`` (searched, or read from ``cache``) to the
-    counterexamples and the details, and the runner adds the node count.
+    representatives of ``spec`` to the counterexamples and the details, and
+    the runner adds the node count.
     Every such check needs a modulus of at least 2."""
     if spec.n < 2:
         raise PreconditionViolated(f"{check} needs n >= 2, got {spec.n}")
     with Stopwatch() as sw:
-        reps, stats = enumerate_sequences(spec, jobs=jobs, cache=cache)
+        reps, stats = enumerate_sequences(spec, jobs=jobs)
         bad, details = classify(reps)
     return Report(check=check, params=params, orbits_scanned=len(reps), counterexamples=bad,
                   elapsed_ms=sw.elapsed_ms, details={**details, "nodes": stats.nodes})

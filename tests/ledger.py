@@ -1,10 +1,10 @@
 """The ledger of pinned results, ``tests/ledger.json``.
 
 Each entry maps a key such as ``"property-b n=6"`` to the exact object its
-call returns: a report's ``to_json_obj(timing=False)``, the ``{"value",
-"stats"}`` entry that ``enumeration._cached`` stores for ``davenport`` and
-``s_leq``, or the count, nodes and leaves of an enumeration (the census
-keeps count and nodes only).  A key is the check's name followed by its
+call returns: a report's ``to_json_obj(timing=False)``, the value of
+``davenport`` or ``s_leq`` with the SearchStats of its search, as
+``{"value", "stats"}``, or the count, nodes and leaves of an enumeration
+(the census keeps count and nodes only).  A key is the check's name followed by its
 arguments, ``name=value`` or a bare flag; :func:`run` maps it to its call.
 The file must be ``dumps`` of its own content, so that a diff shows one
 field per line, and a duplicated key is an error, not a dropped row.  Each
@@ -15,7 +15,6 @@ taken from.
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 from zerosum import enumeration
 from zerosum.classification import verify_casen
@@ -48,13 +47,23 @@ def load(path=PATH):
     return ledger
 
 
-def _stored(fn, *args, jobs):
-    """The entry ``fn`` stores in a cache that holds nothing."""
-    kept = {}
-    cache = SimpleNamespace(load=lambda key: None, ensure_writable=lambda: None,
-                            store=lambda key, entry: kept.update(entry))
-    fn(*args, jobs=jobs, cache=cache)
-    return kept
+def _with_stats(fn, *args, jobs):
+    """``fn``'s value and the SearchStats of the one max_length_with call
+    it makes, which ``fn`` itself does not return."""
+    inner, seen = enumeration.max_length_with, []
+
+    def probe(*probe_args, **kwargs):
+        longest, stats = inner(*probe_args, **kwargs)
+        seen.append(stats)
+        return longest, stats
+
+    enumeration.max_length_with = probe
+    try:
+        value = fn(*args, jobs=jobs)
+    finally:
+        enumeration.max_length_with = inner
+    (stats,) = seen
+    return {"value": value, "stats": stats.__dict__}
 
 
 def _leaves(jobs, n, length, predicate="all", k=None, raw=False, census=False):
@@ -70,8 +79,8 @@ def _report(verify):
 
 
 CALLS = {
-    "davenport": lambda jobs, n: _stored(enumeration.davenport, group(n), jobs=jobs),
-    "s_leq": lambda jobs, n, k: _stored(enumeration.s_leq, group(n), k, jobs=jobs),
+    "davenport": lambda jobs, n: _with_stats(enumeration.davenport, group(n), jobs=jobs),
+    "s_leq": lambda jobs, n, k: _with_stats(enumeration.s_leq, group(n), k, jobs=jobs),
     "property-b": _report(verify_property_b),
     "property-c": _report(verify_property_c),
     "casen": _report(verify_casen),

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import zerosum.cli
 import zerosum.enumeration
+import zerosum.report
 from zerosum.cli import main, parse_sequence_file
 from zerosum.errors import ParseError, SchemaError
 from zerosum.groups import group
@@ -113,8 +114,8 @@ def test_enumerate_listing_is_the_same_cold_warm_and_uncached(runner, monkeypatc
     assert warm.exit_code == 0
     assert warm.output == cold.output
     obj = out_json(warm)
-    # a warm run decodes only the sequences it lists
-    assert len(decoded) == len(obj["sequences"])
+    # a warm run prints its stored listing and decodes nothing
+    assert decoded == []
     uncached = out_json(invoke(runner, "enumerate", *args, "--jobs", "1", "--no-cache"))
     assert {**uncached, "config": None} == {**obj, "config": None}
     # the listing is the prefix of the full decoded enumeration
@@ -122,16 +123,9 @@ def test_enumerate_listing_is_the_same_cold_warm_and_uncached(runner, monkeypatc
     predicate = args[args.index("--predicate") + 1] if "--predicate" in args else "all"
     spec = zerosum.enumeration.EnumSpec(n, length, predicate, up_to_symmetry="--raw" not in args)
     seqs, stats = zerosum.enumeration.enumerate_sequences(spec)
-    leaves, cached_stats = zerosum.enumeration.enumerate_leaves(
-        spec, cache=zerosum.enumeration.ResultCache(str(tmp_path)))
-    assert obj["count"] == len(seqs) == len(leaves) == stats.leaves == cached_stats.leaves
+    assert obj["count"] == len(seqs) == stats.leaves
     assert obj["sequences"] == [s.to_json_obj() for s in seqs[:len(obj["sequences"])]]
     assert obj["truncated"] == (len(obj["sequences"]) < len(seqs))
-
-
-def test_enumerate_budget_exit(runner, monkeypatch, tmp_path):
-    args = ["davenport", "--n", "9", "--no-cache"]
-    _assert_over_budget(runner, monkeypatch, tmp_path, args, "davenport with n=9")
 
 
 def test_construct_classify_round_trip(runner, tmp_path):
@@ -180,11 +174,6 @@ def test_verify_property_b_passes(runner):
     assert obj["passed"] is True
     assert obj["counterexamples"] == []
     assert obj["config"]["subcommand"] == "verify property-b"
-
-
-def test_verify_casen_budget(runner, monkeypatch, tmp_path):
-    args = ["verify", "casen", "--n", "6", "--no-cache"]
-    _assert_over_budget(runner, monkeypatch, tmp_path, args, "verify casen with n=6, s=1")
 
 
 def test_verify_perturbation_exits(runner):
@@ -337,6 +326,71 @@ def test_cache_purge(runner, tmp_path):
     assert out_json(res)["removed"] >= 1
     res = invoke(runner, "cache", "purge", "--cache-dir", cdir)
     assert out_json(res)["removed"] == 0
+
+
+def _without(obj, *fields):
+    return {k: v for k, v in obj.items() if k not in fields}
+
+
+@pytest.mark.parametrize("args", [["davenport", "--n", "4"], ["verify", "property-b", "--n", "3"]],
+                         ids=["davenport", "property-b"])
+def test_a_store_at_one_job_is_a_hit_at_two(runner, monkeypatch, tmp_path, args):
+    """No output depends on --jobs, so the cache key leaves it out."""
+    cache = ["--cache-dir", str(tmp_path)]
+    cold = out_json(invoke(runner, *args, "--jobs", "1", *cache))
+    monkeypatch.setattr(zerosum.enumeration, "_search", _no_search)
+    res = invoke(runner, *args, "--jobs", "2", *cache)
+    assert res.exit_code == 0
+    warm = out_json(res)
+    assert warm["config"]["jobs"] == 2
+    assert _without(warm, "config", "elapsed_ms") == _without(cold, "config", "elapsed_ms")
+    assert len(os.listdir(tmp_path)) == 1
+
+
+def test_each_limit_has_its_own_entry(runner, monkeypatch, tmp_path):
+    """An entry is the printed listing, so --limit is part of its key."""
+    args = ["enumerate", "--n", "4", "--length", "4", "--jobs", "1"]
+    limits = ["1", "0"]
+    uncached = [_without(out_json(invoke(runner, *args, "--limit", limit, "--no-cache")),
+                         "config") for limit in limits]
+    for warm in (False, True):
+        if warm:
+            monkeypatch.setattr(zerosum.enumeration, "_search", _no_search)
+        for limit, want in zip(limits, uncached):
+            res = invoke(runner, *args, "--limit", limit, "--cache-dir", str(tmp_path))
+            assert res.exit_code == 0
+            assert _without(out_json(res), "config") == want
+    assert len(os.listdir(tmp_path)) == len(limits)
+
+
+def test_a_stored_exit_one_replays_as_exit_one(runner, monkeypatch, tmp_path):
+    args = ["verify", "property-b", "--n", "2", "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(zerosum.cli, "verify_property_b", _failing_property_b)
+    cold = invoke(runner, *args)
+    assert cold.exit_code == 1
+    monkeypatch.setattr(zerosum.cli, "verify_property_b", _no_search)
+    warm = invoke(runner, *args)
+    assert warm.exit_code == 1
+    assert _without(out_json(warm), "elapsed_ms") == _without(out_json(cold), "elapsed_ms")
+
+
+def test_two_cold_runs_store_equal_bytes(runner, monkeypatch, tmp_path):
+    """An entry holds no wall time: a report's elapsed_ms is stored as 0,
+    so cold runs into two directories write the same files, however long
+    each took."""
+    commands = [["davenport", "--n", "4"], ["enumerate", "--n", "3", "--length", "4"],
+                ["verify", "property-b", "--n", "4"], ["verify", "casen", "--n", "3"]]
+    stored = []
+    for elapsed_ms in (7, 1234):
+        monkeypatch.setattr(zerosum.report.Stopwatch, "__exit__",
+                            lambda self, *exc, ms=elapsed_ms: setattr(self, "elapsed_ms", ms))
+        cache_dir = tmp_path / str(elapsed_ms)
+        for args in commands:
+            res = invoke(runner, *args, "--jobs", "1", "--cache-dir", str(cache_dir))
+            assert res.exit_code == 0
+            assert out_json(res).get("elapsed_ms", elapsed_ms) == elapsed_ms
+        stored.append({p.name: p.read_bytes() for p in cache_dir.iterdir()})
+    assert stored[0] == stored[1] and len(stored[0]) == len(commands)
 
 
 def test_output_file_holds_report(runner, tmp_path):
@@ -497,12 +551,13 @@ def test_default_jobs_is_the_affinity_mask(runner, monkeypatch):
     assert res.exit_code == 0 and out_json(res)["config"]["jobs"] == 1
 
 
-def test_counterexample_exits_one(runner, monkeypatch):
-    def failing(n, **kwargs):
-        return Report("property-b", {"n": n}, orbits_scanned=1,
-                      counterexamples=[{"n": n, "terms": []}])
+def _failing_property_b(n, **kwargs):
+    return Report("property-b", {"n": n}, orbits_scanned=1,
+                  counterexamples=[{"n": n, "terms": []}])
 
-    monkeypatch.setattr(zerosum.cli, "verify_property_b", failing)
+
+def test_counterexample_exits_one(runner, monkeypatch):
+    monkeypatch.setattr(zerosum.cli, "verify_property_b", _failing_property_b)
     res = invoke(runner, "verify", "property-b", "--n", "2", "--no-cache")
     assert res.exit_code == 1
     obj = out_json(res)
@@ -531,14 +586,16 @@ def test_module_entry_point_exit_codes():
 
 
 # each budgeted subcommand at its first size past its default budget, with
-# the subcommand and options its error names
+# the subcommand and options its error names; --no-cache is not named
 OVER_BUDGET = [
     (["davenport", "--n", "8"], "davenport with n=8"),
     (["davenport", "--n", "9"], "davenport with n=9"),
+    (["davenport", "--n", "9", "--no-cache"], "davenport with n=9"),
     (["sleq", "--n", "6", "--k", "6"], "sleq with n=6, k=6"),
     (["verify", "property-b", "--n", "7"], "verify property-b with n=7"),
     (["verify", "property-c", "--n", "6"], "verify property-c with n=6"),
     (["verify", "casen", "--n", "6"], "verify casen with n=6, s=1"),
+    (["verify", "casen", "--n", "6", "--no-cache"], "verify casen with n=6, s=1"),
     (["verify", "casen", "--n", "6", "--s", "1"], "verify casen with n=6, s=1"),
     (["verify", "casen", "--n", "4", "--s", "2"], "verify casen with n=4, s=2"),
     (["verify", "casen", "--n", "2", "--s", "3"], "verify casen with n=2, s=3"),
@@ -547,7 +604,8 @@ OVER_BUDGET = [
 ]
 
 
-def _assert_over_budget(runner, monkeypatch, tmp_path, args, shown):
+@pytest.mark.parametrize("args,shown", OVER_BUDGET, ids=[" ".join(c[0]) for c in OVER_BUDGET])
+def test_over_budget_exits_three_before_the_cache(runner, monkeypatch, tmp_path, args, shown):
     """``args`` exits 3 with the budget's one JSON error on stderr, before
     it writes stdout or makes the cache directory."""
     # a search run past the budget would take seconds; fail it at once
@@ -562,11 +620,6 @@ def _assert_over_budget(runner, monkeypatch, tmp_path, args, shown):
         "message": f"{shown} exceeds the default budget; pass --force to run it anyway",
     }
     assert not cache_dir.exists()
-
-
-@pytest.mark.parametrize("args,shown", OVER_BUDGET, ids=[" ".join(c[0]) for c in OVER_BUDGET])
-def test_over_budget_exits_three_before_the_cache(runner, monkeypatch, tmp_path, args, shown):
-    _assert_over_budget(runner, monkeypatch, tmp_path, args, shown)
 
 
 def test_force_runs_past_the_budget(runner):

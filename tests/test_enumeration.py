@@ -11,9 +11,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import zerosum
 from zerosum import enumeration, group, is_minimal_zero_sum, is_zero_sum_free, restricted_sums
+from zerosum.cli import main
 from zerosum.enumeration import (
     EnumSpec,
     ResultCache,
@@ -816,148 +818,116 @@ def test_max_length_with_reports_stats():
     assert stats.leaves == 0 and stats.nodes > 0
 
 
-CACHED_SPECS = [
-    EnumSpec(3, 4, name, params, up_to_symmetry)
-    for name, params in [
-        ("all", {}),
-        ("zero-sum-free", {}),
-        ("minimal-zero-sum", {}),
-        ("no-short-zero-sum", {"k": 2}),
-        ("zero-sum-no-short", {"k": 3}),
-    ]
-    for up_to_symmetry in (True, False)
-]
-
-
 def _no_search(*args, **kwargs):
     raise AssertionError("a cache hit must not search")
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
+# The result cache is the CLI's: ``zs`` stores each cached command's output
+# in a ResultCache.  These tests write entries with ``zs`` or with
+# ResultCache.store and read them back with ResultCache.load.
+
+DAVENPORT_3 = ("davenport", "--n", "3")
+MINIMAL_3_5 = ("enumerate", "--n", "3", "--length", "5", "--predicate", "minimal-zero-sum")
+DAVENPORT_3_KEY = {"subcommand": "davenport", "n": 3}
+DAVENPORT_3_ENTRY = {"output": {"check": "davenport", "n": 3, "value": 5}, "exit": 0}
+
+
+def _zs(cache: ResultCache, *args) -> dict:
+    """The output of ``zs ARGS --jobs 1`` with ``cache``, less its config."""
+    res = CliRunner(env={"OPENBLAS_NUM_THREADS": None}).invoke(
+        main, [*args, "--jobs", "1", "--cache-dir", cache.directory])
+    assert res.exit_code == 0, res.output
+    obj = json.loads(res.stdout)
+    del obj["config"]
+    return obj
+
+
+def _entries(cache: ResultCache) -> dict[str, tuple[str, dict]]:
+    """subcommand -> the path and key of its entry in ``cache``."""
+    out = {}
+    for name in os.listdir(cache.directory):
+        path = os.path.join(cache.directory, name)
+        with open(path, "rb") as fh:
+            key = json.loads(fh.read().partition(b"\n")[2])["key"]
+        assert path == cache._path(key)
+        out[key["subcommand"]] = path, key
+    return out
+
+
+def test_cache_roundtrip(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
-    fresh = [enumerate_sequences(spec) for spec in CACHED_SPECS]
-    for spec in CACHED_SPECS:
-        enumerate_sequences(spec, cache=cache)
-        assert cache.load(spec.key()) is not None
-    assert davenport(group(3), cache=cache) == 5
-    assert s_leq(group(3), 3, cache=cache) == 7
-    assert s_leq(group(3), 4, cache=cache) == 6
-    monkeypatch.setattr(enumeration, "_search", _no_search)
-    assert [enumerate_sequences(spec, cache=cache) for spec in CACHED_SPECS] == fresh
-    assert davenport(group(3), cache=cache) == 5
-    assert s_leq(group(3), 3, cache=cache) == 7
-    assert cache.load({"op": "davenport", "n": 3})["value"] == 5
-    assert cache.load({"op": "s_leq", "n": 3, "k": 4})["value"] == 6
-    assert len(os.listdir(cache.directory)) == len(CACHED_SPECS) + 3
-
-
-def _counting_search(monkeypatch) -> list:
-    """Replace enumeration._search by a wrapper that records each call."""
-    calls, search = [], enumeration._search
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(enumeration, "_search", counted)
-    return calls
-
-
-def test_a_search_over_the_leaf_cap_is_not_stored(tmp_path, monkeypatch):
-    cache = ResultCache(str(tmp_path / "c"))
-    spec = EnumSpec(3, 5, "minimal-zero-sum", up_to_symmetry=False)
-    leaves, stats = enumeration.enumerate_leaves(spec)
-    assert len(leaves) > 1
-    monkeypatch.setattr(enumeration, "_CACHE_MAX_SEQUENCES", len(leaves) - 1)
-    calls = _counting_search(monkeypatch)
-    for searches in (1, 2):
-        assert enumeration.enumerate_leaves(spec, cache=cache) == (leaves, stats)
-        assert len(calls) == searches
-        assert cache.load(spec.key()) is None
-    assert os.listdir(cache.directory) == []
-
-
-def test_a_search_at_the_leaf_cap_is_stored(tmp_path, monkeypatch):
-    cache = ResultCache(str(tmp_path / "c"))
-    spec = EnumSpec(3, 5, "minimal-zero-sum", up_to_symmetry=False)
-    leaves, stats = enumeration.enumerate_leaves(spec)
-    monkeypatch.setattr(enumeration, "_CACHE_MAX_SEQUENCES", len(leaves))
-    calls = _counting_search(monkeypatch)
-    assert enumeration.enumerate_leaves(spec, cache=cache) == (leaves, stats)
-    assert len(calls) == 1
-    assert cache.load(spec.key()) is not None
-    monkeypatch.setattr(enumeration, "_search", _no_search)
-    hit, hit_stats = enumeration.enumerate_leaves(spec, cache=cache)
-    assert hit == leaves and hit_stats == stats
-    assert {type(leaf) for leaf in hit} == {type(leaf) for leaf in leaves} == {tuple}
+    keys = [DAVENPORT_3_KEY, {"subcommand": "sleq", "n": 3, "k": 3},
+            {"subcommand": "sleq", "n": 3, "k": 4}]
+    for i, key in enumerate(keys):
+        assert cache.load(key) is None
+        cache.store(key, {"output": {"value": i}, "exit": 0})
+    for i, key in enumerate(keys):
+        assert cache.load(key) == {"schema": enumeration.CACHE_SCHEMA, "key": key,
+                                   "output": {"value": i}, "exit": 0}
+    assert len(os.listdir(cache.directory)) == len(keys)
 
 
 def test_cache_entry_with_an_edited_value_is_a_miss(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
-    key = {"op": "davenport", "n": 3}
-    assert davenport(group(3), cache=cache) == 5
-    path = cache._path(key)
+    assert _zs(cache, *DAVENPORT_3)["value"] == 5
+    path, key = _entries(cache)["davenport"]
     with open(path, "rb") as fh:
         data = fh.read()
     assert data.count(b'"value": 5') == 1
     with open(path, "wb") as fh:
         fh.write(data.replace(b'"value": 5', b'"value": 4'))
     assert cache.load(key) is None
-    assert davenport(group(3), cache=cache) == 5
+    assert _zs(cache, *DAVENPORT_3)["value"] == 5
     with open(path, "rb") as fh:
         assert fh.read() == data
 
 
 def test_cache_entry_with_an_edited_leaf_is_a_miss(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
-    spec = EnumSpec(3, 5, "minimal-zero-sum")
-    fresh = enumerate_sequences(spec)
-    enumerate_sequences(spec, cache=cache)
-    # swap one leaf for (0,0)^5, keeping the digest line as it was
-    path = cache._path(spec.key())
+    fresh = _zs(cache, *MINIMAL_3_5)
+    # swap one listed sequence for (0,0)^5, keeping the digest line as it was
+    path, key = _entries(cache)["enumerate"]
     with open(path, "rb") as fh:
         digest, _, body = fh.read().partition(b"\n")
     entry = json.loads(body)
-    entry["leaves"][0] = [group(3).index((0, 0))] * 5
+    entry["output"]["sequences"][0] = {"n": 3, "terms": [[0, 0, 5]]}
     with open(path, "wb") as fh:
         fh.write(digest + b"\n" + json.dumps(entry, sort_keys=True).encode())
-    assert cache.load(spec.key()) is None
-    assert enumerate_sequences(spec, cache=cache) == fresh
+    assert cache.load(key) is None
+    assert _zs(cache, *MINIMAL_3_5) == fresh
 
 
 def test_cache_entry_with_a_flipped_byte_is_a_miss(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
-    spec = EnumSpec(3, 5, "minimal-zero-sum")
-    enumerate_sequences(spec, cache=cache)
-    path = cache._path(spec.key())
+    _zs(cache, *MINIMAL_3_5)
+    path, key = _entries(cache)["enumerate"]
     with open(path, "rb") as fh:
         data = bytearray(fh.read())
-    # a digit of the first leaf; the body stays valid JSON
-    at = data.index(b'"leaves": [[') + len(b'"leaves": [[')
+    # a digit of the first listed sequence; the body stays valid JSON
+    at = data.index(b'"terms": [[') + len(b'"terms": [[')
     data[at] ^= 1
     with open(path, "wb") as fh:
         fh.write(data)
     json.loads(data.partition(b"\n")[2])
-    assert cache.load(spec.key()) is None
+    assert cache.load(key) is None
     # and a purge leaves nothing behind
     removed = cache.purge()
     assert removed >= 1
-    assert cache.load(spec.key()) is None
+    assert cache.load(key) is None
 
 
 @pytest.mark.parametrize("body", [b"[1, 2]", b"null"])
 def test_cache_entry_that_is_not_an_object_is_a_miss(tmp_path, body):
     cache = ResultCache(str(tmp_path / "c"))
-    key = {"op": "davenport", "n": 3}
-    assert davenport(group(3), cache=cache) == 5
-    path = cache._path(key)
+    assert _zs(cache, *DAVENPORT_3)["value"] == 5
+    path, key = _entries(cache)["davenport"]
     with open(path, "rb") as fh:
         data = fh.read()
     # a well-formed digest line over a body that is JSON but not an entry
     with open(path, "wb") as fh:
         fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
     assert cache.load(key) is None
-    assert davenport(group(3), cache=cache) == 5
+    assert _zs(cache, *DAVENPORT_3)["value"] == 5
     with open(path, "rb") as fh:
         assert fh.read() == data
 
@@ -966,27 +936,25 @@ def test_concurrent_stores_of_one_key_do_not_collide(tmp_path, monkeypatch):
     """A store by another process of the same key, landing between this
     store's write and its rename, leaves this store's tmp file alone."""
     cache = ResultCache(str(tmp_path / "c"))
-    key = {"op": "davenport", "n": 3}
     replace, pid = os.replace, os.getpid()
 
     def interleaved(src, dst):
         monkeypatch.setattr(os, "replace", replace)
         with monkeypatch.context() as other:
             other.setattr(os, "getpid", lambda: pid + 1)
-            cache.store(key, {"value": 5})
+            cache.store(DAVENPORT_3_KEY, DAVENPORT_3_ENTRY)
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", interleaved)
-    cache.store(key, {"value": 5})
-    assert cache.load(key)["value"] == 5
-    assert os.listdir(cache.directory) == [os.path.basename(cache._path(key))]
+    cache.store(DAVENPORT_3_KEY, DAVENPORT_3_ENTRY)
+    assert cache.load(DAVENPORT_3_KEY)["output"]["value"] == 5
+    assert os.listdir(cache.directory) == [os.path.basename(cache._path(DAVENPORT_3_KEY))]
 
 
 def test_purge_removes_the_tmp_files_of_killed_stores(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
-    davenport(group(3), cache=cache)
-    path = cache._path({"op": "davenport", "n": 3})
-    with open(f"{path}.4242.tmp", "wb") as fh:
+    cache.store(DAVENPORT_3_KEY, DAVENPORT_3_ENTRY)
+    with open(f"{cache._path(DAVENPORT_3_KEY)}.4242.tmp", "wb") as fh:
         fh.write(b"half an entry")
     assert cache.purge() == 2
     assert os.listdir(cache.directory) == []
@@ -994,8 +962,8 @@ def test_purge_removes_the_tmp_files_of_killed_stores(tmp_path):
 
 def test_purge_leaves_files_it_did_not_write(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
-    davenport(group(3), cache=cache)
-    entry = os.path.basename(cache._path({"op": "davenport", "n": 3}))
+    cache.store(DAVENPORT_3_KEY, DAVENPORT_3_ENTRY)
+    entry = os.path.basename(cache._path(DAVENPORT_3_KEY))
     own = [f"{entry}.4242.tmp", ".probe-4242"]
     foreign = ["notes.json", "draft.tmp", "0123.json", f"{entry}.bak", ".probe-x",
                f"{entry}.x.tmp"]
@@ -1008,37 +976,37 @@ def test_purge_leaves_files_it_did_not_write(tmp_path):
 
 def test_cache_entry_stands_alone(tmp_path, monkeypatch):
     cache = ResultCache(str(tmp_path / "c"))
-    spec = EnumSpec(3, 5, "minimal-zero-sum")
-    fresh = enumerate_sequences(spec, cache=cache)
-    davenport(group(3), cache=cache)
-    entry = os.path.basename(cache._path(spec.key()))
-    others = [name for name in os.listdir(cache.directory) if name != entry]
+    fresh = _zs(cache, *MINIMAL_3_5)
+    _zs(cache, *DAVENPORT_3)
+    path, key = _entries(cache)["enumerate"]
+    others = [name for name in os.listdir(cache.directory) if name != os.path.basename(path)]
     assert others
     for name in others:
         os.remove(os.path.join(cache.directory, name))
-    assert cache.load(spec.key()) is not None
+    assert cache.load(key) is not None
     monkeypatch.setattr(enumeration, "_search", _no_search)
-    assert enumerate_sequences(spec, cache=cache) == fresh
+    assert _zs(cache, *MINIMAL_3_5) == fresh
 
 
 def test_cache_schema_follows_the_search_source():
-    h = hashlib.sha256()
-    for name in ("enumeration.py", "subsums.py", "groups.py", "sequences.py"):
-        with open(os.path.join(os.path.dirname(enumeration.__file__), name), "rb") as fh:
-            h.update(fh.read())
+    """An entry is a whole command's output, so every module keys it."""
+    h, here = hashlib.sha256(), os.path.dirname(enumeration.__file__)
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(fh.read())
     assert enumeration.CACHE_SCHEMA.endswith(h.hexdigest()[:16])
     assert enumeration.CACHE_SCHEMA.startswith(zerosum.__version__)
 
 
 def test_cache_entry_of_an_older_schema_is_a_miss(tmp_path, monkeypatch):
     cache = ResultCache(str(tmp_path / "c"))
-    spec = EnumSpec(3, 5, "minimal-zero-sum")
-    # an entry written by another version or another search source
+    # an entry written by another version or another source
     monkeypatch.setattr(enumeration, "CACHE_SCHEMA", f"{zerosum.__version__}/1")
-    enumerate_sequences(spec, cache=cache)
-    assert cache.load(spec.key()) is not None
+    cache.store(DAVENPORT_3_KEY, DAVENPORT_3_ENTRY)
+    assert cache.load(DAVENPORT_3_KEY) is not None
     monkeypatch.undo()
-    assert cache.load(spec.key()) is None
+    assert cache.load(DAVENPORT_3_KEY) is None
 
 
 def test_resolve_cache_env(tmp_path, monkeypatch):
